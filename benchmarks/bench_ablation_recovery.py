@@ -13,6 +13,7 @@ from benchmarks.conftest import emit
 from repro.bench import render_table
 from repro.core import ScrFunctionalEngine
 from repro.cpu import STATE_ENTRY_BYTES
+from repro.faults import FaultSpec
 from repro.programs import make_program
 from repro.traffic import synthesize_trace, univ_dc_flow_sizes
 
@@ -29,7 +30,8 @@ def test_ablation_history_vs_state_sync(benchmark):
             )
             engine = ScrFunctionalEngine(
                 make_program("heavy_hitter"), 4,
-                with_recovery=True, loss_rate=0.02, seed=11,
+                with_recovery=True,
+                faults=FaultSpec.create(seed=11, drop_rate=0.02),
             )
             result = engine.run(trace)
             assert result.replicas_consistent

@@ -15,6 +15,7 @@ import pytest
 from benchmarks.conftest import emit
 from repro.bench import render_table
 from repro.core import ScrFunctionalEngine, ScrPacketCodec
+from repro.faults import FaultSpec
 from repro.programs import make_program
 from repro.traffic import synthesize_trace, univ_dc_flow_sizes
 
@@ -37,7 +38,8 @@ def test_ablation_ring_size_vs_recovery_robustness(benchmark):
             for slots in RING_SIZES:
                 engine = ScrFunctionalEngine(
                     make_program("ddos"), CORES, num_slots=slots,
-                    with_recovery=True, loss_rate=loss, seed=77,
+                    with_recovery=True,
+                    faults=FaultSpec.create(seed=77, drop_rate=loss),
                 )
                 result = engine.run(trace)
                 assert result.replicas_consistent

@@ -1,15 +1,19 @@
 """Figure 10b: cost of SCR's loss-recovery algorithm.
 
 Port-knocking firewall on the univ-DC trace.  Paper result: merely enabling
-recovery (logging) costs some throughput; higher injected loss rates cost
-more (log reads + catch-up); but SCR with recovery at 1 % loss still
-outperforms and outscales shared state and sharding.
+recovery (logging) costs some throughput; higher loss rates cost more
+(log reads + catch-up); but SCR with recovery at 1 % loss still
+outperforms and outscales shared state and sharding.  Loss is a
+``FaultSpec`` drop rate between the sequencer and the cores, so every
+MLFFR probe sees the same drop schedule.
 """
 
 import pytest
 
 from benchmarks.conftest import emit
 from repro.bench import render_scaling_series
+from repro.faults import FaultSpec
+from repro.scenario import Scenario, run_scenario
 
 CORES = [1, 2, 4, 7, 10, 14]
 LOSS_RATES = [0.0, 0.0001, 0.001, 0.01]
@@ -31,12 +35,20 @@ def test_fig10b_loss_recovery_overhead(benchmark, runner):
         ]
         for loss in LOSS_RATES:
             label = f"scr+rec {loss:.2%} loss"
+            faults = FaultSpec.create(seed=runner.seed, drop_rate=loss)
             series[label] = [
                 (
                     k,
-                    runner.mlffr_point(
-                        "port_knocking", "univ_dc", "scr", k,
-                        engine_kwargs={**base, "with_recovery": True, "loss_rate": loss},
+                    run_scenario(
+                        Scenario.create(
+                            "port_knocking", "univ_dc", "scr", k,
+                            num_flows=runner.num_flows,
+                            max_packets=runner.max_packets,
+                            seed=runner.seed,
+                            engine_kwargs={**base, "with_recovery": True},
+                            faults=faults,
+                        ),
+                        builder=runner.builder,
                     ).mlffr_mpps,
                 )
                 for k in CORES

@@ -3,14 +3,16 @@
 
 If a ToR-switch sequencer feeds the server, a packet can occasionally be
 lost after sequencing.  Without care, one core's replica would silently
-diverge.  This example injects 2 % random loss, lets Algorithm 1's per-core
-logs recover the gaps, and verifies that every replica still converges to
-the reference state — then shows the throughput price of recovery.
+diverge.  This example drops 2 % of packets with a seeded ``FaultSpec``,
+lets Algorithm 1's per-core logs recover the gaps, and verifies that every
+replica still converges to the reference state — then shows the throughput
+price of recovery under the same kind of drop schedule.
 """
 
 from repro.bench import find_mlffr, render_table
 from repro.core import ScrFunctionalEngine, reference_run
 from repro.cpu import PerfTrace
+from repro.faults import FaultPlan, FaultSpec
 from repro.parallel import ScrEngine
 from repro.programs import make_program
 from repro.traffic import caida_backbone_flow_sizes, synthesize_trace
@@ -24,7 +26,7 @@ def main() -> None:
     # --- functional: inject loss, recover, verify ------------------------------
     engine = ScrFunctionalEngine(
         make_program("heavy_hitter"), num_cores=4,
-        with_recovery=True, loss_rate=0.02, seed=123,
+        with_recovery=True, faults=FaultSpec.create(seed=123, drop_rate=0.02),
     )
     result = engine.run(trace)
     print(f"offered {result.offered} packets; "
@@ -43,14 +45,16 @@ def main() -> None:
     pt = PerfTrace.from_trace(trace.truncated(192), make_program("heavy_hitter"))
     rows = []
     configs = [
-        ("no recovery", {}),
-        ("recovery, 0% loss", {"with_recovery": True}),
-        ("recovery, 0.1% loss", {"with_recovery": True, "loss_rate": 0.001}),
-        ("recovery, 1% loss", {"with_recovery": True, "loss_rate": 0.01}),
+        ("no recovery", False, 0.0),
+        ("recovery, 0% loss", True, 0.0),
+        ("recovery, 0.1% loss", True, 0.001),
+        ("recovery, 1% loss", True, 0.01),
     ]
-    for label, kwargs in configs:
-        engine = ScrEngine(make_program("heavy_hitter"), 7, **kwargs)
-        mlffr = find_mlffr(pt, engine)
+    for label, with_recovery, loss in configs:
+        engine = ScrEngine(make_program("heavy_hitter"), 7,
+                           with_recovery=with_recovery)
+        plan = FaultPlan(FaultSpec.create(seed=123, drop_rate=loss))
+        mlffr = find_mlffr(pt, engine, faults=plan)
         rows.append([label, f"{mlffr.mlffr_mpps:.2f}"])
     print()
     print(render_table(

@@ -44,6 +44,7 @@ from .bench import ExperimentRunner, render_scaling_series, render_table
 from .bench.export import scaling_points_to_csv
 from .core import ScrFunctionalEngine, reference_run
 from .cpu.columnar import HOTPATH_ENV, HOTPATH_MODES
+from .faults import FaultSpec
 from .parallel import TECHNIQUES
 from .programs import make_program, program_names, table1_rows
 from .sequencer import NetFpgaSequencerModel, TofinoSequencerModel
@@ -95,7 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="partition flows across this many tenants and "
                         "report the occupancy split (repro.placement)")
     p.add_argument("--packets", type=int, default=2000)
-    p.add_argument("--loss-rate", type=float, default=0.0)
+    p.add_argument("--loss-rate", type=float, default=0.0,
+                   help="drop this fraction of packets between sequencer "
+                        "and cores (a FaultSpec drop rate seeded by --seed); "
+                        "enables Algorithm 1 recovery")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cache-dir", metavar="DIR",
                    help="content-addressed trace cache (see docs/BENCHMARKS.md)")
@@ -504,6 +508,12 @@ def cmd_run(args, out) -> int:
     if args.tenants < 1:
         print(f"error: --tenants must be >= 1, got {args.tenants}", file=out)
         return 2
+    try:
+        faults = (FaultSpec(seed=args.seed, drop_rate=args.loss_rate)
+                  if args.loss_rate else None)
+    except ValueError as exc:
+        print(f"error: --loss-rate: {exc}", file=out)
+        return 2
     cache = _cache_for(args)
     hp = _hostprof_for(args)
     trace = _load_or_synthesize(args, cache=cache, hostprof=hp)
@@ -511,9 +521,8 @@ def cmd_run(args, out) -> int:
     engine = ScrFunctionalEngine(
         make_program(args.program),
         num_cores=args.cores,
-        with_recovery=args.loss_rate > 0,
-        loss_rate=args.loss_rate,
-        seed=args.seed,
+        with_recovery=faults is not None,
+        faults=faults,
         tracer=tele.tracer,
     )
     with hp.phase("func.run"):

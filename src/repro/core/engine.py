@@ -5,19 +5,21 @@ correctness oracle for the paper's central claim (Principles #1 and #2):
 after any run, every core's private state replica is identical, and the
 verdict stream matches a single-threaded execution of the same program —
 with zero cross-core synchronization in the loss-free case, and with the
-Algorithm 1 logs when losses are injected.
+Algorithm 1 logs when a :class:`~repro.faults.spec.FaultSpec` drops packets
+between the sequencer and the cores.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..faults.plan import FaultPlan
+from ..faults.spec import FaultSpec
 from ..packet import Packet
 from ..programs.base import PacketProgram, Verdict
 from ..state.maps import PerCoreStateMap, StateMap
-from ..telemetry.events import EV_INJECTED_LOSS, NULL_TRACER, EventTracer
+from ..telemetry.events import EV_FAULT_DROP, NULL_TRACER, EventTracer
 from ..traffic.trace import Trace
 from .recovery import LossRecoveryManager
 from .scr_aware import ScrCoreRuntime
@@ -31,7 +33,7 @@ class ScrRunResult:
 
     #: verdict per sequence number, for packets that reached their core.
     verdicts: Dict[int, Verdict] = field(default_factory=dict)
-    #: sequences dropped between sequencer and core (injected loss).
+    #: sequences dropped between sequencer and core (fault drops).
     lost_seqs: List[int] = field(default_factory=list)
     offered: int = 0
     #: per-core state snapshots at the end of the run.
@@ -68,15 +70,16 @@ class ScrFunctionalEngine:
         num_slots: Optional[int] = None,
         dummy_eth: bool = True,
         with_recovery: bool = False,
-        loss_rate: float = 0.0,
-        seed: int = 0,
+        faults: Optional[FaultSpec] = None,
         state_capacity: int = 4096,
         tracer: EventTracer = NULL_TRACER,
     ) -> None:
-        if loss_rate and not with_recovery:
-            raise ValueError("loss injection requires with_recovery=True")
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError("loss_rate must be in [0, 1)")
+        """``faults`` drops packets between the sequencer and their core
+        wherever ``FaultPlan.drops(arrival_index)`` fires — the same
+        decisions the performance simulator makes for the same spec.
+        Only the drop schedule applies here; the other fault kinds are
+        the chaos harness's (``repro.faults.harness``)."""
+        self._plan = _drop_plan(faults, with_recovery)
         # Imported here: the sequencer package depends on repro.core for the
         # ring and packet format, so a top-level import would be circular.
         from ..sequencer.sequencer import PacketHistorySequencer
@@ -104,9 +107,6 @@ class ScrFunctionalEngine:
             )
             for i in range(num_cores)
         ]
-        self.loss_rate = loss_rate
-        # Determinism (§3.4): a fixed-seed PRNG decides injected losses.
-        self._rng = random.Random(seed)
 
     def run(self, trace: Trace, flush: bool = True) -> ScrRunResult:
         """Process every packet of ``trace`` and return the run outcome.
@@ -118,8 +118,8 @@ class ScrFunctionalEngine:
         Flush packets are not counted in ``offered`` or ``verdicts``.
         """
         result = ScrRunResult()
-        for pkt in trace:
-            self._offer(pkt, result)
+        for index, pkt in enumerate(trace):
+            self._offer(index, pkt, result)
         if flush:
             self.flush(result)
         self._drain(result)
@@ -137,7 +137,7 @@ class ScrFunctionalEngine:
         The no-ops are non-IPv4 frames: every program's metadata extraction
         marks them invalid and its transition leaves state untouched, so
         they propagate history without perturbing any replica.  Flush
-        deliveries bypass loss injection — in a real deployment these are
+        deliveries bypass the fault plan — in a real deployment these are
         simply "the next packets to arrive".
         """
         sink = result if result is not None else ScrRunResult()
@@ -151,13 +151,14 @@ class ScrFunctionalEngine:
                     sink.verdicts[seq] = verdict
             self._drain(sink, ignore_seqs=flush_seqs)
 
-    def _offer(self, pkt: Packet, result: ScrRunResult) -> None:
+    def _offer(self, index: int, pkt: Packet, result: ScrRunResult) -> None:
         result.offered += 1
         sp = self.sequencer.process(pkt)
-        if self.loss_rate and self._rng.random() < self.loss_rate:
+        if self._plan is not None and self._plan.drops(index):
             result.lost_seqs.append(sp.seq)
             if self.tracer.enabled:
-                self.tracer.emit(EV_INJECTED_LOSS, core=sp.core, seq=sp.seq)
+                self.tracer.emit(EV_FAULT_DROP, core=sp.core, index=index,
+                                 seq=sp.seq)
             return
         for seq, verdict in self.cores[sp.core].receive(sp.data):
             result.verdicts[seq] = verdict
@@ -180,6 +181,19 @@ class ScrFunctionalEngine:
                         result.verdicts[seq] = verdict
                 if core.last_seq != before or outcomes:
                     progressed = True
+
+
+def _drop_plan(faults: Optional[FaultSpec], with_recovery: bool) -> Optional[FaultPlan]:
+    """The plan deciding sequencer→core drops, or None for a clean run.
+
+    Shared with :class:`~repro.core.threaded.ThreadedScrEngine`: without
+    Algorithm 1's logs a dropped packet would fork its replica for good.
+    """
+    if faults is None or not faults.any_faults:
+        return None
+    if not with_recovery:
+        raise ValueError("fault drops require with_recovery=True")
+    return FaultPlan(faults)
 
 
 def reference_run(

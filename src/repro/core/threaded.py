@@ -23,11 +23,12 @@ import queue
 import threading
 from typing import Dict, Optional
 
+from ..faults.spec import FaultSpec
 from ..programs.base import PacketProgram, Verdict
 from ..state.maps import PerCoreStateMap
 from ..telemetry.events import NULL_TRACER, EventTracer
 from ..traffic.trace import Trace
-from .engine import ScrRunResult
+from .engine import ScrRunResult, _drop_plan
 from .recovery import LossRecoveryManager
 from .scr_aware import ScrCoreRuntime
 
@@ -79,16 +80,14 @@ class ThreadedScrEngine:
         num_slots: Optional[int] = None,
         dummy_eth: bool = True,
         with_recovery: bool = False,
-        loss_rate: float = 0.0,
-        seed: int = 0,
+        faults: Optional[FaultSpec] = None,
         state_capacity: int = 4096,
         ring_capacity: int = 256,
         tracer: EventTracer = NULL_TRACER,
     ) -> None:
         from ..sequencer.sequencer import PacketHistorySequencer
 
-        if loss_rate and not with_recovery:
-            raise ValueError("loss injection requires with_recovery=True")
+        self._plan = _drop_plan(faults, with_recovery)
         self.program = program
         self.num_cores = num_cores
         self.sequencer = PacketHistorySequencer(
@@ -100,8 +99,6 @@ class ThreadedScrEngine:
             if with_recovery
             else None
         )
-        self.loss_rate = loss_rate
-        self._seed = seed
         self._ring_capacity = ring_capacity
         #: event sink shared by every core thread (deque appends are safe
         #: under the GIL; counts may rarely under-report across threads).
@@ -121,11 +118,8 @@ class ThreadedScrEngine:
 
     def run(self, trace: Trace, flush: bool = True) -> ScrRunResult:
         """Process ``trace`` with one thread per core; joins before returning."""
-        import random
-
         from ..packet import Packet
 
-        rng = random.Random(self._seed)
         threads = [
             _CoreThread(
                 ScrCoreRuntime(
@@ -146,10 +140,10 @@ class ThreadedScrEngine:
         result = ScrRunResult()
         flush_seqs = set()
         try:
-            for pkt in trace:
+            for index, pkt in enumerate(trace):
                 result.offered += 1
                 sp = self.sequencer.process(pkt)
-                if self.loss_rate and rng.random() < self.loss_rate:
+                if self._plan is not None and self._plan.drops(index):
                     result.lost_seqs.append(sp.seq)
                     continue
                 self._put(threads[sp.core], sp.data)

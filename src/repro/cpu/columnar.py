@@ -382,7 +382,6 @@ def _run(
         processed=processed,
         wire_dropped=0,
         ring_dropped=0,
-        injected_lost=0,
         unfinished=unfinished,
         duration_ns=duration,
         rate_pps=rate_pps,

@@ -36,7 +36,6 @@ from ..telemetry.events import (
     EV_FAULT_POP_DROP,
     EV_FAULT_REORDER,
     EV_FAULT_STALL,
-    EV_INJECTED_LOSS,
     EV_PCIE_DROP,
     EV_RING_DROP,
     EV_RUN_SUMMARY,
@@ -305,9 +304,6 @@ class PerfEngine(Protocol):
     def steer(self, pp: PerfPacket) -> int:
         """RX queue / core index for this packet."""
 
-    def pre_enqueue(self, pp: PerfPacket, core: int) -> bool:
-        """Admission hook; returning False models loss before the core."""
-
     def service_ns(self, core: int, pp: PerfPacket, start_ns: float) -> float:
         """Per-packet service time; must also charge the core's counters."""
 
@@ -320,7 +316,6 @@ class SimResult:
     processed: int
     wire_dropped: int
     ring_dropped: int
-    injected_lost: int
     #: packets still queued when the post-stream grace period expired.
     unfinished: int
     duration_ns: float
@@ -519,7 +514,6 @@ def simulate(
     processed = 0
     wire_dropped = 0
     ring_dropped = 0
-    injected_lost = 0
     pcie_dropped = 0
     wire_free = 0.0
     wire_slack_ns = 0.0
@@ -650,11 +644,6 @@ def simulate(
             if pp_sampled:
                 spans.emit("fault_drop", pp.index, ts_ns=now, core=core)
             continue
-        if not engine.pre_enqueue(pp, core):
-            injected_lost += 1
-            if tracing:
-                emit(EV_INJECTED_LOSS, ts_ns=now, core=core, index=pp.index)
-            continue
         ring = rings[core]
         if len(ring) >= ring_capacity:
             ring_dropped += 1
@@ -718,7 +707,6 @@ def simulate(
             wire_dropped=wire_dropped,
             ring_dropped=ring_dropped,
             pcie_dropped=pcie_dropped,
-            injected_lost=injected_lost,
             unfinished=unfinished,
         )
         if fault_stats is not None:
@@ -731,7 +719,6 @@ def simulate(
         processed=processed,
         wire_dropped=wire_dropped,
         ring_dropped=ring_dropped,
-        injected_lost=injected_lost,
         unfinished=unfinished,
         duration_ns=duration,
         rate_pps=rate_pps,

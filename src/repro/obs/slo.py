@@ -11,9 +11,9 @@ artifact, old or new, serial or ``--jobs N``, reduces identically.
 
 The reducer is a fold over timestamp-ordered events:
 
-* ``fault.drop`` / ``fault.pop_drop`` / ``fault.truncate`` /
-  ``sim.injected_loss`` **open** a gap on their core (truncations carry
-  no core and sit in a shared bucket closed by any detection);
+* ``fault.drop`` / ``fault.pop_drop`` / ``fault.truncate`` **open** a
+  gap on their core (truncations carry no core and sit in a shared
+  bucket closed by any detection);
 * ``scr.fast_forward`` closes gaps as **covered** (TTR = TTD: the
   history window healed the hole in-line);
 * ``recovery.quarantine`` marks gaps **detected**, deferring resolution
@@ -43,7 +43,6 @@ from ..telemetry.events import (
     EV_FAULT_POP_DROP,
     EV_FAULT_TRUNCATE,
     EV_GAP_DETECTED,
-    EV_INJECTED_LOSS,
     EV_QUARANTINE,
     EV_RESYNC,
     EV_UNRECOVERABLE,
@@ -59,7 +58,6 @@ GAP_OPENING_KINDS = frozenset({
     EV_FAULT_DROP,
     EV_FAULT_POP_DROP,
     EV_FAULT_TRUNCATE,
-    EV_INJECTED_LOSS,
 })
 
 _RESOLUTION_KINDS = frozenset({

@@ -111,9 +111,6 @@ class BaseEngine(ABC):
     def wire_len(self, pp: PerfPacket) -> int:
         return pp.wire_len
 
-    def pre_enqueue(self, pp: PerfPacket, core: int) -> bool:
-        return True
-
     def note_fault_drop(self, core: int, pp: PerfPacket) -> None:
         """The simulator fault-dropped a packet already steered to ``core``.
 

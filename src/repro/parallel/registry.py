@@ -20,10 +20,10 @@ __all__ = ["TECHNIQUES", "COLUMNAR_TECHNIQUES", "make_engine", "technique_names"
 #: (repro.placement, docs/MULTITENANT.md).
 TECHNIQUES = ("scr", "relaxed_scr", "shared", "rss", "rss++", "hybrid")
 
-#: Techniques whose engines can opt into the columnar hot path
-#: (``columnar_eligible`` may still say no at runtime, e.g. SCR with loss
-#: injection): scr / relaxed_scr (pure round-robin row math) and rss
-#: (static indirection-table gather).  ``shared`` engines serialize on
+#: Techniques whose engines can opt into the columnar hot path (a run
+#: with a fault plan still falls back to the scalar loop): scr /
+#: relaxed_scr (pure round-robin row math) and rss (static
+#: indirection-table gather).  ``shared`` engines serialize on
 #: time-dependent contention and ``rss++`` mutates its steering table
 #: mid-run, so both always run the scalar event loop (docs/HOTPATH.md).
 COLUMNAR_TECHNIQUES = ("scr", "relaxed_scr", "rss")

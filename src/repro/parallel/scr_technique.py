@@ -12,13 +12,13 @@ no bouncing.  What SCR pays instead:
 * **memory**: every core holds *all* flows, so SCR's replicas spill out of
   L2 before a sharded layout would (scaling limit (ii), §3.1);
 * optionally, **loss-recovery costs** (Figure 10b): per-packet log writes,
-  and — when losses are injected — spinning on other cores' logs plus the
+  and — when a :class:`~repro.faults.spec.FaultSpec` drops packets between
+  the sequencer and a core — spinning on other cores' logs plus the
   catch-up transitions for each recovered sequence.
 """
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -52,8 +52,6 @@ class ScrEngine(BaseEngine):
         num_slots: Optional[int] = None,
         dummy_eth: bool = True,
         with_recovery: bool = False,
-        loss_rate: float = 0.0,
-        seed: int = 0,
         extra_compute_ns: float = 0.0,
         count_wire_overhead: bool = True,
         fault_epoch_len: int = 32,
@@ -69,15 +67,15 @@ class ScrEngine(BaseEngine):
         so those sweeps pass False; Figure 10a feeds bare 64-byte packets
         and lets SCR alone inflate them, so it keeps the default True.
 
+        ``with_recovery`` adds Algorithm 1's per-packet log writes and
+        heals history gaps the window cannot cover from peer logs instead
+        of a checkpoint resync (see ``service_ns``).
+
         ``fault_epoch_len`` is the sequencer's checkpoint epoch for the
         quarantine-resync cost model (see ``note_fault_drop``): a
         resyncing core replays on average half an epoch past the gap.
         """
         super().__init__(*args, **kwargs)
-        if loss_rate and not with_recovery:
-            raise ValueError("loss injection requires with_recovery=True")
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError("loss_rate must be in [0, 1)")
         self.num_slots = num_slots if num_slots is not None else self.num_cores
         if self.num_slots < self.num_cores:
             raise ValueError("history slots must cover the core count")
@@ -88,21 +86,14 @@ class ScrEngine(BaseEngine):
         )
         self.count_wire_overhead = count_wire_overhead
         self.with_recovery = with_recovery
-        self.loss_rate = loss_rate
-        self.seed = seed
         self.extra_compute_ns = extra_compute_ns
         if fault_epoch_len < 1:
             raise ValueError("fault_epoch_len must be >= 1")
         self.fault_epoch_len = fault_epoch_len
-        self._rng = random.Random(seed)
         self._rr = 0
         self._seq = 0
-        #: per-core count of sequences lost ahead of the next delivery;
-        #: their recovery cost lands on that next packet's service.
-        self._pending_lost = [0] * self.num_cores
-        self.injected = 0
-        #: per-core count of *fault-injected* drops (repro.faults) awaiting
-        #: gap handling on the core's next service.
+        #: per-core count of fault drops (repro.faults) awaiting gap
+        #: handling on the core's next service.
         self._fault_gap = [0] * self.num_cores
         self.fault_gaps = 0
         self.fault_gaps_covered = 0
@@ -113,11 +104,8 @@ class ScrEngine(BaseEngine):
 
     def reset(self) -> None:
         super().reset()
-        self._rng = random.Random(self.seed)
         self._rr = 0
         self._seq = 0
-        self._pending_lost = [0] * self.num_cores
-        self.injected = 0
         self._fault_gap = [0] * self.num_cores
         self.fault_gaps = 0
         self.fault_gaps_covered = 0
@@ -159,19 +147,12 @@ class ScrEngine(BaseEngine):
             self.tracer.emit(EV_SPRAY, core=core, seq=self._seq, index=pp.index)
         return core
 
-    def pre_enqueue(self, pp: PerfPacket, core: int) -> bool:
-        if self.loss_rate and self._rng.random() < self.loss_rate:
-            self._pending_lost[core] += 1
-            self.injected += 1
-            return False
-        return True
-
     def note_fault_drop(self, core: int, pp: PerfPacket) -> None:
         """A repro.faults drop stole a packet already sprayed to ``core``.
 
         The replica will see a sequence hole on its next delivery; the
-        recovery work (window catch-up, or an epoch-checkpoint resync
-        when the hole exceeds the history window) is charged to that
+        recovery work (window catch-up, peer-log catch-up, or an
+        epoch-checkpoint resync — see ``service_ns``) is charged to that
         next packet's service time.
         """
         self._fault_gap[core] += 1
@@ -195,10 +176,9 @@ class ScrEngine(BaseEngine):
     # -- columnar hot-path hooks (docs/HOTPATH.md) --------------------------------
 
     def columnar_eligible(self) -> bool:
-        """Batched replay is exact unless loss injection draws from the RNG
-        (injected losses change which packets reach the rings); recovery
-        *logging* alone is pure row math and stays eligible."""
-        return self.loss_rate == 0.0
+        """Always: recovery *logging* is pure row math, and runs that lose
+        packets carry a fault plan, which the columnar driver declines."""
+        return True
 
     def wire_len_batch(self, trace: "PerfTrace") -> np.ndarray:
         if not self.count_wire_overhead:
@@ -315,21 +295,6 @@ class ScrEngine(BaseEngine):
         if self.with_recovery:
             # Logging the h history items plus the packet's own entry.
             log_ns = (h + 1) * self.contention.log_write_ns
-            lost = self._pending_lost[core]
-            if lost:
-                if self.tracer.enabled:
-                    self.tracer.emit(EV_FAST_FORWARD, ts_ns=start_ns, core=core,
-                                     length=lost)
-                # Reading another core's log line (a cross-core transfer per
-                # probe) and fast-forwarding through each recovered sequence.
-                probes = 1 + (self.num_cores - 1) / 2
-                recovery_transfer_ns = lost * probes * self.contention.recovery_probe_ns
-                catchup = lost * (c.c2 + extra)
-                log_ns += catchup
-                # Catch-up transitions are fast-forward work too.
-                history += catchup
-                recovery_misses = float(lost)
-                self._pending_lost[core] = 0
         gap = self._fault_gap[core]
         if gap:
             hp = self.hostprof
@@ -347,6 +312,17 @@ class ScrEngine(BaseEngine):
                 if self.tracer.enabled:
                     self.tracer.emit(EV_FAST_FORWARD, ts_ns=start_ns,
                                      core=core, length=missed - h)
+            elif self.with_recovery:
+                # Algorithm 1 (App. B): read each lost sequence from
+                # another core's log (a cross-core transfer per probe)
+                # and fast-forward through it.
+                probes = 1 + (self.num_cores - 1) / 2
+                recovery_transfer_ns = gap * probes * self.contention.recovery_probe_ns
+                recovery_misses = float(gap)
+                catchup = gap * (c.c2 + extra)
+                if self.tracer.enabled:
+                    self.tracer.emit(EV_FAST_FORWARD, ts_ns=start_ns,
+                                     core=core, length=gap)
             else:
                 # Quarantine: fetch the sequencer's newest epoch
                 # checkpoint and replay, on average, half an epoch of
@@ -355,10 +331,10 @@ class ScrEngine(BaseEngine):
                 self.resyncs += 1
                 replay = missed + self.fault_epoch_len // 2
                 catchup = replay * (c.c2 + extra)
-                recovery_transfer_ns += self.contention.checkpoint_fetch_ns
-                recovery_misses += 1.0  # the restored snapshot is cold
-                self.resync_replayed += replay
                 fetch = self.contention.checkpoint_fetch_ns
+                recovery_transfer_ns = fetch
+                recovery_misses = 1.0  # the restored snapshot is cold
+                self.resync_replayed += replay
                 self.resync_ns_total += catchup + fetch
                 if self.tracer.enabled:
                     self.tracer.emit(EV_QUARANTINE, ts_ns=start_ns,

@@ -22,7 +22,6 @@ from .artifact import (
 from .events import (
     EV_FAST_FORWARD,
     EV_HISTORY_DEPTH,
-    EV_INJECTED_LOSS,
     EV_LOCK_WAIT,
     EV_MLFFR_PROBE,
     EV_PCIE_DROP,
@@ -62,7 +61,6 @@ __all__ = [
     "EV_WIRE_DROP",
     "EV_RING_DROP",
     "EV_PCIE_DROP",
-    "EV_INJECTED_LOSS",
     "EV_SERVICE",
     "EV_SPRAY",
     "EV_HISTORY_DEPTH",

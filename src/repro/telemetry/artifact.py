@@ -169,7 +169,7 @@ class Telemetry:
         if extra_metrics:
             metrics.update(extra_metrics)
         slo = None
-        if any(k.startswith(("fault.", "recovery.")) or k == "sim.injected_loss"
+        if any(k.startswith(("fault.", "recovery."))
                for k in self.tracer.type_counts):
             # Lazy import: telemetry must not depend on repro.obs at module
             # load (obs.spans imports telemetry.events).

@@ -25,7 +25,6 @@ __all__ = [
     "EV_WIRE_DROP",
     "EV_RING_DROP",
     "EV_PCIE_DROP",
-    "EV_INJECTED_LOSS",
     "EV_SERVICE",
     "EV_SPRAY",
     "EV_HISTORY_DEPTH",
@@ -58,8 +57,6 @@ EV_WIRE_DROP = "nic.wire_drop"
 EV_RING_DROP = "nic.ring_drop"
 #: Host-interconnect saturation (PCIe DMA + descriptor bytes, §4.2).
 EV_PCIE_DROP = "nic.pcie_drop"
-#: Loss injected between sequencer and core (Fig. 10b methodology).
-EV_INJECTED_LOSS = "sim.injected_loss"
 #: One packet's service on a core (start + duration → a trace-viewer span).
 EV_SERVICE = "core.service"
 #: SCR sequencer spray decision: sequence → core.

@@ -37,6 +37,7 @@ _DROP_KINDS = {
     "nic.wire_drop": "wire saturated (MAC FIFO overflow)",
     "nic.ring_drop": "RX ring full (core lagged)",
     "nic.pcie_drop": "host interconnect saturated (PCIe)",
+    #: written by artifacts from before fault drops replaced it
     "sim.injected_loss": "injected loss (sequencer->core)",
 }
 

@@ -3,13 +3,14 @@
 Principle #1/#2: for every program and core count, the SCR run must produce
 (i) mutually identical per-core replicas and (ii) exactly the verdicts and
 final state of a single-threaded execution — with zero shared state.
-Appendix B: the same holds under injected loss, modulo sequences that were
+Appendix B: the same holds under FaultSpec drops, modulo sequences that were
 lost at every core (which all cores skip together, preserving atomicity).
 """
 
 import pytest
 
 from repro.core import ScrFunctionalEngine, reference_run
+from repro.faults import FaultSpec
 from repro.programs import make_program
 from repro.state import StateMap
 from repro.traffic import synthesize_trace, univ_dc_flow_sizes
@@ -58,7 +59,8 @@ def test_scr_recovers_under_injected_loss(name, loss_rate):
     prog = make_program(name)
     trace = trace_for_program(prog)
     engine = ScrFunctionalEngine(
-        make_program(name), 4, with_recovery=True, loss_rate=loss_rate, seed=99
+        make_program(name), 4, with_recovery=True,
+        faults=FaultSpec.create(seed=99, drop_rate=loss_rate),
     )
     result = engine.run(trace)
     assert result.replicas_consistent
@@ -75,19 +77,22 @@ def test_scr_recovers_under_injected_loss(name, loss_rate):
 
 def test_loss_requires_recovery():
     with pytest.raises(ValueError, match="recovery"):
-        ScrFunctionalEngine(make_program("ddos"), 2, loss_rate=0.1)
+        ScrFunctionalEngine(make_program("ddos"), 2,
+                            faults=FaultSpec.create(drop_rate=0.1))
 
 
 def test_invalid_loss_rate():
-    with pytest.raises(ValueError):
-        ScrFunctionalEngine(make_program("ddos"), 2, with_recovery=True, loss_rate=1.5)
+    with pytest.raises(ValueError, match=r"drop_rate must be in \[0, 1\)"):
+        ScrFunctionalEngine(make_program("ddos"), 2, with_recovery=True,
+                            faults=FaultSpec.create(drop_rate=1.5))
 
 
 def test_lost_packets_emit_no_verdict():
     prog = make_program("ddos")
     trace = trace_for_program(prog)
     engine = ScrFunctionalEngine(
-        make_program("ddos"), 3, with_recovery=True, loss_rate=0.2, seed=5
+        make_program("ddos"), 3, with_recovery=True,
+        faults=FaultSpec.create(seed=5, drop_rate=0.2),
     )
     result = engine.run(trace)
     assert result.lost_seqs
@@ -98,7 +103,8 @@ def test_recovered_counts_reported():
     prog = make_program("port_knocking")
     trace = trace_for_program(prog)
     engine = ScrFunctionalEngine(
-        make_program("port_knocking"), 4, with_recovery=True, loss_rate=0.1, seed=3
+        make_program("port_knocking"), 4, with_recovery=True,
+        faults=FaultSpec.create(seed=3, drop_rate=0.1),
     )
     result = engine.run(trace)
     assert result.recovered > 0
@@ -108,12 +114,14 @@ def test_deterministic_loss_injection():
     prog = make_program("ddos")
     trace = trace_for_program(prog)
     r1 = ScrFunctionalEngine(
-        make_program("ddos"), 3, with_recovery=True, loss_rate=0.1, seed=42
+        make_program("ddos"), 3, with_recovery=True,
+        faults=FaultSpec.create(seed=42, drop_rate=0.1),
     ).run(trace)
     r2 = ScrFunctionalEngine(
-        make_program("ddos"), 3, with_recovery=True, loss_rate=0.1, seed=42
+        make_program("ddos"), 3, with_recovery=True,
+        faults=FaultSpec.create(seed=42, drop_rate=0.1),
     ).run(trace)
-    assert r1.lost_seqs == r2.lost_seqs
+    assert r1.lost_seqs and r1.lost_seqs == r2.lost_seqs
     assert r1.verdicts == r2.verdicts
 
 

@@ -118,13 +118,14 @@ class TestBoundedLogs:
     def test_end_to_end_with_bounded_logs(self):
         """A full SCR run with loss works with App. B's 1024-entry logs."""
         from repro.core.engine import ScrFunctionalEngine as Engine
+        from repro.faults import FaultSpec
         from repro.programs import make_program
         from tests.conftest import trace_for_program
 
         prog = make_program("ddos")
         trace = trace_for_program(prog)
         engine = Engine(make_program("ddos"), 4, with_recovery=True,
-                        loss_rate=0.05, seed=31)
+                        faults=FaultSpec.create(seed=31, drop_rate=0.05))
         engine.recovery.log_capacity = 1024
         for core in engine.cores:
             assert core.recovery is engine.recovery

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import reference_run
 from repro.core.threaded import ThreadedScrEngine
+from repro.faults import FaultSpec
 from repro.programs import make_program
 from repro.state import StateMap
 from repro.traffic import synthesize_trace, univ_dc_flow_sizes
@@ -52,7 +53,7 @@ def test_threaded_with_recovery_under_loss():
     trace = trace_for_program(prog)
     engine = ThreadedScrEngine(
         make_program("port_knocking"), num_cores=4,
-        with_recovery=True, loss_rate=0.05, seed=13,
+        with_recovery=True, faults=FaultSpec.create(seed=13, drop_rate=0.05),
     )
     result = engine.run(trace)
     assert result.replicas_consistent
@@ -96,8 +97,9 @@ def test_threaded_single_core():
 
 
 def test_threaded_rejects_loss_without_recovery():
-    with pytest.raises(ValueError):
-        ThreadedScrEngine(make_program("ddos"), 2, loss_rate=0.1)
+    with pytest.raises(ValueError, match="recovery"):
+        ThreadedScrEngine(make_program("ddos"), 2,
+                          faults=FaultSpec.create(drop_rate=0.1))
 
 
 def test_threaded_nat_global_state():

@@ -183,10 +183,16 @@ class TestFallbackPaths:
         assert scalar.wire_dropped + scalar.ring_dropped > 0
         _assert_deep_equal(scalar, columnar)
 
-    def test_loss_rate_disqualifies_scr(self, traces):
+    def test_lossy_recovery_falls_back_and_match(self, traces):
+        """Fig. 10b's configuration: Algorithm 1 logging plus FaultSpec
+        drops.  The plan forces the scalar loop in both modes, and the
+        peer-log catch-up it charges must not depend on the mode."""
+        plan = FaultPlan(FaultSpec.create(seed=3, drop_rate=0.01))
         scalar, columnar = _run_pair(
-            traces["ddos"], "scr",
-            engine_kw=dict(loss_rate=0.01, with_recovery=True))
+            traces["ddos"], "scr", engine_kw=dict(with_recovery=True),
+            collect_latency=True, faults=plan)
+        assert columnar.fault_stats["fault_dropped"] > 0
+        assert columnar.fault_stats["fault_gaps"] > 0
         _assert_deep_equal(scalar, columnar)
 
 

@@ -29,9 +29,6 @@ class FixedServiceEngine:
         self._rr = (self._rr + 1) % self.num_cores
         return core
 
-    def pre_enqueue(self, pp, core):
-        return True
-
     def service_ns(self, core, pp, start_ns):
         self.counters.cores[core].charge_packet(self._service, 0)
         return self._service

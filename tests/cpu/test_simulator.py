@@ -4,6 +4,7 @@ import pytest
 
 from repro.cpu import PerfTrace, simulate
 from repro.cpu.counters import CoreCounters, SystemCounters
+from repro.faults import FaultPlan, FaultSpec
 from repro.packet import make_udp_packet
 from repro.programs import make_program
 from repro.traffic import Trace
@@ -32,9 +33,6 @@ class FixedServiceEngine:
         core = self._rr
         self._rr = (self._rr + 1) % self.num_cores
         return core
-
-    def pre_enqueue(self, pp, core):
-        return True
 
     def service_ns(self, core, pp, start_ns):
         self.counters.cores[core].charge_packet(dispatch_ns=self._service, compute_ns=0)
@@ -125,13 +123,19 @@ def test_rejects_bad_rate(perf_trace):
 
 
 def test_result_accounting_consistent(perf_trace):
-    engine = FixedServiceEngine(1, service_ns=500)
-    res = simulate(perf_trace, 50e6, engine)
-    assert (
-        res.processed + res.wire_dropped + res.ring_dropped
-        + res.injected_lost + res.unfinished + res.pcie_dropped
-        == res.offered
-    )
+    """Every offered packet ends in exactly one bucket — clean, and with
+    drop-only faults between the sequencer and the cores."""
+    plan = FaultPlan(FaultSpec.create(seed=5, drop_rate=0.05))
+    for faults in (None, plan):
+        engine = FixedServiceEngine(1, service_ns=500)
+        res = simulate(perf_trace, 50e6, engine, faults=faults)
+        fault_dropped = res.fault_stats["fault_dropped"] if faults else 0
+        assert (
+            res.processed + res.wire_dropped + res.pcie_dropped
+            + res.ring_dropped + res.unfinished + fault_dropped
+            == res.offered
+        )
+    assert fault_dropped > 0
 
 
 def test_pcie_saturation_drops(perf_trace):

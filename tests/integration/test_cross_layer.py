@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ScrPacketCodec
-from repro.cpu import PerfTrace
+from repro.core import ScrFunctionalEngine, ScrPacketCodec
+from repro.cpu import PerfTrace, simulate
+from repro.faults import FaultPlan, FaultSpec
 from repro.packet import make_udp_packet
 from repro.parallel import ScrEngine
 from repro.programs import make_program, program_names
 from repro.sequencer import PacketHistorySequencer
-from repro.traffic import Trace
+from repro.telemetry import EventTracer
+from repro.telemetry.events import EV_FAULT_DROP
+from repro.traffic import Trace, synthesize_trace, univ_dc_flow_sizes
 
 
 @pytest.mark.parametrize("name", ["ddos", "conntrack", "heavy_hitter"])
@@ -58,6 +61,76 @@ def test_history_items_match_functional_fast_forwards(name):
     warmup_deficit = (cores - 1) * cores // 2  # fewer items while filling
     assert total_processed == n
     assert total_history == (cores - 1) * n - warmup_deficit
+
+
+class TestOneLossModel:
+    """One FaultSpec loses the same packets on both layers: the functional
+    engine's lost sequences, the plan's own schedule and the simulator's
+    fault drops are three views of one decision set."""
+
+    CORES = 4
+    #: well under 4-core SCR capacity: nothing drops before the fault plan.
+    RATE_PPS = 2e6
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return synthesize_trace(univ_dc_flow_sizes(), 30, seed=21,
+                                max_packets=1500)
+
+    def functional(self, trace, spec):
+        tracer = EventTracer()
+        result = ScrFunctionalEngine(
+            make_program("ddos"), self.CORES, with_recovery=True,
+            faults=spec, tracer=tracer,
+        ).run(trace)
+        assert result.replicas_consistent
+        return result, tracer
+
+    def perf(self, trace, spec, with_recovery):
+        tracer = EventTracer()
+        engine = ScrEngine(make_program("ddos"), self.CORES,
+                           with_recovery=with_recovery, tracer=tracer)
+        res = simulate(PerfTrace.from_trace(trace, make_program("ddos")),
+                       self.RATE_PPS, engine, faults=FaultPlan(spec),
+                       tracer=tracer)
+        return res, tracer
+
+    @staticmethod
+    def drop_events(tracer):
+        return [(e.core, e.fields["index"])
+                for e in tracer.events() if e.kind == EV_FAULT_DROP]
+
+    def test_layers_drop_the_same_packets(self, trace):
+        spec = FaultSpec.create(seed=3, drop_rate=0.01)
+        scheduled = FaultPlan(spec).schedule(len(trace))["drop"]
+        assert scheduled
+        result, f_tracer = self.functional(trace, spec)
+        # Sequence numbers are 1-based arrival order.
+        assert result.lost_seqs == [i + 1 for i in scheduled]
+        res, p_tracer = self.perf(trace, spec, with_recovery=True)
+        assert res.wire_dropped == res.pcie_dropped == res.ring_dropped == 0
+        assert res.fault_stats["fault_dropped"] == len(scheduled)
+        # Same packet indices, sprayed to the same cores, on both layers.
+        assert self.drop_events(f_tracer) == self.drop_events(p_tracer)
+        assert [i for _, i in self.drop_events(p_tracer)] == scheduled
+
+    def test_gap_policy(self, trace):
+        """Algorithm 1 heals gaps beyond the window from peer logs; only a
+        run without recovery logs falls back to checkpoint resync."""
+        spec = FaultSpec.create(seed=3, drop_rate=0.01)
+        healed, _ = self.perf(trace, spec, with_recovery=True)
+        resynced, _ = self.perf(trace, spec, with_recovery=False)
+        assert healed.fault_stats["fault_gaps"] > 0
+        assert healed.fault_stats["resyncs"] == 0
+        assert resynced.fault_stats["resyncs"] > 0
+        assert healed.fault_stats["fault_dropped"] == (
+            resynced.fault_stats["fault_dropped"])
+
+    def test_drop_sets_nest_across_rates(self, trace):
+        low, _ = self.functional(trace, FaultSpec.create(seed=3, drop_rate=0.001))
+        high, _ = self.functional(trace, FaultSpec.create(seed=3, drop_rate=0.01))
+        assert low.lost_seqs
+        assert set(low.lost_seqs) < set(high.lost_seqs)
 
 
 class TestDecodeRobustness:

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ScrFunctionalEngine, reference_run
+from repro.faults import FaultSpec
 from repro.packet import (
     TCP_ACK,
     TCP_FIN,
@@ -101,8 +102,8 @@ def test_recovery_keeps_replicas_consistent_on_arbitrary_traffic(
         p.timestamp_ns = i * 1000
     trace = Trace(list(pkts))
     engine = ScrFunctionalEngine(
-        make_program("ddos"), cores, with_recovery=True, loss_rate=0.15,
-        seed=loss_seed,
+        make_program("ddos"), cores, with_recovery=True,
+        faults=FaultSpec.create(seed=loss_seed, drop_rate=0.15),
     )
     result = engine.run(trace)
     assert result.replicas_consistent

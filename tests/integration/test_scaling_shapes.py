@@ -9,6 +9,8 @@ import pytest
 
 from repro.bench import ExperimentRunner, predicted_scr_mpps
 from repro.cpu import TABLE4_PARAMS
+from repro.faults import FaultSpec
+from repro.scenario import run_scenario
 
 CORES = [1, 2, 4, 7]
 
@@ -84,9 +86,12 @@ def test_scr_measurements_match_appendix_a_model(runner):
 def test_loss_recovery_costs_but_still_wins(runner):
     """Figure 10b ordering: SCR with recovery at 1% loss still beats RSS."""
     plain = runner.mlffr_point("port_knocking", "univ_dc", "scr", 7).mlffr_mpps
-    recovered = runner.mlffr_point(
-        "port_knocking", "univ_dc", "scr", 7,
-        engine_kwargs={"with_recovery": True, "loss_rate": 0.01},
+    recovered = run_scenario(
+        runner.scenario_for(
+            "port_knocking", "univ_dc", "scr", 7,
+            engine_kwargs={"with_recovery": True},
+        ).with_faults(FaultSpec.create(seed=runner.seed, drop_rate=0.01)),
+        builder=runner.builder,
     ).mlffr_mpps
     rss = runner.mlffr_point("port_knocking", "univ_dc", "rss", 7).mlffr_mpps
     assert recovered < plain

@@ -203,3 +203,32 @@ class TestPreSloGrace:
         assert "slo" not in data
         html = render_report([art])
         assert "not recorded" not in html
+
+
+class TestLegacyInjectedLoss:
+    """Artifacts written while Fig. 10b loss had its own event kind
+    (``sim.injected_loss``) still inspect and render."""
+
+    def _legacy_dir(self, tmp_path):
+        tele = Telemetry()
+        tele.tracer.emit(EV_RING_DROP, ts_ns=1.0, core=0, index=2, depth=8)
+        for i in (5, 9):
+            tele.tracer.emit("sim.injected_loss", ts_ns=float(i), core=i % 2,
+                             index=i)
+        out = tmp_path / "legacy"
+        tele.write_artifact(out, command="mlffr", num_cores=2)
+        return out
+
+    def test_inspect_and_report_exit_zero(self, tmp_path):
+        import io
+
+        from repro.cli import main
+
+        art = self._legacy_dir(tmp_path)
+        text = io.StringIO()
+        assert main(["inspect", str(art)], out=text) == 0
+        assert "sim.injected_loss" in text.getvalue()
+        html_path = tmp_path / "legacy.html"
+        assert main(["report", str(art), "--out", str(html_path)],
+                    out=io.StringIO()) == 0
+        assert "sim.injected_loss" in html_path.read_text()

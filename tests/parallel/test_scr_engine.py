@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cpu import TABLE4_PARAMS, PerfTrace, simulate
+from repro.faults import FaultPlan, FaultSpec
 from repro.packet import make_udp_packet
 from repro.parallel import ScrEngine, make_engine
 from repro.programs import make_program
@@ -14,8 +15,12 @@ def elephant(n=3000, prog="ddos", wire=192):
     return PerfTrace.from_trace(Trace(pkts).truncated(wire), make_program(prog))
 
 
-def capacity_mpps(engine, pt, probe=400e6):
-    return simulate(pt, probe, engine).achieved_mpps
+def capacity_mpps(engine, pt, probe=400e6, faults=None):
+    return simulate(pt, probe, engine, faults=faults).achieved_mpps
+
+
+def drops(rate, seed=7):
+    return FaultPlan(FaultSpec.create(seed=seed, drop_rate=rate))
 
 
 def test_round_robin_spray():
@@ -102,33 +107,31 @@ class TestRecoveryCosts:
             ScrEngine(make_program("port_knocking"), 4, with_recovery=True), pt
         )
         lossy = capacity_mpps(
-            ScrEngine(
-                make_program("port_knocking"), 4, with_recovery=True, loss_rate=0.01
-            ),
+            ScrEngine(make_program("port_knocking"), 4, with_recovery=True),
             pt,
+            faults=drops(0.01),
         )
         assert lossy <= lossless
 
     def test_injected_losses_counted(self):
-        eng = ScrEngine(
-            make_program("ddos"), 4, with_recovery=True, loss_rate=0.05, seed=1
-        )
-        res = simulate(elephant(), 10e6, eng)
-        assert res.injected_lost > 0
-        assert res.injected_lost == eng.injected
+        eng = ScrEngine(make_program("ddos"), 4, with_recovery=True)
+        res = simulate(elephant(), 10e6, eng, faults=drops(0.05, seed=1))
+        dropped = res.fault_stats["fault_dropped"]
+        assert dropped > 0
+        assert res.offered - res.processed == dropped
+        # Every drop is healed on its core's next delivery; drops that
+        # hit one core back to back share a single gap.
+        assert 0 < res.fault_stats["fault_gaps"] <= dropped
+        assert res.fault_stats["fault_gaps"] == eng.fault_gaps
 
     def test_loss_injection_deterministic(self):
         def run():
-            eng = ScrEngine(
-                make_program("ddos"), 4, with_recovery=True, loss_rate=0.05, seed=7
-            )
-            return simulate(elephant(500), 10e6, eng).injected_lost
+            eng = ScrEngine(make_program("ddos"), 4, with_recovery=True)
+            res = simulate(elephant(500), 10e6, eng, faults=drops(0.05))
+            return res.fault_stats["fault_dropped"], res.fault_stats["fault_gaps"]
 
         assert run() == run()
-
-    def test_loss_without_recovery_rejected(self):
-        with pytest.raises(ValueError):
-            ScrEngine(make_program("ddos"), 2, loss_rate=0.1)
+        assert run()[0] > 0
 
 
 def test_extra_compute_slows_scaling():
