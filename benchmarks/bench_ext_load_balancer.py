@@ -11,8 +11,9 @@ solves.
 
 import pytest
 
-from benchmarks.conftest import CORES_7, emit
+from benchmarks.conftest import emit
 from repro.bench import render_scaling_series, render_table
+from repro.bench.figures import CORES_7
 from repro.core import ScrFunctionalEngine, reference_run
 from repro.packet import TCP_ACK, TCP_FIN, TCP_SYN, make_tcp_packet
 from repro.programs.load_balancer import MaglevLoadBalancer, MaglevTable
@@ -52,7 +53,7 @@ def churn_trace(clients=60, rounds=4, data_per_conn=2, elephant_packets=2400):
 
 
 @pytest.mark.benchmark(group="ext-lb")
-def test_ext_load_balancer(benchmark, runner):
+def test_ext_load_balancer(benchmark):
     trace = churn_trace()
 
     def run():

@@ -14,8 +14,9 @@ makes that concrete:
 
 import pytest
 
-from benchmarks.conftest import CORES_7, emit
+from benchmarks.conftest import emit
 from repro.bench import find_mlffr, render_scaling_series, render_table
+from repro.bench.figures import CORES_7
 from repro.core import ScrFunctionalEngine, reference_run
 from repro.cpu import PerfTrace
 from repro.packet import TCP_ACK, TCP_FIN, TCP_SYN, make_tcp_packet

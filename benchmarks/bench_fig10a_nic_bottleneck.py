@@ -4,42 +4,27 @@ Token bucket on the univ-DC trace with all packets truncated to 64 bytes;
 SCR alone adds its history metadata before the NIC (ToR-switch sequencer),
 the other techniques feed bare 64-byte frames.  Paper result: beyond ~11
 cores the wire, not the CPU, caps SCR — but SCR still saturates far above
-every other technique.
+every other technique.  The grid is ``FIGURE_PRESETS["10a"]``, swept to 18
+cores to show the wire ceiling clearly.
 """
 
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import BENCH_WORKLOAD, emit
 from repro.bench import render_scaling_series
+from repro.bench.figures import FIGURE_PRESETS, run_preset
 from repro.core import ScrPacketCodec
 from repro.cpu import TABLE4_PARAMS
 from repro.nic.nic import ETHERNET_OVERHEAD_BYTES
 from repro.programs import make_program
 
-TECHNIQUES = ["scr", "shared", "rss", "rss++"]
-#: swept past the paper's 14 cores to show the wire ceiling clearly; our
-#: calibration puts the CPU/wire crossover at ~15 cores vs the paper's ~11
-#: (their sequencer header is leaner than our 22-byte one).
-CORES = [1, 2, 4, 7, 10, 12, 14, 16, 18]
-
 
 @pytest.mark.benchmark(group="fig10a")
-def test_fig10a_64B_packets_nic_bottleneck(benchmark, runner):
-    def run():
-        return {
-            tech: [
-                (
-                    k,
-                    runner.mlffr_point(
-                        "token_bucket", "univ_dc", tech, k, packet_size=64
-                    ).mlffr_mpps,
-                )
-                for k in CORES
-            ]
-            for tech in TECHNIQUES
-        }
-
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig10a_64B_packets_nic_bottleneck(benchmark, executor):
+    series = benchmark.pedantic(
+        run_preset, args=(FIGURE_PRESETS["10a"], executor),
+        kwargs=BENCH_WORKLOAD, rounds=1, iterations=1,
+    )
     emit(render_scaling_series(
         series,
         title="Figure 10a — token bucket, 64 B packets, SCR-only metadata (Mpps)",

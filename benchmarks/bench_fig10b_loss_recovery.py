@@ -10,54 +10,34 @@ MLFFR probe sees the same drop schedule.
 
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import BENCH_WORKLOAD, emit
 from repro.bench import render_scaling_series
+from repro.bench.figures import SCR_IN_FRAME, scaling_series
 from repro.faults import FaultSpec
-from repro.scenario import Scenario, run_scenario
+from repro.scenario import scenario_grid
 
 CORES = [1, 2, 4, 7, 10, 14]
 LOSS_RATES = [0.0, 0.0001, 0.001, 0.01]
 
 
 @pytest.mark.benchmark(group="fig10b")
-def test_fig10b_loss_recovery_overhead(benchmark, runner):
+def test_fig10b_loss_recovery_overhead(benchmark, executor):
+    def measure(techniques, **kwargs):
+        grid = scenario_grid("port_knocking", "univ_dc", techniques, CORES,
+                             **kwargs, **BENCH_WORKLOAD)
+        return scaling_series(executor.run(grid))
+
     def run():
-        series = {}
-        base = {"count_wire_overhead": False}  # 192 B frames budget history
-        series["scr (no recovery)"] = [
-            (
-                k,
-                runner.mlffr_point(
-                    "port_knocking", "univ_dc", "scr", k, engine_kwargs=base
-                ).mlffr_mpps,
-            )
-            for k in CORES
-        ]
+        # 192 B frames budget the history in-frame.
+        series = {"scr (no recovery)": measure(
+            ["scr"], engine_kwargs_by_technique={"scr": SCR_IN_FRAME})["scr"]}
+        recovery = {"scr": {**SCR_IN_FRAME, "with_recovery": True}}
         for loss in LOSS_RATES:
-            label = f"scr+rec {loss:.2%} loss"
-            faults = FaultSpec.create(seed=runner.seed, drop_rate=loss)
-            series[label] = [
-                (
-                    k,
-                    run_scenario(
-                        Scenario.create(
-                            "port_knocking", "univ_dc", "scr", k,
-                            num_flows=runner.num_flows,
-                            max_packets=runner.max_packets,
-                            seed=runner.seed,
-                            engine_kwargs={**base, "with_recovery": True},
-                            faults=faults,
-                        ),
-                        builder=runner.builder,
-                    ).mlffr_mpps,
-                )
-                for k in CORES
-            ]
-        for tech in ("shared", "rss", "rss++"):
-            series[tech] = [
-                (k, runner.mlffr_point("port_knocking", "univ_dc", tech, k).mlffr_mpps)
-                for k in CORES
-            ]
+            faults = FaultSpec.create(seed=BENCH_WORKLOAD["seed"], drop_rate=loss)
+            series[f"scr+rec {loss:.2%} loss"] = measure(
+                ["scr"], engine_kwargs_by_technique=recovery, faults=faults
+            )["scr"]
+        series.update(measure(["shared", "rss", "rss++"]))
         return series
 
     series = benchmark.pedantic(run, rounds=1, iterations=1)

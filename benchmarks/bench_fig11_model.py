@@ -7,9 +7,11 @@ result: the model k/(t + (k-1)·c2) matches the measurements well.
 
 import pytest
 
-from benchmarks.conftest import CORES_7, emit
+from benchmarks.conftest import BENCH_WORKLOAD, emit
 from repro.bench import predicted_scr_mpps, render_table
+from repro.bench.figures import CORES_7
 from repro.cpu import TABLE4_PARAMS
+from repro.scenario import scenario_grid
 
 PROGRAMS_TRACES = [
     ("ddos", "univ_dc"),
@@ -45,12 +47,10 @@ def test_table4_parameters(benchmark):
 
 @pytest.mark.benchmark(group="fig11")
 @pytest.mark.parametrize("program,trace", PROGRAMS_TRACES)
-def test_fig11_predicted_vs_measured(benchmark, runner, program, trace):
+def test_fig11_predicted_vs_measured(benchmark, executor, program, trace):
     def run():
-        return {
-            k: runner.mlffr_point(program, trace, "scr", k).mlffr_mpps
-            for k in CORES_7
-        }
+        grid = scenario_grid(program, trace, ["scr"], CORES_7, **BENCH_WORKLOAD)
+        return {r.scenario.cores: r.mlffr_mpps for r in executor.run(grid)}
 
     measured = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = []

@@ -1,36 +1,23 @@
 """Figure 1: scaling a SINGLE TCP connection's conntrack throughput.
 
 Paper result: shared state degrades beyond 2 cores; RSS/RSS++ cannot exceed
-one core; SCR scales linearly.
+one core; SCR scales linearly.  The grid is ``FIGURE_PRESETS["1"]`` (256 B
+frames budget the history in-frame).
 """
 
 import pytest
 
-from benchmarks.conftest import CORES_7, emit
+from benchmarks.conftest import BENCH_WORKLOAD, emit
 from repro.bench import render_scaling_series
-
-TECHNIQUES = ["scr", "shared", "rss", "rss++"]
+from repro.bench.figures import FIGURE_PRESETS, run_preset
 
 
 @pytest.mark.benchmark(group="fig1")
-def test_fig1_single_tcp_connection(benchmark, runner):
-    def run():
-        series = {}
-        scr_kwargs = {"count_wire_overhead": False}  # 256 B frames budget history
-        for tech in TECHNIQUES:
-            series[tech] = [
-                (
-                    k,
-                    runner.mlffr_point(
-                        "conntrack", "single-flow", tech, k,
-                        engine_kwargs=scr_kwargs if tech == "scr" else None,
-                    ).mlffr_mpps,
-                )
-                for k in CORES_7
-            ]
-        return series
-
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig1_single_tcp_connection(benchmark, executor):
+    series = benchmark.pedantic(
+        run_preset, args=(FIGURE_PRESETS["1"], executor), kwargs=BENCH_WORKLOAD,
+        rounds=1, iterations=1,
+    )
     emit(render_scaling_series(
         series,
         title="Figure 1 — conntrack, single TCP connection (Mpps)",

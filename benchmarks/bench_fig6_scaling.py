@@ -12,7 +12,7 @@ Panel definitions live in ``repro.bench.figures`` (shared with the
 
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import BENCH_WORKLOAD, emit
 from repro.bench import render_scaling_series
 from repro.bench.figures import FIGURE_PRESETS, run_preset
 
@@ -21,11 +21,12 @@ PANELS = ["6a", "6b", "6c", "6d", "6e", "6f", "6g", "6h"]
 
 @pytest.mark.benchmark(group="fig6")
 @pytest.mark.parametrize("panel", PANELS)
-def test_fig6_panel(benchmark, runner, panel):
+def test_fig6_panel(benchmark, executor, panel):
     preset = FIGURE_PRESETS[panel]
 
     series = benchmark.pedantic(
-        run_preset, args=(preset, runner), rounds=1, iterations=1
+        run_preset, args=(preset, executor), kwargs=BENCH_WORKLOAD,
+        rounds=1, iterations=1,
     )
     emit(render_scaling_series(
         series, title=f"Figure {panel} — {preset.program} on {preset.trace} (Mpps)"

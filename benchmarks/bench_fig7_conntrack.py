@@ -1,36 +1,23 @@
 """Figure 7: TCP connection tracking on the hyperscalar DC trace.
 
 Paper result: SCR scales linearly to 7 cores; shared locks collapse; RSS
-and RSS++ (with symmetric hashing) are limited by flow skew.
+and RSS++ (with symmetric hashing) are limited by flow skew.  The grid is
+``FIGURE_PRESETS["7"]`` (256 B frames budget the history in-frame).
 """
 
 import pytest
 
-from benchmarks.conftest import CORES_7, emit
+from benchmarks.conftest import BENCH_WORKLOAD, emit
 from repro.bench import render_scaling_series
-
-TECHNIQUES = ["scr", "shared", "rss", "rss++"]
+from repro.bench.figures import FIGURE_PRESETS, run_preset
 
 
 @pytest.mark.benchmark(group="fig7")
-def test_fig7_conntrack_hyperscalar(benchmark, runner):
-    def run():
-        scr_kwargs = {"count_wire_overhead": False}  # 256 B frames budget history
-        return {
-            tech: [
-                (
-                    k,
-                    runner.mlffr_point(
-                        "conntrack", "hyperscalar_dc", tech, k,
-                        engine_kwargs=scr_kwargs if tech == "scr" else None,
-                    ).mlffr_mpps,
-                )
-                for k in CORES_7
-            ]
-            for tech in TECHNIQUES
-        }
-
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig7_conntrack_hyperscalar(benchmark, executor):
+    series = benchmark.pedantic(
+        run_preset, args=(FIGURE_PRESETS["7"], executor), kwargs=BENCH_WORKLOAD,
+        rounds=1, iterations=1,
+    )
     emit(render_scaling_series(
         series, title="Figure 7 — conntrack on hyperscalar DC trace (Mpps)"
     ))

@@ -11,11 +11,12 @@ high (private replicas never bounce).
 
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import BENCH_WORKLOAD, emit
 from repro.bench import render_table
 from repro.cpu import simulate
 from repro.parallel import make_engine
 from repro.programs import make_program
+from repro.scenario import Scenario
 
 TECHNIQUES = ["scr", "shared", "rss", "rss++"]
 CORE_COUNTS = [2, 4, 7]
@@ -23,10 +24,11 @@ OFFERED_MPPS = [2, 6, 10]
 
 
 @pytest.mark.benchmark(group="fig8")
-def test_fig8_pcm_counters(benchmark, runner):
+def test_fig8_pcm_counters(benchmark, executor):
     def run():
-        prog_proto = make_program("token_bucket")
-        pt = runner.perf_trace_for(prog_proto, "univ_dc")
+        spec = Scenario.create("token_bucket", "univ_dc", "scr", 1,
+                               **BENCH_WORKLOAD).trace
+        pt = executor.builder.perf_trace("token_bucket", spec)
         rows = []
         for cores in CORE_COUNTS:
             for offered in OFFERED_MPPS:

@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.bench import ExperimentRunner
+from repro.scenario import ScenarioExecutor
 
 #: The pinned trace-synthesis seed.  All benchmark workloads derive from
 #: it (the perf suite's repetition i uses BENCH_BASE_SEED + i), so
@@ -25,16 +25,8 @@ from repro.bench import ExperimentRunner
 #: ``tests/perf/test_seed_policy.py``.
 BENCH_BASE_SEED = 7
 
-#: Core counts swept in the figures.  The paper plots every count up to
-#: 7 (or 14); benches default to a subset for runtime.  Set
-#: ``SCR_FULL_SWEEP=1`` to sweep every core count like the paper does
-#: (roughly triples the benchmark runtime).
-if os.environ.get("SCR_FULL_SWEEP"):
-    CORES_7 = list(range(1, 8))
-    CORES_14 = list(range(1, 15))
-else:
-    CORES_7 = [1, 2, 4, 7]
-    CORES_14 = [1, 2, 4, 7, 10, 14]
+#: The workload knobs every figure bench passes to ``Scenario.create``.
+BENCH_WORKLOAD = dict(num_flows=50, max_packets=3000, seed=BENCH_BASE_SEED)
 
 
 @pytest.fixture(autouse=True)
@@ -52,7 +44,9 @@ def _pinned_global_rngs():
 
 
 @pytest.fixture(scope="session")
-def runner():
+def executor():
+    """One serial executor per session: its builder memoizes each
+    workload once across every bench."""
     from repro.perf.suite import BASE_SEED
 
     assert BASE_SEED == BENCH_BASE_SEED, (
@@ -62,16 +56,7 @@ def runner():
     # SCR_CACHE_DIR reuses synthesized traces across bench runs via the
     # content-addressed cache; cache hits are byte-identical reloads, so
     # the medians cannot change (see docs/BENCHMARKS.md).
-    cache = None
-    cache_dir = os.environ.get("SCR_CACHE_DIR")
-    if cache_dir:
-        from repro.scenario import TraceCache
-
-        cache = TraceCache(cache_dir)
-    r = ExperimentRunner(num_flows=50, max_packets=3000,
-                         seed=BENCH_BASE_SEED, cache=cache)
-    assert r.seed == BENCH_BASE_SEED
-    return r
+    return ScenarioExecutor(cache_dir=os.environ.get("SCR_CACHE_DIR") or None)
 
 
 def emit(text: str) -> None:

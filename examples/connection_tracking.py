@@ -8,7 +8,8 @@ shows the tracked state evolving identically on every core, and reproduces
 the Figure 1 throughput comparison.
 """
 
-from repro.bench import ExperimentRunner, render_scaling_series
+from repro.bench import render_scaling_series
+from repro.bench.figures import FIGURE_PRESETS, run_preset
 from repro.core import ScrFunctionalEngine
 from repro.programs import TcpState, make_program
 from repro.traffic import single_flow_trace
@@ -39,19 +40,7 @@ def main() -> None:
 
     # --- performance: the Figure 1 sweep ----------------------------------------
     print("\nreproducing Figure 1 (single TCP connection, conntrack MLFFR)...")
-    runner = ExperimentRunner(max_packets=3000)
-    series = {}
-    for tech in ("scr", "shared", "rss", "rss++"):
-        kwargs = {"count_wire_overhead": False} if tech == "scr" else None
-        series[tech] = [
-            (
-                k,
-                runner.mlffr_point(
-                    "conntrack", "single-flow", tech, k, engine_kwargs=kwargs
-                ).mlffr_mpps,
-            )
-            for k in (1, 2, 4, 7)
-        ]
+    series = run_preset(FIGURE_PRESETS["1"], max_packets=3000)
     print(render_scaling_series(series, title="Figure 1 (Mpps)"))
 
     scr, rss = dict(series["scr"]), dict(series["rss"])

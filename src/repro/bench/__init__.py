@@ -1,4 +1,10 @@
-"""Measurement: MLFFR search, analytic model, experiment runner, reports."""
+"""Measurement: MLFFR search, analytic model, CSV export, reports.
+
+Experiments run through :mod:`repro.scenario`.  This package's init
+imports nothing from it (only :mod:`.figures` does, and it is not
+re-exported), so the scenario layer imports the MLFFR search at module
+top without a cycle.
+"""
 
 from .export import scaling_points_to_csv, series_to_csv, write_csv
 from .mlffr import LOSS_THRESHOLD, SEARCH_TOLERANCE_PPS, MlffrResult, find_mlffr
@@ -10,12 +16,6 @@ from .model import (
     predicted_series,
 )
 from .report import format_mpps, render_scaling_series, render_table
-from .runner import (
-    PACKET_SIZE_CONNTRACK,
-    PACKET_SIZE_DEFAULT,
-    ExperimentRunner,
-    ScalingPoint,
-)
 
 __all__ = [
     "LOSS_THRESHOLD",
@@ -33,8 +33,4 @@ __all__ = [
     "format_mpps",
     "render_scaling_series",
     "render_table",
-    "PACKET_SIZE_CONNTRACK",
-    "PACKET_SIZE_DEFAULT",
-    "ExperimentRunner",
-    "ScalingPoint",
 ]

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple, Union
 
-from .runner import ScalingPoint
+if TYPE_CHECKING:  # pragma: no cover — type-only; repro.bench stays scenario-free
+    from ..scenario.build import ScenarioResult
 
 __all__ = ["write_csv", "scaling_points_to_csv", "series_to_csv"]
 
@@ -25,14 +26,17 @@ def write_csv(
     return path
 
 
-def scaling_points_to_csv(points: List[ScalingPoint], path: Union[str, Path]) -> Path:
+def scaling_points_to_csv(
+    results: Iterable["ScenarioResult"], path: Union[str, Path]
+) -> Path:
     """One row per (technique, cores) MLFFR measurement."""
     return write_csv(
         path,
         ["technique", "cores", "mlffr_mpps", "search_iterations"],
         [
-            [p.technique, p.cores, f"{p.mlffr_mpps:.4f}", p.iterations]
-            for p in points
+            [r.scenario.technique, r.scenario.cores, f"{r.mlffr_mpps:.4f}",
+             r.iterations]
+            for r in results
         ],
     )
 

@@ -40,7 +40,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .bench import ExperimentRunner, render_scaling_series, render_table
+from .bench import render_scaling_series, render_table
 from .bench.export import scaling_points_to_csv
 from .core import ScrFunctionalEngine, reference_run
 from .cpu.columnar import HOTPATH_ENV, HOTPATH_MODES
@@ -341,30 +341,32 @@ def _placement_for(args):
     return PlacementSpec(num_tenants=tenants, tenant_quota=quota)
 
 
-def _load_or_synthesize(args, cache=None, hostprof=None) -> Trace:
-    from .hostprof import NULL_HOSTPROF
-    from .scenario import StackBuilder, TraceSpec
+def _run_trace_spec(args) -> "Optional[TraceSpec]":
+    """The workload ``run`` synthesizes (None with ``--trace-file``).  May
+    raise ValueError; the caller reports it like Scenario.create's errors."""
+    from .scenario import TraceSpec
 
-    if getattr(args, "trace_file", None):
-        path = args.trace_file
-        if path.endswith(".pcap"):
-            return read_pcap(path)
-        return Trace.load(path)
-    program = make_program(args.program) if hasattr(args, "program") else None
-    bidirectional = bool(program.bidirectional) if program else False
-    spec = TraceSpec(
+    if args.trace_file:
+        return None
+    return TraceSpec(
         workload=args.workload,
         num_flows=args.flows,
         max_packets=args.packets,
         seed=args.seed,
-        bidirectional=bidirectional or getattr(args, "bidirectional", False),
+        bidirectional=bool(make_program(args.program).bidirectional),
         packet_size=None,
     )
-    cache = cache if cache is not None else _cache_for(args)
-    builder = StackBuilder(
-        cache, hostprof=hostprof if hostprof is not None else NULL_HOSTPROF
-    )
-    return builder.trace(spec)
+
+
+def _load_or_synthesize(args, spec, cache, hostprof) -> Trace:
+    from .scenario import StackBuilder
+
+    if spec is None:
+        path = args.trace_file
+        if path.endswith(".pcap"):
+            return read_pcap(path)
+        return Trace.load(path)
+    return StackBuilder(cache, hostprof=hostprof).trace(spec)
 
 
 def cmd_programs(args, out) -> int:
@@ -516,15 +518,20 @@ def cmd_run(args, out) -> int:
         return 2
     cache = _cache_for(args)
     hp = _hostprof_for(args)
-    trace = _load_or_synthesize(args, cache=cache, hostprof=hp)
     tele = _telemetry_for(args)
-    engine = ScrFunctionalEngine(
-        make_program(args.program),
-        num_cores=args.cores,
-        with_recovery=faults is not None,
-        faults=faults,
-        tracer=tele.tracer,
-    )
+    try:
+        spec = _run_trace_spec(args)
+        engine = ScrFunctionalEngine(
+            make_program(args.program),
+            num_cores=args.cores,
+            with_recovery=faults is not None,
+            faults=faults,
+            tracer=tele.tracer,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=out)
+        return 2
+    trace = _load_or_synthesize(args, spec, cache, hp)
     with hp.phase("func.run"):
         result = engine.run(trace)
     with hp.phase("func.reference"):
@@ -614,7 +621,7 @@ def cmd_mlffr(args, out) -> int:
 
 
 def cmd_sweep(args, out) -> int:
-    from .bench.runner import ScalingPoint
+    from .bench.figures import scaling_series
     from .scenario import ScenarioExecutor, scenario_grid
 
     if args.jobs < 1:
@@ -638,19 +645,11 @@ def cmd_sweep(args, out) -> int:
         hostprof=hp,
     )
     results = executor.run(grid)
-    points = [
-        ScalingPoint(technique=s.technique, cores=s.cores,
-                     mlffr_mpps=r.mlffr_mpps, iterations=r.iterations)
-        for s, r in zip(grid, results)
-    ]
-    series = {}
-    for p in points:
-        series.setdefault(p.technique, []).append((p.cores, p.mlffr_mpps))
     print(render_scaling_series(
-        series, title=f"{args.program} @ {args.workload} (Mpps)"
+        scaling_series(results), title=f"{args.program} @ {args.workload} (Mpps)"
     ), file=out)
     if args.csv:
-        path = scaling_points_to_csv(points, args.csv)
+        path = scaling_points_to_csv(results, args.csv)
         print(f"wrote {path}", file=out)
     _record_cache_metrics(tele, cache)
     if not _finish_telemetry(tele, args, out, num_cores=max(args.cores),
@@ -683,7 +682,8 @@ def cmd_hardware(args, out) -> int:
 
 def cmd_reproduce(args, out) -> int:
     from .bench.export import series_to_csv
-    from .bench.figures import FIGURE_PRESETS, run_preset
+    from .bench.figures import FIGURE_PRESETS, preset_scenarios, scaling_series
+    from .scenario import ScenarioExecutor
 
     if args.figure == "list":
         for name, preset in FIGURE_PRESETS.items():
@@ -697,13 +697,13 @@ def cmd_reproduce(args, out) -> int:
     if args.jobs < 1:
         print("--jobs must be >= 1", file=out)
         return 2
-    runner = ExperimentRunner(max_packets=args.packets, cache=_cache_for(args))
-    executor = None
-    if args.jobs > 1:
-        from .scenario import ScenarioExecutor
-
-        executor = ScenarioExecutor(jobs=args.jobs, cache=_cache_for(args))
-    series = run_preset(preset, runner, executor)
+    try:
+        grid = preset_scenarios(preset, max_packets=args.packets)
+    except ValueError as exc:
+        print(f"error: {exc}", file=out)
+        return 2
+    executor = ScenarioExecutor(jobs=args.jobs, cache=_cache_for(args))
+    series = scaling_series(executor.run(grid))
     print(render_scaling_series(series, title=f"{preset.describe()} (Mpps)"),
           file=out)
     if args.csv:

@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..bench.figures import SCR_IN_FRAME
 from ..cpu.costmodel import CPU_FREQ_GHZ, TABLE4_PARAMS
 from ..perf.artifact import BenchArtifact, BenchPoint, BenchSeries
-from ..perf.suite import _MPPS_NOISE_FLOOR, _SCR_IN_FRAME
+from ..perf.suite import _MPPS_NOISE_FLOOR
 from ..scenario.executor import ScenarioExecutor
 from ..scenario.spec import Scenario
 from ..telemetry.artifact import current_git_sha
@@ -240,7 +241,7 @@ def run_chaos_matrix(params: Optional[ChaosMatrixParams] = None) -> ChaosReport:
         Scenario.create(
             program, trace, "scr", cores,
             num_flows=30, max_packets=params.perf_max_packets,
-            seed=params.seed, engine_kwargs=dict(_SCR_IN_FRAME),
+            seed=params.seed, engine_kwargs=dict(SCR_IN_FRAME),
             faults=(None if rate == 0.0
                     else FaultSpec.create(seed=params.seed, drop_rate=rate)),
         )

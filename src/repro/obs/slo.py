@@ -2,12 +2,13 @@
 
 ROADMAP item 4's serve mode needs SLO-style measures before it can exist:
 **time-to-detect** (injection → the replica notices the gap),
-**time-to-resync** (injection → state restored, for resynced gaps),
+**time-to-resync** (injection → state restored, for repaired gaps),
 **packets degraded** (replay/fast-forward work per recovery), and
 **blast radius** (divergent replicas per divergence check).  This module
 computes all four from the event log alone — the same ``events.jsonl``
-rows PR 5's harness and the performance simulator already emit — so any
-artifact, old or new, serial or ``--jobs N``, reduces identically.
+rows the chaos harness, the functional engine and the performance
+simulator emit — so any artifact, old or new, serial or ``--jobs N``,
+reduces identically.
 
 The reducer is a fold over timestamp-ordered events:
 
@@ -19,6 +20,10 @@ The reducer is a fold over timestamp-ordered events:
 * ``recovery.quarantine`` marks gaps **detected**, deferring resolution
   to the core's next ``recovery.resync`` (**resynced**, finite TTR) or
   ``recovery.unrecoverable`` (TTR undefined, the replica is dead);
+* ``recovery.round_start`` (the functional engine's Algorithm 1 round,
+  when a gap reaches past the carried history) marks the core's gaps
+  **detected**; its ``recovery.round_finish`` closes them as
+  **recovered** from peer logs (finite TTR);
 * ``recovery.gap_detected`` closes gaps as **forked** (detected, never
   repaired — the no-recovery baseline);
 * gaps still open at the end are **undetected** when core-attributed (a
@@ -33,6 +38,7 @@ distributions are always finite and comparable within one run.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..telemetry.events import (
@@ -44,6 +50,8 @@ from ..telemetry.events import (
     EV_FAULT_TRUNCATE,
     EV_GAP_DETECTED,
     EV_QUARANTINE,
+    EV_RECOVERY_FINISH,
+    EV_RECOVERY_START,
     EV_RESYNC,
     EV_UNRECOVERABLE,
 )
@@ -64,9 +72,23 @@ _RESOLUTION_KINDS = frozenset({
     EV_FAST_FORWARD,
     EV_GAP_DETECTED,
     EV_QUARANTINE,
+    EV_RECOVERY_START,
+    EV_RECOVERY_FINISH,
     EV_RESYNC,
     EV_UNRECOVERABLE,
     EV_DIVERGENCE,
+})
+
+#: Detections that defer repair to a later event on the same core.
+_DEFERRED: Mapping[str, str] = MappingProxyType({
+    EV_QUARANTINE: EV_RESYNC,
+    EV_RECOVERY_START: EV_RECOVERY_FINISH,
+})
+
+#: Repair events: the gap outcome each closes into, and its work field.
+_REPAIRS: Mapping[str, Tuple[str, str]] = MappingProxyType({
+    EV_RESYNC: ("resynced", "replayed"),
+    EV_RECOVERY_FINISH: ("recovered", "recovered"),
 })
 
 
@@ -99,8 +121,8 @@ def compute_slo(events: Iterable[Mapping[str, object]]) -> Optional[dict]:
 
     #: open injections per core (None = events with no core attribution).
     pending: Dict[Optional[int], List[float]] = {}
-    #: quarantine-detected injections per core: (injection ts, ttd).
-    quarantined: Dict[int, List[Tuple[float, float]]] = {}
+    #: detected injections awaiting repair, per (core, repair kind).
+    awaiting: Dict[Tuple[int, str], List[float]] = {}
     dead_unrecoverable: Set[int] = set()
     dead_killed: Set[int] = set()
     cores_affected: Set[int] = set()
@@ -111,8 +133,8 @@ def compute_slo(events: Iterable[Mapping[str, object]]) -> Optional[dict]:
     blast: List[float] = []
     counts = {
         "injected": 0, "detected": 0, "covered": 0, "resynced": 0,
-        "unrecoverable": 0, "forked": 0, "undetected": 0, "unresolved": 0,
-        "benign": 0,
+        "recovered": 0, "unrecoverable": 0, "forked": 0, "undetected": 0,
+        "unresolved": 0, "benign": 0,
     }
     saw_any = False
 
@@ -161,34 +183,34 @@ def compute_slo(events: Iterable[Mapping[str, object]]) -> Optional[dict]:
             length = ev.get("length")
             if isinstance(length, (int, float)) and length > 0:
                 degraded.append(float(length))
-        elif kind == EV_QUARANTINE:
+        elif kind in _DEFERRED:
             if core is None:
                 continue
-            bucket = quarantined.setdefault(core, [])
+            bucket = awaiting.setdefault((core, _DEFERRED[kind]), [])
             for inj in _take(core):
-                delta = ts - inj
                 counts["detected"] += 1
-                ttd.append(delta)
-                bucket.append((inj, delta))
+                ttd.append(ts - inj)
+                bucket.append(inj)
         elif kind == EV_GAP_DETECTED:
             for inj in _take(core):
                 counts["detected"] += 1
                 counts["forked"] += 1
                 ttd.append(ts - inj)
-        elif kind == EV_RESYNC:
+        elif kind in _REPAIRS:
             if core is None:
                 continue
-            for inj, _delta in quarantined.pop(core, []):
-                counts["resynced"] += 1
+            outcome, work = _REPAIRS[kind]
+            for inj in awaiting.pop((core, kind), []):
+                counts[outcome] += 1
                 ttr.append(ts - inj)
-            replayed = ev.get("replayed")
-            if isinstance(replayed, (int, float)) and replayed > 0:
-                degraded.append(float(replayed))
+            amount = ev.get(work)
+            if isinstance(amount, (int, float)) and amount > 0:
+                degraded.append(float(amount))
         elif kind == EV_UNRECOVERABLE:
             if core is None:
                 continue
             dead_unrecoverable.add(core)
-            counts["unrecoverable"] += len(quarantined.pop(core, []))
+            counts["unrecoverable"] += len(awaiting.pop((core, EV_RESYNC), []))
         elif kind == EV_DIVERGENCE:
             radius = ev.get("blast_radius")
             if isinstance(radius, (int, float)):
@@ -211,7 +233,7 @@ def compute_slo(events: Iterable[Mapping[str, object]]) -> Optional[dict]:
             counts["unrecoverable"] += len(injections)
         else:
             counts["undetected"] += len(injections)
-    counts["unresolved"] = sum(len(v) for v in quarantined.values())
+    counts["unresolved"] = sum(len(v) for v in awaiting.values())
 
     return {
         "schema": SLO_SCHEMA,

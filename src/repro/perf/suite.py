@@ -56,8 +56,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..bench.figures import SCR_IN_FRAME
 from ..bench.mlffr import SEARCH_TOLERANCE_PPS
-from ..bench.runner import ExperimentRunner
 from ..hostprof.clock import NULL_HOSTPROF, PhaseClock
 from ..scenario.build import ScenarioResult
 from ..scenario.executor import ScenarioExecutor
@@ -81,9 +81,6 @@ BASE_SEED = 7
 #: ±0.4 Mpps: the MLFFR binary search stops inside this window (§4.1), so
 #: throughput differences below it are quantization, not signal.
 _MPPS_NOISE_FLOOR = SEARCH_TOLERANCE_PPS / 1e6
-
-#: §4.2 in-frame history budget — matches the Figure 6/7 methodology.
-_SCR_IN_FRAME = {"count_wire_overhead": False}
 
 ALL_TECHNIQUES = ("scr", "shared", "rss", "rss++")
 
@@ -165,16 +162,6 @@ class SuiteParams:
         return ScenarioExecutor(jobs=self.jobs, cache_dir=self.cache_dir,
                                 hostprof=self.hostprof)
 
-    def runners(self) -> List[ExperimentRunner]:
-        """Per-repetition serial runners (legacy path; the suites below
-        run scenario grids through :meth:`executor` instead)."""
-        base = ExperimentRunner(
-            num_flows=self.num_flows,
-            max_packets=self.max_packets,
-            seed=self.base_seed,
-        )
-        return [base] + [base.clone_with_seed(s) for s in self.rep_seeds[1:]]
-
     def config(self, **extra) -> dict:
         cfg = {
             "reps": self.reps,
@@ -193,7 +180,7 @@ def _mpps_series(name: str) -> BenchSeries:
 
 def _engine_kwargs(technique: str) -> Optional[dict]:
     if technique in ("scr", "relaxed_scr"):
-        return dict(_SCR_IN_FRAME)
+        return dict(SCR_IN_FRAME)
     return None
 
 
@@ -325,7 +312,7 @@ def run_fig11_model_fit(params: SuiteParams) -> BenchArtifact:
     )
     grid = [
         params.scenario(program, trace, "scr", cores, seed=seed,
-                        engine_kwargs=dict(_SCR_IN_FRAME))
+                        engine_kwargs=dict(SCR_IN_FRAME))
         for cores in params.cores
         for seed in params.rep_seeds
     ]
@@ -594,7 +581,7 @@ def run_hotpath(params: SuiteParams) -> BenchArtifact:
         programs=[program],
     )
     prog = make_program(program)
-    engine = make_engine(technique, prog, cores, **_SCR_IN_FRAME)
+    engine = make_engine(technique, prog, cores, **SCR_IN_FRAME)
     walls: Dict[Tuple[str, str], List[float]] = {
         (mode, stage): [] for mode in ("scalar", "columnar") for stage in stages
     }

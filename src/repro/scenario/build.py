@@ -1,10 +1,10 @@
 """The composition root: one place that turns a Scenario into a stack.
 
-``trace synthesis → perf-trace lowering → engine → MLFFR`` used to be
-wired by hand in four places (`bench.runner`, `bench.figures`,
-`perf.suite`, the CLI), each with its own copy of the conventions.
-:class:`StackBuilder` is now the only wiring; everything else passes a
-:class:`~repro.scenario.spec.Scenario` through :func:`run_scenario`.
+``trace synthesis → perf-trace lowering → engine → MLFFR`` is wired
+here and nowhere else: figures, benches, the perf suite and the CLI all
+pass a :class:`~repro.scenario.spec.Scenario` through :func:`run_scenario`
+(or a :class:`~repro.scenario.executor.ScenarioExecutor` over a grid),
+and :class:`StackBuilder` applies the conventions.
 
 Determinism contract: a scenario fully determines its workload (seeded
 synthesis), its engine (explicit kwargs, seeded RNGs only), and the
@@ -16,8 +16,9 @@ executor's serial-equivalence guarantee rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ..bench.mlffr import MlffrResult, find_mlffr
 from ..cpu.simulator import PerfTrace, SimResult
 from ..hostprof.clock import NULL_HOSTPROF, PhaseClock
 from ..obs.spans import NULL_SPANS, SpanEmitter
@@ -32,9 +33,6 @@ from ..traffic.synthesis import single_flow_trace, synthesize_trace
 from ..traffic.trace import Trace
 from .cache import TraceCache
 from .spec import SINGLE_FLOW_WORKLOAD, Scenario, TraceSpec
-
-if TYPE_CHECKING:  # pragma: no cover — type-only; avoids a package cycle
-    from ..bench.mlffr import MlffrResult
 
 __all__ = [
     "Stack",
@@ -89,7 +87,7 @@ class ScenarioResult:
     placement_stats: Optional[Dict[str, object]] = None
     #: worker PhaseClock snapshot, folded by the executor (profiled runs).
     host_phases: Optional[Dict[str, Dict[str, int]]] = None
-    mlffr: Optional["MlffrResult"] = None
+    mlffr: Optional[MlffrResult] = None
 
     def compact(self) -> "ScenarioResult":
         """Drop the in-process-only simulation payload (for pickling)."""
@@ -242,17 +240,13 @@ def run_scenario(
     builder: Optional[StackBuilder] = None,
     telemetry: Optional[Telemetry] = None,
 ) -> ScenarioResult:
-    """Measure one scenario's MLFFR; the single replacement for the
-    ad-hoc runner/figures/suite/CLI wiring.
+    """Measure one scenario's MLFFR.
 
-    With an enabled ``telemetry``, the run is instrumented exactly as
-    ``ExperimentRunner.mlffr_point`` historically was: probe events, the
-    labelled per-point gauge, the iterations counter, and the
+    With an enabled ``telemetry``, the run is instrumented: probe events,
+    the labelled per-point gauge, the iterations counter, and the
     counters/latency snapshot frozen at the reported rate.
     """
-    # Imported lazily: repro.bench re-exports ExperimentRunner, which is
-    # itself a shim over this module — a top-level import would cycle.
-    from ..bench.mlffr import find_mlffr
+    # Lazy: repro.perf imports its suite, which imports this module.
     from ..perf.profiler import attribute_result
 
     builder = builder if builder is not None else StackBuilder()

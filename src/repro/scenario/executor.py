@@ -92,7 +92,9 @@ class ScenarioExecutor:
 
     @property
     def builder(self) -> StackBuilder:
-        """The serial path's shared builder (exposed for compat shims)."""
+        """The serial path's shared builder, for callers that need its
+        memoized workloads outside a grid (e.g. a perf trace to probe at
+        fixed rates)."""
         return self._builder
 
     def run(self, scenarios: Sequence[Scenario]) -> List[ScenarioResult]:

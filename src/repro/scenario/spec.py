@@ -314,9 +314,9 @@ def scenario_grid(
     """The (technique × cores) grid of one figure panel, in sweep order.
 
     ``common`` is forwarded to :meth:`Scenario.create` (num_flows,
-    max_packets, seed, packet_size, ...).  The order — techniques outer,
-    cores inner — matches the historical ``scaling_sweep`` order, so
-    serial and parallel execution merge results identically.
+    max_packets, seed, packet_size, ...).  The order is fixed —
+    techniques outer, cores inner — so serial and parallel execution
+    merge results identically.
     """
     kwargs_map = engine_kwargs_by_technique or {}
     return [

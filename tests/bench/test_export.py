@@ -2,8 +2,8 @@
 
 import csv
 
-from repro.bench import ScalingPoint
 from repro.bench.export import scaling_points_to_csv, series_to_csv, write_csv
+from repro.scenario import Scenario, ScenarioResult
 
 
 def read_back(path):
@@ -23,12 +23,18 @@ def test_write_csv_creates_parent_dirs(tmp_path):
 
 
 def test_scaling_points_csv(tmp_path):
-    points = [
-        ScalingPoint("scr", 1, 8.77, iterations=10),
-        ScalingPoint("scr", 2, 15.5, iterations=11),
-        ScalingPoint("rss", 1, 8.77, iterations=9),
+    def result(technique, cores, mpps, iterations):
+        return ScenarioResult(
+            scenario=Scenario.create("ddos", "caida", technique, cores),
+            mlffr_mpps=mpps, iterations=iterations, probes=[],
+        )
+
+    results = [
+        result("scr", 1, 8.77, 10),
+        result("scr", 2, 15.5, 11),
+        result("rss", 1, 8.77, 9),
     ]
-    rows = read_back(scaling_points_to_csv(points, tmp_path / "p.csv"))
+    rows = read_back(scaling_points_to_csv(results, tmp_path / "p.csv"))
     assert rows[0] == ["technique", "cores", "mlffr_mpps", "search_iterations"]
     assert rows[1] == ["scr", "1", "8.7700", "10"]
     assert len(rows) == 4

@@ -1,8 +1,11 @@
 """Figure presets shared between benchmarks and the CLI."""
 
-
-from repro.bench import ExperimentRunner
-from repro.bench.figures import FIGURE_PRESETS, run_preset
+from repro.bench.figures import (
+    FIGURE_PRESETS,
+    SCR_IN_FRAME,
+    preset_scenarios,
+    run_preset,
+)
 
 
 def test_all_fig6_panels_defined():
@@ -24,9 +27,26 @@ def test_conntrack_panels_use_symmetric_capable_cores():
         assert max(FIGURE_PRESETS[name].cores) <= 7
 
 
+def test_preset_scenarios_forward_workload_and_scr_kwargs():
+    preset = FIGURE_PRESETS["6g"]
+    grid = preset_scenarios(preset, num_flows=25, seed=9)
+    # techniques outer, cores inner
+    assert [(s.technique, s.cores) for s in grid] == [
+        (t, k) for t in preset.techniques for k in preset.cores
+    ]
+    assert all(s.trace.num_flows == 25 and s.trace.seed == 9 for s in grid)
+    for s in grid:
+        expected = SCR_IN_FRAME if s.technique == "scr" else {}
+        assert s.engine_kwargs_dict() == expected
+
+
+def test_preset_packet_size_overrides_program_default():
+    grid = preset_scenarios(FIGURE_PRESETS["10a"])
+    assert {s.trace.packet_size for s in grid} == {64}
+
+
 def test_run_preset_structure():
-    runner = ExperimentRunner(num_flows=25, max_packets=1200)
-    series = run_preset(FIGURE_PRESETS["6g"], runner)
+    series = run_preset(FIGURE_PRESETS["6g"], num_flows=25, max_packets=1200)
     assert set(series) == {"scr", "shared", "rss", "rss++"}
     for points in series.values():
         assert [k for k, _ in points] == list(FIGURE_PRESETS["6g"].cores)

@@ -1,11 +1,8 @@
-"""Analytic model (App. A), experiment runner, and report rendering."""
+"""Analytic model (App. A), scenario workloads and runs, and report rendering."""
 
 import pytest
 
 from repro.bench import (
-    PACKET_SIZE_CONNTRACK,
-    PACKET_SIZE_DEFAULT,
-    ExperimentRunner,
     linear_scaling_limit,
     predicted_scr_mpps,
     predicted_series,
@@ -13,6 +10,16 @@ from repro.bench import (
     render_table,
 )
 from repro.cpu import TABLE4_PARAMS, CostParams
+from repro.scenario import (
+    PACKET_SIZE_CONNTRACK,
+    PACKET_SIZE_DEFAULT,
+    Scenario,
+    ScenarioExecutor,
+    StackBuilder,
+    TraceSpec,
+    run_scenario,
+    scenario_grid,
+)
 
 
 class TestModel:
@@ -56,36 +63,50 @@ class TestModel:
 
 
 class TestRunner:
+    """Workload conventions and MLFFR runs through the scenario layer."""
+
+    _WORKLOAD = dict(num_flows=25, max_packets=1500)
+
     @pytest.fixture(scope="class")
-    def runner(self):
-        return ExperimentRunner(num_flows=25, max_packets=1500)
+    def builder(self):
+        return StackBuilder()
 
-    def test_packet_sizes_match_section_4_2(self, runner):
-        assert runner.packet_size_for("conntrack") == PACKET_SIZE_CONNTRACK == 256
-        assert runner.packet_size_for("ddos") == PACKET_SIZE_DEFAULT == 192
+    def spec(self, workload, bidirectional, packet_size):
+        return TraceSpec(workload, bidirectional=bidirectional,
+                         packet_size=packet_size, **self._WORKLOAD)
 
-    def test_trace_cached(self, runner):
-        t1 = runner.trace_for("univ_dc", False, 192)
-        t2 = runner.trace_for("univ_dc", False, 192)
+    def test_packet_sizes_match_section_4_2(self):
+        def size(program):
+            return Scenario.create(program, "caida", "scr", 1).trace.packet_size
+
+        assert size("conntrack") == PACKET_SIZE_CONNTRACK == 256
+        assert size("ddos") == PACKET_SIZE_DEFAULT == 192
+
+    def test_trace_cached(self, builder):
+        t1 = builder.trace(self.spec("univ_dc", False, 192))
+        t2 = builder.trace(self.spec("univ_dc", False, 192))
         assert t1 is t2
 
-    def test_trace_truncated_to_packet_size(self, runner):
-        t = runner.trace_for("caida", False, 192)
+    def test_trace_truncated_to_packet_size(self, builder):
+        t = builder.trace(self.spec("caida", False, 192))
         assert all(p.wire_len == 192 for p in t)
 
-    def test_single_flow_trace_supported(self, runner):
-        t = runner.trace_for("single-flow", True, 256)
+    def test_single_flow_trace_supported(self, builder):
+        t = builder.trace(self.spec("single-flow", True, 256))
         assert t.stats(bidirectional=True).flows == 1
 
-    def test_mlffr_point_end_to_end(self, runner):
-        res = runner.mlffr_point("ddos", "univ_dc", "scr", 2)
+    def test_mlffr_point_end_to_end(self, builder):
+        sc = Scenario.create("ddos", "univ_dc", "scr", 2, **self._WORKLOAD)
+        res = run_scenario(sc, builder=builder)
         assert 10 < res.mlffr_mpps < 25
 
-    def test_scaling_sweep_structure(self, runner):
-        points = runner.scaling_sweep("ddos", "univ_dc", ["scr", "rss"], [1, 2])
-        assert len(points) == 4
-        assert {p.technique for p in points} == {"scr", "rss"}
-        assert all(p.mlffr_mpps > 0 for p in points)
+    def test_scaling_sweep_structure(self):
+        grid = scenario_grid("ddos", "univ_dc", ["scr", "rss"], [1, 2],
+                             **self._WORKLOAD)
+        results = ScenarioExecutor().run(grid)
+        assert len(results) == 4
+        assert {r.scenario.technique for r in results} == {"scr", "rss"}
+        assert all(r.mlffr_mpps > 0 for r in results)
 
 
 class TestReport:

@@ -1,7 +1,11 @@
-"""The SLO reducer: unit folds over crafted event streams, and the
-ground-truth check against the PR-5 chaos harness — resynced fault
-classes get finite TTD/TTR, non-recovering ones report fork/unrecoverable."""
+"""The SLO reducer: unit folds over crafted event streams, the
+ground-truth check against the chaos harness — resynced fault classes get
+finite TTD/TTR, non-recovering ones report fork/unrecoverable — and the
+functional engine's Algorithm 1 rounds, which detect and repair gaps."""
 
+import io
+
+from repro.cli import main
 from repro.faults.harness import run_chaos
 from repro.faults.spec import FaultSpec
 from repro.obs.slo import GAP_OPENING_KINDS, SLO_SCHEMA, compute_slo
@@ -13,10 +17,13 @@ from repro.telemetry.events import (
     EV_FAULT_TRUNCATE,
     EV_GAP_DETECTED,
     EV_QUARANTINE,
+    EV_RECOVERY_FINISH,
+    EV_RECOVERY_START,
     EV_RESYNC,
     EV_UNRECOVERABLE,
     EventTracer,
 )
+from repro.telemetry.artifact import RunArtifact
 
 
 def _ev(kind, ts, **fields):
@@ -55,6 +62,29 @@ class TestReducerUnit:
         assert slo["ttd_ns"]["p50"] == 3.0
         assert slo["ttr_ns"]["p50"] == 3.0
         assert slo["packets_degraded"]["p50"] == 3.0
+
+    def test_recovery_round_detects_then_recovers(self):
+        slo = compute_slo([
+            _ev(EV_FAULT_DROP, 1.0, core=2, index=9),
+            _ev(EV_RECOVERY_START, 2.0, core=2, seq=14, gap=4),
+            _ev(EV_RECOVERY_FINISH, 5.0, core=2, seq=14, recovered=4),
+        ])
+        assert slo["gaps"]["detected"] == slo["gaps"]["recovered"] == 1
+        assert slo["gaps"]["undetected"] == slo["gaps"]["unresolved"] == 0
+        assert slo["ttd_ns"]["p50"] == 1.0
+        assert slo["ttr_ns"]["p50"] == 4.0
+        assert slo["packets_degraded"]["p50"] == 4.0
+
+    def test_unfinished_recovery_round_is_unresolved(self):
+        slo = compute_slo([
+            _ev(EV_FAULT_DROP, 1.0, core=0, index=3),
+            _ev(EV_RECOVERY_START, 2.0, core=0, seq=8, gap=4),
+            # a resync on the core does not close an Algorithm 1 round
+            _ev(EV_RESYNC, 3.0, core=0, seq=9, replayed=2),
+        ])
+        assert slo["gaps"]["detected"] == 1
+        assert slo["gaps"]["recovered"] == slo["gaps"]["resynced"] == 0
+        assert slo["gaps"]["unresolved"] == 1
 
     def test_gap_detected_forks_without_ttr(self):
         slo = compute_slo([
@@ -165,3 +195,16 @@ class TestChaosGroundTruth:
     def test_gap_opening_kinds_cover_the_injectable_losses(self):
         assert EV_FAULT_DROP in GAP_OPENING_KINDS
         assert EV_FAULT_TRUNCATE in GAP_OPENING_KINDS
+
+
+def test_functional_run_recovers_every_injected_gap(tmp_path):
+    """`run --loss-rate` heals each drop with an Algorithm 1 round, so the
+    artifact's SLO section reports every gap detected, none undetected."""
+    out = io.StringIO()
+    code = main(["run", "--program", "port_knocking", "--loss-rate", "0.01",
+                 "--packets", "2000", "--telemetry", str(tmp_path)], out=out)
+    assert code == 0
+    gaps = RunArtifact.load(tmp_path).slo["gaps"]
+    assert gaps["injected"] > 0
+    assert gaps["undetected"] == 0
+    assert gaps["detected"] == gaps["recovered"] == gaps["injected"]

@@ -2,23 +2,18 @@
 
 import pytest
 
-from repro.bench.mlffr import find_mlffr
-from repro.bench.runner import ExperimentRunner
+from repro.bench.figures import SCR_IN_FRAME
 from repro.cpu.costmodel import TABLE4_PARAMS
-from repro.parallel.registry import make_engine
 from repro.perf import attribute_result, attribution_from_snapshot, model_residuals
-from repro.programs.registry import make_program
+from repro.scenario import Scenario, run_scenario
 
 
 def scr_result(cores=4, technique="scr", program="ddos"):
-    runner = ExperimentRunner(num_flows=30, max_packets=1000)
-    prog = make_program(program)
-    perf_trace = runner.perf_trace_for(prog, "caida")
-    engine = make_engine(technique, prog, cores,
-                         **({"count_wire_overhead": False}
-                            if technique == "scr" else {}))
-    res = find_mlffr(perf_trace, engine)
-    return res.result_at_mlffr
+    scenario = Scenario.create(
+        program, "caida", technique, cores, num_flows=30, max_packets=1000,
+        engine_kwargs=SCR_IN_FRAME if technique == "scr" else None,
+    )
+    return run_scenario(scenario).mlffr.result_at_mlffr
 
 
 class TestAttribution:

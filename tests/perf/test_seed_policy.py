@@ -1,6 +1,7 @@
 """Seed policy: pinned seeds, deterministic synthesis, stable medians."""
 
 from repro.perf.suite import BASE_SEED, SuiteParams
+from repro.scenario import Scenario, StackBuilder, scenario_grid
 from repro.traffic.distributions import TRACE_DISTRIBUTIONS
 from repro.traffic.synthesis import synthesize_trace
 
@@ -21,26 +22,34 @@ def test_trace_synthesis_is_seed_deterministic():
     assert synth(7) != synth(8)
 
 
-def test_runner_clone_preserves_config_changes_seed():
-    from repro.bench.runner import ExperimentRunner
-
-    base = ExperimentRunner(num_flows=12, max_packets=345, seed=BASE_SEED)
-    clone = base.clone_with_seed(BASE_SEED + 2)
-    assert clone.seed == BASE_SEED + 2
-    assert (clone.num_flows, clone.max_packets) == (12, 345)
-    # Caches are per-runner: clones never reuse another seed's trace.
-    assert clone._traces is not base._traces
+def test_with_seed_preserves_config_and_isolates_memos():
+    base = Scenario.create("ddos", "caida", "scr", 2, num_flows=12,
+                           max_packets=345, seed=BASE_SEED)
+    rep = base.with_seed(BASE_SEED + 2)
+    assert rep.trace.seed == BASE_SEED + 2
+    assert (rep.trace.num_flows, rep.trace.max_packets) == (12, 345)
+    assert rep.content_hash() != base.content_hash()
+    # Memos are per-builder and keyed on the full spec (seed included), so
+    # one repetition never reuses another seed's trace.
+    a, b = StackBuilder(), StackBuilder()
+    a.trace(base.trace)
+    b.trace(rep.trace)
+    assert list(a._traces) == [base.trace]
+    assert list(b._traces) == [rep.trace]
 
 
 def test_repeated_suite_medians_are_identical():
     # The acceptance loop: same code + same seeds -> identical medians.
     params = SuiteParams(reps=2, quick=True)
-    runs = []
-    for _ in range(2):
-        runners = params.runners()
-        vals = [r.mlffr_point("ddos", "caida", "scr", 2).mlffr_mpps
-                for r in runners]
-        runs.append(vals)
+    grid = [
+        sc
+        for seed in params.rep_seeds
+        for sc in scenario_grid("ddos", "caida", ["scr"], [2],
+                                num_flows=params.num_flows,
+                                max_packets=params.max_packets, seed=seed)
+    ]
+    runs = [[r.mlffr_mpps for r in params.executor().run(grid)]
+            for _ in range(2)]
     assert runs[0] == runs[1]
 
 

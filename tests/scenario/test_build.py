@@ -1,14 +1,15 @@
-"""StackBuilder/run_scenario: the composition root and runner parity."""
+"""StackBuilder/run_scenario: the composition root."""
 
 import pytest
 
-from repro.bench import ExperimentRunner
 from repro.parallel.base import BaseEngine
 from repro.scenario import (
     Scenario,
+    ScenarioExecutor,
     StackBuilder,
     build_stack,
     run_scenario,
+    scenario_grid,
 )
 
 _SMALL = dict(num_flows=12, max_packets=400)
@@ -47,16 +48,6 @@ class TestStackBuilder:
 
 
 class TestRunScenario:
-    def test_matches_experiment_runner(self):
-        """The shim and the scenario path are the same numbers."""
-        sc = Scenario.create("ddos", "caida", "scr", 2, **_SMALL)
-        res = run_scenario(sc)
-        runner = ExperimentRunner(num_flows=12, max_packets=400)
-        old = runner.mlffr_point("ddos", "caida", "scr", 2)
-        assert res.mlffr_mpps == old.mlffr_mpps
-        assert res.iterations == old.iterations
-        assert res.probes == list(old.probes)
-
     def test_same_scenario_same_result(self):
         sc = Scenario.create("token_bucket", "caida", "rss", 2, **_SMALL)
         a = run_scenario(sc)
@@ -86,28 +77,12 @@ class TestRunScenario:
         assert compacted.mlffr_mpps == res.mlffr_mpps
         assert compacted.probes == res.probes
 
+    def test_grid_results_carry_iterations(self):
+        grid = scenario_grid("ddos", "caida", ["scr"], [1, 2], **_SMALL)
+        results = ScenarioExecutor().run(grid)
+        assert all(r.iterations > 0 for r in results)
+        assert all(r.iterations == r.mlffr.iterations for r in results)
 
-class TestRunnerShim:
-    def test_clone_does_not_share_memos(self):
-        base = ExperimentRunner(seed=7)
-        clone = base.clone_with_seed(8)
-        assert clone._traces is not base._traces
-        assert clone._perf is not base._perf
-        assert clone.seed == 8
-
-    def test_scaling_point_iterations_populated(self):
-        runner = ExperimentRunner(num_flows=12, max_packets=400)
-        points = runner.scaling_sweep("ddos", "caida", ["scr"], [1, 2])
-        assert all(p.iterations > 0 for p in points)
-
-    def test_scenario_for_reflects_runner_config(self):
-        runner = ExperimentRunner(num_flows=12, max_packets=400, seed=9)
-        sc = runner.scenario_for("ddos", "caida", "scr", 2)
-        assert sc.trace.num_flows == 12
-        assert sc.trace.max_packets == 400
-        assert sc.trace.seed == 9
-
-    def test_unknown_technique_via_runner(self):
-        runner = ExperimentRunner(num_flows=12, max_packets=400)
+    def test_unknown_technique_rejected_in_grid(self):
         with pytest.raises(ValueError, match="unknown technique"):
-            runner.mlffr_point("ddos", "caida", "magic", 2)
+            scenario_grid("ddos", "caida", ["scr", "magic"], [2], **_SMALL)

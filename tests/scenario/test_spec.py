@@ -169,7 +169,7 @@ class TestScenarioPlacement:
         assert pickle.loads(pickle.dumps(sc)) == sc
 
 
-def test_scenario_grid_order_matches_scaling_sweep():
+def test_scenario_grid_order_is_techniques_outer_cores_inner():
     grid = scenario_grid("ddos", "caida", ["scr", "rss"], [1, 2],
                          max_packets=500)
     assert [(s.technique, s.cores) for s in grid] == [

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.bench.runner import ExperimentRunner
+from repro.scenario import Scenario, run_scenario
 from repro.telemetry import (
     EVENTS_NAME,
     MANIFEST_NAME,
@@ -52,19 +52,21 @@ class TestInstrumentedSweep:
 
     def run_point(self, tmp_path):
         tele = Telemetry()
-        runner = ExperimentRunner(max_packets=1200, telemetry=tele)
-        res = runner.mlffr_point("ddos", "caida", "scr", 4)
+        res = run_scenario(
+            Scenario.create("ddos", "caida", "scr", 4, max_packets=1200),
+            telemetry=tele,
+        )
         art = tele.write_artifact(
             tmp_path,
             command="mlffr",
             config={"cores": 4},
             extra_metrics={
-                "counters": runner.last_counters,
-                "latency_ns": runner.last_latency_ns,
+                "counters": res.counters,
+                "latency_ns": res.latency_ns,
             },
             num_cores=4,
         )
-        return res, art
+        return res.mlffr, art
 
     def test_attribution_sums_to_busy(self, tmp_path):
         _, art = self.run_point(tmp_path)

@@ -143,6 +143,17 @@ def test_reproduce_unknown_figure():
     assert "unknown figure" in text
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["reproduce", "10a", "--packets", "0"], "need at least one packet"),
+    (["run", "--packets", "0"], "need at least one packet"),
+    (["run", "--cores", "0"], "need at least one core"),
+])
+def test_out_of_range_flags_exit_2(argv, message):
+    code, text = run_cli(argv)
+    assert code == 2
+    assert text.startswith("error: ") and message in text
+
+
 def test_reproduce_figure_with_csv(tmp_path):
     csv_path = tmp_path / "fig1.csv"
     code, text = run_cli(["reproduce", "1", "--packets", "1500",
