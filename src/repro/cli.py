@@ -716,6 +716,8 @@ def cmd_inspect(args, out) -> int:
     import json
     from pathlib import Path
 
+    from .telemetry.artifact import EventLogError
+
     path = Path(args.dir)
     if path.is_dir() and not (path / "manifest.json").exists():
         contents = "empty" if not any(path.iterdir()) else "no manifest.json"
@@ -724,6 +726,9 @@ def cmd_inspect(args, out) -> int:
         return 2
     try:
         print(summarize_artifact(args.dir), file=out)
+    except EventLogError as exc:
+        print(f"error: {exc}", file=out)
+        return 2
     except (FileNotFoundError, NotADirectoryError):
         print(f"no run artifact at {args.dir!r} "
               "(expected a manifest.json written by --telemetry)", file=out)

@@ -26,7 +26,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..hostprof.artifact import HOSTPROF_JSON, HostProfile
 from ..hostprof.clock import PATH_SEP
-from ..telemetry.artifact import EVENTS_NAME, MANIFEST_NAME, RunArtifact
+from ..telemetry.artifact import MANIFEST_NAME, RunArtifact
 from .spans import SPAN_PREFIX
 
 __all__ = ["classify_inputs", "render_report", "write_report"]
@@ -136,24 +136,6 @@ def classify_inputs(
 # -- run-artifact sections ----------------------------------------------------
 
 
-def _read_events(directory: Path, artifact: RunArtifact) -> List[dict]:
-    path = directory / str(artifact.files.get("events", EVENTS_NAME))
-    rows: List[dict] = []
-    try:
-        with path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rows.append(json.loads(line))
-                except json.JSONDecodeError:
-                    continue
-    except OSError:
-        return []
-    return rows
-
-
 def _pareto_section(artifact: RunArtifact) -> List[str]:
     drops = [
         (kind, int(artifact.event_type_counts.get(kind, 0)))
@@ -202,7 +184,7 @@ def _slo_section(artifact: RunArtifact) -> List[str]:
                "<th>p99</th><th>max</th><th>mean</th></tr>")
     measures = [
         ("time to detect", slo.get("ttd_ns", {}), _fmt_ns),
-        ("time to resync", slo.get("ttr_ns", {}), _fmt_ns),
+        ("time to repair", slo.get("ttr_ns", {}), _fmt_ns),
         ("packets degraded", slo.get("packets_degraded", {}), _fmt),
         ("blast radius", slo.get("blast_radius", {}), _fmt),
     ]
@@ -321,7 +303,7 @@ def _artifact_section(directory: Path) -> List[str]:
     out.append("</table>")
     out.extend(_pareto_section(artifact))
     out.extend(_slo_section(artifact))
-    out.extend(_waterfall_section(_read_events(directory, artifact)))
+    out.extend(_waterfall_section(artifact.read_events(directory)))
     return out
 
 

@@ -16,6 +16,8 @@ neither more nor less likely to be sampled than its clean twin.
 
 from __future__ import annotations
 
+from typing import Dict
+
 __all__ = ["splitmix64", "sample_unit", "SpanSampler"]
 
 _MASK64 = (1 << 64) - 1
@@ -51,19 +53,28 @@ class SpanSampler:
     functions; two samplers with the same seed and rate agree everywhere,
     in any process, at any probe rate.  ``rate=0`` disables sampling
     (and :class:`~repro.obs.spans.SpanEmitter` short-circuits on it).
+
+    Every MLFFR probe replays the same trace and asks about the same
+    indices, so each decision is hashed once and memoised; ``seed`` and
+    ``rate`` are therefore fixed for the sampler's lifetime.
     """
 
-    __slots__ = ("seed", "rate")
+    __slots__ = ("seed", "rate", "_decided")
 
     def __init__(self, seed: int = 0, rate: float = 0.0) -> None:
         if not 0.0 <= rate <= 1.0:
             raise ValueError("sampling rate must be in [0, 1]")
         self.seed = seed
         self.rate = rate
+        self._decided: Dict[int, bool] = {}
 
     def sampled(self, index: int) -> bool:
         """Does packet ``index`` carry a trace context?"""
-        return self.rate > 0.0 and sample_unit(self.seed, index) < self.rate
+        hit = self._decided.get(index)
+        if hit is None:
+            hit = self.rate > 0.0 and sample_unit(self.seed, index) < self.rate
+            self._decided[index] = hit
+        return hit
 
     def trace_id(self, index: int) -> int:
         """The packet's stable 64-bit trace id (nonzero, seed-dependent)."""

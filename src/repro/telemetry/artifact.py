@@ -22,7 +22,7 @@ import json
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import List, Optional, Union
 
 from .events import EventTracer
 from .exporters import events_to_chrome_trace, events_to_jsonl
@@ -33,6 +33,7 @@ __all__ = [
     "EVENTS_NAME",
     "TRACE_NAME",
     "PROM_NAME",
+    "EventLogError",
     "RunArtifact",
     "Telemetry",
     "NULL_TELEMETRY",
@@ -59,6 +60,10 @@ def current_git_sha(cwd: Optional[Union[str, Path]] = None) -> str:
         return "unknown"
     sha = proc.stdout.strip()
     return sha if proc.returncode == 0 and sha else "unknown"
+
+
+class EventLogError(ValueError):
+    """An artifact's event log disagrees with its manifest."""
 
 
 @dataclass
@@ -120,6 +125,44 @@ class RunArtifact:
             path = path / MANIFEST_NAME
         with path.open() as fh:
             return cls.from_dict(json.load(fh))
+
+    def read_events(self, directory: Union[str, Path]) -> List[dict]:
+        """The event log's records, checked against this manifest.
+
+        Raises :class:`EventLogError` when a line is not a JSON object or
+        the log holds a different number of events than ``events_retained``:
+        a truncated log would otherwise read as a smaller, wrong run.  A
+        missing log reads as empty, which is correct only when the
+        manifest retained no events.  Like :meth:`load`, ``directory`` may
+        also be the manifest's own path.
+        """
+        directory = Path(directory)
+        if not directory.is_dir():
+            directory = directory.parent
+        path = directory / str(self.files.get("events", EVENTS_NAME))
+        rows: List[dict] = []
+        try:
+            with path.open() as fh:
+                for lineno, line in enumerate(fh, 1):
+                    if not line.strip():
+                        continue
+                    try:
+                        row = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise EventLogError(
+                            f"{path}: line {lineno} is not valid JSON "
+                            f"({exc.msg})") from None
+                    if not isinstance(row, dict):
+                        raise EventLogError(
+                            f"{path}: line {lineno} is not a JSON object")
+                    rows.append(row)
+        except FileNotFoundError:
+            pass
+        if len(rows) != self.events_retained:
+            raise EventLogError(
+                f"{path}: holds {len(rows)} events but the manifest "
+                f"retained {self.events_retained} (truncated log?)")
+        return rows
 
 
 class Telemetry:

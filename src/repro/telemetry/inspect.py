@@ -8,7 +8,7 @@ questions a wrong MLFFR point or a recovery stall raises first:
    divergence the monitor flagged, and quarantine/resync outcomes
    (instrumented ``repro.faults`` runs only; older artifacts simply
    have no such events and skip the section), plus the recovery SLO
-   distributions (time-to-detect, time-to-resync, packets degraded,
+   distributions (time-to-detect, time-to-repair, packets degraded,
    blast radius) when the manifest carries an ``slo`` section;
 3. **how long did packets take** — latency percentiles from the histogram
    metrics snapshot;
@@ -18,11 +18,10 @@ questions a wrong MLFFR point or a recovery stall raises first:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from .artifact import EVENTS_NAME, RunArtifact
+from .artifact import RunArtifact
 from .events import (
     EV_DIVERGENCE,
     EV_QUARANTINE,
@@ -78,40 +77,24 @@ def _fmt_ns(value: float) -> str:
     return f"{value:.0f} ns"
 
 
-def _fault_event_details(path: Path) -> List[str]:
-    """Divergence/recovery detail mined from the retained event log.
-
-    Best-effort: a missing, truncated, or malformed log (older artifacts,
-    interrupted runs) yields no lines rather than an error.
-    """
+def _fault_event_details(events: List[dict]) -> List[str]:
+    """Divergence/recovery detail mined from the retained event log."""
     first_divergence: Optional[dict] = None
     resyncs_by_core: Dict[int, int] = {}
     replayed_by_core: Dict[int, int] = {}
     unrecoverable: List[int] = []
-    try:
-        with path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                kind = event.get("kind")
-                if kind == EV_DIVERGENCE and first_divergence is None:
-                    first_divergence = event
-                elif kind == EV_RESYNC:
-                    core = int(event.get("core", -1))
-                    resyncs_by_core[core] = resyncs_by_core.get(core, 0) + 1
-                    replayed_by_core[core] = (
-                        replayed_by_core.get(core, 0)
-                        + int(event.get("replayed", 0))
-                    )
-                elif kind == EV_UNRECOVERABLE:
-                    unrecoverable.append(int(event.get("core", -1)))
-    except OSError:
-        return []
+    for event in events:
+        kind = event.get("kind")
+        if kind == EV_DIVERGENCE and first_divergence is None:
+            first_divergence = event
+        elif kind == EV_RESYNC:
+            core = int(event.get("core", -1))
+            resyncs_by_core[core] = resyncs_by_core.get(core, 0) + 1
+            replayed_by_core[core] = (
+                replayed_by_core.get(core, 0) + int(event.get("replayed", 0))
+            )
+        elif kind == EV_UNRECOVERABLE:
+            unrecoverable.append(int(event.get("core", -1)))
     lines: List[str] = []
     if first_divergence is not None:
         cores = first_divergence.get("cores", [])
@@ -136,7 +119,7 @@ def _fault_event_details(path: Path) -> List[str]:
     return lines
 
 
-def _fault_section(artifact: RunArtifact, directory: Path) -> List[str]:
+def _fault_section(artifact: RunArtifact, events: List[dict]) -> List[str]:
     """The fault/divergence/recovery summary; [] when the run had none."""
     counts = [
         (kind, artifact.event_type_counts.get(kind, 0), meaning)
@@ -150,8 +133,7 @@ def _fault_section(artifact: RunArtifact, directory: Path) -> List[str]:
         ["event", "count", "meaning"],
         [[k, c, meaning] for k, c, meaning in counts],
     ))
-    events_file = artifact.files.get("events", EVENTS_NAME)
-    lines.extend(_fault_event_details(directory / events_file))
+    lines.extend(_fault_event_details(events))
     return lines
 
 
@@ -180,7 +162,7 @@ def _slo_section(artifact: RunArtifact) -> List[str]:
     )
     dists = [
         ("time to detect", slo.get("ttd_ns", {}), _fmt_ns),
-        ("time to resync", slo.get("ttr_ns", {}), _fmt_ns),
+        ("time to repair", slo.get("ttr_ns", {}), _fmt_ns),
         ("packets degraded", slo.get("packets_degraded", {}),
          lambda v: f"{v:g}"),
         ("blast radius", slo.get("blast_radius", {}), lambda v: f"{v:g}"),
@@ -284,8 +266,13 @@ def _cache_section(artifact: RunArtifact) -> List[str]:
 
 
 def summarize_artifact(directory: Union[str, Path]) -> str:
-    """Render a human-readable summary of an artifact directory."""
+    """Render a human-readable summary of an artifact directory.
+
+    Raises :class:`~repro.telemetry.artifact.EventLogError` when the event
+    log does not match the manifest.
+    """
     artifact = RunArtifact.load(directory)
+    events = artifact.read_events(directory)
     lines: List[str] = []
     lines.append(f"artifact: {Path(directory)}")
     lines.append(f"command:  {artifact.command}")
@@ -319,7 +306,7 @@ def summarize_artifact(directory: Union[str, Path]) -> str:
         lines.append("top drop causes: none recorded (loss-free run)")
 
     # 2. fault injection & recovery ------------------------------------------
-    lines.extend(_fault_section(artifact, Path(directory)))
+    lines.extend(_fault_section(artifact, events))
 
     # 2b. recovery SLO distributions -----------------------------------------
     lines.extend(_slo_section(artifact))

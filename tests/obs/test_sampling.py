@@ -85,6 +85,43 @@ class TestSpanSampler:
         assert SpanSampler(7, 1.0).sampled_indices(100) == list(range(100))
 
 
+class TestMemoisedDecisions:
+    """Decisions are memoised per index; they must equal the stateless
+    hash whatever order, and however often, the indices are asked."""
+
+    N = 20001
+
+    def _orders(self):
+        ascending = list(range(self.N))
+        shuffled = ascending[:]
+        random.Random(5).shuffle(shuffled)
+        return [ascending, ascending[::-1], shuffled]
+
+    @pytest.mark.parametrize("rate", [0.0, 0.05, 0.5, 1.0])
+    def test_matches_stateless_hash_in_any_order(self, rate):
+        expected = {i: sample_unit(7, i) < rate for i in range(self.N)}
+        reused = SpanSampler(7, rate)
+        for order in self._orders():
+            fresh = SpanSampler(7, rate)
+            assert [fresh.sampled(i) for i in order] == [expected[i] for i in order]
+            assert [reused.sampled(i) for i in order] == [expected[i] for i in order]
+
+    def test_edge_rates(self):
+        assert not any(SpanSampler(3, 0.0).sampled(i) for i in range(self.N))
+        assert all(SpanSampler(3, 1.0).sampled(i) for i in range(self.N))
+
+    def test_trace_ids_and_sample_pinned(self):
+        # Values recorded before decisions were memoised: the sampled set
+        # and every trace id are part of the artifact's byte format.
+        s = SpanSampler(7, 0.05)
+        assert s.sampled_indices(400) == [
+            20, 42, 47, 66, 94, 101, 122, 128, 146, 152, 153, 188, 217, 218,
+            220, 226, 303, 309, 326, 356, 369, 387, 389]
+        assert [s.trace_id(i) for i in (0, 1, 11, 19999)] == [
+            10730967885070608315, 4788773623852633907,
+            16131354544006802237, 2128897084696339245]
+
+
 def _child_sample(args):
     seed, rate, count = args
     return SpanSampler(seed, rate).sampled_indices(count)

@@ -1,7 +1,11 @@
 """Exporter round-trips: JSONL and the Chrome trace_event format."""
 
+import io
 import json
 
+import pytest
+
+from repro.telemetry import exporters
 from repro.telemetry.events import EV_MLFFR_PROBE, EV_RING_DROP, EV_SERVICE, EventTracer
 from repro.telemetry.exporters import (
     SEQUENCER_TRACK,
@@ -139,3 +143,94 @@ class TestDispatchFlows:
         doc = chrome_trace_dict(sample_tracer().events())
         tids = {r["tid"] for r in doc["traceEvents"]}
         assert SEQUENCER_TRACK not in tids
+
+
+# -- byte identity with the one-document encodings ------------------------------
+
+
+def _reference_trace(events, num_cores):
+    """The trace bytes as one ``json.dump`` of the whole document."""
+    buf = io.StringIO()
+    json.dump(chrome_trace_dict(events, num_cores=num_cores), buf)
+    return buf.getvalue()
+
+
+def _reference_jsonl(events):
+    """The JSONL bytes as one sorted-keys ``json.dumps`` per event."""
+    ordered = sorted(events, key=lambda e: e.ts_ns)
+    return "".join(json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in ordered)
+
+
+def _uncored(n):
+    # With no cores the trace has exactly one header record (the system
+    # track), so n events make n + 1 records.
+    tr = EventTracer(capacity=n + 1)
+    for i in range(n):
+        tr.emit(EV_MLFFR_PROBE, ts_ns=float(n - i), rate_pps=1e6 + i, loss=0.0)
+    return tr.events()
+
+
+def _mixed():
+    tr = EventTracer()
+    for i in range(40):
+        core = None if i % 5 == 0 else i % 3
+        dur = None if i % 2 else 10.0 + i
+        tr.emit("scr.spray", ts_ns=10.0 * i, index=i, core=(i + 1) % 3)
+        tr.emit(EV_SERVICE, ts_ns=10.0 * i + 4.0, core=core, dur_ns=dur,
+                index=i, depth=[i, i + 1], note=None)
+    tr.emit(EV_RING_DROP, ts_ns=5.5, core=2, depth=256, cause="ring")
+    return tr.events()
+
+
+def _non_ascii():
+    tr = EventTracer()
+    tr.emit("fault.drop", ts_ns=1.0, core=0, label="κ-core ✓", path="naïve/日本")
+    tr.emit("sim.run", ts_ns=2.0, note='quote " and \\ and \n newline')
+    tr.emit("mlffr.probe", ts_ns=3.0, rate_pps=0.1 + 0.2, loss=1e-300)
+    return tr.events()
+
+
+def _nul_characters():
+    tr = EventTracer()
+    tr.emit("sim.run", ts_ns=1.0, tags=["a", "\x00", "b"])
+    tr.emit("sim.run", ts_ns=2.0, tags=["\x00"], note="\x00")
+    return tr.events()
+
+
+def _evicted():
+    tr = EventTracer(capacity=50)
+    for i in range(120):
+        tr.emit(EV_SERVICE, ts_ns=float(i), core=i % 4, dur_ns=0.25, index=i)
+    assert tr.dropped == 70
+    return tr.events()
+
+
+def _one_batch_of_records():
+    events = _uncored(exporters._BATCH - 1)
+    assert len(chrome_trace_dict(events)["traceEvents"]) == exporters._BATCH
+    return events
+
+
+EVENT_SETS = {
+    "empty": lambda: [],
+    "one": lambda: _uncored(1),
+    "one-batch-of-records": _one_batch_of_records,
+    "one-batch-of-events": lambda: _uncored(exporters._BATCH),
+    "one-batch-plus-one": lambda: _uncored(exporters._BATCH + 1),
+    "flows-cores-instants-spans": _mixed,
+    "non-ascii": _non_ascii,
+    "nul-characters": _nul_characters,
+    "evicted-ring": _evicted,
+}
+
+
+@pytest.mark.parametrize("num_cores", [None, 4])
+@pytest.mark.parametrize("name", sorted(EVENT_SETS))
+def test_streamed_writers_match_one_document_encoding(tmp_path, name, num_cores):
+    events = EVENT_SETS[name]()
+    trace = events_to_chrome_trace(events, tmp_path / "trace.json",
+                                   num_cores=num_cores)
+    jsonl = events_to_jsonl(events, tmp_path / "events.jsonl")
+    assert trace.read_bytes() == _reference_trace(events, num_cores).encode()
+    assert jsonl.read_bytes() == _reference_jsonl(events).encode()
+

@@ -1,7 +1,10 @@
 """The inspect fault/divergence/recovery section, including graceful
 degradation on telemetry directories written before fault events existed."""
 
+import pytest
+
 from repro.telemetry import Telemetry
+from repro.telemetry.artifact import EventLogError
 from repro.telemetry.events import (
     EV_DIVERGENCE,
     EV_QUARANTINE,
@@ -52,7 +55,7 @@ class TestFaultSection:
         text = summarize_artifact(tmp_path)  # must not raise
         assert "fault injection" not in text
 
-    def test_malformed_event_lines_skipped(self, tmp_path):
+    def test_malformed_event_lines_rejected(self, tmp_path):
         def emit(tracer):
             tracer.emit(EV_QUARANTINE, ts_ns=1.0, core=0, seq=5,
                         missing=1, invalid_rows=0)
@@ -60,5 +63,5 @@ class TestFaultSection:
         _write(tmp_path, emit)
         events = tmp_path / "events.jsonl"
         events.write_text(events.read_text() + "not json\n\n{broken\n")
-        text = summarize_artifact(tmp_path)
-        assert "fault injection & recovery" in text
+        with pytest.raises(EventLogError, match="line 2 is not valid JSON"):
+            summarize_artifact(tmp_path)

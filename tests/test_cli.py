@@ -1,6 +1,7 @@
 """CLI subcommands, exercised through main() with a captured stream."""
 
 import io
+import shutil
 
 import pytest
 
@@ -297,6 +298,53 @@ def test_report_rejects_bad_input(tmp_path):
     assert code == 2
     assert "report error" in text
     assert not (tmp_path / "dash.html").exists()
+
+
+@pytest.fixture(scope="module")
+def traced_artifact(tmp_path_factory):
+    tdir = tmp_path_factory.mktemp("traced") / "tele"
+    code, _ = run_cli([
+        "mlffr", "--program", "ddos", "--workload", "caida",
+        "--cores", "2", "--packets", "600", "--telemetry", str(tdir),
+        "--trace-sample", "0.2",
+    ])
+    assert code == 0
+    return tdir
+
+
+def test_inspect_accepts_manifest_path(traced_artifact):
+    code, text = run_cli(["inspect", str(traced_artifact / "manifest.json")])
+    assert code == 0, text
+    assert "error" not in text and "no run artifact" not in text
+
+
+def _damaged_copy(src, dst, damage):
+    shutil.copytree(src, dst)
+    events = dst / "events.jsonl"
+    lines = events.read_text().splitlines(keepends=True)
+    if damage == "truncated":
+        events.write_text("".join(lines[:38]))
+    else:
+        lines[5] = lines[5][: len(lines[5]) // 2] + "\n"
+        events.write_text("".join(lines))
+    return dst
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("truncated", "holds 38 events but the manifest retained"),
+    ("torn-line", "line 6 is not valid JSON"),
+])
+@pytest.mark.parametrize("command", ["inspect", "report"])
+def test_damaged_event_log_exits_2(traced_artifact, tmp_path, command,
+                                   damage, message):
+    tdir = _damaged_copy(traced_artifact, tmp_path / "tele", damage)
+    out = tmp_path / "dash.html"
+    argv = ["inspect", str(tdir)] if command == "inspect" else [
+        "report", str(tdir), "--out", str(out)]
+    code, text = run_cli(argv)
+    assert code == 2
+    assert "error: " in text and message in text
+    assert not out.exists()
 
 
 # -- bench (perf-regression suite and compare gate) ------------------------------
