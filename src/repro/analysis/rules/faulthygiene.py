@@ -14,10 +14,11 @@ and recovery code that reads a wall clock, or draws from *any*
   ``--jobs N`` execution and between MLFFR probe rates.  The sanctioned
   pattern is the plan's per-index hash, which is order-independent.
 
-The rule covers every module under a ``faults`` package, plus any class
-whose name marks it as fault/recovery machinery (``Fault*``,
-``*Checkpoint*``, ``*Resync*``, ``*Quarantine*``, ``*Recovery*``,
-``*Divergence*``) wherever it lives.
+The rule covers every module under a ``faults`` package, the SCR-aware
+runtime (``core/scr_aware.py``, whose window path quarantines, resyncs
+and forks replicas), plus any class whose name marks it as fault/recovery
+machinery (``Fault*``, ``*Checkpoint*``, ``*Resync*``, ``*Quarantine*``,
+``*Recovery*``, ``*Divergence*``) wherever it lives.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ _RECOVERY_NAME = re.compile(
     r"Fault|Checkpoint|Resync|Quarantine|Recovery|Divergence"
 )
 
+#: Modules outside those packages that are recovery code throughout.
+_RECOVERY_MODULES = ("core/scr_aware.py",)
+
 
 @register
 class FaultHygieneRule(Rule):
@@ -53,7 +57,9 @@ class FaultHygieneRule(Rule):
 
     def _scopes(self, module: ModuleModel) -> List[Tuple[str, ast.AST]]:
         """(symbol prefix, AST root) pairs the rule applies to."""
-        if {"faults", "obs", "hostprof"} & set(PurePath(module.path).parts):
+        path = PurePath(module.path)
+        if ({"faults", "obs", "hostprof"} & set(path.parts)
+                or path.as_posix().endswith(_RECOVERY_MODULES)):
             return [("", module.tree)]
         return [
             (cls.name, cls.node)

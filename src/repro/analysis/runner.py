@@ -29,7 +29,8 @@ __all__ = [
 #: the scaling engines (SCR004), the scenario layer (SCR004 — the
 #: multiprocess executor's serial-equivalence guarantee depends on the
 #: same no-clocks/no-process-RNG/no-module-state hygiene), the
-#: fault/recovery subsystem (SCR006), and the span/SLO observability
+#: fault/recovery subsystem and the SCR-aware runtime that repairs
+#: replicas for it (SCR006), and the span/SLO observability
 #: layer (SCR004 + SCR006 — span sampling must stay pure-hash and the
 #: SLO reducer side-effect free).
 DEFAULT_LINT_PATHS: Tuple[str, ...] = (
@@ -37,6 +38,7 @@ DEFAULT_LINT_PATHS: Tuple[str, ...] = (
     "src/repro/parallel",
     "src/repro/scenario",
     "src/repro/faults",
+    "src/repro/core/scr_aware.py",
     "src/repro/obs",
     "src/repro/hostprof",
     # The advisor stack lints itself: the dataflow classifier, the cost-

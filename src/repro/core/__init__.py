@@ -4,7 +4,7 @@ from .engine import ScrFunctionalEngine, ScrRunResult, reference_run
 from .history import HistoryRing
 from .packet_format import SCR_MAGIC, ScrHeader, ScrPacketCodec
 from .recovery import LOST, CatchupEntry, LossRecoveryManager
-from .scr_aware import ScrCoreRuntime
+from .scr_aware import GapRepair, ScrCoreRuntime
 from .threaded import ThreadedScrEngine
 from .validate import ValidationReport, validate_program
 
@@ -19,6 +19,7 @@ __all__ = [
     "LOST",
     "CatchupEntry",
     "LossRecoveryManager",
+    "GapRepair",
     "ScrCoreRuntime",
     "ThreadedScrEngine",
     "ValidationReport",

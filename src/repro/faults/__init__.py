@@ -44,14 +44,12 @@ __all__ = [
     "EpochCheckpointer",
     "ResyncOutcome",
     "ChaosOutcome",
-    "DeliveryOutcome",
     "run_chaos",
     "run_chaos_matrix",
 ]
 
 _LAZY = {
     "ChaosOutcome": "harness",
-    "DeliveryOutcome": "harness",
     "run_chaos": "harness",
     "run_chaos_matrix": "matrix",
 }

@@ -1,8 +1,11 @@
 """The functional chaos harness: inject → detect → recover, end to end.
 
 One :func:`run_chaos` call drives a synthesized trace through the real
-sequencer and ``k`` SCR-aware replicas while a :class:`FaultPlan` breaks
-the delivery path, and answers three questions with real bytes:
+sequencer and ``k`` SCR-aware replicas (one
+:class:`~repro.core.scr_aware.ScrCoreRuntime` per core, repairing gaps
+through a :class:`~repro.core.scr_aware.GapRepair`) while a
+:class:`FaultPlan` breaks the delivery path, and answers three questions
+with real bytes:
 
 * **was every injected history gap detected?**  Sequence numbers on the
   piggybacked history make drops and truncations observable (a hole
@@ -22,8 +25,9 @@ schedule, and recovery are all pure functions of the specs and seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
+from ..core.scr_aware import GapRepair, ScrCoreRuntime
 from ..packet import Packet
 from ..programs.base import PacketProgram, Verdict
 from ..programs.registry import make_program
@@ -32,17 +36,12 @@ from ..scenario.spec import TraceSpec
 from ..sequencer.sequencer import PacketHistorySequencer
 from ..state.maps import StateMap
 from ..telemetry.events import (
-    EV_FAST_FORWARD,
     EV_FAULT_DROP,
     EV_FAULT_DUPLICATE,
     EV_FAULT_KILL,
     EV_FAULT_POP_DROP,
     EV_FAULT_REORDER,
     EV_FAULT_TRUNCATE,
-    EV_GAP_DETECTED,
-    EV_QUARANTINE,
-    EV_RESYNC,
-    EV_UNRECOVERABLE,
     NULL_TRACER,
     EventTracer,
 )
@@ -54,7 +53,7 @@ from .plan import FaultPlan
 from .recovery import EpochCheckpointer
 from .spec import FaultSpec
 
-__all__ = ["DeliveryOutcome", "ChaosOutcome", "run_chaos"]
+__all__ = ["ChaosOutcome", "run_chaos"]
 
 
 class _ReferenceOracle:
@@ -86,176 +85,6 @@ class _ReferenceOracle:
             self.verdicts[self._cursor] = self.program.process(self._state, pkt)
             self._digests[self._cursor] = state_digest(self._state.snapshot())
         return self._digests[seq]
-
-
-@dataclass(frozen=True)
-class DeliveryOutcome:
-    """What one SCR-packet delivery did to one replica."""
-
-    kind: str  # dead|stale|processed|covered|resynced|unrecoverable|forked
-    seq: int = 0
-    verdict: Optional[Verdict] = None
-    #: length of the sequence gap this delivery had to bridge.
-    needed: int = 0
-    #: needed history rows that were missing or zeroed (fault-caused).
-    invalid_needed: int = 0
-    #: the gap exceeded the natural round-robin stagger or had bad rows.
-    anomaly: bool = False
-    replayed: int = 0
-
-
-class _ChaosCore:
-    """One replica under fault: gap detection + optional epoch resync."""
-
-    def __init__(
-        self,
-        program: PacketProgram,
-        core_id: int,
-        codec: object,
-        num_cores: int,
-        checkpointer: Optional[EpochCheckpointer],
-        state_capacity: int = 4096,
-        tracer: EventTracer = NULL_TRACER,
-    ) -> None:
-        self.program = program
-        self.core_id = core_id
-        self.codec = codec
-        self.num_cores = num_cores
-        self.checkpointer = checkpointer
-        self.state = StateMap(capacity=state_capacity)
-        self.tracer = tracer
-        self.last_seq = 0
-        self.killed = False
-        self.unrecoverable = False
-        #: detected a gap it had no protocol to repair (no-recovery mode).
-        self.suspect = False
-        self.processed = 0
-        self.history_applied = 0
-        self.stale_ignored = 0
-        self.gaps_detected = 0
-        self.gaps_covered = 0
-        self.quarantines = 0
-        self.resyncs = 0
-        self.replayed = 0
-        self.resync_replays: List[int] = []
-
-    @property
-    def dead(self) -> bool:
-        return self.killed or self.unrecoverable
-
-    @property
-    def flagged(self) -> bool:
-        """Did this replica itself ever raise a fault signal?"""
-        return self.suspect or self.gaps_detected > 0 or self.dead
-
-    def _apply(self, rows: List[Tuple[int, bytes]]) -> None:
-        for _seq, row in rows:
-            meta = self.program.metadata_cls.unpack(row)
-            self.program.fast_forward(self.state, meta)
-            self.history_applied += 1
-
-    def deliver(
-        self, data: bytes, noop_from: Optional[int] = None
-    ) -> DeliveryOutcome:
-        """Process one SCR packet; see DeliveryOutcome.kind for what happened.
-
-        ``noop_from``: sequences at or past this are the tail-flush
-        no-ops; a zeroed history row for one of those is not a fault
-        (their metadata never changes state anyway).
-        """
-        if self.dead:
-            return DeliveryOutcome(kind="dead")
-        header, rows, original = self.codec.decode(data)  # type: ignore[attr-defined]
-        j = int(header.seq)
-        if j <= self.last_seq:
-            # Sequence numbers make duplicates and late reordered frames
-            # trivially detectable; state is untouched.
-            self.stale_ignored += 1
-            return DeliveryOutcome(kind="stale", seq=j)
-        pkt = Packet.from_bytes(original, timestamp_ns=header.timestamp_ns)
-        n = int(self.codec.num_slots)  # type: ignore[attr-defined]
-        zero = b"\x00" * int(self.codec.meta_size)  # type: ignore[attr-defined]
-        gap_start = self.last_seq + 1
-        needed = j - gap_start  # sequences this delivery must account for
-        # Row m (chronological) holds sequence j - n + m; the window can
-        # only heal back to j - n.
-        # In a fault-free round-robin run cover_from == gap_start always
-        # holds (a core's gap is exactly the k-1 stagger, and its first
-        # packet has j <= k <= n), so any shortfall is fault evidence —
-        # including at cold start, where a reordered-away first packet
-        # leaves early sequences beyond the window.
-        cover_from = max(gap_start, j - n, 1)
-        missing = cover_from - gap_start
-        invalid = 0
-        apply_rows: List[Tuple[int, bytes]] = []
-        for s in range(cover_from, j):
-            row = rows[s - (j - n)]
-            if row == zero:
-                if noop_from is not None and s >= noop_from:
-                    continue  # flush no-op: nothing to apply, not a fault
-                invalid += 1
-                continue
-            apply_rows.append((s, row))
-        anomaly = missing > 0 or invalid > 0 or needed > self.num_cores - 1
-        kind = "processed"
-        replayed = 0
-        if missing or invalid:
-            self.gaps_detected += 1
-            if self.checkpointer is not None:
-                # Quarantine: the replica's state can no longer be trusted
-                # to reach j-1 from history alone; resynchronize.
-                self.quarantines += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(EV_QUARANTINE, core=self.core_id, seq=j,
-                                     missing=missing, invalid_rows=invalid)
-                outcome = self.checkpointer.resync(self.state, j - 1)
-                if outcome.unrecoverable:
-                    self.unrecoverable = True
-                    if self.tracer.enabled:
-                        self.tracer.emit(EV_UNRECOVERABLE, core=self.core_id,
-                                         seq=j)
-                    return DeliveryOutcome(
-                        kind="unrecoverable", seq=j, needed=needed,
-                        invalid_needed=missing + invalid, anomaly=True,
-                    )
-                self.resyncs += 1
-                self.replayed += outcome.replayed
-                self.resync_replays.append(outcome.replayed)
-                if self.tracer.enabled:
-                    self.tracer.emit(EV_RESYNC, core=self.core_id, seq=j,
-                                     checkpoint_seq=outcome.checkpoint_seq,
-                                     replayed=outcome.replayed)
-                kind = "resynced"
-                replayed = outcome.replayed
-            else:
-                # No recovery protocol: apply what survived and fork —
-                # the silent-divergence behavior this subsystem detects.
-                self.suspect = True
-                self._apply(apply_rows)
-                kind = "forked"
-                if self.tracer.enabled:
-                    self.tracer.emit(EV_GAP_DETECTED, core=self.core_id,
-                                     seq=j, missing=missing,
-                                     invalid_rows=invalid)
-        else:
-            self._apply(apply_rows)
-            if anomaly:
-                # The gap exceeded the round-robin stagger but the
-                # history window still healed it (the §3.1 design).
-                self.gaps_detected += 1
-                self.gaps_covered += 1
-                kind = "covered"
-                if self.tracer.enabled:
-                    self.tracer.emit(EV_FAST_FORWARD, core=self.core_id,
-                                     seq=j, length=needed)
-        verdict = self.program.process(self.state, pkt)
-        self.last_seq = j
-        self.processed += 1
-        return DeliveryOutcome(
-            kind=kind, seq=j, verdict=verdict, needed=needed,
-            invalid_needed=missing + invalid, anomaly=anomaly,
-            replayed=replayed,
-        )
 
 
 @dataclass
@@ -374,14 +203,16 @@ def run_chaos(
     )
     monitor = DivergenceMonitor(spec.digest_interval, tracer=tracer)
     oracle = _ReferenceOracle(program, packets, state_capacity)
+    repair = GapRepair(num_cores, checkpointer)
     cores = [
-        _ChaosCore(
-            program, core_id=i, codec=sequencer.codec, num_cores=num_cores,
-            checkpointer=checkpointer, state_capacity=state_capacity,
-            tracer=tracer,
+        ScrCoreRuntime(
+            program, core_id=i, codec=sequencer.codec,
+            state=StateMap(capacity=state_capacity), tracer=tracer,
+            repair=repair,
         )
         for i in range(num_cores)
     ]
+    killed = [False] * num_cores
 
     counts = {
         "drops": 0, "pop_drops": 0, "duplicates": 0, "reorders": 0,
@@ -398,21 +229,35 @@ def run_chaos(
         recovery_enabled=recovery,
     )
 
-    def handle(core_id: int, outcome: DeliveryOutcome) -> None:
-        """Fold one delivery outcome into the gap/verdict accounting."""
-        if outcome.kind in ("dead", "stale"):
+    def dead(core_id: int) -> bool:
+        return killed[core_id] or cores[core_id].unrecoverable
+
+    def receive(core_id: int, data: bytes) -> None:
+        """Hand one frame to a replica; fold it into the gap accounting."""
+        if dead(core_id):
             return
+        core = cores[core_id]
+        stale, detected, covered = (
+            core.stale_ignored, core.gaps_detected, core.gaps_covered
+        )
+        outcomes = core.receive(data)
+        if core.stale_ignored > stale:
+            return
+        # The window could not heal the gap: past it, or a zeroed row.
+        lost_history = (core.gaps_detected - detected
+                        > core.gaps_covered - covered)
         fault_pending = expected_gap[core_id] > 0
         expected_gap[core_id] = 0
-        if fault_pending or outcome.invalid_needed > 0:
+        if fault_pending or lost_history:
             out.gap_events += 1
-            if outcome.anomaly:
+            if core.gaps_detected > detected:
                 out.gap_events_detected += 1
-        if outcome.verdict is not None and outcome.seq not in flush_seqs:
-            verdicts[outcome.seq] = outcome.verdict
+        for seq, verdict in outcomes:
+            if seq not in flush_seqs:
+                verdicts[seq] = verdict
 
-    def deliver(core_id: int, data: bytes, noop_from: Optional[int] = None) -> None:
-        handle(core_id, cores[core_id].deliver(data, noop_from=noop_from))
+    def deliver(core_id: int, data: bytes) -> None:
+        receive(core_id, data)
         # A delivery ages every held-back frame for this core; release
         # the ones whose displacement has elapsed, in hold order.
         pending = held[core_id]
@@ -420,7 +265,7 @@ def run_chaos(
             entry[0] = int(entry[0]) - 1  # type: ignore[call-overload]
         while pending and int(pending[0][0]) <= 0:  # type: ignore[arg-type]
             _, data2 = pending.pop(0)
-            deliver(core_id, bytes(data2), noop_from=noop_from)  # type: ignore[arg-type]
+            deliver(core_id, bytes(data2))  # type: ignore[arg-type]
 
     for i, pkt in enumerate(packets):
         sp = sequencer.process(pkt)
@@ -433,10 +278,9 @@ def run_chaos(
                 tracer.emit(EV_FAULT_TRUNCATE, seq=sp.seq,
                             lost=list(sp.truncated_seqs))
         core_id = sp.core
-        core = cores[core_id]
         kill_at = plan.kill_index(core_id)
-        if not core.killed and kill_at is not None and i >= kill_at:
-            core.killed = True
+        if not killed[core_id] and kill_at is not None and i >= kill_at:
+            killed[core_id] = True
             counts["kills"] += 1
             if tracer.enabled:
                 tracer.emit(EV_FAULT_KILL, core=core_id, index=i)
@@ -468,7 +312,7 @@ def run_chaos(
                                 seq=sp.seq)
                 deliver(core_id, sp.data)
         if monitor.due(i):
-            live = [not c.dead for c in cores]
+            live = [not dead(c) for c in range(num_cores)]
             digests = [state_digest(c.state.snapshot()) for c in cores]
             expected = [oracle.digest_at(c.last_seq) for c in cores]
             monitor.observe(i, digests, live=live, expected=expected)
@@ -481,8 +325,9 @@ def run_chaos(
         pending = held[core_id]
         held[core_id] = []
         for entry in pending:
-            handle(core_id, cores[core_id].deliver(bytes(entry[1])))  # type: ignore[arg-type]
-    flush_from = sequencer.next_seq
+            receive(core_id, bytes(entry[1]))  # type: ignore[arg-type]
+    for core in cores:
+        core.flush_from = sequencer.next_seq
     sequencer.faults = None
     for _ in range(num_cores):
         noop = Packet()  # bare Ethernet frame, not IPv4: a metadata no-op
@@ -490,22 +335,22 @@ def run_chaos(
         flush_seqs.add(sp.seq)
         if checkpointer is not None:
             checkpointer.record(sp.seq, program.extract_metadata(noop).pack())
-        deliver(sp.core, sp.data, noop_from=flush_from)
+        deliver(sp.core, sp.data)
 
     # -- final accounting ------------------------------------------------------
     total = len(packets)
     golden = oracle.digest_at(total)
     final_digests = [state_digest(c.state.snapshot()) for c in cores]
-    live = [i for i, c in enumerate(cores) if not c.dead]
+    live = [i for i in range(num_cores) if not dead(i)]
     out.injected = counts
     out.gaps_covered = sum(c.gaps_covered for c in cores)
     out.quarantines = sum(c.quarantines for c in cores)
-    out.resyncs = sum(c.resyncs for c in cores)
-    out.replayed_total = sum(c.replayed for c in cores)
     out.resync_replays = [r for c in cores for r in c.resync_replays]
+    out.resyncs = len(out.resync_replays)
+    out.replayed_total = sum(out.resync_replays)
     out.unrecoverable_cores = [i for i, c in enumerate(cores) if c.unrecoverable]
-    out.killed_cores = [i for i, c in enumerate(cores) if c.killed]
-    out.suspect_cores = [i for i, c in enumerate(cores) if c.suspect]
+    out.killed_cores = [i for i in range(num_cores) if killed[i]]
+    out.suspect_cores = [i for i, c in enumerate(cores) if c.forks]
     out.stale_ignored = sum(c.stale_ignored for c in cores)
     out.verdicts_checked = len(verdicts)
     out.verdict_mismatches = sum(
@@ -520,7 +365,7 @@ def run_chaos(
         1
         for i in live
         if final_digests[i] != golden
-        and not cores[i].flagged
+        and not cores[i].gaps_detected
         and i not in monitor.flagged_cores
     )
     return out

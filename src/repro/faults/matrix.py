@@ -200,10 +200,10 @@ class ChaosReport:
             base = self.mlffr_by_rate.get("0", 0.0)
             for rate, mpps in sorted(self.mlffr_by_rate.items(),
                                      key=lambda kv: float(kv[0])):
-                deg = (100.0 * (base - mpps) / base) if base else 0.0
+                change = (100.0 * (mpps - base) / base) if base else 0.0
                 lines.append(
                     f"  mlffr @ drop={rate}: {mpps:.2f} Mpps"
-                    f" ({deg:+.1f}% vs fault-free)" if rate != "0"
+                    f" ({change:+.1f}% vs fault-free)" if rate != "0"
                     else f"  mlffr @ drop=0: {mpps:.2f} Mpps (baseline)"
                 )
         lines.append("chaos gate: " + ("PASS" if self.ok else "FAIL"))

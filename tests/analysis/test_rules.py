@@ -203,6 +203,22 @@ def test_scr006_covers_faults_package_modules():
     assert any(f.rule == "SCR006" for f in report.findings)
 
 
+def test_scr006_covers_the_scr_aware_runtime():
+    # The window path's quarantine/resync lives in ScrCoreRuntime, whose
+    # name the class-name scope would not match.
+    from repro.analysis import lint_source
+
+    report = lint_source(
+        "import time\n\n"
+        "class ScrCoreRuntime:\n"
+        "    def _resync(self):\n"
+        "        return time.perf_counter()\n",
+        path="src/repro/core/scr_aware.py",
+    )
+    assert [f.detail.get("origin") for f in report.findings
+            if f.rule == "SCR006"] == ["time.perf_counter"]
+
+
 # -- the shipped tree is the ultimate non-firing fixture ---------------------
 
 def test_default_paths_are_clean():

@@ -66,6 +66,13 @@ class TestMatrix:
         text = "\n".join(report.summary_lines())
         assert "chaos gate: PASS" in text
 
+    def test_summary_prints_mlffr_loss_as_negative_change(self):
+        stub = ChaosReport(params=ChaosMatrixParams(),
+                           mlffr_by_rate={"0": 26.50, "0.005": 24.75})
+        lines = stub.summary_lines()
+        assert "  mlffr @ drop=0: 26.50 Mpps (baseline)" in lines
+        assert "  mlffr @ drop=0.005: 24.75 Mpps (-6.6% vs fault-free)" in lines
+
 
 class TestChaosCli:
     def _run(self, monkeypatch, tmp_path, ok, argv_extra=()):
