@@ -41,13 +41,16 @@ bench:
 	PYTHONPATH=src python -m repro.cli bench --out results/bench \
 		--jobs 2 --cache-dir results/cache
 
-# Run the quick fig6 + obs_overhead + advisor_validation suites and gate
-# them against the committed baseline (nonzero exit on a noise-significant
-# throughput regression, any nonzero tracing overhead, or a lost
-# advisor-vs-measurement agreement).
+# Run the quick suites that have a committed baseline (fig6, obs_overhead,
+# advisor_validation, multitenant) and gate them against it (nonzero exit
+# on a noise-significant throughput regression, any nonzero tracing
+# overhead, a traced search over 8x the untraced one, or a lost
+# advisor-vs-measurement agreement).  A directory compare needs every
+# baseline's counterpart, so the list must match benchmarks/baselines/.
 bench-compare:
 	PYTHONPATH=src python -m repro.cli bench --suite fig6_scaling \
-		--suite obs_overhead --suite advisor_validation --out results/bench
+		--suite obs_overhead --suite advisor_validation \
+		--suite multitenant --jobs 2 --out results/bench
 	PYTHONPATH=src python -m repro.cli bench \
 		--compare benchmarks/baselines results/bench \
 		--markdown results/bench/compare.md

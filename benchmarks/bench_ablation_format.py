@@ -22,6 +22,7 @@ import pytest
 from benchmarks.conftest import emit
 from repro.bench import render_table
 from repro.packet import ETH_HLEN
+from repro.programs import make_program
 from repro.sequencer import PacketHistorySequencer
 from repro.traffic import synthesize_trace, univ_dc_flow_sizes
 

@@ -74,7 +74,11 @@ def find_mlffr(
     """Binary-search the highest offered rate with loss below threshold.
 
     ``tracer`` receives one ``mlffr.probe`` event per search step (rate,
-    loss, verdict) and is forwarded to every probe's simulation.
+    loss, verdict) and is forwarded to every probe's simulation.  Only a
+    passing probe keeps its sampled per-packet and ``span.*`` records; a
+    failing probe's are counted, not kept, so it leaves its
+    ``mlffr.probe`` event, its ``sim.run`` summary (drops by cause) and
+    any fault/recovery events.
     ``collect_latency`` makes each probe gather latency samples, so
     ``result_at_mlffr`` carries the percentile histogram.
 
@@ -112,6 +116,7 @@ def find_mlffr(
                 faults=faults,
                 spans=spans,
                 hostprof=hostprof,
+                retain_max_loss=loss_threshold,
             )
         probes.append((rate, res.loss_fraction))
         ok = res.loss_fraction <= loss_threshold

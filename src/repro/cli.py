@@ -12,8 +12,10 @@ Subcommands:
 * ``hardware``   — sequencer capacity/resources (Tofino + NetFPGA).
 * ``inspect``    — summarize a ``--telemetry`` run artifact directory.
 * ``bench``      — run the perf-regression suite (``BENCH_*.json``
-  artifacts) or, with ``--compare OLD NEW``, gate NEW against a baseline
-  with noise-aware thresholds (nonzero exit on regression).
+  artifacts; exit 1 when a suite's own gate fails, such as
+  ``obs_overhead``'s traced CPU-time ceiling) or, with ``--compare OLD
+  NEW``, gate NEW against a baseline with noise-aware thresholds
+  (nonzero exit on regression).
 * ``chaos``      — run the curated fault-injection matrix (repro.faults):
   gap detection, recovery, and MLFFR-vs-drop-rate, written as a
   ``BENCH_chaos_recovery.json`` artifact (exit 1 if the gate fails).
@@ -38,6 +40,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from .bench import render_scaling_series, render_table
@@ -358,15 +361,23 @@ def _run_trace_spec(args) -> "Optional[TraceSpec]":
     )
 
 
-def _load_or_synthesize(args, spec, cache, hostprof) -> Trace:
-    from .scenario import StackBuilder
-
-    if spec is None:
-        path = args.trace_file
+def _read_trace_file(path: str) -> Trace:
+    """Load ``--trace-file`` (pcap by extension, else SCRT).  Raises
+    ValueError with a one-line reason for a missing, truncated or corrupt
+    file."""
+    try:
         if path.endswith(".pcap"):
             return read_pcap(path)
         return Trace.load(path)
-    return StackBuilder(cache, hostprof=hostprof).trace(spec)
+    except OSError as exc:
+        raise ValueError(f"cannot read trace file {path}: "
+                         f"{exc.strerror or exc}") from None
+    except ValueError as exc:
+        reason = str(exc)
+        prefix = f"{Path(path)}: "
+        if reason.startswith(prefix):
+            reason = reason[len(prefix):]
+        raise ValueError(f"cannot read trace file {path}: {reason}") from None
 
 
 def cmd_programs(args, out) -> int:
@@ -531,7 +542,16 @@ def cmd_run(args, out) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=out)
         return 2
-    trace = _load_or_synthesize(args, spec, cache, hp)
+    if spec is None:
+        try:
+            trace = _read_trace_file(args.trace_file)
+        except ValueError as exc:
+            print(f"error: {exc}", file=out)
+            return 2
+    else:
+        from .scenario import StackBuilder
+
+        trace = StackBuilder(cache, hostprof=hp).trace(spec)
     with hp.phase("func.run"):
         result = engine.run(trace)
     with hp.phase("func.reference"):
@@ -714,7 +734,6 @@ def cmd_reproduce(args, out) -> int:
 
 def cmd_inspect(args, out) -> int:
     import json
-    from pathlib import Path
 
     from .telemetry.artifact import EventLogError
 
@@ -778,8 +797,6 @@ def _cmd_bench_compare(args, out) -> int:
     report = markdown_report(results, extra_artifacts=extra)
     print(report, file=out)
     if args.markdown:
-        from pathlib import Path
-
         md = Path(args.markdown)
         md.parent.mkdir(parents=True, exist_ok=True)
         md.write_text(report)
@@ -790,6 +807,7 @@ def _cmd_bench_compare(args, out) -> int:
 
 def cmd_bench(args, out) -> int:
     from .perf import BASE_SEED, SuiteParams, run_suite, suite_names
+    from .perf.suite import SuiteGateError
 
     if args.list:
         for name in suite_names():
@@ -818,9 +836,14 @@ def cmd_bench(args, out) -> int:
         cache_dir=args.cache_dir,
         hostprof=hp,
     )
+    gate_failures = []
     for name in names:
         with hp.phase(f"suite.{name}"):
-            artifact = run_suite(name, params)
+            try:
+                artifact = run_suite(name, params)
+            except SuiteGateError as exc:
+                artifact = exc.artifact
+                gate_failures.append(str(exc))
         try:
             path = artifact.save(args.out)
         except OSError as exc:
@@ -832,7 +855,9 @@ def cmd_bench(args, out) -> int:
               f"{params.reps} reps (seeds {params.rep_seeds})", file=out)
     if not _finish_hostprof(hp, args, out):
         return 2
-    return 0
+    for message in gate_failures:
+        print(f"error: {message}", file=out)
+    return 1 if gate_failures else 0
 
 
 def cmd_profile(args, out) -> int:

@@ -19,7 +19,12 @@ numpy cumulative arithmetic, and verifies the speculation afterwards:
   and any overflow falls back to the event loop;
 * **commit** — counters, the L2 model, and engine steer state are updated
   once, in batch, through ``engine.service_batch`` /
-  ``CoreCounters.charge_batch``, in the exact scalar accumulation order.
+  ``CoreCounters.charge_batch``, in the exact scalar accumulation order;
+* **records** — under telemetry, :func:`record_committed` emits the run's
+  span-sampled records as a post-pass over the committed columns and
+  counts the rest (the retention contract in
+  :mod:`repro.telemetry.events`); the tracer's staged release orders them
+  exactly as it orders the scalar loop's.
 
 Every float is added in the same order as the scalar reference
 (``np.add.accumulate`` is sequential left-to-right), so the result is
@@ -31,11 +36,13 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..nic.nic import ETHERNET_OVERHEAD_BYTES, MIN_FRAME_BYTES
+from ..telemetry.events import EV_SERVICE
 from ..telemetry.metrics import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -52,7 +59,9 @@ __all__ = [
     "resolve_hotpath",
     "use_hotpath",
     "l2_spill_rows",
+    "ColumnarRun",
     "simulate_columnar",
+    "record_committed",
 ]
 
 #: Environment variable selecting the hot path (``scalar`` | ``columnar``).
@@ -206,6 +215,23 @@ def l2_spill_rows(
 # -- the columnar driver --------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ColumnarRun:
+    """A committed columnar run: its result plus the per-row columns
+    (indexed by trace row) that the telemetry post-pass reads."""
+
+    result: "SimResult"
+    arrivals: np.ndarray
+    cores: np.ndarray
+    starts: np.ndarray
+    #: arrival index whose drain popped each row (``n``: the final drain).
+    pop_event: np.ndarray
+    popped: np.ndarray
+    #: the popped rows in service order, and each one's service time.
+    pop_rows: np.ndarray
+    pop_services: np.ndarray
+
+
 def simulate_columnar(
     perf_trace: "PerfTrace",
     rate_pps: float,
@@ -217,23 +243,20 @@ def simulate_columnar(
     grace_min_ns: float,
     pcie_rate_gbps: float,
     collect_latency: bool,
-    tracer: "EventTracer",
     faults: Optional["FaultPlan"],
-    spans: "SpanEmitter",
     hostprof: "PhaseClock",
-) -> Optional["SimResult"]:
+) -> Optional[ColumnarRun]:
     """One fixed-rate run on the columnar hot path, or ``None`` to fall
     back to the scalar event loop.
 
-    Fallback triggers (see module docstring): per-packet telemetry or
-    spans enabled, a fault plan attached, an engine without batched row
-    math, or the no-drop speculation failing (wire/PCIe backlog beyond
-    slack, or a ring backing up past capacity).  The engine is only
-    mutated after every check passes, so the scalar rerun starts from the
-    same freshly-reset state.
+    Fallback triggers (see module docstring): a fault plan attached, an
+    engine without batched row math, or the no-drop speculation failing
+    (wire/PCIe backlog beyond slack, or a ring backing up past capacity).
+    Telemetry is not a trigger: the caller emits a committed run's
+    records with :func:`record_committed`.  The engine is only mutated
+    after every check passes, so the scalar rerun starts from the same
+    freshly-reset state.
     """
-    if tracer.enabled or spans.enabled:
-        return None
     if faults is not None and faults.any_faults:
         return None
     eligible = getattr(engine, "columnar_eligible", None)
@@ -255,6 +278,57 @@ def simulate_columnar(
             hostprof.pop()
 
 
+def record_committed(
+    run: ColumnarRun,
+    trace: "PerfTrace",
+    engine: "PerfEngine",
+    tracer: "EventTracer",
+    spans: "SpanEmitter",
+    sampled: List[int],
+) -> None:
+    """Emit a committed run's records as a post-pass over its columns.
+
+    The same records the scalar loop emits as it goes: ``span.*`` and the
+    per-packet kinds for the span-``sampled`` rows, counts for every other
+    row, plus the engine's own records (``engine.record_committed``).  The
+    tracer stages both paths' records and releases them in one order.
+    """
+    record = getattr(engine, "record_committed", None)
+    if record is not None:
+        record(trace, run, sampled)
+    popped = int(np.count_nonzero(run.popped[sampled]))
+    if tracer.enabled:
+        tracer.count(EV_SERVICE, run.result.processed - popped)
+    if not sampled:
+        return
+    rows = np.asarray(sampled, dtype=np.int64)
+    cores = run.cores[rows]
+    # Ring occupancy after each sampled enqueue, as ``_run`` checks it:
+    # FIFO position minus the core's packets popped by this arrival.
+    depth = np.empty(len(rows), dtype=np.int64)
+    for core in np.unique(cores).tolist():
+        fifo = np.flatnonzero(run.cores == core)
+        on_core = cores == core
+        at = rows[on_core]
+        depth[on_core] = (np.searchsorted(fifo, at) + 1 - np.searchsorted(
+            run.pop_event[fifo], at, side="right"))
+    services = np.zeros(len(run.arrivals), dtype=np.float64)
+    services[run.pop_rows] = run.pop_services
+    columns = zip(
+        sampled, run.arrivals[rows].tolist(), cores.tolist(),
+        trace.wire_lens[rows].tolist(), depth.tolist(),
+        run.popped[rows].tolist(), run.starts[rows].tolist(),
+        services[rows].tolist())
+    for i, now, core, wire_len, ring_depth, was_popped, start, service in columns:
+        spans.emit("nic_arrival", i, ts_ns=now, wire_len=wire_len)
+        spans.emit("ring_enqueue", i, ts_ns=now, core=core, depth=ring_depth)
+        if was_popped:
+            spans.emit("core_pop", i, ts_ns=start, core=core)
+            if tracer.enabled:
+                tracer.emit(EV_SERVICE, ts_ns=start, core=core,
+                            dur_ns=service, index=i)
+
+
 def _run(
     trace: "PerfTrace",
     rate_pps: float,
@@ -266,7 +340,7 @@ def _run(
     grace_min_ns: float,
     pcie_rate_gbps: float,
     collect_latency: bool,
-) -> Optional["SimResult"]:
+) -> Optional[ColumnarRun]:
     from .simulator import SimResult
 
     n = len(trace)
@@ -374,10 +448,9 @@ def _run(
         latency_hist = Histogram("latency_ns")
         samples = (starts[pop_rows] + committed) - now[pop_rows]
         latency_samples = samples.tolist()
-        for value in latency_samples:
-            latency_hist.observe(value)
+        latency_hist.observe_many(samples)
 
-    return SimResult(
+    result = SimResult(
         offered=n,
         processed=processed,
         wire_dropped=0,
@@ -392,6 +465,9 @@ def _run(
         latency_histogram=latency_hist,
         fault_stats=None,
     )
+    return ColumnarRun(result=result, arrivals=now, cores=cores,
+                       starts=starts, pop_event=m, popped=popped,
+                       pop_rows=pop_rows, pop_services=committed)
 
 
 def _resolve_history_prefix(

@@ -291,10 +291,15 @@ class PerfEngine(Protocol):
     # sequencer appends history after the MAC (§4.2 PCIe overheads).  The
     # simulator falls back to ``wire_len`` when absent.
     #
+    # Engines with per-packet steering records (SCR's sprays) define
+    # ``record_steer(pp, core, now_ns)``; observed runs call it right after
+    # ``steer`` so the record carries the packet's arrival time.
+    #
     # Engines may also opt into the columnar hot path by providing the
     # batched row-math hooks (``columnar_eligible`` / ``wire_len_batch`` /
     # ``dma_len_batch`` / ``steer_batch`` / ``service_rows`` /
-    # ``service_batch`` / ``commit_steer_batch`` / ``history_cap``) —
+    # ``service_batch`` / ``commit_steer_batch`` / ``history_cap`` /
+    # ``record_committed``) —
     # ``repro.parallel.base.BaseEngine`` carries conservative defaults,
     # including a scalar ``service_batch`` shim that loops ``service_ns``,
     # so subclasses only override what they can batch.  Engines without
@@ -420,6 +425,7 @@ def simulate(
     spans: SpanEmitter = NULL_SPANS,
     hostprof: PhaseClock = NULL_HOSTPROF,
     hotpath: Optional[str] = None,
+    retain_max_loss: Optional[float] = None,
 ) -> SimResult:
     """Offer ``perf_trace`` at ``rate_pps`` to ``engine`` and measure.
 
@@ -442,9 +448,14 @@ def simulate(
     traffic must fit; SCR's history enlarges DMA even when a NIC-resident
     sequencer leaves the wire untouched (§4.2).
 
-    ``tracer`` receives typed events (per-packet service spans, every drop
-    with its cause, a run summary); the default disabled tracer costs one
-    branch per packet.
+    ``tracer`` receives typed events under the retention contract
+    (:mod:`repro.telemetry.events`): per-packet service spans and drops
+    with their cause are retained for span-sampled packets and counted
+    for every packet; fault and recovery events are retained in full; a
+    ``sim.run`` summary closes the run.  The run's sampled records are
+    staged and released in one canonical order, so both hot paths give
+    the same stream.  ``retain_max_loss`` only counts them when the run
+    loses more than that fraction (a failing MLFFR probe).
 
     ``faults`` attaches a seeded :class:`repro.faults.plan.FaultPlan`:
     wire→ring drops and ring-pop drops become loss the engine is told
@@ -461,33 +472,90 @@ def simulate(
 
     ``hotpath`` picks the execution strategy (``scalar`` | ``columnar``;
     default: the ``REPRO_HOTPATH`` env var, else columnar).  The columnar
-    driver is bit-identical to the scalar loop and silently falls back to
-    it whenever a run needs per-event fidelity (drops, faults, tracing).
+    driver is bit-identical to the scalar loop and falls back to it
+    whenever a run needs per-event fidelity (drops, faults).
     """
     if rate_pps <= 0:
         raise ValueError("rate must be positive")
     engine.reset()
-    from .columnar import resolve_hotpath
+    from .columnar import record_committed, resolve_hotpath, simulate_columnar
 
-    if resolve_hotpath(hotpath) == "columnar":
-        from .columnar import simulate_columnar
-
-        columnar_result = simulate_columnar(
-            perf_trace, rate_pps, engine,
-            line_rate_gbps=line_rate_gbps,
-            ring_capacity=ring_capacity,
-            burst_size=burst_size,
-            grace_fraction=grace_fraction,
-            grace_min_ns=grace_min_ns,
-            pcie_rate_gbps=pcie_rate_gbps,
-            collect_latency=collect_latency,
-            tracer=tracer,
-            faults=faults,
-            spans=spans,
-            hostprof=hostprof,
+    #: the span-sampled packets: their per-packet records are emitted on
+    #: either hot path, every other packet's are counted.
+    sampled = spans.sampled_rows(len(perf_trace))
+    sinks = [tracer] if tracer.enabled else []
+    if spans.enabled and spans.tracer is not tracer:
+        sinks.append(spans.tracer)
+    for sink in sinks:
+        sink.stage()
+    retain = False
+    try:
+        committed = None
+        if resolve_hotpath(hotpath) == "columnar":
+            committed = simulate_columnar(
+                perf_trace, rate_pps, engine,
+                line_rate_gbps=line_rate_gbps,
+                ring_capacity=ring_capacity,
+                burst_size=burst_size,
+                grace_fraction=grace_fraction,
+                grace_min_ns=grace_min_ns,
+                pcie_rate_gbps=pcie_rate_gbps,
+                collect_latency=collect_latency,
+                faults=faults,
+                hostprof=hostprof,
+            )
+        if committed is not None:
+            result = committed.result
+        else:
+            result = _simulate_scalar(
+                perf_trace, rate_pps, engine, line_rate_gbps, ring_capacity,
+                burst_size, grace_fraction, grace_min_ns, pcie_rate_gbps,
+                collect_latency, tracer, faults, spans, sampled, hostprof)
+        retain = (retain_max_loss is None
+                  or result.loss_fraction <= retain_max_loss)
+        if committed is not None and (tracer.enabled or spans.enabled):
+            record_committed(committed, perf_trace, engine, tracer, spans,
+                             sampled)
+    finally:
+        for sink in sinks:
+            sink.release(retain)
+    if tracer.enabled:
+        summary_fields = dict(
+            engine=getattr(engine, "name", "?"),
+            rate_pps=rate_pps,
+            offered=result.offered,
+            processed=result.processed,
+            wire_dropped=result.wire_dropped,
+            ring_dropped=result.ring_dropped,
+            pcie_dropped=result.pcie_dropped,
+            unfinished=result.unfinished,
         )
-        if columnar_result is not None:
-            return columnar_result
+        if result.fault_stats is not None:
+            summary_fields["fault_stats"] = result.fault_stats
+        if result.placement_stats is not None:
+            summary_fields["placement_stats"] = result.placement_stats
+        tracer.emit(EV_RUN_SUMMARY, ts_ns=result.duration_ns, **summary_fields)
+    return result
+
+
+def _simulate_scalar(
+    perf_trace: PerfTrace,
+    rate_pps: float,
+    engine: PerfEngine,
+    line_rate_gbps: float,
+    ring_capacity: int,
+    burst_size: int,
+    grace_fraction: float,
+    grace_min_ns: float,
+    pcie_rate_gbps: float,
+    collect_latency: bool,
+    tracer: EventTracer,
+    faults: Optional["FaultPlan"],
+    spans: SpanEmitter,
+    sampled_rows: List[int],
+    hostprof: PhaseClock,
+) -> SimResult:
+    """The scalar event loop: the reference oracle for every run."""
     k = engine.num_cores
     interval = 1e9 / rate_pps
     line_rate_bps = line_rate_gbps * 1e9
@@ -500,6 +568,11 @@ def simulate(
         sf = SimFaults(faults, k)
     #: engines that model per-core gap recovery expose note_fault_drop.
     note_fault_drop = getattr(engine, "note_fault_drop", None)
+    #: engines with per-packet steering records (SCR's sprays) expose
+    #: record_steer, which stamps them at the packet's arrival; only
+    #: observed runs call it.
+    record_steer = (getattr(engine, "record_steer", None)
+                    if tracer.enabled or spans.enabled else None)
     #: a duplicate costs one dispatch, not a full service (the replica
     #: rejects it by sequence number right after dispatch); engines built
     #: on CostParams expose .costs, bare Protocol engines fall back to a
@@ -527,7 +600,16 @@ def simulate(
     #: the per-packet guard below avoids even the call overhead.
     tracing = tracer.enabled
     emit = tracer.emit
-    spans_on = spans.enabled
+    #: span-sampled packets emit their per-packet records (the retention
+    #: contract); every other packet is counted in bulk at the end.
+    sampled = frozenset(sampled_rows)
+    spans_on = bool(sampled)
+    kept: Dict[str, int] = {}
+
+    def keep(kind: str, ts_ns: float, **fields: object) -> None:
+        """Emit a sampled packet's per-packet record."""
+        emit(kind, ts_ns=ts_ns, **fields)
+        kept[kind] = kept.get(kind, 0) + 1
     #: host wall profiling, hoisted like the tracer/span guards; wall
     #: readings never touch simulated timestamps (`busy`, `now`, ...).
     hp_on = hostprof.enabled
@@ -578,7 +660,8 @@ def simulate(
                 if busy[core] > last_finish:
                     last_finish = busy[core]
                 continue
-            if spans_on and spans.sampled(pp.index):
+            pp_sampled = spans_on and pp.index in sampled
+            if pp_sampled:
                 spans.emit("core_pop", pp.index, ts_ns=start, core=core)
             if hp_on:
                 hostprof.push("engine.service")
@@ -591,8 +674,8 @@ def simulate(
             if latency_samples is not None:
                 latency_samples.append(busy[core] - arrival)
                 latency_hist.observe(busy[core] - arrival)
-            if tracing:
-                emit(EV_SERVICE, ts_ns=start, core=core, dur_ns=service,
+            if pp_sampled and tracing:
+                keep(EV_SERVICE, start, core=core, dur_ns=service,
                      index=pp.index)
             if busy[core] > last_finish:
                 last_finish = busy[core]
@@ -607,7 +690,7 @@ def simulate(
             drain(core, now)
         if hp_on:
             hostprof.pop()
-        pp_sampled = spans_on and spans.sampled(pp.index)
+        pp_sampled = spans_on and pp.index in sampled
         if pp_sampled:
             spans.emit("nic_arrival", pp.index, ts_ns=now,
                        wire_len=pp.wire_len)
@@ -617,8 +700,8 @@ def simulate(
             wire_slack_ns = wt * _WIRE_SLACK_FRAMES
         if wire_free - now > wire_slack_ns:
             wire_dropped += 1
-            if tracing:
-                emit(EV_WIRE_DROP, ts_ns=now, index=pp.index,
+            if pp_sampled and tracing:
+                keep(EV_WIRE_DROP, now, index=pp.index,
                      backlog_ns=wire_free - now)
             continue
         wire_free = (wire_free if wire_free > now else now) + wt
@@ -628,12 +711,14 @@ def simulate(
             pcie_slack_ns = dt * _WIRE_SLACK_FRAMES
         if pcie_free - now > pcie_slack_ns:
             pcie_dropped += 1
-            if tracing:
-                emit(EV_PCIE_DROP, ts_ns=now, index=pp.index,
+            if pp_sampled and tracing:
+                keep(EV_PCIE_DROP, now, index=pp.index,
                      backlog_ns=pcie_free - now)
             continue
         pcie_free = (pcie_free if pcie_free > now else now) + dt
         core = engine.steer(pp)
+        if record_steer is not None:
+            record_steer(pp, core, now)
         if sf is not None and sf.drop(pp.index):
             # Admitted by the MAC (wire already charged) but lost on the
             # way to the ring; the replica sees a history gap.
@@ -647,8 +732,8 @@ def simulate(
         ring = rings[core]
         if len(ring) >= ring_capacity:
             ring_dropped += 1
-            if tracing:
-                emit(EV_RING_DROP, ts_ns=now, core=core, index=pp.index,
+            if pp_sampled and tracing:
+                keep(EV_RING_DROP, now, core=core, index=pp.index,
                      depth=len(ring))
             continue
         if sf is not None:
@@ -687,6 +772,13 @@ def simulate(
     if hp_on:
         hostprof.pop()
 
+    if tracing:
+        for kind, total in ((EV_SERVICE, processed),
+                            (EV_WIRE_DROP, wire_dropped),
+                            (EV_PCIE_DROP, pcie_dropped),
+                            (EV_RING_DROP, ring_dropped)):
+            tracer.count(kind, total - kept.get(kind, 0))
+
     duration = max(last_finish, stream_end)
     fault_stats: Optional[Dict[str, object]] = None
     if sf is not None:
@@ -698,22 +790,6 @@ def simulate(
     placement = getattr(engine, "placement_summary", None)
     if placement is not None:
         placement_stats = placement()
-    if tracing:
-        summary_fields = dict(
-            engine=getattr(engine, "name", "?"),
-            rate_pps=rate_pps,
-            offered=offered,
-            processed=processed,
-            wire_dropped=wire_dropped,
-            ring_dropped=ring_dropped,
-            pcie_dropped=pcie_dropped,
-            unfinished=unfinished,
-        )
-        if fault_stats is not None:
-            summary_fields["fault_stats"] = fault_stats
-        if placement_stats is not None:
-            summary_fields["placement_stats"] = placement_stats
-        emit(EV_RUN_SUMMARY, ts_ns=duration, **summary_fields)
     return SimResult(
         offered=offered,
         processed=processed,

@@ -25,7 +25,7 @@ id.  Emitting is observational only: no simulated timestamp moves.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..telemetry.events import NULL_TRACER, EventTracer
 from .sampling import SpanSampler, splitmix64
@@ -98,16 +98,25 @@ class SpanEmitter:
     :data:`NULL_SPANS` costs one attribute read, like ``NULL_TRACER``.
     """
 
-    __slots__ = ("tracer", "sampler", "enabled")
+    __slots__ = ("tracer", "sampler", "enabled", "_ids")
 
     def __init__(self, tracer: EventTracer, sampler: SpanSampler) -> None:
         self.tracer = tracer
         self.sampler = sampler
         self.enabled = tracer.enabled and sampler.rate > 0.0
+        #: (index, stage) -> (kind, trace, span, parent): every probe of a
+        #: search re-emits the same sampled packets' stages.  Holds at most
+        #: the ring's capacity, so memory stays bounded like the ring.
+        self._ids: Dict[Tuple[int, str], Tuple[str, int, int, Optional[int]]] = {}
 
     def sampled(self, index: int) -> bool:
         """Per-packet guard: emit spans for this packet at all?"""
         return self.enabled and self.sampler.sampled(index)
+
+    def sampled_rows(self, count: int) -> List[int]:
+        """The sampled indices in ``range(count)``, ascending (none when
+        disabled) — the rows a columnar post-pass records."""
+        return self.sampler.sampled_indices(count) if self.enabled else []
 
     def emit(
         self,
@@ -123,18 +132,26 @@ class SpanEmitter:
         The parent link comes from the static stage graph; callers never
         thread span ids through the datapath.
         """
-        if stage not in _STAGE_INDEX:
-            raise ValueError(f"unknown span stage {stage!r}")
-        trace = self.sampler.trace_id(index)
-        parent_stage = SPAN_PARENT[stage]
+        ids = self._ids.get((index, stage))
+        if ids is None:
+            if stage not in _STAGE_INDEX:
+                raise ValueError(f"unknown span stage {stage!r}")
+            trace = self.sampler.trace_id(index)
+            parent_stage = SPAN_PARENT[stage]
+            ids = (span_kind(stage), trace, span_id(trace, stage),
+                   None if parent_stage is None
+                   else span_id(trace, parent_stage))
+            if len(self._ids) < self.tracer.capacity:
+                self._ids[(index, stage)] = ids
+        kind, trace, span, parent = ids
         self.tracer.emit(
-            span_kind(stage),
+            kind,
             ts_ns=ts_ns,
             core=core,
             dur_ns=dur_ns,
             trace=trace,
-            span=span_id(trace, stage),
-            parent=None if parent_stage is None else span_id(trace, parent_stage),
+            span=span,
+            parent=parent,
             index=index,
             **fields,
         )

@@ -10,7 +10,7 @@ parameters and the contention constants in ``repro.cpu.costmodel``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from ..programs.base import PacketProgram
 from ..telemetry.events import NULL_TRACER, EventTracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cpu.columnar import ColumnarRun
     from ..cpu.simulator import PerfTrace
 
 __all__ = ["BaseEngine", "hash_for_program", "hash_column_for_program"]
@@ -198,3 +199,10 @@ class BaseEngine(ABC):
             out[i] = self.service_ns(
                 int(cores[i]), records[int(rows[i])], float(start_ns[i]))
         return out
+
+    def record_committed(self, trace: "PerfTrace", run: "ColumnarRun",
+                         sampled: List[int]) -> None:
+        """Emit the engine's own per-packet records for a committed
+        columnar run — what ``steer``/``service_ns`` emit on the scalar
+        loop — for the span-``sampled`` rows, and count the rest.
+        Default: none (the technique emits no per-packet kinds)."""

@@ -196,9 +196,6 @@ class HybridEngine(BaseEngine):
             core = self._rr
             self._rr = (self._rr + 1) % self.num_cores
             self._route[pp.index] = (True, h, False)
-            if self.tracer.enabled:
-                self.tracer.emit(EV_SPRAY, core=core, seq=self._eseq,
-                                 index=pp.index)
             return core
         tenant = tenant_of(pp.key, self.placement.num_tenants,
                            self.placement.seed)
@@ -210,6 +207,14 @@ class HybridEngine(BaseEngine):
         # packet still ships (the drop cause names the *state entry*).
         self._route[pp.index] = (False, 0, not resident)
         return self._steer_rss(pp)
+
+    def record_steer(self, pp: PerfPacket, core: int, now_ns: float) -> None:
+        """The spray record of an elephant packet just steered, stamped
+        at its arrival ``now_ns`` (counted for all, kept when sampled)."""
+        if self.tracer.enabled and self._route[pp.index][0]:
+            self.tracer.emit_sampled(
+                self.spans.sampled(pp.index), EV_SPRAY, now_ns, core=core,
+                seq=self._eseq, index=pp.index)
 
     def note_fault_drop(self, core: int, pp: PerfPacket) -> None:
         """A fault stole a steered packet: forget its routing record (any
@@ -234,8 +239,9 @@ class HybridEngine(BaseEngine):
         if elephant:
             self.elephant_packets += 1
             if self.tracer.enabled:
-                self.tracer.emit(EV_HISTORY_DEPTH, ts_ns=start_ns, core=core,
-                                 depth=h)
+                self.tracer.emit_sampled(
+                    self.spans.sampled(pp.index), EV_HISTORY_DEPTH, start_ns,
+                    core=core, depth=h, index=pp.index)
             history = h * c.c2
             compute = c.c1 + history + classify_ns
             miss_frac, spill = self.l2.access(core, pp.key)

@@ -19,7 +19,7 @@ no bouncing.  What SCR pays instead:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from ..telemetry.events import (
 from .base import BaseEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cpu.columnar import ColumnarRun
     from ..cpu.simulator import PerfTrace
 
 __all__ = ["ScrEngine"]
@@ -143,9 +144,15 @@ class ScrEngine(BaseEngine):
         self._seq += 1
         core = self._rr
         self._rr = (self._rr + 1) % self.num_cores
-        if self.tracer.enabled:
-            self.tracer.emit(EV_SPRAY, core=core, seq=self._seq, index=pp.index)
         return core
+
+    def record_steer(self, pp: PerfPacket, core: int, now_ns: float) -> None:
+        """The spray record of the packet just steered, stamped at its
+        arrival ``now_ns`` (counted for all, kept when sampled)."""
+        if self.tracer.enabled:
+            self.tracer.emit_sampled(
+                self.spans.sampled(pp.index), EV_SPRAY, now_ns, core=core,
+                seq=self._seq, index=pp.index)
 
     def note_fault_drop(self, core: int, pp: PerfPacket) -> None:
         """A repro.faults drop stole a packet already sprayed to ``core``.
@@ -172,6 +179,26 @@ class ScrEngine(BaseEngine):
     def _history_items(self) -> int:
         """Fast-forward work per packet: k-1 in steady state, fewer early."""
         return min(max(self._seq - 1, 0), self.num_cores - 1)
+
+    def _record_service(self, sampled: bool, index: int, core: int,
+                        start_ns: float, h: int) -> None:
+        """A valid packet's service records, on both hot paths: its history
+        depth (counted for all, kept when sampled) and, for a sampled
+        packet, the fast-forward and transition spans.  Observational
+        only: the spans re-derive the cost model's own intervals."""
+        if not sampled:
+            self.tracer.count(EV_HISTORY_DEPTH)
+            return
+        if self.tracer.enabled:
+            self.tracer.emit(EV_HISTORY_DEPTH, ts_ns=start_ns, core=core,
+                             depth=h, index=index)
+        c = self.costs
+        extra = self.extra_compute_ns
+        history = h * (c.c2 + extra)
+        self.spans.emit("history_ff", index, ts_ns=start_ns + c.d,
+                        dur_ns=history, core=core, depth=h)
+        self.spans.emit("transition", index, ts_ns=start_ns + c.d + history,
+                        dur_ns=c.c1 + extra, core=core)
 
     # -- columnar hot-path hooks (docs/HOTPATH.md) --------------------------------
 
@@ -264,6 +291,33 @@ class ScrEngine(BaseEngine):
             )
         return services
 
+    def record_committed(self, trace: "PerfTrace", run: "ColumnarRun",
+                         sampled: List[int]) -> None:
+        """The spray and service records ``steer``/``service_ns`` emit,
+        for a committed columnar run: no drops, so packet ``i`` was
+        sprayed as sequence ``i + 1`` at its arrival, and every popped
+        valid packet served with the depth :meth:`service_batch` charged."""
+        served = run.popped & trace.valid
+        if self.tracer.enabled:
+            served_sampled = int(np.count_nonzero(served[sampled]))
+            self.tracer.count(EV_SPRAY, len(run.arrivals) - len(sampled))
+            self.tracer.count(EV_HISTORY_DEPTH,
+                              int(np.count_nonzero(served)) - served_sampled)
+        if not sampled:
+            return
+        rows = np.asarray(sampled, dtype=np.int64)
+        h = np.minimum(np.maximum(run.pop_event[rows] - 1, 0),
+                       self.history_cap())
+        columns = zip(sampled, run.cores[rows].tolist(),
+                      run.arrivals[rows].tolist(), served[rows].tolist(),
+                      run.starts[rows].tolist(), h.tolist())
+        for i, core, now, is_served, start, depth in columns:
+            if self.tracer.enabled:
+                self.tracer.emit(EV_SPRAY, ts_ns=now, core=core, seq=i + 1,
+                                 index=i)
+            if is_served:
+                self._record_service(True, i, core, start, depth)
+
     def service_ns(self, core: int, pp: PerfPacket, start_ns: float) -> float:
         c = self.costs
         counters = self.counters.cores[core]
@@ -272,20 +326,12 @@ class ScrEngine(BaseEngine):
             counters.charge_packet(dispatch_ns=c.d, compute_ns=c.c1 + extra, state_accesses=0)
             return c.d + c.c1 + extra
         h = self._history_items()
-        if self.tracer.enabled:
-            self.tracer.emit(EV_HISTORY_DEPTH, ts_ns=start_ns, core=core, depth=h)
         history = h * (c.c2 + extra)
         compute = (c.c1 + extra) + history
         spans = self.spans
         pp_sampled = spans.enabled and spans.sampled(pp.index)
-        if pp_sampled:
-            # Observational only: span timestamps re-derive the cost model's
-            # own intervals, they never feed back into service time.
-            spans.emit("history_ff", pp.index, ts_ns=start_ns + c.d,
-                       dur_ns=history, core=core, depth=h)
-            spans.emit("transition", pp.index,
-                       ts_ns=start_ns + c.d + history,
-                       dur_ns=c.c1 + extra, core=core)
+        if self.tracer.enabled or pp_sampled:
+            self._record_service(pp_sampled, pp.index, core, start_ns, h)
         # Every core holds every flow, so spill is judged against the full
         # (replicated) working set.
         miss_frac, spill = self.l2.access(core, pp.key)

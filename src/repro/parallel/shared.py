@@ -62,8 +62,9 @@ class _SharedBase(BaseEngine):
         )
         wait = self.serialization.acquire(_GLOBAL_KEY, start_ns, hold)
         if wait > 0 and self.tracer.enabled:
-            self.tracer.emit(EV_LOCK_WAIT, ts_ns=start_ns, core=core,
-                             dur_ns=wait, lock="global")
+            self.tracer.emit_sampled(
+                self.spans.sampled(pp.index), EV_LOCK_WAIT, start_ns,
+                core=core, dur_ns=wait, lock="global", index=pp.index)
         counters = self.counters.cores[core]
         counters.wait_ns += wait
         counters.transfer_ns += read_stall
@@ -104,8 +105,9 @@ class SharedAtomicEngine(_SharedBase):
         # The RMW happens after dispatch + compute + the read stall.
         wait = self.serialization.acquire(pp.key, start_ns + c.d + c.c1 + read_stall, hold)
         if wait > 0 and self.tracer.enabled:
-            self.tracer.emit(EV_LOCK_WAIT, ts_ns=start_ns, core=core,
-                             dur_ns=wait, lock="atomic")
+            self.tracer.emit_sampled(
+                self.spans.sampled(pp.index), EV_LOCK_WAIT, start_ns,
+                core=core, dur_ns=wait, lock="atomic", index=pp.index)
         miss_frac, spill = self.l2.access(core, pp.key)
         misses = miss_frac + (1.0 if bounced else 0.0)
         total = c.d + c.c1 + read_stall + wait + hold + spill
@@ -139,8 +141,9 @@ class SharedLockEngine(_SharedBase):
         # The lock is taken after dispatch; the update (c1) runs under it.
         wait = self.serialization.acquire(pp.key, start_ns + c.d, hold)
         if wait > 0 and self.tracer.enabled:
-            self.tracer.emit(EV_LOCK_WAIT, ts_ns=start_ns, core=core,
-                             dur_ns=wait, lock="spinlock")
+            self.tracer.emit_sampled(
+                self.spans.sampled(pp.index), EV_LOCK_WAIT, start_ns,
+                core=core, dur_ns=wait, lock="spinlock", index=pp.index)
         miss_frac, spill = self.l2.access(core, pp.key)
         misses = miss_frac + (1.0 if bounced else 0.0)
         lock_overhead = hold - c.c1  # lock instructions + line handoffs

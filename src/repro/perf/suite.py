@@ -14,8 +14,9 @@ Ten suites, each writing one ``BENCH_<name>.json`` artifact:
 * ``faults_recovery``— MLFFR under the chaos fault regime (injected
   drops + recovery) vs the drop-rate sweep;
 * ``obs_overhead``   — span tracing's throughput cost: a zero-tolerance
-  gate that the traced MLFFR equals the untraced MLFFR exactly, plus the
-  deterministic sampled-span volume;
+  gate that the traced MLFFR equals the untraced MLFFR exactly, the
+  deterministic kept-span volume and artifact size, and a host CPU-time
+  traced ÷ untraced ratio with a hard ceiling;
 * ``hostwall``       — packets per host wall-second per stack stage
   (synthesis, lowering, simulation, the full MLFFR search) via
   ``repro.hostprof``.  A suite measuring *host* time: values are
@@ -72,6 +73,8 @@ __all__ = [
     "suite_names",
     "run_suite",
     "run_all_suites",
+    "SuiteGateError",
+    "TRACED_CPU_CEILING",
 ]
 
 #: The pinned trace-synthesis base seed — must match
@@ -394,6 +397,21 @@ def run_faults_recovery(params: SuiteParams) -> BenchArtifact:
 #: Sampling rate the traced obs_overhead twin runs at (~1 in 20 packets).
 _TRACE_SAMPLE_RATE = 0.05
 
+#: Ceiling on ``traced_cpu_ratio``: a traced search (telemetry, spans,
+#: artifact write) may cost at most this many untraced searches.
+TRACED_CPU_CEILING = 8.0
+
+#: Timed (untraced, traced) pairs per point for ``traced_cpu_ratio``.
+_CPU_PAIRS = 7
+
+
+class SuiteGateError(RuntimeError):
+    """A suite's own hard gate failed (its artifact is still written)."""
+
+    def __init__(self, message: str, artifact: BenchArtifact) -> None:
+        super().__init__(message)
+        self.artifact = artifact
+
 
 def run_obs_overhead(params: SuiteParams) -> BenchArtifact:
     """Span tracing must be observational: the traced MLFFR equals the
@@ -401,9 +419,26 @@ def run_obs_overhead(params: SuiteParams) -> BenchArtifact:
     span), so ``traced_delta_mpps`` gates at zero tolerance — any nonzero
     delta means instrumentation leaked into the cost model.  The
     ``untraced_mpps`` series doubles as a plain perf gate on the same
-    grid, and ``span_events`` pins the deterministic sample volume.
+    grid; ``span_events`` pins the deterministic volume of spans the
+    artifact keeps (passing probes only) and ``artifact_mb`` its size.
+
+    Watching must also be cheap: ``traced_cpu_ratio`` is the process CPU
+    time of a traced search plus its artifact write over an untraced
+    search of the same scenario, the median over :data:`_CPU_PAIRS`
+    back-to-back pairs (in-process).  CPU time, not wall time, so other
+    load on a shared host does not count against either side, and a
+    ratio per pair, so a host that changes speed between pairs moves
+    both of its sides.  Host time is still noisy, so compare never flags
+    it (its noise floor is the ceiling); instead the suite raises
+    :class:`SuiteGateError` when any point exceeds
+    :data:`TRACED_CPU_CEILING`.
     """
+    import tempfile
+    import time
+    from pathlib import Path
+
     from ..obs import SpanEmitter, SpanSampler
+    from ..obs.spans import SPAN_PREFIX
     from ..scenario.build import StackBuilder, run_scenario
     from ..telemetry.artifact import Telemetry
 
@@ -444,22 +479,59 @@ def run_obs_overhead(params: SuiteParams) -> BenchArtifact:
         name="span_events", unit="count", direction="higher_better",
         noise_floor=0.0,
     ))
+    sizes = art.add_series(BenchSeries(
+        name="artifact_mb", unit="MB", direction="lower_better",
+        noise_floor=0.01,
+    ))
+    ratios = art.add_series(BenchSeries(
+        name="traced_cpu_ratio", unit="x", direction="lower_better",
+        noise_floor=TRACED_CPU_CEILING,
+    ))
     builder = StackBuilder()
-    for cores in params.cores:
+
+    def plain_search(scenario: Scenario) -> float:
+        t0 = time.process_time()
+        run_scenario(scenario, builder=builder)
+        return time.process_time() - t0
+
+    def traced_search(scenario: Scenario, out: Path
+                      ) -> Tuple[float, ScenarioResult, Telemetry]:
         tele = Telemetry()
         tele.spans = SpanEmitter(
-            tele.tracer, SpanSampler(params.base_seed, _TRACE_SAMPLE_RATE)
-        )
-        scenario = params.scenario(program, trace, technique, cores,
-                                   seed=params.base_seed,
-                                   engine_kwargs=_engine_kwargs(technique))
+            tele.tracer, SpanSampler(params.base_seed, _TRACE_SAMPLE_RATE))
+        t0 = time.process_time()
         res = run_scenario(scenario, builder=builder, telemetry=tele)
-        delta.points.append(BenchPoint.from_reps(
-            cores, [res.mlffr_mpps - base_mpps[cores]]
-        ))
-        emitted = sum(count for kind, count in tele.tracer.type_counts.items()
-                      if kind.startswith("span."))
-        span_counts.points.append(BenchPoint.from_reps(cores, [float(emitted)]))
+        tele.write_artifact(out, command="bench obs_overhead",
+                            num_cores=scenario.cores)
+        return time.process_time() - t0, res, tele
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for cores in params.cores:
+            scenario = params.scenario(program, trace, technique, cores,
+                                       seed=params.base_seed,
+                                       engine_kwargs=_engine_kwargs(technique))
+            out = Path(tmp) / f"cores{cores}"
+            plain_search(scenario)  # warm the builder's trace cache
+            pair_ratios = []
+            for _ in range(_CPU_PAIRS):
+                plain_s = plain_search(scenario)
+                traced_s, res, tele = traced_search(scenario, out)
+                pair_ratios.append(traced_s / plain_s)
+            delta.points.append(BenchPoint.from_reps(
+                cores, [res.mlffr_mpps - base_mpps[cores]]
+            ))
+            kept = sum(1 for e in tele.tracer.events()
+                       if e.kind.startswith(SPAN_PREFIX))
+            span_counts.points.append(BenchPoint.from_reps(cores, [float(kept)]))
+            size = sum(f.stat().st_size for f in out.iterdir())
+            sizes.points.append(BenchPoint.from_reps(cores, [size / 1e6]))
+            ratios.points.append(BenchPoint.from_reps(cores, pair_ratios))
+    worst = max(ratios.points, key=lambda p: p.median)
+    if worst.median > TRACED_CPU_CEILING:
+        raise SuiteGateError(
+            f"obs_overhead: a traced search took {worst.median:.1f}x the "
+            f"untraced one's CPU time at {worst.x} cores (ceiling "
+            f"{TRACED_CPU_CEILING:g}x)", art)
     return art
 
 

@@ -11,12 +11,23 @@ Timestamps are simulated nanoseconds where the emitting layer has them
 (the performance simulator, the NIC model); layers with no clock of their
 own (the functional engine walks packets, not time) omit them and the
 tracer stamps a monotonically increasing virtual tick instead.
+
+**Retention contract.** The performance simulator's per-packet kinds
+(service, spray, history depth, NIC drops, lock waits) are *retained*
+only for span-sampled packets and *counted* for every packet
+(:meth:`EventTracer.count`), so whole-run ``type_counts`` and ``emitted``
+stay exact while the ring holds a sample.  During a staged run
+(:meth:`EventTracer.stage`) those kinds and every ``span.*`` event
+(:data:`STAGED_RANK`) wait in a buffer of at most about twice the ring;
+:meth:`EventTracer.release` then retains them in one canonical order, or
+only counts them (a failing MLFFR probe).  Every other kind (``fault.*``, ``recovery.*``,
+``scr.fast_forward``, summaries) is retained as it is emitted.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Event",
@@ -47,6 +58,7 @@ __all__ = [
     "EV_QUARANTINE",
     "EV_RESYNC",
     "EV_UNRECOVERABLE",
+    "STAGED_RANK",
 ]
 
 # -- the event catalog (documented in docs/TELEMETRY.md) -----------------------
@@ -103,6 +115,24 @@ EV_RESYNC = "recovery.resync"
 #: A gap exceeded the sequencer's bounded replay log; the replica is dead.
 EV_UNRECOVERABLE = "recovery.unrecoverable"
 
+#: The kinds a staged run buffers — the per-packet kinds (service, spray,
+#: history depth, the three NIC drops, lock waits) and every ``span.*``
+#: stage — each with its rank: staged records leave the buffer sorted by
+#: (ts, packet index, rank), rank being the datapath order of a packet's
+#: records at one instant.
+STAGED_RANK: Dict[str, int] = {kind: rank for rank, kind in enumerate((
+    "span.nic_arrival", EV_SPRAY, EV_WIRE_DROP, EV_PCIE_DROP,
+    "span.fault_drop", EV_RING_DROP, "span.ring_enqueue", "span.core_pop",
+    EV_HISTORY_DEPTH, "span.gap_detected", "span.quarantine",
+    "span.checkpoint_fetch", "span.history_ff", "span.replay",
+    "span.transition", "span.resync", EV_LOCK_WAIT, EV_SERVICE,
+))}
+
+
+def _canonical(row: Tuple[float, int, int, "Event"]) -> Tuple[float, int, int]:
+    """A staged row's place in the canonical order (ts, index, rank)."""
+    return row[:3]
+
 
 class Event:
     """One trace record: (ts_ns, kind, core, dur_ns, fields)."""
@@ -147,7 +177,8 @@ class EventTracer:
     engine's worker threads are safe under the GIL.
     """
 
-    __slots__ = ("enabled", "capacity", "_ring", "type_counts", "emitted", "_tick")
+    __slots__ = ("enabled", "capacity", "_ring", "type_counts", "emitted",
+                 "_tick", "_staged", "_stage_limit")
 
     def __init__(self, capacity: int = 100_000, enabled: bool = True) -> None:
         if capacity < 0:
@@ -159,6 +190,10 @@ class EventTracer:
         self.type_counts: Dict[str, int] = {}
         self.emitted = 0
         self._tick = 0.0
+        #: sampled records of the current staged run (None: not staging).
+        self._staged: Optional[List[Tuple[float, int, int, Event]]] = None
+        #: staged rows that trigger a prune to the ``capacity`` survivors.
+        self._stage_limit = max(2 * capacity, 1024)
 
     def emit(
         self,
@@ -170,6 +205,14 @@ class EventTracer:
     ) -> None:
         if not self.enabled:
             return
+        if self._staged is not None and ts_ns is not None:
+            rank = STAGED_RANK.get(kind)
+            if rank is not None:
+                self._staged.append((ts_ns, fields.get("index", -1), rank,
+                                     Event(ts_ns, kind, core, dur_ns, fields)))
+                if len(self._staged) > self._stage_limit:
+                    self._prune_staged()
+                return
         if ts_ns is None:
             self._tick += 1.0
             ts_ns = self._tick
@@ -178,6 +221,66 @@ class EventTracer:
         self._ring.append(Event(ts_ns, kind, core, dur_ns, fields))
         self.type_counts[kind] = self.type_counts.get(kind, 0) + 1
         self.emitted += 1
+
+    def count(self, kind: str, n: int = 1) -> None:
+        """Count ``n`` events of ``kind`` without retaining any."""
+        if not self.enabled or n <= 0:
+            return
+        self.type_counts[kind] = self.type_counts.get(kind, 0) + n
+        self.emitted += n
+
+    def emit_sampled(
+        self,
+        sampled: bool,
+        kind: str,
+        ts_ns: float,
+        core: Optional[int] = None,
+        dur_ns: Optional[float] = None,
+        **fields,
+    ) -> None:
+        """One per-packet record: emitted when its packet is ``sampled``,
+        otherwise only counted (the retention contract)."""
+        if sampled:
+            self.emit(kind, ts_ns=ts_ns, core=core, dur_ns=dur_ns, **fields)
+        else:
+            self.count(kind)
+
+    # -- staged runs ---------------------------------------------------------------
+
+    def stage(self) -> None:
+        """Buffer per-packet and span records until :meth:`release`."""
+        if self.enabled:
+            self._staged = []
+
+    def _prune_staged(self) -> None:
+        """Count now, and drop, the staged rows that cannot survive
+        :meth:`release`: only the ``capacity`` last in canonical order
+        reach the ring, so a staged run holds at most about twice it."""
+        staged = self._staged
+        staged.sort(key=_canonical)
+        cut = len(staged) - self.capacity
+        for row in staged[:cut]:
+            self.count(row[3].kind)
+        del staged[:cut]
+
+    def release(self, retain: bool = True) -> None:
+        """End a staged run: retain its buffered records in canonical order
+        (timestamp, packet index, datapath rank), or only count them."""
+        staged, self._staged = self._staged, None
+        if not staged:
+            return
+        if not retain:
+            for row in staged:
+                self.count(row[3].kind)
+            return
+        staged.sort(key=_canonical)
+        for row in staged:
+            event = row[3]
+            if event.ts_ns > self._tick:
+                self._tick = event.ts_ns
+            self._ring.append(event)
+            self.type_counts[event.kind] = self.type_counts.get(event.kind, 0) + 1
+        self.emitted += len(staged)
 
     # -- reading back -----------------------------------------------------------
 
@@ -193,7 +296,8 @@ class EventTracer:
 
     @property
     def dropped(self) -> int:
-        """Events evicted from the ring (emitted but no longer retained)."""
+        """Events emitted but not retained: evicted from the ring, or only
+        counted under the retention contract."""
         return self.emitted - len(self._ring)
 
     def cores_seen(self) -> List[int]:
@@ -204,6 +308,7 @@ class EventTracer:
         self.type_counts = {}
         self.emitted = 0
         self._tick = 0.0
+        self._staged = None
 
 
 #: The shared disabled tracer every layer defaults to.  Emitting to it is a

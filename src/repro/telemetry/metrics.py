@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 __all__ = [
     "Counter",
@@ -121,6 +123,42 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
+
+    def observe_many(self, values: Union[Sequence[float], np.ndarray]) -> None:
+        """Observe ``values`` in order, in bulk: the same buckets, count,
+        min, max and (sequential, left-to-right) sum as looping
+        :meth:`observe`."""
+        arr = np.asarray(values, dtype=np.float64).ravel()
+        if arr.size == 0:
+            return
+        if not (np.isfinite(arr).all() and (arr >= 0).all()):
+            # Let observe() raise exactly where the loop would.
+            for value in arr.tolist():
+                self.observe(value)
+            return
+        index = np.zeros(arr.size, dtype=np.int64)
+        above = np.flatnonzero(arr > 1.0)
+        if above.size:
+            ratio = np.log(arr[above]) / self._log_growth
+            index[above] = np.ceil(ratio)
+            # np.log may differ from math.log in the last ulp; that can only
+            # move the ceiling when the ratio sits on an integer, so decide
+            # those few values with math.log as observe() does.
+            for j in np.flatnonzero(np.abs(ratio - np.rint(ratio)) < 1e-9).tolist():
+                index[above[j]] = self._index(float(arr[above[j]]))
+        buckets, first, counts = np.unique(
+            index, return_index=True, return_counts=True)
+        for k in np.argsort(first).tolist():  # first-seen order, as observe()
+            i = int(buckets[k])
+            self.buckets[i] = self.buckets.get(i, 0) + int(counts[k])
+        self.count += int(arr.size)
+        self.sum = float(np.add.accumulate(np.concatenate(([self.sum], arr)))[-1])
+        # First occurrences, as the loop keeps them (0.0 == -0.0).
+        low, high = float(arr[arr.argmin()]), float(arr[arr.argmax()])
+        if low < self.min:
+            self.min = low
+        if high > self.max:
+            self.max = high
 
     def bucket_upper_bound(self, index: int) -> float:
         return self.growth ** index

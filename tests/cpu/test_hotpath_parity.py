@@ -3,10 +3,14 @@
 The scalar loop in ``repro.cpu.simulator`` is the reference oracle; the
 columnar driver in ``repro.cpu.columnar`` must reproduce every observable
 of every run it claims — SimResult fields, counters, per-core packet
-counts, latency samples and histogram state — *exactly*, across the whole
+counts, latency samples and histogram state, and under telemetry the
+retained event stream and artifact bytes — *exactly*, across the whole
 program zoo, every eligible technique, underload and overload, clean and
 faulted, serial and multi-process.  Anything less falls back.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +18,11 @@ import pytest
 from repro.cpu import PerfTrace, simulate
 from repro.cpu.columnar import resolve_hotpath, use_hotpath
 from repro.faults import FaultPlan, FaultSpec
+from repro.obs import NULL_SPANS, SpanEmitter, SpanSampler
 from repro.parallel import COLUMNAR_TECHNIQUES, TECHNIQUES, make_engine
 from repro.programs import make_program, program_names
 from repro.scenario import Scenario, ScenarioExecutor, build_perf_trace, scenario_grid
-from repro.telemetry import EventTracer
+from repro.telemetry import EventTracer, Telemetry
 
 _TRACE_KW = dict(num_flows=12, max_packets=500)
 
@@ -161,9 +166,11 @@ class TestFallbackPaths:
         assert columnar.fault_stats["fault_dropped"] > 0
         _assert_deep_equal(scalar, columnar)
 
-    def test_tracer_falls_back_with_identical_events(self, traces):
-        """Per-packet telemetry is scalar-only; the event stream must not
-        depend on the requested mode."""
+    def test_tracer_falls_back_with_identical_events(self, traces,
+                                                     monkeypatch):
+        """Telemetry is not a fallback trigger: the traced columnar run
+        commits, and its event stream equals the scalar loop's."""
+        commits = _count_commits(monkeypatch)
         streams = []
         program = make_program("ddos")
         for mode in ("scalar", "columnar"):
@@ -174,6 +181,7 @@ class TestFallbackPaths:
             streams.append([e.to_dict() for e in tracer.events()])
         assert streams[0] == streams[1]
         assert len(streams[0]) > 0
+        assert commits == [True]
 
     def test_overload_drops_fall_back_and_match(self, traces):
         """Above MLFFR the rings back up and packets drop — speculation
@@ -194,6 +202,177 @@ class TestFallbackPaths:
         assert columnar.fault_stats["fault_dropped"] > 0
         assert columnar.fault_stats["fault_gaps"] > 0
         _assert_deep_equal(scalar, columnar)
+
+
+def _count_commits(monkeypatch):
+    """Record each columnar attempt's outcome (True: committed)."""
+    import repro.cpu.columnar as columnar
+
+    outcomes = []
+    attempt = columnar.simulate_columnar
+
+    def recording(*args, **kwargs):
+        run = attempt(*args, **kwargs)
+        outcomes.append(run is not None)
+        return run
+
+    monkeypatch.setattr(columnar, "simulate_columnar", recording)
+    return outcomes
+
+
+#: The pinned telemetry scenario: ddos @ caida on 2 cores, big enough for
+#: ring drops and a mix of passing and failing probes.
+_TELEMETRY_SCENARIO = Scenario.create("ddos", "caida", "scr", 1, num_flows=400,
+                                      max_packets=1500, seed=7)
+_SPAN_SEED, _SPAN_RATE = 7, 0.1
+
+#: Event counts of traced searches over the pinned scenario, recorded at
+#: the parent commit of the retention contract (which keeps every count).
+_PINNED_COUNTS = Path(__file__).with_name("telemetry_counts_pinned.json")
+
+
+@pytest.fixture(scope="module")
+def telemetry_trace():
+    return build_perf_trace(_TELEMETRY_SCENARIO)
+
+
+def _traced_search(trace, technique, mode, spans_rate, start_pps=1e6,
+                   faults=None):
+    """One traced MLFFR search on the ``mode`` hot path."""
+    from repro.bench.mlffr import find_mlffr
+
+    tele = Telemetry()
+    if spans_rate:
+        tele.spans = SpanEmitter(tele.tracer,
+                                 SpanSampler(_SPAN_SEED, spans_rate))
+    spans = tele.spans or NULL_SPANS
+    engine = make_engine(technique, make_program("ddos"), 2,
+                         tracer=tele.tracer, spans=spans)
+    with use_hotpath(mode):
+        res = find_mlffr(trace, engine, start_pps=start_pps,
+                         tracer=tele.tracer, spans=spans, faults=faults)
+    return res, tele
+
+
+class _PeakTracer(EventTracer):
+    """An event tracer that records its staged buffer's largest size."""
+
+    def __init__(self, capacity):
+        super().__init__(capacity)
+        self.peak = 0
+
+    def emit(self, *args, **kwargs):
+        super().emit(*args, **kwargs)
+        if self._staged is not None:
+            self.peak = max(self.peak, len(self._staged))
+
+
+class TestTelemetryParity:
+    """The retention contract on both hot paths: identical retained
+    streams and artifacts, and whole-run counts equal to the parent's."""
+
+    @pytest.mark.parametrize("technique", COLUMNAR_TECHNIQUES)
+    @pytest.mark.parametrize("start_pps", [_UNDERLOAD_PPS, _OVERLOAD_PPS],
+                             ids=["underload", "overload"])
+    @pytest.mark.parametrize("spans_rate", [0.0, _SPAN_RATE],
+                             ids=["tracer", "spans"])
+    def test_find_mlffr_streams_and_artifacts_identical(
+            self, telemetry_trace, monkeypatch, tmp_path, technique,
+            start_pps, spans_rate):
+        commits = _count_commits(monkeypatch)
+        runs = {}
+        for mode in ("scalar", "columnar"):
+            res, tele = _traced_search(telemetry_trace, technique, mode,
+                                       spans_rate, start_pps)
+            tele.write_artifact(tmp_path / mode, command="parity",
+                                num_cores=2)
+            runs[mode] = (res.probes, [e.to_dict() for e in tele.tracer.events()],
+                          tele.tracer.type_counts, tele.tracer.emitted)
+        assert runs["scalar"] == runs["columnar"]
+        assert any(commits), "columnar never committed under telemetry"
+        for name in ("events.jsonl", "trace.json"):
+            assert ((tmp_path / "scalar" / name).read_bytes()
+                    == (tmp_path / "columnar" / name).read_bytes()), name
+
+    def test_failing_probes_keep_only_summaries(self, telemetry_trace):
+        res, tele = _traced_search(telemetry_trace, "scr", "columnar",
+                                   _SPAN_RATE)
+        events = tele.tracer.events()
+        summaries = [e for e in events if e.kind == "sim.run"]
+        assert len(summaries) == res.iterations
+        passing = {rate for rate, loss in res.probes if loss <= 0.04}
+        assert passing and len(passing) < res.iterations
+        # Per-packet and span records are retained only inside a passing
+        # probe's window: between its predecessor's summary and its own.
+        kept_windows = [s.fields["rate_pps"] in passing for s in summaries]
+        window = 0
+        for e in events:
+            if e.kind == "sim.run":
+                window += 1
+            elif e.kind.startswith(("span.", "core.", "scr.", "nic.")):
+                assert kept_windows[window], e
+        failing = [s for s in summaries if s.fields["rate_pps"] not in passing]
+        assert any(s.fields["ring_dropped"] for s in failing)
+
+    def test_per_packet_kinds_retained_only_when_sampled(self,
+                                                         telemetry_trace):
+        _, tele = _traced_search(telemetry_trace, "scr", "columnar", 0.0)
+        kinds = {e.kind for e in tele.tracer.events()}
+        assert kinds == {"sim.run", "mlffr.probe"}
+        assert tele.tracer.type_counts["core.service"] > 0
+
+    @pytest.mark.parametrize("mode", ["scalar", "columnar"])
+    def test_full_sampling_keeps_the_stage_buffer_bounded(
+            self, telemetry_trace, mode):
+        """At sampling rate 1.0 a small ring bounds the staged records
+        and the span-id memo too; the retained tail and the counts equal
+        a large ring's."""
+        from repro.bench.mlffr import find_mlffr
+
+        runs = {}
+        for capacity in (64, 1_000_000):
+            tracer = _PeakTracer(capacity)
+            spans = SpanEmitter(tracer, SpanSampler(_SPAN_SEED, 1.0))
+            engine = make_engine("scr", make_program("ddos"), 2,
+                                 tracer=tracer, spans=spans)
+            with use_hotpath(mode):
+                res = find_mlffr(telemetry_trace, engine, tracer=tracer,
+                                 spans=spans)
+            runs[capacity] = (res.probes, tracer.type_counts, tracer.emitted,
+                              [e.to_dict() for e in tracer.events()],
+                              tracer.peak, len(spans._ids))
+        small, big = runs[64], runs[1_000_000]
+        assert small[:3] == big[:3]
+        assert small[3] == big[3][-64:]
+        assert small[4] <= 1024 < big[4]
+        assert small[5] <= 64 < big[5]  # the span-id memo is bounded too
+
+    @pytest.mark.parametrize("case", sorted(json.loads(
+        _PINNED_COUNTS.read_text())))
+    def test_counts_equal_the_parent(self, telemetry_trace, case):
+        """``event_type_counts`` and ``events_emitted`` are exact: equal
+        to the parent commit's for the same searches."""
+        pinned = json.loads(_PINNED_COUNTS.read_text())[case]
+        technique, spans, *rest = case.split("/")
+        rate = float(spans[len("spans"):])
+        if rest and rest[0].startswith("simulate"):
+            tele = Telemetry()
+            tele.spans = SpanEmitter(tele.tracer, SpanSampler(_SPAN_SEED, rate))
+            engine = make_engine(technique, make_program("ddos"), 2,
+                                 tracer=tele.tracer, spans=tele.spans)
+            simulate(telemetry_trace, float(rest[0][len("simulate"):]), engine,
+                     tracer=tele.tracer, spans=tele.spans)
+        else:
+            faults = None
+            if rest:
+                faults = FaultPlan(FaultSpec.create(
+                    seed=3, drop_rate=float(rest[0][len("drop"):])))
+            res, tele = _traced_search(telemetry_trace, technique,
+                                       "columnar", rate, faults=faults)
+            assert res.mlffr_pps == pinned["mlffr_pps"]
+            assert res.iterations == pinned["iterations"]
+        assert dict(tele.tracer.type_counts) == pinned["event_type_counts"]
+        assert tele.tracer.emitted == pinned["events_emitted"]
 
 
 class TestMlffrParity:

@@ -18,7 +18,7 @@ from repro.obs.spans import (
 )
 from repro.parallel.registry import make_engine
 from repro.programs.registry import make_program
-from repro.telemetry.events import EventTracer
+from repro.telemetry.events import STAGED_RANK, EventTracer
 from repro.traffic.distributions import TRACE_DISTRIBUTIONS
 from repro.traffic.synthesis import synthesize_trace
 
@@ -165,3 +165,9 @@ class TestEndToEnd:
         )
         assert traced.mlffr_mpps == plain.mlffr_mpps
         assert any(e.kind.startswith("span.") for e in tracer.events())
+
+
+def test_every_span_stage_is_staged():
+    """A traced run stages and canonically orders every span kind (the
+    tracer cannot import the stage list, so it keeps its own)."""
+    assert {span_kind(stage) for stage in SPAN_STAGES} <= set(STAGED_RANK)

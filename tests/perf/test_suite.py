@@ -119,3 +119,30 @@ def test_fig6_parallel_identical_to_serial(tmp_path):
 def test_save_uses_bench_naming(tmp_path, fig11):
     path = fig11.save(tmp_path)
     assert path.name == "BENCH_fig11_model_fit.json"
+
+
+def test_obs_overhead_gates_the_traced_cpu_ratio(tmp_path, monkeypatch):
+    """The suite keeps its traced MLFFR equal to the untraced one, records
+    the kept spans, artifact size and traced/untraced CPU-time ratio, and
+    fails ``scr-repro bench`` (exit 1, artifact still written) once a
+    ratio passes the ceiling — forced here by a zero ceiling."""
+    import io
+
+    import repro.perf.suite as suite
+    from repro.cli import main
+    from repro.perf import BenchArtifact
+
+    monkeypatch.setattr(suite, "TRACED_CPU_CEILING", 0.0)
+    out = io.StringIO()
+    code = main(["bench", "--suite", "obs_overhead", "--reps", "1",
+                 "--out", str(tmp_path)], out=out)
+    assert code == 1
+    assert out.getvalue().strip().splitlines()[-1].startswith(
+        "error: obs_overhead: a traced search took ")
+    art = BenchArtifact.load(tmp_path / "BENCH_obs_overhead.json")
+    assert set(art.series) == {"untraced_mpps", "traced_delta_mpps",
+                               "span_events", "artifact_mb",
+                               "traced_cpu_ratio"}
+    assert all(p.median == 0.0 for p in art.series["traced_delta_mpps"].points)
+    assert all(p.median > 1.0 for p in art.series["traced_cpu_ratio"].points)
+    assert all(0.0 < p.median < 5.0 for p in art.series["artifact_mb"].points)

@@ -1,7 +1,9 @@
 """Event tracer: ring retention, whole-run counts, no-op mode."""
 
 from repro.telemetry.events import (
+    EV_FAULT_DROP,
     EV_RING_DROP,
+    EV_SERVICE,
     EV_SPRAY,
     NULL_TRACER,
     Event,
@@ -74,3 +76,85 @@ def test_clear():
 def test_event_slots():
     ev = Event(1.0, EV_SPRAY, 0, None, {})
     assert not hasattr(ev, "__dict__")
+
+
+def test_count_and_emit_sampled_keep_counts_exact():
+    tr = EventTracer()
+    tr.count(EV_SERVICE, 3)
+    tr.emit_sampled(False, EV_SERVICE, 5.0, core=0, index=1)
+    tr.emit_sampled(True, EV_SERVICE, 6.0, core=0, index=2)
+    assert [e.fields["index"] for e in tr.events()] == [2]
+    assert tr.type_counts == {EV_SERVICE: 5}
+    assert tr.emitted == 5
+    assert tr.dropped == 4
+    NULL_TRACER.count(EV_SERVICE, 9)
+    assert NULL_TRACER.emitted == 0
+
+
+def _staged_run(tr, retain):
+    tr.stage()
+    tr.emit(EV_SERVICE, ts_ns=20.0, core=1, index=4)
+    tr.emit("span.core_pop", ts_ns=20.0, core=1, index=4)
+    tr.emit(EV_SPRAY, ts_ns=10.0, core=1, index=4)
+    tr.emit(EV_FAULT_DROP, ts_ns=15.0, core=0, index=3)  # never staged
+    tr.emit("span.nic_arrival", ts_ns=10.0, index=4)
+    tr.emit(EV_SERVICE, ts_ns=20.0, core=0, index=2)
+    tr.release(retain)
+
+
+def test_release_orders_staged_records_canonically():
+    tr = EventTracer()
+    _staged_run(tr, retain=True)
+    assert [(e.kind, e.fields["index"]) for e in tr.events()] == [
+        (EV_FAULT_DROP, 3),
+        ("span.nic_arrival", 4), (EV_SPRAY, 4),
+        (EV_SERVICE, 2),
+        ("span.core_pop", 4), (EV_SERVICE, 4),
+    ]
+    assert tr.emitted == 6
+    tr.emit("mlffr.probe")
+    assert tr.events()[-1].ts_ns == 21.0  # the tick saw released stamps
+
+
+def test_release_without_retain_only_counts():
+    tr = EventTracer()
+    _staged_run(tr, retain=False)
+    assert [e.kind for e in tr.events()] == [EV_FAULT_DROP]
+    assert tr.type_counts == {EV_SERVICE: 2, "span.core_pop": 1,
+                              EV_SPRAY: 1, EV_FAULT_DROP: 1,
+                              "span.nic_arrival": 1}
+    assert tr.emitted == 6
+    tr.emit("mlffr.probe")
+    assert tr.events()[-1].ts_ns == 16.0  # discarded stamps never count
+
+
+def test_staged_buffer_stays_bounded_and_release_is_unchanged():
+    """A long staged run prunes to the rows that can still reach the ring:
+    the buffer never passes ``max(2 * capacity, 1024)`` rows, and the
+    released ring, counts and tick equal an unpruned tracer's."""
+    import random
+
+    rng = random.Random(5)
+    rows = [(rng.choice((EV_SERVICE, EV_SPRAY, "span.core_pop")),
+             float(rng.randrange(3000)), rng.randrange(5000))
+            for _ in range(6000)]
+    for retain in (True, False):
+        small, big = EventTracer(capacity=40), EventTracer(capacity=10_000)
+        peak = 0
+        for tr in (small, big):
+            tr.emit("mlffr.probe")
+            tr.stage()
+        for kind, ts, index in rows:
+            for tr in (small, big):
+                tr.emit(kind, ts_ns=ts, core=0, index=index)
+            peak = max(peak, len(small._staged))
+        released = []
+        for tr in (small, big):
+            tr.release(retain)
+            released.append([e.to_dict() for e in tr.events()])
+            tr.emit("mlffr.probe")
+        assert peak <= 1024
+        assert released[0] == released[1][-40:]
+        assert small.type_counts == big.type_counts
+        assert small.emitted == big.emitted == 6002
+        assert small.events()[-1].ts_ns == big.events()[-1].ts_ns

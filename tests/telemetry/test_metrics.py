@@ -1,10 +1,15 @@
 """Metrics registry: instruments, percentile accuracy, exporters."""
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.telemetry.metrics import (
+    DEFAULT_BUCKET_GROWTH,
     NOOP_COUNTER,
     Counter,
     Gauge,
@@ -94,6 +99,54 @@ class TestHistogram:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Histogram("lat").observe(-1.0)
+
+
+def _bucket_edge(i, side):
+    """``growth**i`` and its neighbouring doubles: where ``np.log`` and
+    ``math.log`` may pick different buckets."""
+    edge = DEFAULT_BUCKET_GROWTH ** i
+    return {-1: math.nextafter(edge, 0.0), 0: edge,
+            1: math.nextafter(edge, math.inf)}[side]
+
+
+_latency = st.one_of(
+    st.floats(min_value=0.0, max_value=1e12),
+    st.builds(_bucket_edge, st.integers(-8, 320), st.sampled_from([-1, 0, 1])),
+)
+
+
+def _state(h):
+    return (list(h.buckets.items()), h.count, h.sum, h.min, h.max)
+
+
+class TestObserveMany:
+    @given(st.lists(_latency, max_size=300), st.lists(_latency, max_size=50))
+    def test_bit_identical_to_observe_loop(self, first, second):
+        looped, bulk = Histogram("lat"), Histogram("lat")
+        for values in (first, second):
+            for v in values:
+                looped.observe(v)
+            bulk.observe_many(np.asarray(values, dtype=np.float64))
+        assert _state(bulk) == _state(looped)
+
+    def test_sum_is_sequential_not_pairwise(self):
+        values = [1e16, 1.0, 1.0, -0.0] * 50 + [3.0]
+        looped, bulk = Histogram("lat"), Histogram("lat")
+        for v in values:
+            looped.observe(v)
+        bulk.observe_many(values)
+        assert bulk.sum == looped.sum != math.fsum(values)
+
+    def test_invalid_value_raises_like_the_loop(self):
+        looped, bulk = Histogram("lat"), Histogram("lat")
+        for h, observe in ((looped, None), (bulk, "many")):
+            with pytest.raises(ValueError):
+                if observe:
+                    h.observe_many([5.0, -1.0, 7.0])
+                else:
+                    for v in (5.0, -1.0, 7.0):
+                        h.observe(v)
+        assert _state(bulk) == _state(looped)
 
 
 class TestRegistry:

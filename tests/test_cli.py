@@ -165,16 +165,52 @@ def test_reproduce_figure_with_csv(tmp_path):
 
 
 def test_run_rejects_missing_trace_file(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        run_cli(["run", "--program", "ddos",
-                 "--trace-file", str(tmp_path / "missing.scrt")])
+    code, text = run_cli(["run", "--program", "ddos",
+                          "--trace-file", str(tmp_path / "missing.scrt")])
+    assert code == 2
+    assert text.strip().splitlines() == [
+        f"error: cannot read trace file {tmp_path / 'missing.scrt'}: "
+        "No such file or directory"]
 
 
 def test_run_rejects_garbage_trace_file(tmp_path):
     bad = tmp_path / "garbage.scrt"
     bad.write_bytes(b"not a trace at all")
-    with pytest.raises(ValueError):
-        run_cli(["run", "--program", "ddos", "--trace-file", str(bad)])
+    code, text = run_cli(["run", "--program", "ddos", "--trace-file", str(bad)])
+    assert code == 2
+    assert text.strip() == (f"error: cannot read trace file {bad}: "
+                            "not an SCRT trace file")
+
+
+def _damaged(path, damage):
+    """``path`` with its bytes damaged: cut short, or its first packet's
+    capture shrunk below an Ethernet header."""
+    data = path.read_bytes()
+    if damage == "truncated":
+        return data[:len(data) // 2 + 3]
+    if path.suffix == ".pcap":  # 24-byte global header, then a record
+        import struct
+        return data[:24] + struct.pack("<IIII", 0, 0, 4, 64) + b"\0" * 4
+    return data[:8] + b"\xff" * 4 + data[12:]  # SCRT: bad version
+
+
+@pytest.mark.parametrize("suffix", [".pcap", ".scrt"])
+@pytest.mark.parametrize("damage", ["truncated", "corrupt", "missing"])
+def test_run_damaged_trace_file_exits_2(tmp_path, suffix, damage):
+    """A missing, truncated or corrupt --trace-file is a one-line error
+    and exit 2, not a traceback, in either format."""
+    good = tmp_path / f"good{suffix}"
+    code, _ = run_cli(["synthesize", "--flows", "4", "--packets", "60",
+                       "--out", str(good)])
+    assert code == 0
+    bad = tmp_path / f"bad{suffix}"
+    if damage != "missing":
+        bad.write_bytes(_damaged(good, damage))
+    code, text = run_cli(["run", "--program", "ddos", "--trace-file", str(bad)])
+    assert code == 2
+    lines = text.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot read trace file {bad}: ")
 
 
 # -- telemetry (--telemetry DIR and the inspect subcommand) ----------------------
