@@ -14,7 +14,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..cpu.simulator import PerfEngine, PerfTrace, SimResult, simulate
+from ..cpu.simulator import PerfEngine, PerfTrace, SimResult, simulate, staging_sinks
 from ..hostprof.clock import NULL_HOSTPROF, PhaseClock
 from ..obs.spans import NULL_SPANS, SpanEmitter
 from ..telemetry.events import EV_MLFFR_PROBE, NULL_TRACER, EventTracer
@@ -74,11 +74,13 @@ def find_mlffr(
     """Binary-search the highest offered rate with loss below threshold.
 
     ``tracer`` receives one ``mlffr.probe`` event per search step (rate,
-    loss, verdict) and is forwarded to every probe's simulation.  Only a
-    passing probe keeps its sampled per-packet and ``span.*`` records; a
-    failing probe's are counted, not kept, so it leaves its
-    ``mlffr.probe`` event, its ``sim.run`` summary (drops by cause) and
-    any fault/recovery events.
+    loss, verdict) and is forwarded to every probe's simulation.  The
+    search is a retention scope (:meth:`EventTracer.hold`): only the
+    reported probe — the one whose result is ``result_at_mlffr`` — keeps
+    its sampled per-packet and ``span.*`` records, appended once when the
+    search ends, so the artifact holds one timeline.  Every other probe's
+    are counted, not kept: it leaves its ``mlffr.probe`` event, its
+    ``sim.run`` summary (drops by cause) and any fault/recovery events.
     ``collect_latency`` makes each probe gather latency samples, so
     ``result_at_mlffr`` carries the percentile histogram.
 
@@ -100,6 +102,7 @@ def find_mlffr(
     probes: List[Tuple[float, float]] = []
     best_result: Optional[SimResult] = None
     iterations = 0
+    sinks = staging_sinks(tracer, spans)
 
     def lossfree(rate: float) -> bool:
         nonlocal best_result, iterations
@@ -116,49 +119,56 @@ def find_mlffr(
                 faults=faults,
                 spans=spans,
                 hostprof=hostprof,
-                retain_max_loss=loss_threshold,
             )
         probes.append((rate, res.loss_fraction))
         ok = res.loss_fraction <= loss_threshold
+        best = ok and (best_result is None or rate > best_result.rate_pps)
+        for sink in sinks:
+            sink.settle(best)
         if tracer.enabled:
             tracer.emit(EV_MLFFR_PROBE, rate_pps=rate,
                         loss=res.loss_fraction, iteration=iterations,
                         lossfree=ok)
-        if ok:
-            if best_result is None or rate > best_result.rate_pps:
-                best_result = res
-                # The engine mutates one counters object in place across
-                # probes; freeze this probe's attribution so the reported
-                # point's counters survive later (lossy) probes.
-                best_result.counters = copy.deepcopy(res.counters)
+        if best:
+            best_result = res
+            # The engine mutates one counters object in place across
+            # probes; freeze this probe's attribution so the reported
+            # point's counters survive later (lossy) probes.
+            best_result.counters = copy.deepcopy(res.counters)
         return ok
 
-    # Exponential bracket: find lo feasible, hi infeasible.
-    lo = start_pps
-    if not lossfree(lo):
-        # Even the start rate loses packets; search downward instead.
-        hi = lo
-        lo = lo / 2
-        while lo > tolerance_pps and not lossfree(lo):
+    for sink in sinks:
+        sink.hold()
+    try:
+        # Exponential bracket: find lo feasible, hi infeasible.
+        lo = start_pps
+        if not lossfree(lo):
+            # Even the start rate loses packets; search downward instead.
             hi = lo
-            lo /= 2
-        if lo <= tolerance_pps and not probes[-1][1] <= loss_threshold:
-            return MlffrResult(0.0, iterations, None, probes)
-    else:
-        hi = lo * 2
-        while hi < max_pps and lossfree(hi):
-            lo = hi
-            hi *= 2
-        if hi >= max_pps:
-            hi = max_pps
-            if lossfree(hi):
-                return MlffrResult(hi, iterations, best_result, probes)
-
-    # Bisect [lo feasible, hi infeasible] down to the tolerance window.
-    while hi - lo > tolerance_pps:
-        mid = (lo + hi) / 2
-        if lossfree(mid):
-            lo = mid
+            lo = lo / 2
+            while lo > tolerance_pps and not lossfree(lo):
+                hi = lo
+                lo /= 2
+            if lo <= tolerance_pps and not probes[-1][1] <= loss_threshold:
+                return MlffrResult(0.0, iterations, None, probes)
         else:
-            hi = mid
-    return MlffrResult(lo, iterations, best_result, probes)
+            hi = lo * 2
+            while hi < max_pps and lossfree(hi):
+                lo = hi
+                hi *= 2
+            if hi >= max_pps:
+                hi = max_pps
+                if lossfree(hi):
+                    return MlffrResult(hi, iterations, best_result, probes)
+
+        # Bisect [lo feasible, hi infeasible] down to the tolerance window.
+        while hi - lo > tolerance_pps:
+            mid = (lo + hi) / 2
+            if lossfree(mid):
+                lo = mid
+            else:
+                hi = mid
+        return MlffrResult(lo, iterations, best_result, probes)
+    finally:
+        for sink in sinks:
+            sink.end_hold()

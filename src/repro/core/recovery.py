@@ -119,9 +119,6 @@ class LossRecoveryManager:
     def max_seq(self, core: int) -> int:
         return self._max_seq[core]
 
-    def has_pending(self, core: int) -> bool:
-        return self._pending[core] is not None
-
     # -- delivery ---------------------------------------------------------------
 
     def deliver(self, core: int, seq: int, metas: Dict[int, bytes]) -> None:

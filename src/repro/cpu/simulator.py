@@ -381,12 +381,6 @@ class SimResult:
         """All-core busy time — the denominator of cycle attribution."""
         return sum(c.busy_ns for c in self.counters.cores)
 
-    def core_utilization(self) -> List[float]:
-        """Per-core busy / wall-clock fraction over the run."""
-        if self.duration_ns <= 0:
-            return [0.0 for _ in self.counters.cores]
-        return [min(1.0, c.busy_ns / self.duration_ns) for c in self.counters.cores]
-
     @property
     def loss_fraction(self) -> float:
         if self.offered == 0:
@@ -409,6 +403,15 @@ def _wire_time_ns(wire_len: int, line_rate_bps: float) -> float:
     return frame * 8 / line_rate_bps * 1e9
 
 
+def staging_sinks(tracer: EventTracer, spans: SpanEmitter) -> List[EventTracer]:
+    """The enabled tracers a run stages its sampled records into: the
+    event tracer and, when it is a separate sink, the span emitter's."""
+    sinks = [tracer] if tracer.enabled else []
+    if spans.enabled and spans.tracer is not tracer:
+        sinks.append(spans.tracer)
+    return sinks
+
+
 def simulate(
     perf_trace: PerfTrace,
     rate_pps: float,
@@ -425,7 +428,6 @@ def simulate(
     spans: SpanEmitter = NULL_SPANS,
     hostprof: PhaseClock = NULL_HOSTPROF,
     hotpath: Optional[str] = None,
-    retain_max_loss: Optional[float] = None,
 ) -> SimResult:
     """Offer ``perf_trace`` at ``rate_pps`` to ``engine`` and measure.
 
@@ -454,8 +456,8 @@ def simulate(
     for every packet; fault and recovery events are retained in full; a
     ``sim.run`` summary closes the run.  The run's sampled records are
     staged and released in one canonical order, so both hot paths give
-    the same stream.  ``retain_max_loss`` only counts them when the run
-    loses more than that fraction (a failing MLFFR probe).
+    the same stream; inside a retention scope (an MLFFR search,
+    :meth:`EventTracer.hold`) the search decides whether they are kept.
 
     ``faults`` attaches a seeded :class:`repro.faults.plan.FaultPlan`:
     wire→ring drops and ring-pop drops become loss the engine is told
@@ -483,12 +485,9 @@ def simulate(
     #: the span-sampled packets: their per-packet records are emitted on
     #: either hot path, every other packet's are counted.
     sampled = spans.sampled_rows(len(perf_trace))
-    sinks = [tracer] if tracer.enabled else []
-    if spans.enabled and spans.tracer is not tracer:
-        sinks.append(spans.tracer)
+    sinks = staging_sinks(tracer, spans)
     for sink in sinks:
         sink.stage()
-    retain = False
     try:
         committed = None
         if resolve_hotpath(hotpath) == "columnar":
@@ -511,14 +510,12 @@ def simulate(
                 perf_trace, rate_pps, engine, line_rate_gbps, ring_capacity,
                 burst_size, grace_fraction, grace_min_ns, pcie_rate_gbps,
                 collect_latency, tracer, faults, spans, sampled, hostprof)
-        retain = (retain_max_loss is None
-                  or result.loss_fraction <= retain_max_loss)
         if committed is not None and (tracer.enabled or spans.enabled):
             record_committed(committed, perf_trace, engine, tracer, spans,
                              sampled)
     finally:
         for sink in sinks:
-            sink.release(retain)
+            sink.release()
     if tracer.enabled:
         summary_fields = dict(
             engine=getattr(engine, "name", "?"),

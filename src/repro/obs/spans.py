@@ -98,7 +98,7 @@ class SpanEmitter:
     :data:`NULL_SPANS` costs one attribute read, like ``NULL_TRACER``.
     """
 
-    __slots__ = ("tracer", "sampler", "enabled", "_ids")
+    __slots__ = ("tracer", "sampler", "enabled", "_ids", "_rows")
 
     def __init__(self, tracer: EventTracer, sampler: SpanSampler) -> None:
         self.tracer = tracer
@@ -108,6 +108,9 @@ class SpanEmitter:
         #: search re-emits the same sampled packets' stages.  Holds at most
         #: the ring's capacity, so memory stays bounded like the ring.
         self._ids: Dict[Tuple[int, str], Tuple[str, int, int, Optional[int]]] = {}
+        #: (count, sampled rows) of the last :meth:`sampled_rows` call:
+        #: every probe of a search asks for the same trace length.
+        self._rows: Tuple[int, List[int]] = (-1, [])
 
     def sampled(self, index: int) -> bool:
         """Per-packet guard: emit spans for this packet at all?"""
@@ -115,8 +118,13 @@ class SpanEmitter:
 
     def sampled_rows(self, count: int) -> List[int]:
         """The sampled indices in ``range(count)``, ascending (none when
-        disabled) — the rows a columnar post-pass records."""
-        return self.sampler.sampled_indices(count) if self.enabled else []
+        disabled) — the rows a columnar post-pass records.  The list is
+        shared between calls with the same ``count``; do not mutate it."""
+        if not self.enabled:
+            return []
+        if self._rows[0] != count:
+            self._rows = (count, self.sampler.sampled_indices(count))
+        return self._rows[1]
 
     def emit(
         self,

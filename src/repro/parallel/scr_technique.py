@@ -117,10 +117,6 @@ class ScrEngine(BaseEngine):
 
     # -- protocol -----------------------------------------------------------------
 
-    def fits_in_frame(self, frame_bytes: int) -> bool:
-        """Can this core count's history ride inside a fixed frame size?"""
-        return self.codec.overhead_bytes <= frame_bytes
-
     def wire_len(self, pp: PerfPacket) -> int:
         if not self.count_wire_overhead:
             return pp.wire_len

@@ -420,7 +420,7 @@ def run_obs_overhead(params: SuiteParams) -> BenchArtifact:
     delta means instrumentation leaked into the cost model.  The
     ``untraced_mpps`` series doubles as a plain perf gate on the same
     grid; ``span_events`` pins the deterministic volume of spans the
-    artifact keeps (passing probes only) and ``artifact_mb`` its size.
+    artifact keeps (the reported probe only) and ``artifact_mb`` its size.
 
     Watching must also be cheap: ``traced_cpu_ratio`` is the process CPU
     time of a traced search plus its artifact write over an untraced

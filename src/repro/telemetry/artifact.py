@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import datetime
 import json
+import os
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from .events import EventTracer
 from .exporters import events_to_chrome_trace, events_to_jsonl
@@ -46,12 +47,31 @@ TRACE_NAME = "trace.json"
 PROM_NAME = "metrics.prom"
 
 
+#: ``current_git_sha`` results per working directory, for this process.
+_GIT_SHAS: Dict[str, str] = {}
+
+
 def current_git_sha(cwd: Optional[Union[str, Path]] = None) -> str:
-    """The repo HEAD SHA, or "unknown" outside a git checkout."""
+    """The repo HEAD SHA, or "unknown" outside a git checkout.
+
+    Read once per process and directory (``cwd``, default the process's
+    working directory): every artifact written by one process shares it.
+    """
+    try:
+        key = os.path.abspath(str(cwd) if cwd else os.getcwd())
+    except OSError:  # the working directory was removed
+        return "unknown"
+    sha = _GIT_SHAS.get(key)
+    if sha is None:
+        sha = _GIT_SHAS[key] = _read_git_sha(key)
+    return sha
+
+
+def _read_git_sha(cwd: str) -> str:
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=str(cwd) if cwd else None,
+            cwd=cwd,
             capture_output=True,
             text=True,
             timeout=5,

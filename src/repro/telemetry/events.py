@@ -19,9 +19,13 @@ only for span-sampled packets and *counted* for every packet
 stay exact while the ring holds a sample.  During a staged run
 (:meth:`EventTracer.stage`) those kinds and every ``span.*`` event
 (:data:`STAGED_RANK`) wait in a buffer of at most about twice the ring;
-:meth:`EventTracer.release` then retains them in one canonical order, or
-only counts them (a failing MLFFR probe).  Every other kind (``fault.*``, ``recovery.*``,
-``scr.fast_forward``, summaries) is retained as it is emitted.
+:meth:`EventTracer.release` then retains them in one canonical order.
+Inside a retention scope (:meth:`EventTracer.hold`, one MLFFR search)
+each released batch waits for :meth:`EventTracer.settle`: a kept batch
+replaces the held one, every other batch is only counted, and
+:meth:`EventTracer.end_hold` retains the last kept batch once.  Every
+other kind (``fault.*``, ``recovery.*``, ``scr.fast_forward``,
+summaries) is retained as it is emitted.
 """
 
 from __future__ import annotations
@@ -178,7 +182,7 @@ class EventTracer:
     """
 
     __slots__ = ("enabled", "capacity", "_ring", "type_counts", "emitted",
-                 "_tick", "_staged", "_stage_limit")
+                 "_tick", "_staged", "_stage_limit", "_held", "_pending")
 
     def __init__(self, capacity: int = 100_000, enabled: bool = True) -> None:
         if capacity < 0:
@@ -194,6 +198,10 @@ class EventTracer:
         self._staged: Optional[List[Tuple[float, int, int, Event]]] = None
         #: staged rows that trigger a prune to the ``capacity`` survivors.
         self._stage_limit = max(2 * capacity, 1024)
+        #: the kept batch of the open retention scope (None: no scope) and
+        #: the released batch it has not settled yet.
+        self._held: Optional[List[Tuple[float, int, int, Event]]] = None
+        self._pending: List[Tuple[float, int, int, Event]] = []
 
     def emit(
         self,
@@ -263,24 +271,59 @@ class EventTracer:
             self.count(row[3].kind)
         del staged[:cut]
 
-    def release(self, retain: bool = True) -> None:
+    def release(self) -> None:
         """End a staged run: retain its buffered records in canonical order
-        (timestamp, packet index, datapath rank), or only count them."""
+        (timestamp, packet index, datapath rank) — or, inside a retention
+        scope, leave them for :meth:`settle`."""
         staged, self._staged = self._staged, None
+        if self._held is not None:
+            self._pending = staged or []
+            return
         if not staged:
             return
-        if not retain:
-            for row in staged:
-                self.count(row[3].kind)
+        self._settle_rows(staged, True)
+        self._ring.extend(row[3] for row in staged)
+
+    def _settle_rows(self, rows: List[Tuple[float, int, int, Event]],
+                     keep: bool) -> None:
+        """Count ``rows``; a kept batch is sorted canonically first and
+        moves the tick to its last stamp."""
+        if keep and rows:
+            rows.sort(key=_canonical)
+            if rows[-1][0] > self._tick:
+                self._tick = rows[-1][0]
+        counts = self.type_counts
+        for row in rows:
+            kind = row[3].kind
+            counts[kind] = counts.get(kind, 0) + 1
+        self.emitted += len(rows)
+
+    # -- retention scopes ----------------------------------------------------------
+
+    def hold(self) -> None:
+        """Open a retention scope: released batches wait for :meth:`settle`
+        and at most one reaches the ring, at :meth:`end_hold`."""
+        if self.enabled:
+            self._held = []
+
+    def settle(self, keep: bool) -> None:
+        """Decide the last released batch: keep it in place of the held
+        batch, or only count it.  Either way it is counted now, so counts
+        and the tick are those of retaining every kept batch."""
+        if self._held is None:
             return
-        staged.sort(key=_canonical)
-        for row in staged:
-            event = row[3]
-            if event.ts_ns > self._tick:
-                self._tick = event.ts_ns
-            self._ring.append(event)
-            self.type_counts[event.kind] = self.type_counts.get(event.kind, 0) + 1
-        self.emitted += len(staged)
+        batch, self._pending = self._pending, []
+        self._settle_rows(batch, keep)
+        if keep:
+            self._held = batch
+
+    def end_hold(self) -> None:
+        """Close the scope: the held batch reaches the ring, once."""
+        if self._held is None:
+            return
+        self.settle(False)
+        self._ring.extend(row[3] for row in self._held)
+        self._held = None
 
     # -- reading back -----------------------------------------------------------
 
@@ -309,6 +352,8 @@ class EventTracer:
         self.emitted = 0
         self._tick = 0.0
         self._staged = None
+        self._held = None
+        self._pending = []
 
 
 #: The shared disabled tracer every layer defaults to.  Emitting to it is a

@@ -23,6 +23,7 @@ from repro.parallel import COLUMNAR_TECHNIQUES, TECHNIQUES, make_engine
 from repro.programs import make_program, program_names
 from repro.scenario import Scenario, ScenarioExecutor, build_perf_trace, scenario_grid
 from repro.telemetry import EventTracer, Telemetry
+from repro.telemetry.events import STAGED_RANK
 
 _TRACE_KW = dict(num_flows=12, max_packets=500)
 
@@ -295,24 +296,44 @@ class TestTelemetryParity:
                     == (tmp_path / "columnar" / name).read_bytes()), name
 
     def test_failing_probes_keep_only_summaries(self, telemetry_trace):
+        """Every per-packet and span record belongs to the reported probe:
+        they are exactly what that probe alone retains, appended once
+        after the search's last probe."""
         res, tele = _traced_search(telemetry_trace, "scr", "columnar",
                                    _SPAN_RATE)
-        events = tele.tracer.events()
-        summaries = [e for e in events if e.kind == "sim.run"]
+        events = [e.to_dict() for e in tele.tracer.events()]
+        summaries = [e for e in events if e["kind"] == "sim.run"]
         assert len(summaries) == res.iterations
         passing = {rate for rate, loss in res.probes if loss <= 0.04}
-        assert passing and len(passing) < res.iterations
-        # Per-packet and span records are retained only inside a passing
-        # probe's window: between its predecessor's summary and its own.
-        kept_windows = [s.fields["rate_pps"] in passing for s in summaries]
-        window = 0
-        for e in events:
-            if e.kind == "sim.run":
-                window += 1
-            elif e.kind.startswith(("span.", "core.", "scr.", "nic.")):
-                assert kept_windows[window], e
-        failing = [s for s in summaries if s.fields["rate_pps"] not in passing]
-        assert any(s.fields["ring_dropped"] for s in failing)
+        assert 1 < len(passing) < res.iterations
+        staged = [e for e in events if e["kind"] in STAGED_RANK]
+        assert staged and staged == events[-len(staged):]
+        lone = Telemetry()
+        lone.spans = SpanEmitter(lone.tracer,
+                                 SpanSampler(_SPAN_SEED, _SPAN_RATE))
+        engine = make_engine("scr", make_program("ddos"), 2,
+                             tracer=lone.tracer, spans=lone.spans)
+        simulate(telemetry_trace, res.result_at_mlffr.rate_pps, engine,
+                 tracer=lone.tracer, spans=lone.spans)
+        assert staged == [e.to_dict() for e in lone.tracer.events()
+                          if e.kind in STAGED_RANK]
+        failing = [s for s in summaries if s["rate_pps"] not in passing]
+        assert any(s["ring_dropped"] for s in failing)
+
+    @pytest.mark.parametrize("mode", ["scalar", "columnar"])
+    def test_artifact_span_ids_are_unique(self, telemetry_trace, tmp_path,
+                                          mode):
+        """An observed search's artifact holds one timeline: each span id
+        once, and at most one record per sampled packet and stage."""
+        _, tele = _traced_search(telemetry_trace, "scr", mode, _SPAN_RATE)
+        tele.write_artifact(tmp_path, command="spans", num_cores=2)
+        events = [json.loads(line) for line in
+                  (tmp_path / "events.jsonl").read_text().splitlines()]
+        span_ids = [e["span"] for e in events if e["kind"].startswith("span.")]
+        assert span_ids and len(span_ids) == len(set(span_ids))
+        records = [(e["index"], e["kind"]) for e in events
+                   if e["kind"] in STAGED_RANK]
+        assert len(records) == len(set(records))
 
     def test_per_packet_kinds_retained_only_when_sampled(self,
                                                          telemetry_trace):

@@ -38,6 +38,31 @@ class TestTelemetryBundle:
         Telemetry().write_artifact(tmp_path, command="x")
         assert RunArtifact.load(tmp_path / MANIFEST_NAME).command == "x"
 
+    def test_git_sha_is_read_once_per_process(self, tmp_path, monkeypatch):
+        import subprocess
+
+        import repro.telemetry.artifact as artifact
+        from repro.hostprof.artifact import HostProfile
+        from repro.hostprof.clock import PhaseClock
+
+        spawned = []
+        run = subprocess.run
+
+        def counting(cmd, *args, **kwargs):
+            if cmd[0] == "git":
+                spawned.append(kwargs.get("cwd"))
+            return run(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(artifact, "_GIT_SHAS", {})
+        monkeypatch.setattr(artifact.subprocess, "run", counting)
+        first = Telemetry().write_artifact(tmp_path / "a", command="x")
+        second = Telemetry().write_artifact(tmp_path / "b", command="x")
+        profile = HostProfile.create("x", {}, PhaseClock())
+        assert len(spawned) == 1
+        assert first.git_sha == second.git_sha == profile.git_sha
+        artifact.current_git_sha(tmp_path)  # another directory: its own read
+        assert len(spawned) == 2
+
     def test_disabled_bundle_retains_nothing(self):
         assert not NULL_TELEMETRY.enabled
         NULL_TELEMETRY.tracer.emit(EV_SPRAY, core=0)

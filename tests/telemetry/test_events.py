@@ -91,7 +91,7 @@ def test_count_and_emit_sampled_keep_counts_exact():
     assert NULL_TRACER.emitted == 0
 
 
-def _staged_run(tr, retain):
+def _staged_run(tr):
     tr.stage()
     tr.emit(EV_SERVICE, ts_ns=20.0, core=1, index=4)
     tr.emit("span.core_pop", ts_ns=20.0, core=1, index=4)
@@ -99,12 +99,12 @@ def _staged_run(tr, retain):
     tr.emit(EV_FAULT_DROP, ts_ns=15.0, core=0, index=3)  # never staged
     tr.emit("span.nic_arrival", ts_ns=10.0, index=4)
     tr.emit(EV_SERVICE, ts_ns=20.0, core=0, index=2)
-    tr.release(retain)
+    tr.release()
 
 
 def test_release_orders_staged_records_canonically():
     tr = EventTracer()
-    _staged_run(tr, retain=True)
+    _staged_run(tr)
     assert [(e.kind, e.fields["index"]) for e in tr.events()] == [
         (EV_FAULT_DROP, 3),
         ("span.nic_arrival", 4), (EV_SPRAY, 4),
@@ -118,14 +118,50 @@ def test_release_orders_staged_records_canonically():
 
 def test_release_without_retain_only_counts():
     tr = EventTracer()
-    _staged_run(tr, retain=False)
-    assert [e.kind for e in tr.events()] == [EV_FAULT_DROP]
+    tr.hold()
+    _staged_run(tr)
+    tr.settle(False)
+    tr.emit("mlffr.probe")
+    tr.end_hold()
+    assert [e.kind for e in tr.events()] == [EV_FAULT_DROP, "mlffr.probe"]
     assert tr.type_counts == {EV_SERVICE: 2, "span.core_pop": 1,
                               EV_SPRAY: 1, EV_FAULT_DROP: 1,
-                              "span.nic_arrival": 1}
-    assert tr.emitted == 6
-    tr.emit("mlffr.probe")
+                              "span.nic_arrival": 1, "mlffr.probe": 1}
+    assert tr.emitted == 7
     assert tr.events()[-1].ts_ns == 16.0  # discarded stamps never count
+
+
+def test_hold_keeps_one_batch_with_every_count_and_tick():
+    """Inside a retention scope only the last kept batch reaches the ring,
+    once, at the end; counts and tick stamps equal retaining every kept
+    batch as it is released."""
+    scoped, plain = EventTracer(), EventTracer()
+    scoped.hold()
+    for keep, shift in ((True, 0.0), (False, 100.0), (True, 5.0)):
+        for tr in (scoped, plain):
+            tr.stage()
+            tr.emit(EV_SERVICE, ts_ns=20.0 + shift, core=1, index=4)
+            tr.emit("span.nic_arrival", ts_ns=10.0 + shift, index=4)
+            tr.emit(EV_FAULT_DROP, ts_ns=15.0, core=0, index=3)
+        plain.hold()  # a scope per batch: retained as it is settled
+        for tr in (scoped, plain):
+            tr.release()
+            tr.settle(keep)
+        plain.end_hold()
+        for tr in (scoped, plain):
+            tr.emit("mlffr.probe")
+    assert len(scoped) == 6  # three fault drops and three probes so far
+    scoped.end_hold()
+    events = [(e.kind, e.ts_ns) for e in scoped.events()]
+    assert events[-2:] == [("span.nic_arrival", 15.0), (EV_SERVICE, 25.0)]
+    assert events[:-2] == [
+        (e.kind, e.ts_ns) for e in plain.events()
+        if e.kind in (EV_FAULT_DROP, "mlffr.probe")]
+    assert scoped.type_counts == {
+        EV_SERVICE: 3, "span.nic_arrival": 3, EV_FAULT_DROP: 3,
+        "mlffr.probe": 3}
+    assert scoped.emitted == 12
+    assert scoped.dropped == 4
 
 
 def test_staged_buffer_stays_bounded_and_release_is_unchanged():
@@ -138,11 +174,12 @@ def test_staged_buffer_stays_bounded_and_release_is_unchanged():
     rows = [(rng.choice((EV_SERVICE, EV_SPRAY, "span.core_pop")),
              float(rng.randrange(3000)), rng.randrange(5000))
             for _ in range(6000)]
-    for retain in (True, False):
+    for keep in (True, False):
         small, big = EventTracer(capacity=40), EventTracer(capacity=10_000)
         peak = 0
         for tr in (small, big):
             tr.emit("mlffr.probe")
+            tr.hold()
             tr.stage()
         for kind, ts, index in rows:
             for tr in (small, big):
@@ -150,7 +187,9 @@ def test_staged_buffer_stays_bounded_and_release_is_unchanged():
             peak = max(peak, len(small._staged))
         released = []
         for tr in (small, big):
-            tr.release(retain)
+            tr.release()
+            tr.settle(keep)
+            tr.end_hold()
             released.append([e.to_dict() for e in tr.events()])
             tr.emit("mlffr.probe")
         assert peak <= 1024
