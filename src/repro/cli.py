@@ -27,12 +27,8 @@ Subcommands:
   the scaling engines, the fault/recovery subsystem, and the
   observability layer (rules SCR001–SCR006; exit 1 on findings).
 
-``run``, ``mlffr``, and ``sweep`` accept ``--telemetry DIR``: the run is
-instrumented (event trace, metrics, latency histograms) and a
-:class:`~repro.telemetry.artifact.RunArtifact` is written under ``DIR``.
-``mlffr`` and ``sweep`` (the simulator paths) additionally accept
-``--trace-sample RATE``: causal ``span.*`` events are recorded for a
-deterministic sample of packet indices (see :mod:`repro.obs`).
+Every flag that describes a run is defined once, in :data:`FLAG_SCHEMA`;
+its range check lives in the value object it maps onto (docs/API.md).
 """
 
 from __future__ import annotations
@@ -40,8 +36,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .bench import render_scaling_series, render_table
 from .bench.export import scaling_points_to_csv
@@ -50,26 +48,124 @@ from .cpu.columnar import HOTPATH_ENV, HOTPATH_MODES
 from .faults import FaultSpec
 from .parallel import TECHNIQUES
 from .programs import make_program, program_names, table1_rows
+from .scenario.spec import SINGLE_FLOW_WORKLOAD, TraceSpec
 from .sequencer import NetFpgaSequencerModel, TofinoSequencerModel
 from .telemetry import NULL_TELEMETRY, Telemetry, summarize_artifact
 from .traffic import TRACE_DISTRIBUTIONS, Trace, read_pcap, synthesize_trace, write_pcap
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "Flag", "FlagSchema", "FLAG_SCHEMA"]
 
 
-def _add_hotpath_arg(p: argparse.ArgumentParser) -> None:
-    """``--hotpath`` on every simulating subcommand.
+#: Scenario workloads: the synthesized distributions plus Figure 1's flow.
+_WORKLOADS = sorted(TRACE_DISTRIBUTIONS) + [SINGLE_FLOW_WORKLOAD]
+#: ``--workload`` for the subcommands that synthesize with ``synthesize_trace``.
+_TRACE_WORKLOAD = {"default": "univ_dc", "choices": sorted(TRACE_DISTRIBUTIONS)}
 
-    ``main`` exports the choice through :data:`HOTPATH_ENV` so ``--jobs``
-    worker processes inherit it (docs/HOTPATH.md).
+
+@dataclass(frozen=True)
+class Flag:
+    """One flag, defined once for every subcommand that takes it.
+
+    ``kwargs`` go to ``add_argument`` (each subcommand supplies its own
+    default).  ``field`` names the value-object field the flag maps onto:
+    a ``ValueError`` whose message starts with it is reported against the
+    flag.  ``records`` lists the artifact configs that record its value.
     """
-    p.add_argument(
-        "--hotpath",
-        choices=list(HOTPATH_MODES),
-        default=None,
-        help="simulator inner loop: columnar batch math (default) or the "
-        "scalar reference event loop (results are bit-identical)",
-    )
+
+    option: str
+    kwargs: Mapping[str, Any]
+    field: str = ""
+    records: Tuple[str, ...] = ()
+
+
+class FlagSchema(Dict[str, Flag]):
+    """Flags by dest, declared with argparse's ``add_argument`` signature."""
+
+    def add_argument(self, option: str, *, field: str = "",
+                     records: Tuple[str, ...] = (), **kwargs: Any) -> None:
+        self[option[2:].replace("-", "_")] = Flag(option, kwargs, field, records)
+
+
+#: The flags that describe a run.  Range checks live in the value objects
+#: they map onto (TraceSpec, Scenario, PlacementSpec, FaultSpec,
+#: SpanSampler, ScenarioExecutor, SuiteParams, ChaosMatrixParams), never
+#: here; adding a flag is one entry plus the subcommands that take it.
+FLAG_SCHEMA = FlagSchema()
+_BOTH = ("telemetry", "hostprof")
+FLAG_SCHEMA.add_argument("--program", records=_BOTH, choices=program_names(),
+                         help="packet program (see `programs`)")
+FLAG_SCHEMA.add_argument("--workload", records=_BOTH, choices=_WORKLOADS,
+                         help="workload flow-size distribution")
+FLAG_SCHEMA.add_argument("--technique", records=_BOTH, choices=list(TECHNIQUES),
+                         help="parallelization technique")
+# No argparse choices: Scenario.create's "unknown technique" error (listing
+# every valid name) is the contract.
+FLAG_SCHEMA.add_argument("--techniques", records=_BOTH, nargs="+",
+                         help="parallelization techniques to compare")
+FLAG_SCHEMA.add_argument("--cores", records=_BOTH, type=int, help="CPU cores")
+FLAG_SCHEMA.add_argument("--packets", field="max_packets", records=_BOTH,
+                         type=int, help="packets in the synthesized trace")
+FLAG_SCHEMA.add_argument("--flows", field="num_flows", records=_BOTH, type=int,
+                         help="flows in the synthesized trace")
+FLAG_SCHEMA.add_argument("--tenants", field="num_tenants", records=_BOTH,
+                         type=int, help="tenants sharing the data plane; >1 "
+                         "attaches a PlacementSpec (repro.placement)")
+FLAG_SCHEMA.add_argument("--tenant-quota", field="tenant_quota",
+                         records=("telemetry",), type=int, metavar="N",
+                         help="max resident state entries per tenant "
+                              "(default: unlimited)")
+FLAG_SCHEMA.add_argument("--loss-rate", field="drop_rate", records=("telemetry",),
+                         type=float, help="drop this fraction of packets "
+                         "between sequencer and cores (a FaultSpec drop rate "
+                         "seeded by --seed); enables Algorithm 1 recovery")
+FLAG_SCHEMA.add_argument("--seed", field="seed", records=_BOTH, type=int,
+                         help="workload seed")
+FLAG_SCHEMA.add_argument("--trace-sample", field="rate", records=("telemetry",),
+                         type=float, metavar="RATE",
+                         help="with --telemetry: span-trace this fraction of "
+                              "packet indices (deterministic; default 0)")
+FLAG_SCHEMA.add_argument("--reps", field="reps", type=int,
+                         help="repetitions per point (median + MAD reported)")
+FLAG_SCHEMA.add_argument("--jobs", field="jobs", records=("hostprof",), type=int,
+                         metavar="N",
+                         help="worker processes (output identical to --jobs 1)")
+FLAG_SCHEMA.add_argument("--suite", records=("hostprof",), action="append",
+                         metavar="NAME",
+                         help="suite(s) to run (default: all); repeatable")
+FLAG_SCHEMA.add_argument("--deep", records=("hostprof",), action="store_true",
+                         help="also capture cProfile function stats and "
+                              "tracemalloc per-phase allocation peaks (slow)")
+FLAG_SCHEMA.add_argument("--cache-dir", metavar="DIR",
+                         help="content-addressed trace cache "
+                              "(see docs/BENCHMARKS.md)")
+FLAG_SCHEMA.add_argument("--csv", help="write the results to this CSV path")
+FLAG_SCHEMA.add_argument("--telemetry", metavar="DIR", help="instrument the "
+                         "run and write a run artifact here")
+FLAG_SCHEMA.add_argument("--hostprof", metavar="DIR",
+                         help="profile host wall time and write a hostprof "
+                              "artifact here (see docs/PROFILING.md)")
+# main exports the choice through HOTPATH_ENV so --jobs worker processes
+# inherit it (docs/HOTPATH.md).
+FLAG_SCHEMA.add_argument("--hotpath", choices=list(HOTPATH_MODES),
+                         help="simulator inner loop: columnar batch math "
+                              "(default) or the scalar reference event loop "
+                              "(results are bit-identical)")
+
+#: Value-object field -> the flag that sets it, for error messages.
+_FIELD_FLAGS = {f.field: f.option for f in FLAG_SCHEMA.values() if f.field}
+
+
+def _add_flags(p: argparse.ArgumentParser, **defaults: Any) -> None:
+    """Give subcommand ``p`` the schema flags named by ``defaults``.
+
+    Each value is the flag's default for this subcommand, or a dict of
+    ``add_argument`` overrides (``default``, ``nargs``, ...) when the
+    subcommand refines the schema entry.
+    """
+    for dest, value in defaults.items():
+        flag = FLAG_SCHEMA[dest]
+        refined = value if isinstance(value, dict) else {"default": value}
+        p.add_argument(flag.option, **{**flag.kwargs, **refined})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,108 +178,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("programs", help="list registered packet programs")
 
     p = sub.add_parser("synthesize", help="synthesize a workload trace")
-    p.add_argument("--workload", choices=sorted(TRACE_DISTRIBUTIONS), default="univ_dc")
-    p.add_argument("--flows", type=int, default=50)
-    p.add_argument("--packets", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, workload=_TRACE_WORKLOAD, flows=50, packets=5000, seed=0)
     p.add_argument("--bidirectional", action="store_true")
     p.add_argument("--out", required=True, help=".scrt or .pcap output path")
 
     p = sub.add_parser("run", help="functional SCR run with verification")
-    p.add_argument("--program", choices=program_names(), default="port_knocking")
-    p.add_argument("--cores", type=int, default=4)
     p.add_argument("--trace-file", help="SCRT/pcap trace to replay")
-    p.add_argument("--workload", choices=sorted(TRACE_DISTRIBUTIONS), default="univ_dc")
-    p.add_argument("--flows", type=int, default=30)
-    p.add_argument("--tenants", type=int, default=1,
-                   help="partition flows across this many tenants and "
-                        "report the occupancy split (repro.placement)")
-    p.add_argument("--packets", type=int, default=2000)
-    p.add_argument("--loss-rate", type=float, default=0.0,
-                   help="drop this fraction of packets between sequencer "
-                        "and cores (a FaultSpec drop rate seeded by --seed); "
-                        "enables Algorithm 1 recovery")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cache-dir", metavar="DIR",
-                   help="content-addressed trace cache (see docs/BENCHMARKS.md)")
-    p.add_argument("--telemetry", metavar="DIR",
-                   help="instrument the run and write a run artifact here")
-    p.add_argument("--hostprof", metavar="DIR",
-                   help="profile host wall time and write a hostprof "
-                        "artifact here (see docs/PROFILING.md)")
-    _add_hotpath_arg(p)
+    _add_flags(p, program="port_knocking", cores=4, workload=_TRACE_WORKLOAD,
+               flows=30, tenants=1, packets=2000, loss_rate=0.0, seed=0,
+               cache_dir=None, telemetry=None, hostprof=None, hotpath=None)
 
     p = sub.add_parser("mlffr", help="measure MLFFR throughput")
-    p.add_argument("--program", choices=program_names(), default="ddos")
-    p.add_argument("--workload", choices=sorted(TRACE_DISTRIBUTIONS) + ["single-flow"],
-                   default="univ_dc")
-    p.add_argument("--technique", choices=list(TECHNIQUES),
-                   default="scr")
-    p.add_argument("--cores", type=int, default=4)
-    p.add_argument("--flows", type=int, default=60)
-    p.add_argument("--packets", type=int, default=4000)
-    p.add_argument("--tenants", type=int, default=1,
-                   help="tenants sharing the data plane; >1 attaches a "
-                        "PlacementSpec (hybrid placement, repro.placement)")
-    p.add_argument("--tenant-quota", type=int, default=None, metavar="N",
-                   help="max resident state entries per tenant "
-                        "(default: unlimited)")
-    p.add_argument("--cache-dir", metavar="DIR",
-                   help="content-addressed trace cache (see docs/BENCHMARKS.md)")
-    p.add_argument("--telemetry", metavar="DIR",
-                   help="instrument the run and write a run artifact here")
-    p.add_argument("--trace-sample", type=float, default=0.0, metavar="RATE",
-                   help="with --telemetry: span-trace this fraction of "
-                        "packet indices (deterministic; default 0)")
-    p.add_argument("--hostprof", metavar="DIR",
-                   help="profile host wall time and write a hostprof "
-                        "artifact here (see docs/PROFILING.md)")
-    _add_hotpath_arg(p)
+    _add_flags(p, program="ddos", workload="univ_dc", technique="scr", cores=4,
+               flows=60, packets=4000, tenants=1, tenant_quota=None,
+               cache_dir=None, telemetry=None, trace_sample=0.0,
+               hostprof=None, hotpath=None)
 
     p = sub.add_parser("sweep", help="throughput-vs-cores sweep")
-    p.add_argument("--program", choices=program_names(), default="ddos")
-    p.add_argument("--workload", choices=sorted(TRACE_DISTRIBUTIONS) + ["single-flow"],
-                   default="univ_dc")
-    # No argparse choices here: Scenario.create validates names and its
-    # "unknown technique" error (listing every valid name) is the contract.
-    p.add_argument("--techniques", nargs="+",
-                   default=["scr", "shared", "rss", "rss++"])
-    p.add_argument("--cores", nargs="+", type=int, default=[1, 2, 4, 7])
-    p.add_argument("--flows", type=int, default=60)
-    p.add_argument("--packets", type=int, default=4000)
-    p.add_argument("--tenants", type=int, default=1,
-                   help="tenants sharing the data plane; >1 attaches a "
-                        "PlacementSpec (hybrid placement, repro.placement)")
-    p.add_argument("--tenant-quota", type=int, default=None, metavar="N",
-                   help="max resident state entries per tenant "
-                        "(default: unlimited)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes (results identical to --jobs 1)")
-    p.add_argument("--cache-dir", metavar="DIR",
-                   help="content-addressed trace cache (see docs/BENCHMARKS.md)")
-    p.add_argument("--csv", help="write results to this CSV path")
-    p.add_argument("--telemetry", metavar="DIR",
-                   help="instrument the run and write a run artifact here")
-    p.add_argument("--trace-sample", type=float, default=0.0, metavar="RATE",
-                   help="with --telemetry: span-trace this fraction of "
-                        "packet indices (deterministic; default 0)")
-    p.add_argument("--hostprof", metavar="DIR",
-                   help="profile host wall time and write a hostprof "
-                        "artifact here (see docs/PROFILING.md)")
-    _add_hotpath_arg(p)
+    _add_flags(p, program="ddos", workload="univ_dc",
+               techniques=["scr", "shared", "rss", "rss++"],
+               cores={"default": [1, 2, 4, 7], "nargs": "+"},
+               flows=60, packets=4000, tenants=1, tenant_quota=None, jobs=1,
+               cache_dir=None, csv=None, telemetry=None, trace_sample=0.0,
+               hostprof=None, hotpath=None)
 
     p = sub.add_parser("hardware", help="sequencer capacity and resources")
     p.add_argument("--rows", type=int, default=16, help="NetFPGA history rows")
 
     p = sub.add_parser("reproduce", help="re-measure a paper figure")
     p.add_argument("figure", help='figure id, e.g. "1", "6e", "7", "10a", or "list"')
-    p.add_argument("--packets", type=int, default=4000)
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes (results identical to --jobs 1)")
-    p.add_argument("--cache-dir", metavar="DIR",
-                   help="content-addressed trace cache (see docs/BENCHMARKS.md)")
-    p.add_argument("--csv", help="write the series to this CSV path")
-    _add_hotpath_arg(p)
+    _add_flags(p, packets=4000, jobs=1, cache_dir=None, csv=None, hotpath=None)
 
     p = sub.add_parser("inspect", help="summarize a telemetry run artifact")
     p.add_argument("dir", help="artifact directory (or manifest.json path)")
@@ -201,21 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="perf-regression bench suite and compare gate"
     )
     p.add_argument("--list", action="store_true", help="list the suites")
-    p.add_argument("--suite", action="append", metavar="NAME",
-                   help="suite(s) to run (default: all); repeatable")
     p.add_argument("--out", default="results/bench", metavar="DIR",
                    help="directory for BENCH_*.json artifacts")
-    p.add_argument("--reps", type=int, default=3,
-                   help="repetitions per point (median + MAD reported)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the pinned base seed (breaks baseline "
-                        "comparability; recorded in the artifact)")
     p.add_argument("--full", action="store_true",
                    help="paper-scale grids instead of the quick suite")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes (artifacts identical to --jobs 1)")
-    p.add_argument("--cache-dir", metavar="DIR",
-                   help="content-addressed trace cache (see docs/BENCHMARKS.md)")
     p.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                    help="compare two artifacts/directories instead of running")
     p.add_argument("--markdown", metavar="PATH",
@@ -224,51 +237,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative significance band (default 0.05)")
     p.add_argument("--noise-mult", type=float, default=None,
                    help="multiplier on summed MADs (default 3.0)")
-    p.add_argument("--hostprof", metavar="DIR",
-                   help="profile host wall time of the suite runs and "
-                        "write a hostprof artifact here")
-    _add_hotpath_arg(p)
+    _add_flags(p, suite=None, reps=3, jobs=1, cache_dir=None, hostprof=None,
+               hotpath=None,
+               seed={"default": None,
+                     "help": "override the pinned base seed (breaks baseline "
+                             "comparability; recorded in the artifact)"})
 
     p = sub.add_parser(
         "profile",
         help="host wall-clock profile of one scenario (repro.hostprof)",
     )
-    p.add_argument("--program", choices=program_names(), default="ddos")
-    p.add_argument("--workload",
-                   choices=sorted(TRACE_DISTRIBUTIONS) + ["single-flow"],
-                   default="univ_dc")
-    p.add_argument("--technique", choices=list(TECHNIQUES),
-                   default="scr")
-    p.add_argument("--cores", type=int, default=4)
-    p.add_argument("--packets", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--deep", action="store_true",
-                   help="also capture cProfile function stats and "
-                        "tracemalloc per-phase allocation peaks (slow)")
+    _add_flags(p, program="ddos", workload="univ_dc", technique="scr", cores=4,
+               packets=2000, seed=7, deep=False, cache_dir=None, hotpath=None)
     p.add_argument("--top", type=int, default=12,
                    help="phase-Pareto rows to print (default 12)")
-    p.add_argument("--cache-dir", metavar="DIR",
-                   help="content-addressed trace cache (see docs/BENCHMARKS.md)")
     p.add_argument("--out", default="results/hostprof", metavar="DIR",
                    help="artifact directory (hostprof.json, profile.folded, "
                         "profile.speedscope.json)")
-    _add_hotpath_arg(p)
 
     p = sub.add_parser(
         "chaos", help="fault-injection matrix: detection, recovery, MLFFR"
     )
-    p.add_argument("--seed", type=int, default=7,
-                   help="fault-plan and workload seed (default 7)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes for the MLFFR sweep "
-                        "(artifact byte-identical to --jobs 1)")
+    _add_flags(p, seed=7, jobs=1, cache_dir=None, hotpath=None)
     p.add_argument("--out", default="results/chaos", metavar="DIR",
                    help="directory for the BENCH_chaos_recovery.json artifact")
     p.add_argument("--full", action="store_true",
                    help="longer traces (2000/3000 packets) instead of quick")
-    p.add_argument("--cache-dir", metavar="DIR",
-                   help="content-addressed trace cache (see docs/BENCHMARKS.md)")
-    _add_hotpath_arg(p)
 
     p = sub.add_parser(
         "lint", help="SCR-safety static analysis (scrlint, SCR001–SCR007)"
@@ -292,49 +286,58 @@ def build_parser() -> argparse.ArgumentParser:
         help="predict the best parallelization technique per program "
              "(static dataflow facts + Appendix A cost model)",
     )
-    p.add_argument("--program", action="append", dest="programs",
-                   choices=program_names(), metavar="NAME",
-                   help="advise only this program (repeatable; "
-                        "default: all registered programs)")
     p.add_argument("--facts-only", action="store_true",
                    help="emit the static state-facts document and skip "
                         "the cost-model scoring")
     p.add_argument("--bench", metavar="BENCH.json",
                    help="take d/c1/c2/t from this artifact's embedded "
                         "table4_params instead of the built-in Table 4")
-    p.add_argument("--workload", choices=sorted(TRACE_DISTRIBUTIONS) + ["single-flow"],
-                   default="univ_dc")
-    p.add_argument("--flows", type=int, default=40)
-    p.add_argument("--packets", type=int, default=1500)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--cores", nargs="+", type=int,
-                   default=[1, 2, 3, 4, 5, 6, 7, 8],
-                   help="core counts to predict; the winner is decided "
-                        "at the largest")
+    _add_flags(p, workload="univ_dc", flows=40, packets=1500, seed=7,
+               program={"action": "append", "dest": "programs",
+                        "metavar": "NAME",
+                        "help": "advise only this program (repeatable; "
+                                "default: all registered programs)"},
+               cores={"default": [1, 2, 3, 4, 5, 6, 7, 8], "nargs": "+",
+                      "help": "core counts to predict; the winner is "
+                              "decided at the largest"})
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("validate", help="check a program's SCR safety")
-    p.add_argument("--program", choices=program_names(), required=True)
-    p.add_argument("--workload", choices=sorted(TRACE_DISTRIBUTIONS), default="univ_dc")
-    p.add_argument("--flows", type=int, default=20)
-    p.add_argument("--packets", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, program={"required": True}, workload=_TRACE_WORKLOAD,
+               flows=20, packets=1000, seed=0)
 
     return parser
 
 
-def _cache_for(args) -> "Optional[TraceCache]":
-    from .scenario import TraceCache
+class _FlagError(Exception):
+    """A flag value its value object rejected: one ``error:`` line, exit 2."""
 
-    if getattr(args, "cache_dir", None):
-        return TraceCache(args.cache_dir)
-    return None
+
+@contextmanager
+def _validating() -> Iterator[None]:
+    """Build value objects from flags, before any work.  A ``ValueError``
+    they raise ends the command as one ``error:`` line naming the flag."""
+    try:
+        yield
+    except ValueError as exc:
+        message = str(exc)
+        flag = _FIELD_FLAGS.get(message.split(" ", 1)[0])
+        raise _FlagError(f"{flag}: {message}" if flag else message) from None
+
+
+def _executor(args, telemetry=NULL_TELEMETRY, **kwargs):
+    """The scenario executor ``--jobs``/``--cache-dir`` describe."""
+    from .scenario import ScenarioExecutor
+
+    return ScenarioExecutor(
+        jobs=getattr(args, "jobs", 1), cache_dir=args.cache_dir,
+        telemetry=telemetry if telemetry.enabled else None, **kwargs,
+    )
 
 
 def _placement_for(args):
     """A PlacementSpec when ``--tenants``/``--tenant-quota`` were given,
-    else None (single-tenant scenarios carry no placement config).  May
-    raise ValueError; callers report it like Scenario.create's errors."""
+    else None (single-tenant scenarios carry no placement config)."""
     from .placement import PlacementSpec
 
     tenants = getattr(args, "tenants", 1)
@@ -344,20 +347,23 @@ def _placement_for(args):
     return PlacementSpec(num_tenants=tenants, tenant_quota=quota)
 
 
-def _run_trace_spec(args) -> "Optional[TraceSpec]":
-    """The workload ``run`` synthesizes (None with ``--trace-file``).  May
-    raise ValueError; the caller reports it like Scenario.create's errors."""
-    from .scenario import TraceSpec
-
-    if args.trace_file:
-        return None
+def _trace_spec(args, bidirectional) -> TraceSpec:
+    """The workload ``--workload/--flows/--packets/--seed`` describe, at its
+    synthesized packet sizes."""
     return TraceSpec(
-        workload=args.workload,
-        num_flows=args.flows,
-        max_packets=args.packets,
-        seed=args.seed,
-        bidirectional=bool(make_program(args.program).bidirectional),
-        packet_size=None,
+        workload=args.workload, num_flows=args.flows, max_packets=args.packets,
+        seed=args.seed, bidirectional=bool(bidirectional), packet_size=None,
+    )
+
+
+def _synthesized(args, bidirectional) -> Trace:
+    """The ``_trace_spec`` workload at ``synthesize_trace``'s own default
+    timing (the scenario layer's ``build_trace`` uses the evaluation's)."""
+    with _validating():
+        spec = _trace_spec(args, bidirectional)
+    return synthesize_trace(
+        TRACE_DISTRIBUTIONS[spec.workload](), spec.num_flows, seed=spec.seed,
+        bidirectional=spec.bidirectional, max_packets=spec.max_packets,
     )
 
 
@@ -394,13 +400,7 @@ def cmd_programs(args, out) -> int:
 
 
 def cmd_synthesize(args, out) -> int:
-    trace = synthesize_trace(
-        TRACE_DISTRIBUTIONS[args.workload](),
-        args.flows,
-        seed=args.seed,
-        bidirectional=args.bidirectional,
-        max_packets=args.packets,
-    )
+    trace = _synthesized(args, args.bidirectional)
     if args.out.endswith(".pcap"):
         write_pcap(trace, args.out)
     else:
@@ -414,23 +414,28 @@ def cmd_synthesize(args, out) -> int:
 def _telemetry_for(args) -> Telemetry:
     """An enabled Telemetry when ``--telemetry DIR`` was given, else no-op.
 
-    ``--trace-sample RATE`` attaches a span emitter keyed on the run's
-    seed, so which packets carry a trace is the same in every process.
+    A nonzero ``--trace-sample RATE`` attaches a span emitter keyed on the
+    run's seed, so which packets carry a trace is the same in every
+    process; without ``--telemetry`` it is an error, not a silent no-op.
     """
-    if not getattr(args, "telemetry", None):
+    from .obs import SpanEmitter, SpanSampler
+
+    rate = getattr(args, "trace_sample", 0.0)
+    sampler = SpanSampler(getattr(args, "seed", 0), rate) if rate else None
+    if not args.telemetry:
+        if sampler is not None:
+            raise _FlagError("--trace-sample needs --telemetry DIR")
         return NULL_TELEMETRY
     tele = Telemetry()
-    rate = getattr(args, "trace_sample", 0.0) or 0.0
-    if rate > 0.0:
-        from .obs import SpanEmitter, SpanSampler
-
-        seed = getattr(args, "seed", 0) or 0
-        tele.spans = SpanEmitter(tele.tracer, SpanSampler(seed, rate))
+    if sampler is not None:
+        tele.spans = SpanEmitter(tele.tracer, sampler)
     return tele
 
 
-def _config_from(args, *names) -> dict:
-    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+def _config(args, artifact: str) -> dict:
+    """The schema flags ``artifact``'s config records, as parsed."""
+    return {dest: getattr(args, dest) for dest, flag in FLAG_SCHEMA.items()
+            if artifact in flag.records and hasattr(args, dest)}
 
 
 def _hostprof_for(args):
@@ -451,12 +456,7 @@ def _finish_hostprof(hp, args, out) -> bool:
     from .hostprof import HostProfile
 
     profile = HostProfile.create(
-        command=args.command,
-        config=_config_from(
-            args, "program", "workload", "technique", "techniques",
-            "cores", "packets", "flows", "tenants", "seed", "jobs", "suite",
-        ),
-        clock=hp,
+        command=args.command, config=_config(args, "hostprof"), clock=hp,
     )
     try:
         path = profile.save(args.hostprof)
@@ -499,11 +499,7 @@ def _finish_telemetry(tele, args, out, num_cores, extra_metrics=None) -> bool:
         artifact = tele.write_artifact(
             args.telemetry,
             command=args.command,
-            config=_config_from(
-                args, "program", "workload", "technique", "techniques",
-                "cores", "packets", "flows", "tenants", "tenant_quota",
-                "loss_rate", "seed", "trace_sample",
-            ),
+            config=_config(args, "telemetry"),
             extra_metrics=extra_metrics,
             num_cores=num_cores,
         )
@@ -518,20 +514,15 @@ def _finish_telemetry(tele, args, out, num_cores, extra_metrics=None) -> bool:
 
 
 def cmd_run(args, out) -> int:
-    if args.tenants < 1:
-        print(f"error: --tenants must be >= 1, got {args.tenants}", file=out)
-        return 2
-    try:
+    from .scenario import StackBuilder, TraceCache
+
+    hp = _hostprof_for(args)
+    with _validating():
+        spec = _trace_spec(args, make_program(args.program).bidirectional)
+        _placement_for(args)  # checks --tenants; run only reports occupancy
         faults = (FaultSpec(seed=args.seed, drop_rate=args.loss_rate)
                   if args.loss_rate else None)
-    except ValueError as exc:
-        print(f"error: --loss-rate: {exc}", file=out)
-        return 2
-    cache = _cache_for(args)
-    hp = _hostprof_for(args)
-    tele = _telemetry_for(args)
-    try:
-        spec = _run_trace_spec(args)
+        tele = _telemetry_for(args)
         engine = ScrFunctionalEngine(
             make_program(args.program),
             num_cores=args.cores,
@@ -539,18 +530,9 @@ def cmd_run(args, out) -> int:
             faults=faults,
             tracer=tele.tracer,
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    if spec is None:
-        try:
-            trace = _read_trace_file(args.trace_file)
-        except ValueError as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-    else:
-        from .scenario import StackBuilder
-
+        trace = _read_trace_file(args.trace_file) if args.trace_file else None
+    cache = TraceCache(args.cache_dir) if args.cache_dir else None
+    if trace is None:
         trace = StackBuilder(cache, hostprof=hp).trace(spec)
     with hp.phase("func.run"):
         result = engine.run(trace)
@@ -604,23 +586,17 @@ def _result_metrics(results) -> Optional[dict]:
 
 
 def cmd_mlffr(args, out) -> int:
-    from .scenario import Scenario, ScenarioExecutor
+    from .scenario import Scenario
 
-    tele = _telemetry_for(args)
     hp = _hostprof_for(args)
-    cache = _cache_for(args)
-    try:
+    with _validating():
         scenario = Scenario.create(
             args.program, args.workload, args.technique, args.cores,
             num_flows=args.flows, max_packets=args.packets,
             placement=_placement_for(args),
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    executor = ScenarioExecutor(
-        cache=cache, telemetry=tele if tele.enabled else None, hostprof=hp
-    )
+        tele = _telemetry_for(args)
+        executor = _executor(args, tele, hostprof=hp)
     result = executor.run_one(scenario)
     print(f"{args.program} @ {args.workload}, {args.technique}, "
           f"{args.cores} cores: {result.mlffr_mpps:.2f} Mpps "
@@ -631,7 +607,7 @@ def cmd_mlffr(args, out) -> int:
               f"{stats['demotions']} demotions, "
               f"{stats['migrations']} migrations, "
               f"{stats['tenant_quota_drops_total']} quota drops", file=out)
-    _record_cache_metrics(tele, cache)
+    _record_cache_metrics(tele, executor.cache)
     if not _finish_telemetry(tele, args, out, num_cores=args.cores,
                              extra_metrics=_result_metrics([result])):
         return 2
@@ -642,28 +618,17 @@ def cmd_mlffr(args, out) -> int:
 
 def cmd_sweep(args, out) -> int:
     from .bench.figures import scaling_series
-    from .scenario import ScenarioExecutor, scenario_grid
+    from .scenario import scenario_grid
 
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=out)
-        return 2
-    tele = _telemetry_for(args)
-    try:
+    hp = _hostprof_for(args)
+    with _validating():
         grid = scenario_grid(
             args.program, args.workload, args.techniques, args.cores,
             num_flows=args.flows, max_packets=args.packets,
             placement=_placement_for(args),
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    hp = _hostprof_for(args)
-    cache = _cache_for(args)
-    executor = ScenarioExecutor(
-        jobs=args.jobs, cache=cache,
-        telemetry=tele if tele.enabled else None,
-        hostprof=hp,
-    )
+        tele = _telemetry_for(args)
+        executor = _executor(args, tele, hostprof=hp)
     results = executor.run(grid)
     print(render_scaling_series(
         scaling_series(results), title=f"{args.program} @ {args.workload} (Mpps)"
@@ -671,7 +636,7 @@ def cmd_sweep(args, out) -> int:
     if args.csv:
         path = scaling_points_to_csv(results, args.csv)
         print(f"wrote {path}", file=out)
-    _record_cache_metrics(tele, cache)
+    _record_cache_metrics(tele, executor.cache)
     if not _finish_telemetry(tele, args, out, num_cores=max(args.cores),
                              extra_metrics=_result_metrics(results)):
         return 2
@@ -681,6 +646,8 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_hardware(args, out) -> int:
+    with _validating():
+        fpga = NetFpgaSequencerModel(args.rows)
     tofino = TofinoSequencerModel()
     rows = []
     for name in program_names(stateful_only=True):
@@ -690,7 +657,6 @@ def cmd_hardware(args, out) -> int:
         ["program", "metadata (B)", "Tofino max cores"], rows,
         title=f"Tofino: {tofino.history_fields} 32-bit history fields",
     ), file=out)
-    fpga = NetFpgaSequencerModel(args.rows)
     luts, _, ffs = fpga.synthesis_row()
     print(f"\nNetFPGA @ {args.rows} rows: {luts} LUTs "
           f"({fpga.lut_utilization_pct():.3f}%), {ffs} FFs "
@@ -703,7 +669,6 @@ def cmd_hardware(args, out) -> int:
 def cmd_reproduce(args, out) -> int:
     from .bench.export import series_to_csv
     from .bench.figures import FIGURE_PRESETS, preset_scenarios, scaling_series
-    from .scenario import ScenarioExecutor
 
     if args.figure == "list":
         for name, preset in FIGURE_PRESETS.items():
@@ -712,17 +677,11 @@ def cmd_reproduce(args, out) -> int:
     try:
         preset = FIGURE_PRESETS[args.figure]
     except KeyError:
-        print(f"unknown figure {args.figure!r}; try 'reproduce list'", file=out)
+        print(f"error: unknown figure {args.figure!r}; try 'reproduce list'", file=out)
         return 2
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=out)
-        return 2
-    try:
+    with _validating():
         grid = preset_scenarios(preset, max_packets=args.packets)
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    executor = ScenarioExecutor(jobs=args.jobs, cache=_cache_for(args))
+        executor = _executor(args)
     series = scaling_series(executor.run(grid))
     print(render_scaling_series(series, title=f"{preset.describe()} (Mpps)"),
           file=out)
@@ -818,24 +777,19 @@ def cmd_bench(args, out) -> int:
     names = args.suite or suite_names()
     unknown = sorted(set(names) - set(suite_names()))
     if unknown:
-        print(f"unknown suite(s): {', '.join(unknown)}; "
+        print(f"error: unknown suite(s): {', '.join(unknown)}; "
               f"available: {', '.join(suite_names())}", file=out)
         return 2
-    if args.reps < 1:
-        print("--reps must be >= 1", file=out)
-        return 2
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=out)
-        return 2
     hp = _hostprof_for(args)
-    params = SuiteParams(
-        reps=args.reps,
-        base_seed=args.seed if args.seed is not None else BASE_SEED,
-        quick=not args.full,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        hostprof=hp,
-    )
+    with _validating():
+        params = SuiteParams(
+            reps=args.reps,
+            base_seed=args.seed if args.seed is not None else BASE_SEED,
+            quick=not args.full,
+            jobs=args.jobs,
+            cache_dir=args.cache_dir,
+            hostprof=hp,
+        )
     gate_failures = []
     for name in names:
         with hp.phase(f"suite.{name}"):
@@ -868,30 +822,26 @@ def cmd_profile(args, out) -> int:
     harness's real time go" — see docs/PROFILING.md.
     """
     from .hostprof import DeepCapture, HostProfile, PhaseClock
-    from .scenario import Scenario, ScenarioExecutor
+    from .scenario import Scenario
 
     clock = PhaseClock(enabled=True)
+    with _validating():
+        scenario = Scenario.create(
+            args.program, args.workload, args.technique, args.cores,
+            max_packets=args.packets, seed=args.seed,
+        )
+        executor = _executor(args, hostprof=clock)
     deep = None
     if args.deep:
         deep = DeepCapture()
         deep.attach(clock)
         deep.start()
-    try:
-        scenario = Scenario.create(
-            args.program, args.workload, args.technique, args.cores,
-            max_packets=args.packets, seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    executor = ScenarioExecutor(cache=_cache_for(args), hostprof=clock)
     result = executor.run_one(scenario)
     if deep is not None:
         deep.stop()
     profile = HostProfile.create(
         command="profile",
-        config=_config_from(args, "program", "workload", "technique",
-                            "cores", "packets", "seed", "deep"),
+        config=_config(args, "hostprof"),
         clock=clock,
         deep=deep.snapshot() if deep is not None else None,
     )
@@ -916,15 +866,14 @@ def cmd_profile(args, out) -> int:
 def cmd_chaos(args, out) -> int:
     from .faults.matrix import ChaosMatrixParams, run_chaos_matrix
 
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=out)
-        return 2
-    report = run_chaos_matrix(ChaosMatrixParams(
-        seed=args.seed,
-        jobs=args.jobs,
-        quick=not args.full,
-        cache_dir=args.cache_dir,
-    ))
+    with _validating():
+        params = ChaosMatrixParams(
+            seed=args.seed,
+            jobs=args.jobs,
+            quick=not args.full,
+            cache_dir=args.cache_dir,
+        )
+    report = run_chaos_matrix(params)
     for line in report.summary_lines():
         print(line, file=out)
     artifact = report.artifact
@@ -1069,14 +1018,7 @@ def cmd_validate(args, out) -> int:
     from .core import validate_program
 
     program = make_program(args.program)
-    trace = synthesize_trace(
-        TRACE_DISTRIBUTIONS[args.workload](),
-        args.flows,
-        seed=args.seed,
-        bidirectional=program.bidirectional,
-        max_packets=args.packets,
-    )
-    report = validate_program(program, list(trace))
+    report = validate_program(program, list(_synthesized(args, program.bidirectional)))
     if report.ok:
         print(f"{args.program}: SCR-safe "
               f"({report.packets_checked} packets checked)", file=out)
@@ -1112,8 +1054,12 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         # Exported (not passed point-to-point) so --jobs worker processes
         # inherit the selected simulator inner loop.
         os.environ[HOTPATH_ENV] = args.hotpath
+    out = out if out is not None else sys.stdout
     try:
-        return _COMMANDS[args.command](args, out if out is not None else sys.stdout)
+        return _COMMANDS[args.command](args, out)
+    except _FlagError as exc:
+        print(f"error: {exc}", file=out)
+        return 2
     except BrokenPipeError:
         # Output piped into a consumer that closed early (e.g. head):
         # exit quietly like a well-behaved Unix tool.

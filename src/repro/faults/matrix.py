@@ -50,6 +50,12 @@ class ChaosMatrixParams:
     quick: bool = True
     cache_dir: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+
     @property
     def max_packets(self) -> int:
         return 800 if self.quick else 2000

@@ -63,7 +63,7 @@ class SpanSampler:
 
     def __init__(self, seed: int = 0, rate: float = 0.0) -> None:
         if not 0.0 <= rate <= 1.0:
-            raise ValueError("sampling rate must be in [0, 1]")
+            raise ValueError(f"rate must be in [0, 1], got {rate}")
         self.seed = seed
         self.rate = rate
         self._decided: Dict[int, bool] = {}

@@ -106,6 +106,14 @@ class SuiteParams:
     #: singleton by default; never affects measured values).
     hostprof: PhaseClock = NULL_HOSTPROF
 
+    def __post_init__(self) -> None:
+        if self.reps < 1:
+            raise ValueError(f"reps must be >= 1, got {self.reps}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+
     @property
     def max_packets(self) -> int:
         return 1500 if self.quick else 3000

@@ -81,7 +81,7 @@ class ScenarioExecutor:
         hostprof: PhaseClock = NULL_HOSTPROF,
     ) -> None:
         if jobs < 1:
-            raise ValueError("jobs must be >= 1")
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
         if cache is None and cache_dir is not None:
             cache = TraceCache(str(cache_dir))
         self.jobs = jobs

@@ -125,6 +125,8 @@ class TraceSpec:
             raise ValueError("need at least one flow")
         if self.max_packets < 1:
             raise ValueError("need at least one packet")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.packet_size is not None and self.packet_size < 1:
             raise ValueError("packet_size must be positive (or None)")
 

@@ -56,6 +56,8 @@ class TestTraceSpec:
             TraceSpec("caida", max_packets=0)
         with pytest.raises(ValueError):
             TraceSpec("caida", packet_size=0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TraceSpec("caida", seed=-1)
 
 
 class TestScenarioCreate:
