@@ -41,16 +41,19 @@ bench:
 	PYTHONPATH=src python -m repro.cli bench --out results/bench \
 		--jobs 2 --cache-dir results/cache
 
-# Run the quick suites that have a committed baseline (fig6, obs_overhead,
-# advisor_validation, multitenant) and gate them against it (nonzero exit
-# on a noise-significant throughput regression, any nonzero tracing
-# overhead, a traced search over 8x the untraced one, or a lost
-# advisor-vs-measurement agreement).  A directory compare needs every
-# baseline's counterpart, so the list must match benchmarks/baselines/.
+# The suites with a committed baseline under benchmarks/baselines/.  A
+# directory compare needs every baseline's counterpart, so bench-compare
+# and bench-baseline both run exactly this list.
+BASELINE_SUITES = fig6_scaling obs_overhead advisor_validation multitenant
+
+# Run the quick suites that have a committed baseline and gate them
+# against it (nonzero exit on a noise-significant throughput regression,
+# any nonzero tracing overhead, a traced search over 8x the untraced one,
+# or a lost advisor-vs-measurement agreement).
 bench-compare:
-	PYTHONPATH=src python -m repro.cli bench --suite fig6_scaling \
-		--suite obs_overhead --suite advisor_validation \
-		--suite multitenant --jobs 2 --out results/bench
+	PYTHONPATH=src python -m repro.cli bench \
+		$(foreach s,$(BASELINE_SUITES),--suite $(s)) \
+		--jobs 2 --out results/bench
 	PYTHONPATH=src python -m repro.cli bench \
 		--compare benchmarks/baselines results/bench \
 		--markdown results/bench/compare.md
@@ -58,8 +61,8 @@ bench-compare:
 # Refresh the committed baseline (do this deliberately, in its own commit,
 # after a justified perf change — see docs/BENCHMARKS.md).
 bench-baseline:
-	PYTHONPATH=src python -m repro.cli bench --suite fig6_scaling \
-		--suite obs_overhead --suite advisor_validation \
+	PYTHONPATH=src python -m repro.cli bench \
+		$(foreach s,$(BASELINE_SUITES),--suite $(s)) \
 		--out benchmarks/baselines
 
 # Fault-injection matrix (repro.faults): gap detection, checkpoint
@@ -82,18 +85,12 @@ report:
 	PYTHONPATH=src python -m repro.cli report results/telemetry-demo \
 		results/bench/BENCH_fig6_scaling.json --out results/report.html
 
-# Columnar hot path: the bit-exact parity gate against the scalar oracle,
-# then the hotpath bench suite vs its committed baseline (the speedup
-# must stay won — see docs/HOTPATH.md).
+# Columnar hot path: the bit-exact parity gate against the scalar oracle
+# (CI's hotpath-smoke job also checks the speedup floor — see
+# docs/HOTPATH.md).
 hotpath:
 	PYTHONPATH=src python -m pytest -x -q tests/cpu/test_hotpath_parity.py \
 		tests/nic/test_rss.py
-	PYTHONPATH=src python -m repro.cli bench --suite hotpath \
-		--out results/bench-hotpath
-	PYTHONPATH=src python -m repro.cli bench \
-		--compare benchmarks/baselines-hostwall/BENCH_hotpath.json \
-		results/bench-hotpath/BENCH_hotpath.json \
-		--rel-tol 3.0 --noise-mult 4.0
 
 # Multi-tenant placement gate: the placement test package, then the
 # multitenant suite (hybrid vs scr vs rss on zipf, 10^3..10^6 flows)

@@ -233,10 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compare two artifacts/directories instead of running")
     p.add_argument("--markdown", metavar="PATH",
                    help="with --compare: also write the report to PATH")
-    p.add_argument("--rel-tol", type=float, default=None,
-                   help="relative significance band (default 0.05)")
-    p.add_argument("--noise-mult", type=float, default=None,
-                   help="multiplier on summed MADs (default 3.0)")
     _add_flags(p, suite=None, reps=3, jobs=1, cache_dir=None, hostprof=None,
                hotpath=None,
                seed={"default": None,
@@ -737,16 +733,9 @@ def cmd_report(args, out) -> int:
 
 def _cmd_bench_compare(args, out) -> int:
     from .perf import CompareError, compare_paths, markdown_report
-    from .perf.compare import DEFAULT_NOISE_MULT, DEFAULT_REL_TOL
 
-    old_path, new_path = args.compare
     try:
-        results, extra = compare_paths(
-            old_path, new_path,
-            rel_tol=args.rel_tol if args.rel_tol is not None else DEFAULT_REL_TOL,
-            noise_mult=(args.noise_mult if args.noise_mult is not None
-                        else DEFAULT_NOISE_MULT),
-        )
+        results, extra = compare_paths(*args.compare)
     except CompareError as exc:
         print(f"compare error: {exc}", file=out)
         return 2

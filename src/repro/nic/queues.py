@@ -36,10 +36,6 @@ class RxQueue(Generic[T]):
     def is_full(self) -> bool:
         return len(self._ring) >= self.capacity
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._ring
-
     def enqueue(self, item: T) -> bool:
         """Add ``item``; returns False (and counts a drop) on a full ring."""
         if self.is_full:

@@ -26,6 +26,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..hostprof.artifact import HOSTPROF_JSON, HostProfile
 from ..hostprof.clock import PATH_SEP
+from ..perf.artifact import BenchArtifact
 from ..telemetry.artifact import MANIFEST_NAME, RunArtifact
 from .spans import SPAN_PREFIX
 
@@ -92,7 +93,9 @@ def classify_inputs(
 
     A directory must hold a ``manifest.json`` (telemetry artifact) or a
     ``hostprof.json`` (host-profile artifact — resolved to that file); a
-    file must carry a bench or hostprof schema.  Anything else raises
+    file must carry a bench or hostprof schema, and is read through
+    :meth:`BenchArtifact.load`, so a malformed bench artifact fails here
+    rather than mid-render.  Anything else raises
     ValueError — a misspelled path should fail loudly, not render an
     empty report.
     """
@@ -113,12 +116,7 @@ def classify_inputs(
                     "artifact)"
                 )
         elif path.is_file():
-            with path.open() as fh:
-                try:
-                    data = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-            schema = str(data.get("schema", ""))
+            schema = BenchArtifact.load(path).schema
             if schema.startswith(_BENCH_SCHEMA_PREFIX):
                 bench_files.append(path)
             elif schema.startswith(_HOSTPROF_SCHEMA_PREFIX):

@@ -180,10 +180,6 @@ class IPv4Header:
             checksum=checksum,
         )
 
-    @property
-    def header_length(self) -> int:
-        return IPV4_HLEN
-
 
 @dataclass
 class TCPHeader:

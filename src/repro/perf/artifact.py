@@ -46,6 +46,25 @@ BENCH_SCHEMA = "scr-repro/bench-artifact/v1"
 #: Directions a series can be compared in.
 _DIRECTIONS = ("higher_better", "lower_better")
 
+#: JSON type names for the shape check's messages.
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               int: "a number", float: "a number", bool: "a boolean",
+               type(None): "null"}
+_NUMBER = (int, float)
+
+
+def _typed(value, kinds: tuple, where: str = ""):
+    """``value`` if it has one of the JSON ``kinds``; otherwise a
+    ValueError naming the field ``where`` (empty: the top level)."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        expected = " or ".join(sorted({_JSON_TYPES[k] for k in kinds}))
+        field_name = f"field {where!r}" if where else "top level"
+        raise ValueError(
+            f"{field_name} must be {expected}, "
+            f"got {_JSON_TYPES.get(type(value), type(value).__name__)}"
+        )
+    return value
+
 
 def median(values: Sequence[float]) -> float:
     """Median without numpy (artifacts must load dependency-free)."""
@@ -83,9 +102,14 @@ class BenchPoint:
                 "reps": self.reps}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "BenchPoint":
-        return cls(x=data["x"], median=data["median"], mad=data["mad"],
-                   reps=list(data.get("reps", [])))
+    def from_dict(cls, data: dict, where: str = "point") -> "BenchPoint":
+        _typed(data, (dict,), where)
+        return cls(
+            x=_typed(data.get("x"), (int, str), f"{where}.x"),
+            median=_typed(data.get("median"), _NUMBER, f"{where}.median"),
+            mad=_typed(data.get("mad"), _NUMBER, f"{where}.mad"),
+            reps=list(_typed(data.get("reps", []), (list,), f"{where}.reps")),
+        )
 
 
 @dataclass
@@ -123,12 +147,17 @@ class BenchSeries:
 
     @classmethod
     def from_dict(cls, name: str, data: dict) -> "BenchSeries":
+        where = f"series.{name}"
+        _typed(data, (dict,), where)
+        points = _typed(data.get("points", []), (list,), f"{where}.points")
         return cls(
             name=name,
             unit=data.get("unit", ""),
             direction=data.get("direction", "higher_better"),
-            noise_floor=data.get("noise_floor", 0.0),
-            points=[BenchPoint.from_dict(p) for p in data.get("points", [])],
+            noise_floor=_typed(data.get("noise_floor", 0.0), _NUMBER,
+                               f"{where}.noise_floor"),
+            points=[BenchPoint.from_dict(p, f"{where}.points[{i}]")
+                    for i, p in enumerate(points)],
         )
 
 
@@ -209,6 +238,10 @@ class BenchArtifact:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BenchArtifact":
+        """Rebuild an artifact; raises ValueError naming the first field
+        whose JSON type does not fit the bench-artifact/v1 shape."""
+        _typed(data, (dict,))
+        series = _typed(data.get("series", {}), (dict,), "series")
         art = cls(
             name=data.get("name", ""),
             config=data.get("config", {}),
@@ -217,12 +250,13 @@ class BenchArtifact:
             created_utc=data.get("created_utc", ""),
             python=data.get("python", ""),
             platform=data.get("platform", ""),
-            table4_params=data.get("table4_params", {}),
+            table4_params=_typed(data.get("table4_params", {}), (dict,),
+                                 "table4_params"),
             model_fit=data.get("model_fit"),
             profile=data.get("profile"),
-            schema=data.get("schema", ""),
+            schema=_typed(data.get("schema", ""), (str,), "schema"),
         )
-        for name, sdata in data.get("series", {}).items():
+        for name, sdata in series.items():
             art.series[name] = BenchSeries.from_dict(name, sdata)
         return art
 
@@ -238,6 +272,13 @@ class BenchArtifact:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "BenchArtifact":
+        """Read ``path``; malformed JSON or shape raises ValueError naming
+        the file (and the field)."""
         path = Path(path)
         with path.open() as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: not valid JSON ({exc})") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None

@@ -3,8 +3,8 @@
 Given an OLD (baseline) and NEW artifact, every matched point gets a
 verdict.  The significance threshold per point is::
 
-    tol = max(rel_tol * |old.median|,
-              noise_mult * (old.mad + new.mad),
+    tol = max(DEFAULT_REL_TOL * |old.median|,
+              DEFAULT_NOISE_MULT * (old.mad + new.mad),
               series.noise_floor)
 
 so a difference must beat all three of: a relative band, the measured
@@ -119,12 +119,7 @@ def _check_schema(art: BenchArtifact, label: str) -> None:
         )
 
 
-def compare_artifacts(
-    old: BenchArtifact,
-    new: BenchArtifact,
-    rel_tol: float = DEFAULT_REL_TOL,
-    noise_mult: float = DEFAULT_NOISE_MULT,
-) -> CompareResult:
+def compare_artifacts(old: BenchArtifact, new: BenchArtifact) -> CompareResult:
     """Compare two artifacts of the same suite; raises CompareError on
     schema mismatch or data missing from NEW."""
     _check_schema(old, "OLD")
@@ -152,8 +147,8 @@ def compare_artifacts(
                     f"point x={opoint.x!r} of series {sname!r} is missing "
                     f"from NEW {new.name!r}"
                 )
-            tol = max(rel_tol * abs(opoint.median),
-                      noise_mult * (opoint.mad + npoint.mad),
+            tol = max(DEFAULT_REL_TOL * abs(opoint.median),
+                      DEFAULT_NOISE_MULT * (opoint.mad + npoint.mad),
                       floor)
             delta = npoint.median - opoint.median
             if oseries.direction == "lower_better":
@@ -202,8 +197,6 @@ def _artifact_files(path: Path) -> List[Path]:
 def compare_paths(
     old_path: Union[str, Path],
     new_path: Union[str, Path],
-    rel_tol: float = DEFAULT_REL_TOL,
-    noise_mult: float = DEFAULT_NOISE_MULT,
 ) -> Tuple[List[CompareResult], List[str]]:
     """Compare two ``BENCH_*.json`` files, or two directories of them.
 
@@ -221,8 +214,7 @@ def compare_paths(
         )
     if not old_path.is_dir():
         return [compare_artifacts(BenchArtifact.load(old_path),
-                                  BenchArtifact.load(new_path),
-                                  rel_tol=rel_tol, noise_mult=noise_mult)], []
+                                  BenchArtifact.load(new_path))], []
     old_files = _artifact_files(old_path)
     if not old_files:
         raise CompareError(
@@ -236,10 +228,8 @@ def compare_paths(
                 f"baseline artifact {ofile.name} has no counterpart under "
                 f"NEW directory {str(new_path)!r}"
             )
-        results.append(compare_artifacts(
-            BenchArtifact.load(ofile), BenchArtifact.load(nfile),
-            rel_tol=rel_tol, noise_mult=noise_mult,
-        ))
+        results.append(compare_artifacts(BenchArtifact.load(ofile),
+                                         BenchArtifact.load(nfile)))
     extra = sorted(f.name for f in _artifact_files(new_path)
                    if not (old_path / f.name).exists())
     return results, extra

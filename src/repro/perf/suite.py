@@ -1,6 +1,6 @@
 """The curated perf suite: the runs whose numbers must not silently move.
 
-Ten suites, each writing one ``BENCH_<name>.json`` artifact:
+Eight suites, each writing one ``BENCH_<name>.json`` artifact:
 
 * ``fig6_scaling``   — the Figure 6 main-result panel (ddos @ caida, all
   four techniques vs cores), plus the SCR series' Appendix A residuals
@@ -17,16 +17,6 @@ Ten suites, each writing one ``BENCH_<name>.json`` artifact:
   gate that the traced MLFFR equals the untraced MLFFR exactly, the
   deterministic kept-span volume and artifact size, and a host CPU-time
   traced ÷ untraced ratio with a hard ceiling;
-* ``hostwall``       — packets per host wall-second per stack stage
-  (synthesis, lowering, simulation, the full MLFFR search) via
-  ``repro.hostprof``.  A suite measuring *host* time: values are
-  machine-dependent, so its baseline lives apart and is gated with the
-  loose wall-noise policy in docs/PROFILING.md;
-* ``hotpath``        — the columnar hot path vs the scalar oracle on the
-  same run: per-stage host wall throughput for both modes plus the
-  ``speedup`` ratio (docs/HOTPATH.md).  Host time like ``hostwall``, so
-  its baseline also lives in ``benchmarks/baselines-hostwall/`` under
-  the loose wall-noise gate;
 * ``advisor_validation`` — the scradvisor loop closed: for every
   registered program, measure each eligible technique's MLFFR and gate
   that the advisor's statically predicted winner (``scr-repro advise``)
@@ -543,165 +533,6 @@ def run_obs_overhead(params: SuiteParams) -> BenchArtifact:
     return art
 
 
-def run_hostwall(params: SuiteParams) -> BenchArtifact:
-    """Packets per host wall-second for each stack stage (repro.hostprof).
-
-    Each repetition runs one full MLFFR point with an enabled PhaseClock
-    and derives stage walls from the phase tree: ``synthesize`` and
-    ``lower`` process the trace once, ``simulate``/``mlffr`` process
-    ``iterations x max_packets`` offered packets across the search's
-    probes.  ``wall_kpps`` is absolute host throughput (machine-
-    dependent: gate only with the loose policy in docs/PROFILING.md);
-    ``wall_share`` is each stage's fraction of the scenario's total wall
-    — roughly machine-portable, with a wide 0.15 noise floor.
-
-    Simulated results are untouched by profiling (the determinism tests
-    pin this), so this suite never perturbs the other six.
-    """
-    from ..hostprof.clock import PATH_SEP
-    from ..scenario.build import StackBuilder, run_scenario
-
-    program, trace, technique, cores = "ddos", "univ_dc", "scr", 4
-    stage_paths = {
-        "synthesize": PATH_SEP.join(("scenario.run", "trace.synthesize")),
-        "lower": PATH_SEP.join(("scenario.run", "perf.lower")),
-        "simulate": PATH_SEP.join(("scenario.run", "mlffr.search", "sim.run")),
-        "mlffr": PATH_SEP.join(("scenario.run", "mlffr.search")),
-    }
-    stages = list(stage_paths)
-    art = BenchArtifact.create(
-        "hostwall",
-        config=params.config(program=program, trace=trace,
-                             technique=technique, cores=cores,
-                             stages=stages,
-                             note="host wall time; values are "
-                                  "machine-dependent by design"),
-        seed_policy=params.seed_policy(),
-        programs=[program],
-    )
-    kpps_reps: Dict[str, List[float]] = {s: [] for s in stages}
-    share_reps: Dict[str, List[float]] = {s: [] for s in stages}
-    for seed in params.rep_seeds:
-        clock = PhaseClock(enabled=True)
-        # No disk cache: every repetition measures real synthesis/lowering.
-        builder = StackBuilder(hostprof=clock)
-        scenario = params.scenario(program, trace, technique, cores,
-                                   seed=seed,
-                                   engine_kwargs=_engine_kwargs(technique))
-        res = run_scenario(scenario, builder=builder)
-        snap = clock.snapshot()
-        total_ns = max(snap["scenario.run"]["total_ns"], 1)
-        probe_packets = res.iterations * params.max_packets
-        for stage, path in stage_paths.items():
-            wall_ns = max(snap.get(path, {}).get("total_ns", 0), 1)
-            packets = (probe_packets if stage in ("simulate", "mlffr")
-                       else params.max_packets)
-            kpps_reps[stage].append(packets / (wall_ns / 1e9) / 1e3)
-            share_reps[stage].append(wall_ns / total_ns)
-    kpps = art.add_series(BenchSeries(
-        name="wall_kpps", unit="kpps", direction="higher_better"))
-    share = art.add_series(BenchSeries(
-        name="wall_share", unit="fraction", direction="lower_better",
-        noise_floor=0.15))
-    for stage in stages:
-        kpps.points.append(BenchPoint.from_reps(stage, kpps_reps[stage]))
-        share.points.append(BenchPoint.from_reps(stage, share_reps[stage]))
-    return art
-
-
-#: Inner simulate() repetitions per timed hotpath measurement — smooths
-#: scheduler jitter on the sub-10 ms columnar runs.
-_HOTPATH_SIM_INNER = 3
-
-#: Fixed trace length for the hotpath suite (independent of ``quick``):
-#: long enough that per-call fixed overhead amortizes and the measured
-#: ratio reflects the per-packet asymptote the acceptance floor gates.
-_HOTPATH_PACKETS = 6000
-
-
-def run_hotpath(params: SuiteParams) -> BenchArtifact:
-    """Columnar hot path vs the scalar oracle: host wall throughput.
-
-    One underload SCR run (ddos @ univ_dc, 4 cores — rings never back
-    up, so the columnar driver commits rather than falling back), timed
-    per stage and per mode on the *same* synthesized workload:
-
-    * ``scalar_kpps`` / ``columnar_kpps`` — packets per host wall-second
-      through packet lowering (``PerfTrace.from_trace``) and the
-      fixed-rate ``simulate`` call.  Host time: machine-dependent, gated
-      only with the loose wall-noise policy (docs/PROFILING.md);
-    * ``speedup`` — scalar wall / columnar wall per stage.  A ratio of
-      walls on one machine, so roughly machine-portable; the acceptance
-      floor for the columnar path (docs/HOTPATH.md) gates here.
-
-    Parity is not measured here — the hotpath test suite pins it
-    bit-for-bit; this suite only watches the speed stay won.
-    """
-    import time
-
-    from ..cpu.simulator import PerfTrace, simulate
-    from ..parallel.registry import make_engine
-    from ..programs.registry import make_program
-    from ..scenario.build import build_trace
-    from ..scenario.spec import TraceSpec, packet_size_for
-
-    program, trace, technique, cores = "ddos", "univ_dc", "scr", 4
-    rate_pps = 2e6
-    stages = ("lower", "simulate")
-    art = BenchArtifact.create(
-        "hotpath",
-        config=params.config(program=program, trace=trace,
-                             technique=technique, cores=cores,
-                             rate_pps=rate_pps, stages=list(stages),
-                             sim_inner=_HOTPATH_SIM_INNER,
-                             hotpath_packets=_HOTPATH_PACKETS,
-                             note="host wall time; values are "
-                                  "machine-dependent by design"),
-        seed_policy=params.seed_policy(),
-        programs=[program],
-    )
-    prog = make_program(program)
-    engine = make_engine(technique, prog, cores, **SCR_IN_FRAME)
-    walls: Dict[Tuple[str, str], List[float]] = {
-        (mode, stage): [] for mode in ("scalar", "columnar") for stage in stages
-    }
-    packets = 0
-    for rep, seed in enumerate(params.rep_seeds):
-        spec = TraceSpec(trace, num_flows=params.num_flows,
-                         max_packets=_HOTPATH_PACKETS, seed=seed,
-                         packet_size=packet_size_for(program))
-        raw = build_trace(spec)
-        for mode in ("scalar", "columnar"):
-            if rep == 0:
-                # Warm code paths and the cached Toeplitz tables so the
-                # first repetition doesn't pay one-time setup.
-                simulate(PerfTrace.from_trace(raw, prog, hotpath=mode),
-                         rate_pps, engine, hotpath=mode)
-            t0 = time.perf_counter()
-            pt = PerfTrace.from_trace(raw, prog, hotpath=mode)
-            walls[(mode, "lower")].append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            for _ in range(_HOTPATH_SIM_INNER):
-                simulate(pt, rate_pps, engine, hotpath=mode)
-            walls[(mode, "simulate")].append(
-                (time.perf_counter() - t0) / _HOTPATH_SIM_INNER)
-            packets = len(pt)
-    for mode in ("scalar", "columnar"):
-        series = art.add_series(BenchSeries(
-            name=f"{mode}_kpps", unit="kpps", direction="higher_better"))
-        for stage in stages:
-            series.points.append(BenchPoint.from_reps(
-                stage, [packets / w / 1e3 for w in walls[(mode, stage)]]))
-    speedup = art.add_series(BenchSeries(
-        name="speedup", unit="x", direction="higher_better"))
-    for stage in stages:
-        speedup.points.append(BenchPoint.from_reps(stage, [
-            s / c for s, c in zip(walls[("scalar", stage)],
-                                  walls[("columnar", stage)])
-        ]))
-    return art
-
-
 #: Measured-vs-predicted winners may differ by quantization and model
 #: slack; within 5 % of the best technique the advisor is "right enough"
 #: (the MLFFR search itself stops within ~5 % of analytic capacity).
@@ -930,8 +761,6 @@ SUITES: Dict[str, Callable[[SuiteParams], BenchArtifact]] = {
     "fig11_model_fit": run_fig11_model_fit,
     "faults_recovery": run_faults_recovery,
     "obs_overhead": run_obs_overhead,
-    "hostwall": run_hostwall,
-    "hotpath": run_hotpath,
     "advisor_validation": run_advisor_validation,
     "multitenant": run_multitenant,
 }

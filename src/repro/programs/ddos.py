@@ -8,10 +8,9 @@ threshold get their traffic dropped.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, List, Optional, Tuple
+from typing import Any, Hashable, Optional, Tuple
 
 from ..packet import Packet
-from ..state.maps import StateMap
 from .base import PacketMetadata, PacketProgram, Verdict
 
 __all__ = ["DDoSMetadata", "DDoSMitigator", "VictimMetadata", "VictimMonitor"]
@@ -100,6 +99,3 @@ class VictimMonitor(PacketProgram):
         if meta.dst_ip == 0:
             return value, Verdict.PASS
         return (value or 0) + 1, Verdict.TX
-
-    def hot_victims(self, state: StateMap) -> List[Hashable]:
-        return [k for k, v in state.items() if v > self.threshold]

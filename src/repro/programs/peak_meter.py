@@ -18,7 +18,6 @@ from typing import Any, Hashable, Optional, Tuple
 
 from ..packet import Packet
 from ..packet.flow import FiveTuple
-from ..state.maps import StateMap
 from .base import PacketMetadata, PacketProgram, Verdict
 
 __all__ = ["PeakMeterMetadata", "PeakMeter"]
@@ -67,7 +66,3 @@ class PeakMeter(PacketProgram):
             return value, Verdict.PASS
         peak = max(value or 0, meta.pkt_len)
         return peak, Verdict.TX
-
-    def peaks_above(self, state: StateMap, floor: int) -> Tuple[Hashable, ...]:
-        """Flows whose peak exceeds ``floor`` (control-plane helper)."""
-        return tuple(k for k, v in state.items() if v > floor)

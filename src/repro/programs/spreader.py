@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Any, Hashable, Optional, Tuple
 
 from ..packet import Packet
-from ..state.maps import StateMap
 from .base import PacketMetadata, PacketProgram, Verdict
 
 __all__ = ["SpreaderMetadata", "SuperSpreaderDetector"]
@@ -66,12 +65,3 @@ class SuperSpreaderDetector(PacketProgram):
             return value, Verdict.PASS
         bits = (value or 0) | (1 << (meta.dst_ip % _BUCKETS))
         return bits, Verdict.TX
-
-    def fanout(self, bitmap: int) -> int:
-        """Distinct destination buckets a bitmap covers."""
-        return bin(bitmap).count("1")
-
-    def spreaders(self, state: StateMap) -> Tuple[Hashable, ...]:
-        """Sources above the fan-out threshold (control-plane helper)."""
-        return tuple(k for k, v in state.items()
-                     if self.fanout(v) >= self.fanout_threshold)

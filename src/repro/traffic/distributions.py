@@ -122,9 +122,6 @@ class EmpiricalFlowSizes(FlowSizeDistribution):
         sizes_bytes = self._cdf.sample(rng, count)
         return [max(1, int(math.ceil(s / MSS_BYTES))) for s in sizes_bytes]
 
-    def sample_bytes(self, rng: np.random.Generator, count: int) -> List[int]:
-        return [max(1, int(s)) for s in self._cdf.sample(rng, count)]
-
     def cdf_series(self, points: int = 50) -> Tuple[List[float], List[float]]:
         lo = math.log10(self._cdf.values[0])
         hi = math.log10(self._cdf.values[-1])

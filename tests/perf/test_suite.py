@@ -18,8 +18,8 @@ PARAMS = SuiteParams(reps=1, quick=True)
 def test_suite_names_stable():
     assert suite_names() == [
         "advisor_validation", "engine_mlffr", "faults_recovery",
-        "fig11_model_fit", "fig6_scaling", "hostwall", "hotpath",
-        "multitenant", "obs_overhead", "tail_latency",
+        "fig11_model_fit", "fig6_scaling", "multitenant", "obs_overhead",
+        "tail_latency",
     ]
 
 

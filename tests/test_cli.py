@@ -1,7 +1,9 @@
 """CLI subcommands, exercised through main() with a captured stream."""
 
 import io
+import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -459,6 +461,50 @@ def test_bench_compare_schema_mismatch(tmp_path):
                           str(tmp_path / "new")])
     assert code == 2
     assert "schema" in text
+
+
+FIG6_BASELINE = (Path(__file__).parents[1] / "benchmarks" / "baselines"
+                 / "BENCH_fig6_scaling.json")
+
+
+def _set(keys, value):
+    def damage(data):
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return data
+    return damage
+
+
+#: Right schema, wrong shape: each damages the committed fig6 baseline.
+MALFORMED = {
+    "top-level-list": lambda data: [data],
+    "series-list": lambda data: {**data,
+                                 "series": list(data["series"].values())},
+    "series-entry-string": _set(("series", "scr"), "scr"),
+    "points-null": _set(("series", "scr", "points"), None),
+    "median-string": _set(("series", "scr", "points", 0, "median"), "x"),
+    "mad-null": _set(("series", "scr", "points", 0, "mad"), None),
+}
+
+
+@pytest.mark.parametrize("command", ["compare", "report", "advise"])
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+def test_malformed_bench_artifact_exits_2(tmp_path, shape, command):
+    bad = tmp_path / "BENCH_fig6_scaling.json"
+    bad.write_text(json.dumps(
+        MALFORMED[shape](json.loads(FIG6_BASELINE.read_text()))))
+    argv = {
+        "compare": ["bench", "--compare", str(FIG6_BASELINE), str(bad)],
+        "report": ["report", str(bad), "--out", str(tmp_path / "dash.html")],
+        "advise": ["advise", "--program", "ddos", "--bench", str(bad)],
+    }[command]
+    code, text = run_cli(argv)
+    assert code == 2
+    assert text.startswith(f"{command} error: ") and text.count("\n") == 1
+    assert str(bad) in text
+    assert not (tmp_path / "dash.html").exists()
 
 
 def test_bench_compare_missing_path(tmp_path):
