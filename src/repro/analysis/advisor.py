@@ -2,28 +2,23 @@
 
 Given the static state-access facts of a program (:mod:`.dataflow`), its
 measured per-packet cost parameters (Table 4's ``d``/``c1``/``c2``/``t``,
-or a fresh profile), and a workload profile, score the candidate scaling
-techniques against the paper's Appendix A cost model and predict the
-MLFFR curve each would achieve at k = 1..K cores:
+or a fresh profile), and a workload profile, decide which scaling
+techniques can run the program, why, and which one wins.  Every predicted
+MLFFR comes from the analytic model in :mod:`repro.bench.model` (the one
+Figure 11 validates); this module holds no throughput arithmetic:
 
-* **scr** — ``k / (t + (k-1)·c2)``: history fast-forward grows with k;
-* **relaxed_scr** — ``k / (t + min(k-1, 1)·c2)`` when every written state
-  field is commutative (the sequencer folds the history into one merged
-  delta); degenerates to plain SCR otherwise;
-* **rss** — shared-nothing sharding: ``1 / (s_k · (d + c1))`` where
-  ``s_k`` is the busiest core's traffic share under the program's RSS key
-  at k cores (perfect balance gives ``k / (d + c1)``; one elephant flow
-  pins it at one core's rate).  Ineligible when the program keeps global
-  or multi-entry state that sharding cannot place (§2.2);
+* **scr** — Appendix A's ``k / (t + (k-1)·c2)``;
+* **relaxed_scr** — the merged-delta curve when every written state field
+  is commutative; degenerates to plain SCR otherwise;
+* **rss** — shared-nothing sharding, gated by the busiest core's traffic
+  share under the program's RSS key.  Ineligible when the program keeps
+  global or multi-entry state that sharding cannot place (§2.2);
 * **shared** — one state map for all cores, atomics or per-entry locks by
-  the program's Table 1 row: min of the per-core rate (each access pays
-  the cache-line bounce) and the hottest entry's serialization rate;
+  the program's Table 1 row;
 * **hybrid** — elephant/mice placement (:mod:`repro.placement`): the hot
-  flows ride SCR (replicated, sprayed), everyone else stays RSS-sharded.
-  Per-core load is ``e/k·(t + (k-1)·c2) + (1-e)·s_mice·t`` plus the
-  per-packet classifier probe; eligible only when the program is
-  shardable *and* the workload carries enough concurrent flows for
-  placement to pay for the classifier.
+  flows ride SCR, everyone else stays RSS-sharded.  Eligible only when the
+  program is shardable *and* the workload carries enough concurrent flows
+  for placement to pay for the classifier.
 
 The advisor is *pure*: it sees measurements only through its arguments,
 so the same inputs always produce the same advice.  Measurement-backed
@@ -35,8 +30,15 @@ simulated engines for every registered program.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..bench.model import (
+    predicted_hybrid_mpps,
+    predicted_relaxed_scr_mpps,
+    predicted_rss_mpps,
+    predicted_scr_mpps,
+    predicted_shared_mpps,
+)
 from ..cpu.costmodel import DEFAULT_CONTENTION, ContentionParams, CostParams
 from .dataflow import ProgramFacts
 
@@ -61,9 +63,6 @@ ADVISOR_TECHNIQUES = ("scr", "relaxed_scr", "rss", "shared", "hybrid")
 #: them all, so the hybrid is scored ineligible rather than recommended
 #: off sketch noise.
 HYBRID_MIN_FLOWS = 1024
-
-_NS_TO_MPPS = 1e3  # 1 packet/ns == 1000 Mpps
-
 
 @dataclass(frozen=True)
 class WorkloadProfile:
@@ -93,6 +92,11 @@ class WorkloadProfile:
             share = self.hot_key_share  # the elephant pins one core
         # The busiest core can never hold less than a perfect 1/k split.
         return min(1.0, max(share, 1.0 / k))
+
+    @property
+    def elephant_share(self) -> float:
+        """The hot key's share clamped to [0, 1]: what hybrid replicates."""
+        return min(1.0, max(0.0, self.hot_key_share))
 
 
 @dataclass(frozen=True)
@@ -159,120 +163,84 @@ class Advice:
         }
 
 
+def _shardable(facts: ProgramFacts) -> bool:
+    return not (facts.has_global_state or facts.multi_key)
+
+
 def eligible_techniques(facts: ProgramFacts) -> Tuple[str, ...]:
-    """Which of the advisor's techniques can run this program at all."""
-    out = ["scr", "relaxed_scr", "shared"]
-    if not (facts.has_global_state or facts.multi_key):
-        out.append("rss")
-    return tuple(t for t in ADVISOR_TECHNIQUES if t in out)
-
-
-# -- per-technique analytic curves --------------------------------------------
-
-
-def _scr_curve(costs: CostParams, cores: Sequence[int]) -> List[float]:
-    return [k * _NS_TO_MPPS / (costs.t + (k - 1) * costs.c2) for k in cores]
-
-
-def _relaxed_curve(
-    facts: ProgramFacts, costs: CostParams, cores: Sequence[int]
-) -> Tuple[List[float], str]:
-    if facts.all_commutative:
-        curve = [
-            k * _NS_TO_MPPS / (costs.t + min(k - 1, 1) * costs.c2)
-            for k in cores
-        ]
-        return curve, (
-            "all written fields commutative "
-            f"({', '.join(f.field for f in facts.fields)}): history folds "
-            "into one merged delta, per-core cost stops growing with k"
-        )
-    return _scr_curve(costs, cores), (
-        "non-commutative state: merged-delta pruning unsound, "
-        "degenerates to plain SCR"
+    """The purebred techniques that can run this program at all (hybrid's
+    eligibility also depends on the workload; see :func:`advise_program`)."""
+    return tuple(
+        t for t in ADVISOR_TECHNIQUES
+        if t != "hybrid" and (t != "rss" or _shardable(facts))
     )
 
 
-def _rss_curve(
-    costs: CostParams, workload: WorkloadProfile, cores: Sequence[int]
-) -> List[float]:
-    per_pkt = costs.d + costs.c1
-    return [_NS_TO_MPPS / (workload.rss_share(k) * per_pkt) for k in cores]
+def _ineligible_reason(
+    technique: str, facts: ProgramFacts, workload: WorkloadProfile
+) -> Optional[str]:
+    """Why ``technique`` cannot run this program on this workload, or None."""
+    if technique == "rss" and not _shardable(facts):
+        return "global/multi-entry state cannot be placed by flow sharding (§2.2)"
+    if technique == "hybrid":
+        if not _shardable(facts):
+            return (
+                "mice sharding needs flow-placeable state; global/"
+                "multi-entry state rules out the RSS half (§2.2)"
+            )
+        if workload.flow_count < HYBRID_MIN_FLOWS:
+            return (
+                f"only {workload.flow_count} concurrent flows "
+                f"(placement pays off from {HYBRID_MIN_FLOWS}); "
+                "a purebred technique already places them all"
+            )
+    return None
 
 
-def _shared_curve(
+def _curve_and_reason(
+    technique: str,
     facts: ProgramFacts,
     costs: CostParams,
     workload: WorkloadProfile,
     contention: ContentionParams,
-    cores: Sequence[int],
-) -> Tuple[List[float], str]:
-    curve: List[float] = []
-    transfer = contention.line_transfer_ns
-    for k in cores:
-        if k == 1:
-            if facts.needs_locks:
-                service = costs.d + contention.lock_hold_ns(costs.c1, 1)
-            else:
-                service = costs.d + costs.c1 + contention.atomic_ns
-            bounds = [_NS_TO_MPPS / service]
-        elif facts.needs_locks:
-            # Round-robin spray bounces the entry line on essentially every
-            # hot-key access; the hold inflates with the spinning cores.
-            hold = contention.lock_hold_ns(costs.c1, k)
-            bounds = [k * _NS_TO_MPPS / (costs.d + hold)]
-            if workload.hot_key_share > 0:
-                bounds.append(_NS_TO_MPPS / (workload.hot_key_share * hold))
-        else:
-            # Atomics: the load misses (dirty elsewhere) and the RMW then
-            # owns the line for a full cross-core transfer.
-            stall = transfer + contention.atomic_hold_ns()
-            bounds = [k * _NS_TO_MPPS / (costs.d + costs.c1 + stall)]
-            if workload.hot_key_share > 0:
-                bounds.append(_NS_TO_MPPS / (
-                    workload.hot_key_share * contention.atomic_hold_ns()
-                ))
-        if facts.has_global_state and workload.global_fraction > 0 and k > 1:
-            hold_g = contention.lock_hold_ns(costs.c1 * 0.5, k)
-            bounds.append(
-                _NS_TO_MPPS / (workload.global_fraction * hold_g)
-            )
-        curve.append(min(bounds))
-    flavor = "per-entry spinlocks" if facts.needs_locks else "hardware atomics"
-    return curve, (
-        f"{flavor}: min of the per-core rate (every access bounces the "
-        "entry line) and the hottest entry's serialization rate"
-    )
-
-
-def _hybrid_curve(
-    costs: CostParams,
-    workload: WorkloadProfile,
-    contention: ContentionParams,
-    cores: Sequence[int],
-) -> Tuple[List[float], str]:
-    """Elephant/mice placement: the hot share ``e`` is sprayed SCR-style
-    over all cores, the mice stay sharded; every packet pays one sketch
-    probe.  Degenerates toward plain SCR at e→1 and toward RSS at e→0."""
-    e = min(1.0, max(0.0, workload.hot_key_share))
-    probe = contention.atomic_ns
-    mice_cost = costs.t + probe
-    curve: List[float] = []
-    for k in cores:
-        if e >= 1.0:
-            mice_share = 0.0
-        else:
-            # Busiest mice core once the elephant traffic is carved out of
-            # the RSS load; never better than a perfect 1/k split.
-            mice_share = min(
-                1.0, max(1.0 / k, (workload.rss_share(k) - e) / (1.0 - e))
-            )
-        per_core = (
-            e / k * (costs.t + (k - 1) * costs.c2 + probe)
-            + (1.0 - e) * mice_share * mice_cost
+    decision_k: int,
+) -> Tuple[Callable[[int], float], str]:
+    """``technique``'s model curve (k -> Mpps) and why it has that shape."""
+    if technique == "scr":
+        return (
+            lambda k: predicted_scr_mpps(costs, k),
+            "Appendix A: t + (k-1)*c2 history fast-forward per packet",
         )
-        curve.append(_NS_TO_MPPS / per_core)
-    return curve, (
+    if technique == "relaxed_scr":
+        if facts.all_commutative:
+            return lambda k: predicted_relaxed_scr_mpps(costs, k), (
+                "all written fields commutative "
+                f"({', '.join(f.field for f in facts.fields)}): history folds "
+                "into one merged delta, per-core cost stops growing with k"
+            )
+        return lambda k: predicted_scr_mpps(costs, k), (
+            "non-commutative state: merged-delta pruning unsound, "
+            "degenerates to plain SCR"
+        )
+    if technique == "rss":
+        return lambda k: predicted_rss_mpps(costs, workload.rss_share(k)), (
+            f"shared-nothing: gated by the busiest core "
+            f"({workload.rss_share(decision_k):.0%} of traffic at k={decision_k})"
+        )
+    if technique == "shared":
+        global_fraction = workload.global_fraction if facts.has_global_state else 0.0
+        flavor = "per-entry spinlocks" if facts.needs_locks else "hardware atomics"
+        return lambda k: predicted_shared_mpps(
+            costs, k, workload.hot_key_share, locks=facts.needs_locks,
+            global_fraction=global_fraction, contention=contention,
+        ), (
+            f"{flavor}: min of the per-core rate (every access bounces the "
+            "entry line) and the hottest entry's serialization rate"
+        )
+    e = workload.elephant_share
+    return lambda k: predicted_hybrid_mpps(
+        costs, k, e, workload.rss_share(k), contention
+    ), (
         f"elephants ({e:.0%} of traffic) replicated via SCR, mice stay "
         "sharded; every packet pays one classifier probe"
     )
@@ -297,87 +265,25 @@ def advise_program(
     cores = tuple(sorted(set(int(k) for k in cores)))
     if cores[0] < 1:
         raise ValueError("core counts must be >= 1")
-    eligible = set(eligible_techniques(facts))
-    scores: List[TechniqueScore] = []
-
-    for technique in ADVISOR_TECHNIQUES:
-        if technique == "hybrid":
-            # Placement eligibility is workload-dependent, unlike the
-            # purely structural gates below.
-            if "rss" not in eligible:
-                reason = (
-                    "mice sharding needs flow-placeable state; global/"
-                    "multi-entry state rules out the RSS half (§2.2)"
-                )
-            elif workload.flow_count < HYBRID_MIN_FLOWS:
-                reason = (
-                    f"only {workload.flow_count} concurrent flows "
-                    f"(placement pays off from {HYBRID_MIN_FLOWS}); "
-                    "a purebred technique already places them all"
-                )
-            else:
-                curve, why = _hybrid_curve(costs, workload, contention, cores)
-                scores.append(
-                    TechniqueScore(
-                        technique=technique,
-                        eligible=True,
-                        mlffr_mpps=tuple(curve),
-                        cores=cores,
-                        reason=why,
-                    )
-                )
-                continue
-            scores.append(
-                TechniqueScore(
-                    technique=technique,
-                    eligible=False,
-                    mlffr_mpps=(),
-                    cores=cores,
-                    reason=reason,
-                )
-            )
-            continue
-        if technique not in eligible:
-            scores.append(
-                TechniqueScore(
-                    technique=technique,
-                    eligible=False,
-                    mlffr_mpps=(),
-                    cores=cores,
-                    reason=(
-                        "global/multi-entry state cannot be placed by "
-                        "flow sharding (§2.2)"
-                    ),
-                )
-            )
-            continue
-        if technique == "scr":
-            curve = _scr_curve(costs, cores)
-            reason = "Appendix A: t + (k-1)*c2 history fast-forward per packet"
-        elif technique == "relaxed_scr":
-            curve, reason = _relaxed_curve(facts, costs, cores)
-        elif technique == "rss":
-            curve = _rss_curve(costs, workload, cores)
-            share = workload.rss_share(cores[-1])
-            reason = (
-                f"shared-nothing: gated by the busiest core "
-                f"({share:.0%} of traffic at k={cores[-1]})"
-            )
-        else:
-            curve, reason = _shared_curve(
-                facts, costs, workload, contention, cores
-            )
-        scores.append(
-            TechniqueScore(
-                technique=technique,
-                eligible=True,
-                mlffr_mpps=tuple(curve),
-                cores=cores,
-                reason=reason,
-            )
-        )
-
     decision_k = cores[-1]
+    scores: List[TechniqueScore] = []
+    for technique in ADVISOR_TECHNIQUES:
+        blocked = _ineligible_reason(technique, facts, workload)
+        if blocked is not None:
+            scores.append(TechniqueScore(
+                technique=technique, eligible=False, mlffr_mpps=(),
+                cores=cores, reason=blocked,
+            ))
+            continue
+        curve, reason = _curve_and_reason(
+            technique, facts, costs, workload, contention, decision_k
+        )
+        scores.append(TechniqueScore(
+            technique=technique, eligible=True,
+            mlffr_mpps=tuple(curve(k) for k in cores),
+            cores=cores, reason=reason,
+        ))
+
     recommended = max(
         (s for s in scores if s.eligible),
         key=lambda s: s.at(decision_k),

@@ -116,10 +116,6 @@ class ProgramFacts:
         """Is relaxed SCR's merged-delta history sound for this program?"""
         return bool(self.fields) and all(f.commutative for f in self.fields)
 
-    @property
-    def written_fields(self) -> Tuple[str, ...]:
-        return tuple(f.field for f in self.fields)
-
     def field(self, name: str) -> Optional[FieldFacts]:
         for f in self.fields:
             if f.field == name:

@@ -11,9 +11,13 @@ from .mlffr import LOSS_THRESHOLD, SEARCH_TOLERANCE_PPS, MlffrResult, find_mlffr
 from .model import (
     fit_cost_params,
     linear_scaling_limit,
+    model_residuals,
+    predicted_hybrid_mpps,
+    predicted_relaxed_scr_mpps,
+    predicted_rss_mpps,
     predicted_scr_mpps,
     predicted_scr_pps,
-    predicted_series,
+    predicted_shared_mpps,
 )
 from .report import format_mpps, render_scaling_series, render_table
 
@@ -27,9 +31,13 @@ __all__ = [
     "write_csv",
     "fit_cost_params",
     "linear_scaling_limit",
+    "model_residuals",
     "predicted_scr_mpps",
     "predicted_scr_pps",
-    "predicted_series",
+    "predicted_relaxed_scr_mpps",
+    "predicted_rss_mpps",
+    "predicted_shared_mpps",
+    "predicted_hybrid_mpps",
     "format_mpps",
     "render_scaling_series",
     "render_table",

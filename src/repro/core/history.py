@@ -60,10 +60,6 @@ class HistoryRing:
         self.push(row)
         return rows, ptr
 
-    def valid_entries(self) -> int:
-        """How many rows have ever been written (saturates at N)."""
-        return min(self.writes, self.num_rows)
-
     def reset(self) -> None:
         self._rows = [bytes(self.row_bytes)] * self.num_rows
         self._index = 0

@@ -64,9 +64,6 @@ class L2Model:
         """
         self._resident[core].update(keys)
 
-    def resident_entries(self, core: int) -> int:
-        return len(self._resident[core])
-
     def reset(self) -> None:
         for s in self._resident:
             s.clear()

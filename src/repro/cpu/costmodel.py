@@ -11,7 +11,8 @@ Appendix A decomposes the per-packet CPU time of each program into:
 
 All values are nanoseconds measured by the authors on a 3.6 GHz Ice Lake
 core (Table 4); we reuse their measurements directly, which Appendix A shows
-predict the measured throughput well (Figure 11).
+predict the measured throughput well (Figure 11).  The throughput formulas
+over these rows live in :mod:`repro.bench.model`.
 
 The contention constants model the hardware effects the paper attributes the
 baselines' failures to: cross-core cache-line transfers (~an LLC round trip),
@@ -52,12 +53,6 @@ class CostParams:
     c2: float  # per-history-item state transition
     d: float  # dispatch
     c1: float  # compute over the current packet
-
-    def scr_service_ns(self, history_items: int) -> float:
-        """SCR per-packet service: t + (history items) * c2 (Appendix A)."""
-        if history_items < 0:
-            raise ValueError("history_items must be non-negative")
-        return self.t + history_items * self.c2
 
 
 #: Measured parameters from Table 4 (nanoseconds).  The forwarder row is

@@ -119,7 +119,7 @@ class CoreCounters:
         ``program_ns`` is the packet's XDP-program latency as profiling
         would see it; by default compute plus in-program stalls.
         ``history_ns`` carves out the fast-forward portion of
-        ``compute_ns`` (it must not exceed it) so the profiler can split
+        ``compute_ns`` (it must not exceed it) so the attribution can split
         ``c1`` from ``(k-1)·c2`` after the fact.
         """
         if history_ns > compute_ns:
@@ -231,13 +231,6 @@ class SystemCounters:
         if not active:
             return 0.0
         return sum(c.ipc for c in active) / len(active)
-
-    def ipc_min_max(self) -> tuple:
-        active = [c for c in self.cores if c.busy_ns > 0]
-        if not active:
-            return (0.0, 0.0)
-        values = [c.ipc for c in active]
-        return (min(values), max(values))
 
     def mean_ipc_wall(self, duration_ns: float) -> float:
         if not self.cores:

@@ -47,12 +47,6 @@ class SerializationTable:
         self.total_wait_ns += wait
         return wait
 
-    @property
-    def contention_ratio(self) -> float:
-        if self.acquisitions == 0:
-            return 0.0
-        return self.contended / self.acquisitions
-
     def reset(self) -> None:
         self._free_at.clear()
         self.total_wait_ns = 0.0

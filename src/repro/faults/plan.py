@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..obs.sampling import splitmix64
 from .spec import FaultSpec
 
 __all__ = ["FaultPlan"]
 
-_MASK64 = (1 << 64) - 1
 #: Domain-separation tags: one per fault kind, so a packet's drop decision
 #: is independent of its duplicate/reorder/truncate decisions.
 _TAG_DROP = 0x1D
@@ -35,18 +35,14 @@ _TAG_REORDER_OFFSET = 0x5D
 _TAG_TRUNCATE = 0x6D
 
 
-def _splitmix64(x: int) -> int:
-    """One round of the splitmix64 output mixer (public-domain constants)."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
 def _unit(seed: int, tag: int, index: int) -> float:
-    """Uniform [0, 1) as a pure function of (seed, tag, index)."""
-    h = _splitmix64((seed & _MASK64) ^ (tag * 0xA24BAED4963EE407 & _MASK64))
-    h = _splitmix64(h ^ (index & _MASK64))
+    """Uniform [0, 1) as a pure function of (seed, tag, index).
+
+    ``splitmix64`` reduces its input mod 2**64 before mixing, and xor
+    commutes with that reduction, so the operands need no masking.
+    """
+    h = splitmix64(seed ^ tag * 0xA24BAED4963EE407)
+    h = splitmix64(h ^ index)
     # Top 53 bits → an exactly representable double in [0, 1).
     return (h >> 11) / float(1 << 53)
 

@@ -196,11 +196,6 @@ class PhaseClock:
                 entry[1] += int(agg["total_ns"])
                 entry[2] += int(agg["self_ns"])
 
-    def total_self_ns(self) -> int:
-        """Sum of self time over every phase (== sum of root totals when the
-        tree is fully nested; the Pareto share denominator)."""
-        return sum(e[2] for e in self._entries.values())
-
     def depth(self) -> int:
         """Current nesting depth (0 outside any phase)."""
         return len(self._names)

@@ -29,7 +29,8 @@ _TAG_MIX = 0xA24BAED4963EE407
 
 
 def splitmix64(x: int) -> int:
-    """One splitmix64 step: a high-quality 64-bit mix (public for tests)."""
+    """One splitmix64 step: a high-quality 64-bit mix (the fault plan's
+    decisions use it too)."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64

@@ -1,14 +1,15 @@
 """Performance-regression observability: bench artifacts, compare gate,
-cycle-attribution profiler.
+the curated benchmark suite.
 
 The measure-then-validate loop (Appendix A / Figure 11) as infrastructure:
 ``repro.perf.suite`` runs the curated benchmark suite and writes
 schema-versioned ``BENCH_<name>.json`` artifacts (median + MAD over
 seeded repetitions, full provenance); ``repro.perf.compare`` diffs two
-artifacts with noise-aware thresholds so CI can gate on regressions;
-``repro.perf.profiler`` attributes every busy nanosecond to the
-``d``/``c1``/``c2``/contention components and reports residuals against
-the analytic throughput model.  See ``docs/BENCHMARKS.md``.
+artifacts with noise-aware thresholds so CI can gate on regressions.
+Each point's per-core split comes from
+:func:`repro.telemetry.attribution_from_snapshot` and its residual
+against the analytic model from :func:`repro.bench.model.model_residuals`.
+See ``docs/BENCHMARKS.md``.
 """
 
 from .artifact import (
@@ -30,13 +31,6 @@ from .compare import (
     compare_artifacts,
     compare_paths,
     markdown_report,
-)
-from .profiler import (
-    CoreAttribution,
-    RunAttribution,
-    attribute_result,
-    attribution_from_snapshot,
-    model_residuals,
 )
 from .suite import (
     BASE_SEED,
@@ -64,11 +58,6 @@ __all__ = [
     "REGRESSION",
     "IMPROVEMENT",
     "NEUTRAL",
-    "CoreAttribution",
-    "RunAttribution",
-    "attribute_result",
-    "attribution_from_snapshot",
-    "model_residuals",
     "BASE_SEED",
     "SUITES",
     "SuiteParams",

@@ -185,7 +185,7 @@ class BenchArtifact:
     series: Dict[str, BenchSeries] = field(default_factory=dict)
     #: Appendix A model fit: predicted Mpps and relative residuals per x.
     model_fit: Optional[dict] = None
-    #: per-core d/c1/c2/contention cycle attribution (profiler output).
+    #: per-core d/c1/c2/contention split (``RunAttribution.to_dict()``).
     profile: Optional[dict] = None
     git_sha: str = "unknown"
     created_utc: str = ""

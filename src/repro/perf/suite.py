@@ -49,12 +49,12 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..bench.figures import SCR_IN_FRAME
 from ..bench.mlffr import SEARCH_TOLERANCE_PPS
+from ..bench.model import model_residuals
 from ..hostprof.clock import NULL_HOSTPROF, PhaseClock
 from ..scenario.build import ScenarioResult
 from ..scenario.executor import ScenarioExecutor
 from ..scenario.spec import Scenario
 from .artifact import BenchArtifact, BenchPoint, BenchSeries
-from .profiler import model_residuals
 
 __all__ = [
     "BASE_SEED",

@@ -131,10 +131,6 @@ class ElephantClassifier:
     def is_promoted(self, key: Hashable) -> bool:
         return key in self._promoted
 
-    @property
-    def promoted_count(self) -> int:
-        return len(self._promoted)
-
     def observe(self, key: Hashable) -> Tuple[bool, Tuple[PlacementEvent, ...]]:
         """Record one packet of ``key``; returns (promoted_after, events)."""
         spec = self.spec

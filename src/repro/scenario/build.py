@@ -27,6 +27,7 @@ from ..parallel.registry import make_engine
 from ..programs.base import PacketProgram
 from ..programs.registry import make_program
 from ..telemetry.artifact import NULL_TELEMETRY, Telemetry
+from ..telemetry.attribution import attribution_from_snapshot
 from ..telemetry.events import NULL_TRACER, EventTracer
 from ..traffic.distributions import TRACE_DISTRIBUTIONS
 from ..traffic.synthesis import single_flow_trace, synthesize_trace
@@ -246,9 +247,6 @@ def run_scenario(
     the labelled per-point gauge, the iterations counter, and the
     counters/latency snapshot frozen at the reported rate.
     """
-    # Lazy: repro.perf imports its suite, which imports this module.
-    from ..perf.profiler import attribute_result
-
     builder = builder if builder is not None else StackBuilder()
     tele = telemetry if telemetry is not None else NULL_TELEMETRY
     instrumented = tele.enabled
@@ -301,7 +299,9 @@ def run_scenario(
             if hist is not None and hist.count:
                 result.latency_ns = hist.percentiles()
         if scenario.profile:
-            result.profile = attribute_result(best).to_dict()
+            result.profile = attribution_from_snapshot(
+                best.counters.snapshot(), duration_ns=best.duration_ns
+            ).to_dict()
     if instrumented:
         _record_point(tele, scenario, result, best)
     return result

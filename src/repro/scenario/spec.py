@@ -288,10 +288,6 @@ class Scenario:
         """The same measurement under a different fault regime."""
         return dataclasses.replace(self, faults=faults)
 
-    def with_placement(self, placement: Optional["PlacementSpec"]) -> "Scenario":
-        """The same measurement under a different tenancy/placement config."""
-        return dataclasses.replace(self, placement=placement)
-
     def describe(self) -> str:
         base = (
             f"{self.program} @ {self.workload}, {self.technique}, "

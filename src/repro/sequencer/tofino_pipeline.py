@@ -177,11 +177,6 @@ class TofinoPipeline:
         self._rr = (self._rr + 1) % self.num_cores
         return core, data, self._seq
 
-    # -- introspection ---------------------------------------------------------------
-
-    def stateful_alus_used(self) -> int:
-        return 1 + len(self.history_actions)
-
     def reset(self) -> None:
         for stage in self.stages:
             for register in stage.registers:

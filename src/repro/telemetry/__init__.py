@@ -19,6 +19,11 @@ from .artifact import (
     Telemetry,
     current_git_sha,
 )
+from .attribution import (
+    CoreAttribution,
+    RunAttribution,
+    attribution_from_snapshot,
+)
 from .events import (
     EV_FAST_FORWARD,
     EV_HISTORY_DEPTH,
@@ -51,6 +56,9 @@ __all__ = [
     "NULL_TELEMETRY",
     "RunArtifact",
     "current_git_sha",
+    "CoreAttribution",
+    "RunAttribution",
+    "attribution_from_snapshot",
     "MANIFEST_NAME",
     "EVENTS_NAME",
     "TRACE_NAME",

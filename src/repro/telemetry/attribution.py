@@ -1,40 +1,30 @@
-"""Cycle-attribution profiler: where did every busy nanosecond go?
+"""Per-core attribution: where did every busy nanosecond go?
 
-Decomposes a simulated run into the Appendix A cost components, per core:
+Splits a counters snapshot (``SystemCounters.snapshot()``, the dict every
+run artifact stores under ``metrics.counters``) into the Appendix A cost
+components, per core:
 
 * ``d``  — dispatch time (driver/framework labor),
 * ``c1`` — current-packet compute (program work minus fast-forward),
-* ``c2`` — history fast-forward time (the ``(k-1)·c2`` term),
+* ``(k-1)·c2`` — history fast-forward time,
 * ``contention`` — lock/atomic waiting plus cross-core line transfers.
 
-The decomposition comes straight from :class:`~repro.cpu.counters`
-accumulators (``history_ns`` carves ``c2`` out of ``compute_ns``), so
-coverage — the fraction of busy time the four components explain — is 1.0
-by construction for the built-in engines; the figure is still computed
-and reported so a future engine that charges time outside the buckets
-shows up as a coverage drop, not silent misattribution.
+``history_ns`` carves ``(k-1)·c2`` out of ``compute_ns``, so coverage —
+the fraction of busy time the four components explain — is 1.0 by
+construction for the built-in engines; the figure is still computed and
+reported so a future engine that charges time outside the buckets shows
+up as a coverage drop, not silent misattribution.
 
-:func:`model_residuals` closes the measure-then-validate loop (Fig. 11):
-it reports, per core count, the relative residual of measured throughput
-against the analytic prediction ``k / (t + (k-1)·c2)``.
+This is the only code that turns a snapshot into a per-core split: the
+bench ``profile`` block and ``scr-repro inspect`` both render it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
-from ..bench.model import predicted_scr_mpps
-from ..cpu.costmodel import TABLE4_PARAMS
-from ..cpu.simulator import SimResult
-
-__all__ = [
-    "CoreAttribution",
-    "RunAttribution",
-    "attribute_result",
-    "attribution_from_snapshot",
-    "model_residuals",
-]
+__all__ = ["CoreAttribution", "RunAttribution", "attribution_from_snapshot"]
 
 
 @dataclass
@@ -61,6 +51,14 @@ class CoreAttribution:
         if self.busy_ns <= 0:
             return 1.0
         return self.attributed_ns / self.busy_ns
+
+    def shares(self) -> Tuple[float, float, float, float]:
+        """(d, c1, (k-1)·c2, contention) as fractions of busy time."""
+        parts = (self.dispatch_ns, self.current_compute_ns,
+                 self.history_ns, self.contention_ns)
+        if self.busy_ns <= 0:
+            return (0.0, 0.0, 0.0, 0.0)
+        return tuple(ns / self.busy_ns for ns in parts)
 
     def to_dict(self) -> dict:
         return {
@@ -132,42 +130,11 @@ def _core_from_snapshot(core: dict, duration_ns: float) -> CoreAttribution:
 def attribution_from_snapshot(
     snapshot: dict, duration_ns: float = 0.0
 ) -> RunAttribution:
-    """Attribution from a ``SystemCounters.snapshot()`` dict (e.g. one
-    reloaded from a telemetry run artifact's ``metrics.counters``)."""
+    """Attribution from a ``SystemCounters.snapshot()`` dict — live, or
+    reloaded from a run artifact's ``metrics.counters``.  ``duration_ns``
+    (the run's simulated duration) only feeds ``utilization``."""
     return RunAttribution(
         cores=[_core_from_snapshot(c, duration_ns)
                for c in snapshot.get("cores", [])],
         duration_ns=duration_ns,
     )
-
-
-def attribute_result(result: SimResult) -> RunAttribution:
-    """Attribute one simulation run's busy time (live counters path)."""
-    return attribution_from_snapshot(
-        result.counters.snapshot(), duration_ns=result.duration_ns
-    )
-
-
-def model_residuals(
-    program_name: str,
-    measured: Sequence[Tuple[int, float]],
-    costs=None,
-) -> Dict[str, dict]:
-    """Per-core-count residuals of measured Mpps vs the Appendix A model.
-
-    Returns ``{str(cores): {measured_mpps, predicted_mpps, residual}}``
-    where ``residual = (measured - predicted) / predicted`` — positive
-    means the simulator beats the analytic prediction.  Keys are strings
-    so the mapping round-trips through JSON unchanged.
-    """
-    if costs is None:
-        costs = TABLE4_PARAMS[program_name]
-    out: Dict[str, dict] = {}
-    for cores, measured_mpps in measured:
-        predicted = predicted_scr_mpps(costs, cores)
-        out[str(cores)] = {
-            "measured_mpps": measured_mpps,
-            "predicted_mpps": predicted,
-            "residual": (measured_mpps - predicted) / predicted,
-        }
-    return out

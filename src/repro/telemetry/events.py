@@ -343,9 +343,6 @@ class EventTracer:
         counted under the retention contract."""
         return self.emitted - len(self._ring)
 
-    def cores_seen(self) -> List[int]:
-        return sorted({e.core for e in self._ring if e.core is not None})
-
     def clear(self) -> None:
         self._ring.clear()
         self.type_counts = {}

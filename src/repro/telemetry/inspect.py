@@ -12,8 +12,8 @@ questions a wrong MLFFR point or a recovery stall raises first:
    blast radius) when the manifest carries an ``slo`` section;
 3. **how long did packets take** — latency percentiles from the histogram
    metrics snapshot;
-4. **where did core time go** — per-core dispatch/compute/wait/transfer
-   attribution (the Fig. 8 split) from the counters snapshot.
+4. **where did core time go** — the per-core d / c1 / (k-1)·c2 /
+   contention split (:mod:`.attribution`) of the counters snapshot.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from .artifact import RunArtifact
+from .attribution import attribution_from_snapshot
 from .events import (
     EV_DIVERGENCE,
     EV_QUARANTINE,
@@ -335,23 +336,17 @@ def summarize_artifact(directory: Union[str, Path]) -> str:
     counters = artifact.metrics.get("counters")
     if counters and counters.get("cores"):
         lines.append("")
-        lines.append("per-core time attribution (at the reported rate):")
-        rows = []
-        for c in counters["cores"]:
-            busy = c.get("busy_ns", 0.0) or 1.0
-            rows.append([
-                c.get("core_id", "?"),
-                c.get("packets", 0),
-                f"{100 * c.get('dispatch_ns', 0) / busy:.1f}%",
-                f"{100 * c.get('compute_ns', 0) / busy:.1f}%",
-                f"{100 * c.get('wait_ns', 0) / busy:.1f}%",
-                f"{100 * c.get('transfer_ns', 0) / busy:.1f}%",
-                _fmt_ns(c.get("busy_ns", 0.0)),
-                f"{c.get('ipc', 0.0):.2f}",
-                f"{100 * c.get('l2_hit_ratio', 1.0):.1f}%",
-            ])
+        lines.append("per-core time attribution (share of busy, at the reported rate):")
+        attribution = attribution_from_snapshot(counters)
+        rows = [
+            [core.core_id, core.packets,
+             *(f"{100 * share:.1f}%" for share in core.shares()),
+             _fmt_ns(core.busy_ns), f"{snap.get('ipc', 0.0):.2f}",
+             f"{100 * snap.get('l2_hit_ratio', 1.0):.1f}%"]
+            for core, snap in zip(attribution.cores, counters["cores"])
+        ]
         lines.extend(_table(
-            ["core", "packets", "dispatch", "compute", "wait", "transfer",
+            ["core", "packets", "d", "c1", "(k-1)·c2", "contention",
              "busy", "IPC", "L2 hit"],
             rows,
         ))

@@ -15,9 +15,8 @@ once.  Design constraints, in order:
 
 from __future__ import annotations
 
-import json
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -350,9 +349,6 @@ class MetricsRegistry:
                 self.histogram(
                     name, growth=data.get("growth", DEFAULT_BUCKET_GROWTH)
                 ).merge_snapshot(data)
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.snapshot(), indent=indent)
 
     def to_prometheus(self) -> str:
         """The Prometheus text exposition format.

@@ -62,9 +62,6 @@ class Trace:
     def append(self, pkt: Packet) -> None:
         self.packets.append(pkt)
 
-    def sort_by_time(self) -> None:
-        self.packets.sort(key=lambda p: p.timestamp_ns)
-
     def truncated(self, size: int) -> "Trace":
         """All packets truncated to ``size`` bytes on the wire (§4.2)."""
         return Trace([p.truncated(size) for p in self.packets], name=self.name)

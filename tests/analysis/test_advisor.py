@@ -1,5 +1,8 @@
 """The pure technique advisor (repro.analysis.advisor)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.advisor import (
@@ -11,6 +14,23 @@ from repro.analysis.advisor import (
 )
 from repro.analysis.dataflow import FieldFacts, ProgramFacts
 from repro.cpu import TABLE4_PARAMS
+from repro.perf.advise import program_facts
+from repro.programs.registry import program_names
+
+PINNED = Path(__file__).with_name("advice_pinned.json")
+
+#: The two workload profiles the pinned advice covers: the single-elephant
+#: default (hybrid ineligible) and a mice-heavy many-flow profile that
+#: makes hybrid eligible and gives the global-fraction bound some bite.
+PINNED_PROFILES = {
+    "default": WorkloadProfile(),
+    "hybrid_eligible": WorkloadProfile(
+        hot_key_share=0.2,
+        global_fraction=0.05,
+        flow_count=100_000,
+        rss_core_shares={2: 0.6, 4: 0.35, 8: 0.2},
+    ),
+}
 
 
 def make_facts(**overrides):
@@ -145,3 +165,29 @@ def test_to_dict_shape():
     assert payload["recommended"] == advice.recommended
     assert {s["technique"] for s in payload["scores"]} == set(ADVISOR_TECHNIQUES)
     assert payload["facts"]["program"] == "x"
+
+
+def pinned_advice():
+    """Every registered program's advice under each pinned profile, as
+    ``to_dict()`` minus the facts (whose source lines are not the point)."""
+    out = {}
+    for profile_name, profile in PINNED_PROFILES.items():
+        for name in program_names():
+            payload = advise_program(
+                program_facts(name), TABLE4_PARAMS[name], profile
+            ).to_dict()
+            del payload["facts"]
+            out[f"{profile_name}/{name}"] = payload
+    return out
+
+
+def test_advice_matches_pinned():
+    """Curves (rounded), reasons, winner and decision k for all programs
+    under both profiles equal the recorded fixture."""
+    pinned = json.loads(PINNED.read_text())
+    assert json.loads(json.dumps(pinned_advice())) == pinned
+
+
+if __name__ == "__main__":  # re-record: python -m tests.analysis.test_advisor
+    PINNED.write_text(json.dumps(pinned_advice(), indent=1, sort_keys=True)
+                      + "\n")

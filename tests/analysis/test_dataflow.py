@@ -26,7 +26,6 @@ def fixture_facts():
 def test_commutative_counter(fixture_facts):
     f = fixture_facts["fx_counter"]
     assert f.key_locality == "flow_local"
-    assert f.written_fields == ("value",)
     assert f.field("value").kinds == ("add",)
     assert f.all_commutative
     assert f.declared_commutative == ("value",)

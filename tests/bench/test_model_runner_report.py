@@ -4,12 +4,14 @@ import pytest
 
 from repro.bench import (
     linear_scaling_limit,
+    predicted_hybrid_mpps,
+    predicted_relaxed_scr_mpps,
+    predicted_rss_mpps,
     predicted_scr_mpps,
-    predicted_series,
     render_scaling_series,
     render_table,
 )
-from repro.cpu import TABLE4_PARAMS, CostParams
+from repro.cpu import TABLE4_PARAMS, ContentionParams, CostParams
 from repro.scenario import (
     PACKET_SIZE_CONNTRACK,
     PACKET_SIZE_DEFAULT,
@@ -40,9 +42,23 @@ class TestModel:
         series = [predicted_scr_mpps(p, k) for k in range(1, 15)]
         assert series == sorted(series)
 
-    def test_predicted_series_shape(self):
-        series = predicted_series("ddos", [1, 2, 4])
-        assert [k for k, _ in series] == [1, 2, 4]
+    def test_technique_curves_meet_at_their_limits(self):
+        p = TABLE4_PARAMS["ddos"]
+        # Relaxed SCR pays one merged c2 at most: equal to SCR up to k=2,
+        # flat per-core cost after.
+        for k in (1, 2):
+            assert predicted_relaxed_scr_mpps(p, k) == predicted_scr_mpps(p, k)
+        assert predicted_relaxed_scr_mpps(p, 8) == pytest.approx(
+            4 * predicted_relaxed_scr_mpps(p, 2))
+        # A perfect 1/k RSS split is k single-core (d + c1) rates.
+        assert predicted_rss_mpps(p, 0.25) == pytest.approx(4e3 / (p.d + p.c1))
+        # Hybrid with no probe cost: all-elephant traffic is plain SCR,
+        # all-mice traffic is RSS at the same busiest-core share.
+        free = ContentionParams(atomic_ns=0.0)
+        assert predicted_hybrid_mpps(p, 4, 1.0, 1.0, free) == \
+            pytest.approx(predicted_scr_mpps(p, 4))
+        assert predicted_hybrid_mpps(p, 4, 0.0, 0.25, free) == \
+            pytest.approx(4e3 / p.t)
 
     def test_rejects_zero_cores(self):
         with pytest.raises(ValueError):

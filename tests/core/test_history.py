@@ -44,14 +44,6 @@ def test_row_size_validated():
         ring.push(b"short")
 
 
-def test_valid_entries_saturates():
-    ring = HistoryRing(3, 1)
-    assert ring.valid_entries() == 0
-    for i in range(5):
-        ring.push(bytes([i]))
-    assert ring.valid_entries() == 3
-
-
 def test_reset():
     ring = HistoryRing(2, 1)
     ring.push(b"A")

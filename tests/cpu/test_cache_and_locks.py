@@ -38,17 +38,12 @@ class TestL2Model:
             l2.access(0, i)
         assert l2.access(0, 5) == (0.0, 0.0)
 
-    def test_resident_entries_counted(self):
-        l2 = L2Model(1)
-        for i in range(7):
-            l2.access(0, i)
-        assert l2.resident_entries(0) == 7
-
     def test_reset(self):
         l2 = L2Model(1)
         l2.access(0, "k")
+        assert l2.access(0, "k") == (0.0, 0.0)
         l2.reset()
-        assert l2.resident_entries(0) == 0
+        assert l2.access(0, "k") == (1.0, l2.spill_ns)  # compulsory again
 
     def test_rejects_zero_cores(self):
         with pytest.raises(ValueError):
@@ -112,13 +107,6 @@ class TestSerializationTable:
         t = SerializationTable()
         t.acquire("a", 0.0, 100.0)
         assert t.acquire("b", 0.0, 100.0) == 0.0
-
-    def test_contention_ratio(self):
-        t = SerializationTable()
-        t.acquire("k", 0.0, 50.0)
-        t.acquire("k", 10.0, 50.0)
-        t.acquire("k", 1000.0, 50.0)
-        assert t.contention_ratio == pytest.approx(1 / 3)
 
     def test_rejects_negative_hold(self):
         with pytest.raises(ValueError):

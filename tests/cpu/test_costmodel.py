@@ -51,17 +51,6 @@ def test_dispatch_dominates_compute():
         assert 4.0 <= p.t / p.c2 <= 10.0
 
 
-def test_scr_service_formula():
-    p = TABLE4_PARAMS["ddos"]
-    assert p.scr_service_ns(0) == p.t
-    assert p.scr_service_ns(6) == p.t + 6 * p.c2
-
-
-def test_scr_service_rejects_negative_history():
-    with pytest.raises(ValueError):
-        TABLE4_PARAMS["ddos"].scr_service_ns(-1)
-
-
 def test_cpu_frequency_matches_testbed():
     assert CPU_FREQ_GHZ == 3.6
 

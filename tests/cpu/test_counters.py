@@ -87,11 +87,6 @@ class TestSystemCounters:
         sc = self.make()
         assert 0 < sc.mean_ipc() < 2
 
-    def test_min_max_spread(self):
-        sc = self.make()
-        lo, hi = sc.ipc_min_max()
-        assert lo < hi
-
     def test_wall_variants_include_idle_core(self):
         sc = self.make()
         lo, hi = sc.ipc_wall_min_max(10_000)

@@ -1,11 +1,16 @@
-"""Cycle-attribution profiler: coverage, c1/c2 split, model residuals."""
+"""Per-core attribution of simulated runs (coverage, c1/c2 split) and
+model residuals: the two views a bench artifact's profile and model_fit
+blocks are made of."""
+
+import json
 
 import pytest
 
 from repro.bench.figures import SCR_IN_FRAME
+from repro.bench.model import model_residuals, predicted_scr_mpps
 from repro.cpu.costmodel import TABLE4_PARAMS
-from repro.perf import attribute_result, attribution_from_snapshot, model_residuals
 from repro.scenario import Scenario, run_scenario
+from repro.telemetry import attribution_from_snapshot
 
 
 def scr_result(cores=4, technique="scr", program="ddos"):
@@ -14,6 +19,11 @@ def scr_result(cores=4, technique="scr", program="ddos"):
         engine_kwargs=SCR_IN_FRAME if technique == "scr" else None,
     )
     return run_scenario(scenario).mlffr.result_at_mlffr
+
+
+def attribute_result(result):
+    return attribution_from_snapshot(result.counters.snapshot(),
+                                     duration_ns=result.duration_ns)
 
 
 class TestAttribution:
@@ -53,10 +63,11 @@ class TestAttribution:
             assert 0.0 <= core.utilization <= 1.0
 
     def test_snapshot_round_trip_matches_live(self):
+        # A snapshot reloaded from an artifact's JSON attributes the same.
         res = scr_result(cores=2)
         live = attribute_result(res)
-        via_snapshot = attribution_from_snapshot(res.counters.snapshot(),
-                                                 res.duration_ns)
+        reloaded = json.loads(json.dumps(res.counters.snapshot()))
+        via_snapshot = attribution_from_snapshot(reloaded, res.duration_ns)
         assert via_snapshot.to_dict() == live.to_dict()
 
     def test_snapshot_without_history_key_defaults_to_zero(self):
@@ -70,16 +81,12 @@ class TestAttribution:
         assert attr.coverage == pytest.approx(1.0)
 
     def test_to_dict_json_safe(self):
-        import json
-
         json.dumps(attribute_result(scr_result(cores=2)).to_dict())
 
 
 class TestModelResiduals:
     def test_perfect_prediction_zero_residual(self):
         costs = TABLE4_PARAMS["ddos"]
-        from repro.bench.model import predicted_scr_mpps
-
         measured = [(k, predicted_scr_mpps(costs, k)) for k in (1, 2, 4)]
         out = model_residuals("ddos", measured)
         assert set(out) == {"1", "2", "4"}
@@ -87,8 +94,6 @@ class TestModelResiduals:
             assert row["residual"] == pytest.approx(0.0)
 
     def test_residual_sign_and_magnitude(self):
-        from repro.bench.model import predicted_scr_mpps
-
         costs = TABLE4_PARAMS["ddos"]
         pred = predicted_scr_mpps(costs, 2)
         out = model_residuals("ddos", [(2, pred * 1.1)])

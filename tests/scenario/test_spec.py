@@ -157,12 +157,10 @@ class TestScenarioPlacement:
             assert variant.content_hash() != base.content_hash()
 
     def test_with_placement_and_describe(self):
-        sc = Scenario.create("ddos", "caida", "hybrid", 4)
-        assert sc.placement is None
+        assert Scenario.create("ddos", "caida", "hybrid", 4).placement is None
         pl = self.placement(num_tenants=4, tenant_quota=100)
-        with_pl = sc.with_placement(pl)
+        with_pl = Scenario.create("ddos", "caida", "hybrid", 4, placement=pl)
         assert with_pl.placement == pl
-        assert sc.placement is None  # original untouched (frozen spec)
         assert pl.describe() in with_pl.describe()
 
     def test_picklable_with_placement(self):

@@ -60,12 +60,12 @@ class TestDatapath:
 
     def test_ddos_44_cores_fits_exactly(self):
         pipeline = TofinoPipeline(make_program("ddos"), 44)
-        assert pipeline.stateful_alus_used() == 45  # 44 history + index
+        assert 1 + len(pipeline.history_actions) == 45  # 44 history + index
 
     def test_byte_packed_register_count(self):
         """Items pack back-to-back: 8 x 18 B = 144 B → 36 words + index."""
         pipeline = TofinoPipeline(make_program("heavy_hitter"), 8)
-        assert pipeline.stateful_alus_used() == 37
+        assert 1 + len(pipeline.history_actions) == 37
 
     def test_byte_packing_reaches_section_43_capacities(self):
         """The packed layout achieves exactly the paper's core counts."""

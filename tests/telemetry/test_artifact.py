@@ -1,7 +1,11 @@
 """Run artifacts: the manifest round-trip and the full instrumented stack."""
 
+import io
 import json
 
+import pytest
+
+from repro.cli import main
 from repro.scenario import Scenario, run_scenario
 from repro.telemetry import (
     EVENTS_NAME,
@@ -11,6 +15,7 @@ from repro.telemetry import (
     TRACE_NAME,
     RunArtifact,
     Telemetry,
+    attribution_from_snapshot,
 )
 from repro.telemetry.events import EV_SPRAY
 from repro.telemetry.inspect import summarize_artifact
@@ -148,3 +153,46 @@ class TestInstrumentedSweep:
         assert "per-core time attribution" in text
         assert "p99" in text
         assert "mlffr_mpps" in text
+
+
+def _per_core_rows(text):
+    """The cells of inspect's per-core attribution table, one list per core."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith("per-core time attribution"))
+    assert lines[start + 1].split()[:6] == [
+        "core", "packets", "d", "c1", "(k-1)·c2", "contention"]
+    rows = []
+    for line in lines[start + 3:]:
+        if not line.strip() or line.startswith("totals:"):
+            break
+        rows.append(line.split())
+    return rows
+
+
+@pytest.mark.parametrize("technique", ["scr", "shared"])
+def test_inspect_renders_the_snapshot_attribution(technique, tmp_path):
+    """Every per-core row of ``inspect`` is the d / c1 / (k-1)·c2 /
+    contention split of the artifact's own counters snapshot."""
+    tdir = tmp_path / "tele"
+    assert main([
+        "mlffr", "--program", "ddos", "--workload", "caida",
+        "--technique", technique, "--cores", "4", "--packets", "1200",
+        "--telemetry", str(tdir),
+    ], out=io.StringIO()) == 0
+    manifest = json.loads((tdir / MANIFEST_NAME).read_text())
+    attribution = attribution_from_snapshot(manifest["metrics"]["counters"])
+    rows = _per_core_rows(summarize_artifact(tdir))
+    assert len(rows) == len(attribution.cores) == 4
+    for row, core in zip(rows, attribution.cores):
+        assert row[:6] == [
+            str(core.core_id), str(core.packets),
+            *(f"{100 * share:.1f}%" for share in core.shares()),
+        ]
+    history = [core.history_ns for core in attribution.cores]
+    if technique == "scr":
+        assert all(ns > 0 for ns in history)
+        assert all(row[4] != "0.0%" for row in rows)
+    else:
+        assert history == [0.0] * 4
+        assert all(row[4] == "0.0%" for row in rows)

@@ -58,14 +58,6 @@ def test_null_tracer_is_disabled():
     assert NULL_TRACER.events() == []
 
 
-def test_cores_seen():
-    tr = EventTracer()
-    tr.emit(EV_SPRAY, core=0)
-    tr.emit(EV_SPRAY, core=3)
-    tr.emit(EV_SPRAY)  # systemwide, no core
-    assert tr.cores_seen() == [0, 3]
-
-
 def test_clear():
     tr = EventTracer()
     tr.emit(EV_SPRAY, core=0)

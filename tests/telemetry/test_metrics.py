@@ -175,7 +175,7 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("drops").inc(3)
         reg.histogram("lat").observe(42.0)
-        parsed = json.loads(reg.to_json())
+        parsed = json.loads(json.dumps(reg.snapshot()))
         assert parsed["drops"]["value"] == 3
         assert parsed["lat"]["count"] == 1
 

@@ -45,14 +45,6 @@ class TestTrace:
         assert all(p.wire_len == 64 for p in t)
         assert len(t) == 3
 
-    def test_sort_by_time(self):
-        t = Trace([
-            make_udp_packet(1, 2, 3, 4, timestamp_ns=500),
-            make_udp_packet(1, 2, 3, 4, timestamp_ns=100),
-        ])
-        t.sort_by_time()
-        assert [p.timestamp_ns for p in t] == [100, 500]
-
 
 class TestScrtFormat:
     def test_save_load_roundtrip(self, trace, tmp_path):
