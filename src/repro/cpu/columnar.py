@@ -2,47 +2,63 @@
 
 :func:`repro.cpu.simulator.simulate` dispatches here when the ``columnar``
 hot path is selected (the default; see :func:`resolve_hotpath`).  The
-driver *speculates* that no packet is dropped, solves the whole run with
-numpy cumulative arithmetic, and verifies the speculation afterwards:
+driver solves the whole run with numpy cumulative arithmetic where the
+run is a pure recurrence, and walks plain floats in the scalar loop's
+order exactly where it is not — from the first drop on:
 
 * **admission** — the serializing wire and the PCIe descriptor budget are
   max-plus recurrences ``free_j = max(free_{j-1}, now_j) + t_j``, solved
-  exactly by :func:`_chain`; any backlog beyond the slack window would
-  have dropped a packet, so the driver falls back to the event loop;
-* **steering** — eligible engines expose ``steer_batch`` (round-robin row
-  math for SCR, an indirection-table gather for RSS);
+  exactly by :func:`_chain`; when a backlog exceeds its slack window,
+  :func:`_admit` walks the stage from that packet on (wire first, then
+  PCIe over the wire-admitted packets), recording each drop's backlog;
+* **steering** — eligible engines expose ``steer_batch`` over the
+  admitted rows (round-robin row math for SCR, which counts steered
+  packets; an indirection-table gather for RSS);
 * **core drain** — per-core FIFO service is the same max-plus recurrence
   over (arrival, service) rows.  SCR's history depth reads the global
-  steer counter at *service* time, so the first ``k-1`` packets are
-  resolved by an exact scalar prefix walk and every later packet is in
-  steady state (``h = k-1``); ring occupancy is checked after the fact
-  and any overflow falls back to the event loop;
+  steer counter at *service* time, so the first ``k-1`` steered packets
+  are resolved by an exact scalar prefix walk and every later packet is
+  in steady state (``h = k-1``).  The chain is exact up to a core's first
+  ring overflow; :class:`_CoreWalker` replays the core from there;
 * **commit** — counters, the L2 model, and engine steer state are updated
   once, in batch, through ``engine.service_batch`` /
   ``CoreCounters.charge_batch``, in the exact scalar accumulation order;
-* **records** — under telemetry, :func:`record_committed` emits the run's
-  span-sampled records as a post-pass over the committed columns and
-  counts the rest (the retention contract in
-  :mod:`repro.telemetry.events`); the tracer's staged release orders them
-  exactly as it orders the scalar loop's.
+* **records** — under telemetry, :func:`record_committed` stages the run's
+  span-sampled records (drops included) as column batches over the
+  committed columns and counts the rest (the retention contract in
+  :mod:`repro.telemetry.events`); the tracer turns only the batches it
+  retains into events, in the order it gives the scalar loop's.
 
 Every float is added in the same order as the scalar reference
 (``np.add.accumulate`` is sequential left-to-right), so the result is
 **bit-identical** to the event loop — the parity tests and the scalar
-oracle (``--hotpath scalar``) pin this.  See docs/HOTPATH.md.
+oracle (``--hotpath scalar``) pin this.  Only a fault plan or an
+ineligible engine sends a run to the event loop.  See docs/HOTPATH.md.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..nic.nic import ETHERNET_OVERHEAD_BYTES, MIN_FRAME_BYTES
-from ..telemetry.events import EV_SERVICE
+from ..nic.nic import (
+    ETHERNET_OVERHEAD_BYTES,
+    MIN_FRAME_BYTES,
+    PCIE_DESCRIPTOR_BYTES,
+    WIRE_SLACK_FRAMES,
+)
+from ..telemetry.events import (
+    EV_PCIE_DROP,
+    EV_RING_DROP,
+    EV_SERVICE,
+    EV_WIRE_DROP,
+    RecordBatch,
+)
 from ..telemetry.metrics import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -69,12 +85,6 @@ __all__ = [
 HOTPATH_ENV = "REPRO_HOTPATH"
 
 HOTPATH_MODES = ("scalar", "columnar")
-
-#: Mirrors of the admission constants in ``repro.cpu.simulator`` (kept
-#: there as the source of truth; re-importing them at call time would put
-#: the import in the hot path).
-_WIRE_SLACK_FRAMES = 64
-_PCIE_DESCRIPTOR_BYTES = 16
 
 
 def resolve_hotpath(explicit: Optional[str] = None) -> str:
@@ -214,6 +224,10 @@ def l2_spill_rows(
 
 # -- the columnar driver --------------------------------------------------------
 
+#: A row's fate in a committed run (:attr:`ColumnarRun.fate`): enqueued on
+#: its core's ring, or dropped by the wire, PCIe or a full ring.
+ENQUEUED, WIRE_DROP, PCIE_DROP, RING_DROP = 0, 1, 2, 3
+
 
 @dataclass(frozen=True)
 class ColumnarRun:
@@ -222,14 +236,22 @@ class ColumnarRun:
 
     result: "SimResult"
     arrivals: np.ndarray
+    #: :data:`ENQUEUED` or the stage that dropped the row.
+    fate: np.ndarray
+    #: the wire or PCIe backlog (ns) that dropped a row; 0 elsewhere.
+    backlog: np.ndarray
+    #: the core each steered row went to (-1: dropped before steering).
     cores: np.ndarray
+    #: ring length after an enqueue, or of the full ring that dropped it.
+    depth: np.ndarray
+    #: packets steered before each arrival; entry ``n`` counts them all.
+    steered_by: np.ndarray
     starts: np.ndarray
     #: arrival index whose drain popped each row (``n``: the final drain).
     pop_event: np.ndarray
     popped: np.ndarray
-    #: the popped rows in service order, and each one's service time.
-    pop_rows: np.ndarray
-    pop_services: np.ndarray
+    #: each popped row's service time (0 elsewhere).
+    services: np.ndarray
 
 
 def simulate_columnar(
@@ -249,21 +271,16 @@ def simulate_columnar(
     """One fixed-rate run on the columnar hot path, or ``None`` to fall
     back to the scalar event loop.
 
-    Fallback triggers (see module docstring): a fault plan attached, an
-    engine without batched row math, or the no-drop speculation failing
-    (wire/PCIe backlog beyond slack, or a ring backing up past capacity).
-    Telemetry is not a trigger: the caller emits a committed run's
-    records with :func:`record_committed`.  The engine is only mutated
-    after every check passes, so the scalar rerun starts from the same
-    freshly-reset state.
+    The only fallback triggers are a fault plan attached and an engine
+    without batched row math (``columnar_eligible``).  Drops are not a
+    trigger: wire, PCIe and ring drops are replayed exactly.  Telemetry
+    is not one either: the caller emits a committed run's records with
+    :func:`record_committed`.
     """
     if faults is not None and faults.any_faults:
         return None
     eligible = getattr(engine, "columnar_eligible", None)
     if not callable(eligible) or not eligible():
-        return None
-    n = len(perf_trace)
-    if n == 0:
         return None
 
     hp_on = hostprof.enabled
@@ -284,49 +301,52 @@ def record_committed(
     engine: "PerfEngine",
     tracer: "EventTracer",
     spans: "SpanEmitter",
-    sampled: List[int],
+    sampled: np.ndarray,
 ) -> None:
-    """Emit a committed run's records as a post-pass over its columns.
+    """Stage a committed run's records as a post-pass over its columns.
 
-    The same records the scalar loop emits as it goes: ``span.*`` and the
-    per-packet kinds for the span-``sampled`` rows, counts for every other
-    row, plus the engine's own records (``engine.record_committed``).  The
-    tracer stages both paths' records and releases them in one order.
+    The same records the scalar loop emits as it goes: ``span.*``, the
+    service records and the drops with their cause for the span-
+    ``sampled`` rows, counts for every other row, plus the engine's own
+    records (``engine.record_committed``).  They are staged as column
+    batches (:class:`~repro.telemetry.events.RecordBatch`), one per kind,
+    which become events only if the tracer retains them.
     """
     record = getattr(engine, "record_committed", None)
     if record is not None:
         record(trace, run, sampled)
-    popped = int(np.count_nonzero(run.popped[sampled]))
-    if tracer.enabled:
-        tracer.count(EV_SERVICE, run.result.processed - popped)
-    if not sampled:
+    arrivals, cores = run.arrivals, run.cores
+    fate = run.fate[sampled]
+    popped = sampled[run.popped[sampled]]
+    if len(sampled):
+        spans.emit_columns("nic_arrival", sampled, arrivals[sampled],
+                           wire_len=trace.wire_lens[sampled])
+        enqueued = sampled[fate == ENQUEUED]
+        spans.emit_columns("ring_enqueue", enqueued, arrivals[enqueued],
+                           core=cores[enqueued], depth=run.depth[enqueued])
+        spans.emit_columns("core_pop", popped, run.starts[popped],
+                           core=cores[popped])
+    if not tracer.enabled:
         return
-    rows = np.asarray(sampled, dtype=np.int64)
-    cores = run.cores[rows]
-    # Ring occupancy after each sampled enqueue, as ``_run`` checks it:
-    # FIFO position minus the core's packets popped by this arrival.
-    depth = np.empty(len(rows), dtype=np.int64)
-    for core in np.unique(cores).tolist():
-        fifo = np.flatnonzero(run.cores == core)
-        on_core = cores == core
-        at = rows[on_core]
-        depth[on_core] = (np.searchsorted(fifo, at) + 1 - np.searchsorted(
-            run.pop_event[fifo], at, side="right"))
-    services = np.zeros(len(run.arrivals), dtype=np.float64)
-    services[run.pop_rows] = run.pop_services
-    columns = zip(
-        sampled, run.arrivals[rows].tolist(), cores.tolist(),
-        trace.wire_lens[rows].tolist(), depth.tolist(),
-        run.popped[rows].tolist(), run.starts[rows].tolist(),
-        services[rows].tolist())
-    for i, now, core, wire_len, ring_depth, was_popped, start, service in columns:
-        spans.emit("nic_arrival", i, ts_ns=now, wire_len=wire_len)
-        spans.emit("ring_enqueue", i, ts_ns=now, core=core, depth=ring_depth)
-        if was_popped:
-            spans.emit("core_pop", i, ts_ns=start, core=core)
-            if tracer.enabled:
-                tracer.emit(EV_SERVICE, ts_ns=start, core=core,
-                            dur_ns=service, index=i)
+    result = run.result
+    tracer.count(EV_SERVICE, result.processed - len(popped))
+    tracer.stage_columns(RecordBatch(
+        EV_SERVICE, popped, run.starts[popped], cores[popped],
+        run.services[popped], (("index", popped),)))
+    # Each drop with its cause's field; a ring drop also names its core.
+    for kind, cause, total, name, column in (
+            (EV_WIRE_DROP, WIRE_DROP, result.wire_dropped, "backlog_ns",
+             run.backlog),
+            (EV_PCIE_DROP, PCIE_DROP, result.pcie_dropped, "backlog_ns",
+             run.backlog),
+            (EV_RING_DROP, RING_DROP, result.ring_dropped, "depth",
+             run.depth)):
+        rows = sampled[fate == cause]
+        tracer.count(kind, total - len(rows))
+        tracer.stage_columns(RecordBatch(
+            kind, rows, arrivals[rows],
+            cores[rows] if cause == RING_DROP else None,
+            fields=(("index", rows), (name, column[rows]))))
 
 
 def _run(
@@ -340,7 +360,7 @@ def _run(
     grace_min_ns: float,
     pcie_rate_gbps: float,
     collect_latency: bool,
-) -> Optional[ColumnarRun]:
+) -> ColumnarRun:
     from .simulator import SimResult
 
     n = len(trace)
@@ -354,89 +374,91 @@ def _run(
     slot = (np.arange(n, dtype=np.int64) // burst_size) * burst_size
     now = slot.astype(np.float64) * interval
 
-    # Wire admission: free_j = max(free_{j-1}, now_j) + wt_j; a packet is
-    # dropped when the *preceding* backlog exceeds the slack window.
+    # Admission: the wire, then the host interconnect (DMA payload +
+    # descriptor + completion traffic) for the packets the wire admitted.
     wire_len = engine.wire_len_batch(trace)
     frame = np.maximum(wire_len, MIN_FRAME_BYTES) + ETHERNET_OVERHEAD_BYTES
     wt = (frame * 8) / line_rate_bps * 1e9
-    wire_slack_ns = float(wt[0]) * _WIRE_SLACK_FRAMES
-    _, wire_free = _chain(now, wt)
-    backlog = np.concatenate((np.zeros(1), wire_free[:-1])) - now
-    if bool(np.any(backlog > wire_slack_ns)):
-        return None
-
-    # Host interconnect: DMA payload + descriptor + completion traffic.
     dma_len = engine.dma_len_batch(trace)
-    dt = ((dma_len + _PCIE_DESCRIPTOR_BYTES) * 8) / pcie_rate_bps * 1e9
-    pcie_slack_ns = float(dt[0]) * _WIRE_SLACK_FRAMES
-    _, pcie_free = _chain(now, dt)
-    backlog = np.concatenate((np.zeros(1), pcie_free[:-1])) - now
-    if bool(np.any(backlog > pcie_slack_ns)):
-        return None
+    dt = ((dma_len + PCIE_DESCRIPTOR_BYTES) * 8) / pcie_rate_bps * 1e9
+    fate = np.full(n, WIRE_DROP, dtype=np.int8)
+    backlog = np.zeros(n, dtype=np.float64)
+    rows = _admit(now, wt, np.arange(n, dtype=np.int64), backlog)
+    fate[rows] = PCIE_DROP
+    rows = _admit(now, dt, rows, backlog)
+    fate[rows] = ENQUEUED
+    steered_by = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(fate == ENQUEUED, out=steered_by[1:])
 
-    cores = np.asarray(engine.steer_batch(trace), dtype=np.int64)
+    # Steering counts steered packets (SCR's round robin), so only the
+    # admitted rows are steered.
+    cores = np.full(n, -1, dtype=np.int64)
+    cores[rows] = engine.steer_batch(trace, rows)
+    row_cores = cores[rows]
 
-    # Pure per-row L2 outcome (per-core first-touch + capacity spill; the
-    # service-order restriction of each core equals its FIFO order).
-    all_rows = np.arange(n, dtype=np.int64)
-    miss_frac, spill = l2_spill_rows(engine.l2, trace, all_rows, cores, k)
-
-    # History depth: h_j = min(seq_at_service - 1, cap).  In steady state
-    # (arrival index >= cap) the steer counter has always advanced past
-    # cap, so only the first ``cap`` packets need the exact prefix walk.
+    # Service times as if no ring overflowed: per-core first-touch + spill
+    # L2 outcome (the service-order restriction of each core equals its
+    # FIFO order) and history depth.  A core's FIFO drain is exact up to
+    # its first overflow; :class:`_CoreWalker` takes over from there.
+    miss_frac, spill = l2_spill_rows(engine.l2, trace, rows, row_cores, k)
     cap = engine.history_cap()
-    h = np.full(n, cap, dtype=np.int64)
+    h = np.full(len(rows), cap, dtype=np.int64)
     if cap > 0:
-        _resolve_history_prefix(trace, engine, now, cores, miss_frac, spill,
-                                h, cap)
+        _resolve_history_prefix(trace, engine, now, rows, row_cores,
+                                miss_frac, spill, h, cap, steered_by)
+    svc = np.zeros(n, dtype=np.float64)
+    svc[rows] = engine.service_rows(trace, rows, miss_frac, spill, h)
 
-    services = engine.service_rows(trace, all_rows, miss_frac, spill, h)
-
-    # Per-core FIFO drain: the same max-plus recurrence per core.
-    starts = np.empty(n, dtype=np.float64)
-    finishes = np.empty(n, dtype=np.float64)
-    order = np.argsort(cores, kind="stable")
-    core_of_sorted = cores[order]
-    boundaries = np.flatnonzero(np.diff(core_of_sorted)) + 1
+    # Per-core FIFO drain: the max-plus recurrence per core.  Packet j
+    # leaves its ring at the first arrival i > j with now_i >= start_j
+    # (every arrival drains all cores first), or at the final grace drain
+    # (m = n); ``searchsorted`` is exact because the arrival grid is
+    # nondecreasing.  Ring length after each enqueue: FIFO position minus
+    # the core's earlier packets popped by this arrival.
+    starts = np.zeros(n, dtype=np.float64)
+    finishes = np.zeros(n, dtype=np.float64)
+    pop_event = np.full(n, n, dtype=np.int64)
+    depth = np.zeros(n, dtype=np.int64)
+    order = rows[np.argsort(row_cores, kind="stable")]
+    boundaries = np.flatnonzero(np.diff(cores[order])) + 1
+    walker: Optional[_CoreWalker] = None
     for rows_c in np.split(order, boundaries):
-        s, f = _chain(now[rows_c], services[rows_c])
+        s, f = _chain(now[rows_c], svc[rows_c])
+        m = np.maximum(np.searchsorted(now, s, side="left"), rows_c + 1)
+        d = np.arange(1, len(rows_c) + 1) - np.searchsorted(m, rows_c,
+                                                            side="right")
+        over = np.flatnonzero(d > ring_capacity)
+        if len(over):
+            if walker is None:
+                walker = _CoreWalker(trace, engine, now, steered_by,
+                                     ring_capacity)
+            dropped = walker.walk(rows_c, int(over[0]), s, f, m, d)
+            fate[rows_c[dropped]] = RING_DROP
         starts[rows_c] = s
         finishes[rows_c] = f
+        pop_event[rows_c] = m
+        depth[rows_c] = d
 
-    # Pop events: packet j leaves its ring at the first arrival i > j with
-    # now_i >= start_j (every arrival drains all cores first), or at the
-    # final grace drain (m = n).  ``searchsorted`` is exact because the
-    # arrival grid is nondecreasing.
-    m = np.searchsorted(now, starts, side="left")
-    m = np.maximum(m, all_rows + 1)
-
-    # Ring occupancy at each enqueue: FIFO position minus how many of the
-    # core's earlier packets popped at or before this arrival.  Any ring
-    # at capacity means the scalar loop would have dropped — fall back.
-    for rows_c in np.split(order, boundaries):
-        m_c = m[rows_c]
-        popped_before = np.searchsorted(m_c, rows_c, side="right")
-        occupancy = np.arange(len(rows_c)) - popped_before
-        if bool(np.any(occupancy >= ring_capacity)):
-            return None
-
-    # Speculation holds: no drops anywhere.  Commit.
+    enqueued = fate == ENQUEUED
     stream_end = n * interval
     horizon = stream_end + max(grace_min_ns, grace_fraction * stream_end)
-    popped = starts <= horizon
+    popped = enqueued & (starts <= horizon)
     processed = int(np.count_nonzero(popped))
-    unfinished = n - processed
+    unfinished = int(np.count_nonzero(enqueued)) - processed
 
-    engine.commit_steer_batch(n)
+    # Commit, in the scalar loop's pop order: by drain event, then core
+    # (drained 0..k-1), then FIFO position (== arrival index on a core).
+    engine.commit_steer_batch(len(rows))
     pop_rows = np.flatnonzero(popped)
-    # Scalar pop order: by drain event, then core (drained 0..k-1), then
-    # FIFO position (== arrival index within a core).
     pop_rows = pop_rows[np.lexsort(
-        (pop_rows, cores[pop_rows], m[pop_rows])
+        (pop_rows, cores[pop_rows], pop_event[pop_rows])
     )]
     committed = engine.service_batch(
-        trace, pop_rows, cores[pop_rows], starts[pop_rows], m[pop_rows]
+        trace, pop_rows, cores[pop_rows], starts[pop_rows],
+        steered_by[pop_event[pop_rows]]
     )
+    services = np.zeros(n, dtype=np.float64)
+    services[pop_rows] = committed
 
     per_core_packets = np.bincount(cores[pop_rows], minlength=k).tolist()
     last_finish = float(np.max(finishes[pop_rows])) if processed else 0.0
@@ -453,60 +475,213 @@ def _run(
     result = SimResult(
         offered=n,
         processed=processed,
-        wire_dropped=0,
-        ring_dropped=0,
+        wire_dropped=int(np.count_nonzero(fate == WIRE_DROP)),
+        ring_dropped=int(np.count_nonzero(fate == RING_DROP)),
         unfinished=unfinished,
         duration_ns=duration,
         rate_pps=rate_pps,
         counters=engine.counters,
-        pcie_dropped=0,
+        pcie_dropped=int(np.count_nonzero(fate == PCIE_DROP)),
         per_core_packets=per_core_packets,
         latency_samples_ns=latency_samples,
         latency_histogram=latency_hist,
         fault_stats=None,
     )
-    return ColumnarRun(result=result, arrivals=now, cores=cores,
-                       starts=starts, pop_event=m, popped=popped,
-                       pop_rows=pop_rows, pop_services=committed)
+    return ColumnarRun(result=result, arrivals=now, fate=fate,
+                       backlog=backlog, cores=cores, depth=depth,
+                       steered_by=steered_by, starts=starts,
+                       pop_event=pop_event, popped=popped, services=services)
+
+
+def _admit(now: np.ndarray, cost: np.ndarray, rows: np.ndarray,
+           backlog: np.ndarray) -> np.ndarray:
+    """One serializing admission stage (the wire or PCIe) over ``rows``,
+    the packets that reach it in arrival order: the rows it admits.
+
+    ``free_j = max(free_{j-1}, now_j) + cost_j`` over admitted packets; a
+    packet is dropped when the backlog ``free - now`` it meets exceeds
+    the slack window (:data:`WIRE_SLACK_FRAMES` of the first packet's
+    cost).  :func:`_chain` solves the stage exactly up to its first drop;
+    from there a walk over plain floats, in the scalar loop's order,
+    decides each packet and writes each dropped row's ``backlog``.
+    """
+    if not len(rows):
+        return rows
+    slack = float(cost[rows[0]]) * WIRE_SLACK_FRAMES
+    arrivals = now[rows]
+    costs = cost[rows]
+    _, free = _chain(arrivals, costs)
+    over = np.flatnonzero(free[:-1] - arrivals[1:] > slack)
+    if not len(over):
+        return rows
+    first = int(over[0]) + 1
+    busy = float(free[first - 1])
+    dropped: List[int] = []
+    lags: List[float] = []
+    for j, (arrival, t) in enumerate(
+            zip(arrivals[first:].tolist(), costs[first:].tolist()), first):
+        lag = busy - arrival
+        if lag > slack:
+            dropped.append(j)
+            lags.append(lag)
+            continue
+        busy = (busy if busy > arrival else arrival) + t
+    backlog[rows[dropped]] = lags
+    return np.delete(rows, dropped)
+
+
+class _CoreWalker:
+    """Exact drain of one core's ring from its first overflow on.
+
+    Up to a core's first overflow the vectorized chain is exact: nothing
+    earlier on the core depends on a later packet.  From there the walk
+    follows the scalar loop packet by packet over plain floats: a FIFO of
+    pop events (a packet leaves at the first arrival ``>= start``), the
+    ring-full check at each arrival, L2 first touches among *enqueued*
+    packets only (a dropped packet never touches state), and the history
+    depth read from the steered count at the pop event.
+    """
+
+    def __init__(self, trace: "PerfTrace", engine: "PerfEngine",
+                 now: np.ndarray, steered_by: np.ndarray,
+                 ring_capacity: int) -> None:
+        self.trace = trace
+        self.engine = engine
+        self.now = now.tolist()
+        self.steered = steered_by
+        self.steered_by = steered_by.tolist()
+        self.ring_capacity = ring_capacity
+        self.cap = engine.history_cap()
+
+    def _service(self, row: int, miss_frac: float, spill_ns: float,
+                 h: int) -> float:
+        return float(self.engine.service_rows(
+            self.trace, np.array([row]), np.array([miss_frac]),
+            np.array([spill_ns]), np.array([h]))[0])
+
+    def walk(self, rows: np.ndarray, p: int, s: np.ndarray, f: np.ndarray,
+             m: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Redo positions ``p..`` of one core's ``rows`` in place (start,
+        finish, pop event, ring length); returns the dropped positions.
+
+        The ring never holds more than its capacity, so the ``e``-th
+        packet the core enqueues finds room exactly when the one
+        ``capacity`` places ahead of it has popped: every arrival before
+        that pop event is dropped at full depth.
+        """
+        trace, engine = self.trace, self.engine
+        arrivals, steered_by = self.now, self.steered_by
+        capacity, cap = self.ring_capacity, self.cap
+        l2 = engine.l2
+        entries, spill_ns = l2.capacity_entries, l2.spill_ns
+        rest = rows[p:]
+        index = rest.tolist()
+        count = len(index)
+        # Everything before ``p`` was enqueued: its pop events, the finish
+        # of the last one, and the keys it made resident.
+        pops = m[:p].tolist()
+        busy = float(f[p - 1]) if p else 0.0
+        head = rows[:p][trace.valid[rows[:p]]]
+        resident = set(trace.key_ids[head].tolist())
+        full_cap = np.full(count, cap, dtype=np.int64)
+        zeros = np.zeros(count, dtype=np.float64)
+        first_touch = engine.service_rows(
+            trace, rest, zeros + 1.0, zeros + spill_ns, full_cap).tolist()
+        hit = engine.service_rows(trace, rest, zeros, zeros, full_cap).tolist()
+        keys = trace.key_ids[rest].tolist()
+        valid = trace.valid[rest].tolist()
+        never = len(arrivals)
+        # Packets before ``steady`` may still have fewer than ``cap``
+        # steered packets ahead of them; every later one has h = cap.
+        steady = int(np.searchsorted(self.steered[rest], cap))
+        out_s: List[float] = []
+        out_f: List[float] = []
+        dropped: List[int] = []
+        q = 0
+        while q < count:
+            e = len(pops)
+            if e >= capacity:
+                gate = pops[e - capacity] if capacity > 0 else never
+                if index[q] < gate:
+                    stop = bisect_left(index, gate, q)
+                    dropped.extend(range(q, stop))
+                    q = stop
+                    if q == count:
+                        break
+            i = index[q]
+            arrival = arrivals[i]
+            start = busy if busy > arrival else arrival
+            pop = bisect_left(arrivals, start, i + 1)
+            h = cap
+            if q < steady and steered_by[pop] - 1 < cap:
+                h = steered_by[pop] - 1
+            if not valid[q]:
+                service = hit[q]
+            elif keys[q] not in resident:
+                resident.add(keys[q])
+                service = (first_touch[q] if h == cap
+                           else self._service(i, 1.0, spill_ns, h))
+            else:
+                excess = len(resident) - entries
+                if excess <= 0 and h == cap:
+                    service = hit[q]
+                else:
+                    frac = excess / len(resident) if excess > 0 else 0.0
+                    service = self._service(i, frac, frac * spill_ns, h)
+            busy = start + service
+            pops.append(pop)
+            out_s.append(start)
+            out_f.append(busy)
+            q += 1
+        lost = np.asarray(dropped, dtype=np.int64)
+        enqueued = np.ones(count, dtype=bool)
+        enqueued[lost] = False
+        at = np.flatnonzero(enqueued)
+        s[p + at] = out_s
+        f[p + at] = out_f
+        m[p:] = never
+        m[p + at] = pops[p:]
+        # Ring length after each enqueue: its ordinal plus one, minus the
+        # core's packets popped by its arrival.
+        popped_by = np.searchsorted(np.asarray(pops), rest[at], side="right")
+        d[p + at] = np.arange(p + 1, p + 1 + len(at)) - popped_by
+        d[p + lost] = capacity
+        s[p + lost] = 0.0
+        f[p + lost] = 0.0
+        return p + lost
 
 
 def _resolve_history_prefix(
     trace: "PerfTrace",
     engine: "PerfEngine",
     now: np.ndarray,
+    rows: np.ndarray,
     cores: np.ndarray,
     miss_frac: np.ndarray,
     spill: np.ndarray,
     h: np.ndarray,
     cap: int,
+    steered_by: np.ndarray,
 ) -> None:
-    """Exact history depths for the first ``cap`` packets, in place.
+    """Exact history depths for the first ``cap`` steered packets, in
+    place (``h`` and the other columns are aligned with ``rows``).
 
-    Each prefix packet's start time depends only on earlier prefix
-    packets on its core, so a short scalar walk resolves the order
-    dependence the steady state is free of: pop event
-    ``m = max(first arrival >= start, j+1)`` gives ``h = min(m-1, cap)``.
+    SCR's history depth reads the global steer counter at *service*
+    time: ``h = min(steered_by[m] - 1, cap)`` for pop event ``m``.  A
+    packet whose steered rank is at least ``cap`` is in steady state
+    (``h = cap``); each prefix packet's start time depends only on earlier
+    prefix packets on its core, so a short scalar walk resolves the rest.
     """
-    n = len(now)
-    prefix = min(cap, n)
     core_busy = [0.0] * engine.num_cores
-    row = np.empty(1, dtype=np.int64)
-    h_row = np.empty(1, dtype=np.int64)
-    for j in range(prefix):
-        core = int(cores[j])
+    for q in range(min(cap, len(rows))):
+        j = int(rows[q])
+        core = int(cores[q])
         arrival = float(now[j])
         busy = core_busy[core]
         start = busy if busy > arrival else arrival
-        m = int(np.searchsorted(now, start, side="left"))
-        if m < j + 1:
-            m = j + 1
-        hj = m - 1
-        if hj > cap:
-            hj = cap
-        h[j] = hj
-        row[0] = j
-        h_row[0] = hj
+        m = max(int(np.searchsorted(now, start, side="left")), j + 1)
+        h[q] = min(max(int(steered_by[m]) - 1, 0), cap)
         service = engine.service_rows(
-            trace, row, miss_frac[j:j + 1], spill[j:j + 1], h_row
-        )
+            trace, rows[q:q + 1], miss_frac[q:q + 1], spill[q:q + 1],
+            h[q:q + 1])
         core_busy[core] = start + float(service[0])

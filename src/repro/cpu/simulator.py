@@ -25,7 +25,12 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Protocol, Sequenc
 
 import numpy as np
 
-from ..nic.nic import ETHERNET_OVERHEAD_BYTES, MIN_FRAME_BYTES
+from ..nic.nic import (
+    ETHERNET_OVERHEAD_BYTES,
+    MIN_FRAME_BYTES,
+    PCIE_DESCRIPTOR_BYTES,
+    WIRE_SLACK_FRAMES,
+)
 from ..nic.queues import DEFAULT_DESCRIPTORS
 from ..nic.rss import SYMMETRIC_RSS_KEY, hash_input_l4, toeplitz_hash, toeplitz_hash_batch
 from ..programs.base import PacketProgram
@@ -54,12 +59,6 @@ from ..traffic.trace import Trace
 from .counters import SystemCounters
 
 __all__ = ["PerfPacket", "PerfTrace", "PerfEngine", "SimResult", "simulate"]
-
-#: Frames of backlog the MAC will absorb before dropping on a saturated wire.
-_WIRE_SLACK_FRAMES = 64
-
-#: Per-packet descriptor + completion bytes across the host interconnect.
-_PCIE_DESCRIPTOR_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -474,8 +473,9 @@ def simulate(
 
     ``hotpath`` picks the execution strategy (``scalar`` | ``columnar``;
     default: the ``REPRO_HOTPATH`` env var, else columnar).  The columnar
-    driver is bit-identical to the scalar loop and falls back to it
-    whenever a run needs per-event fidelity (drops, faults).
+    driver is bit-identical to the scalar loop, drops and telemetry
+    included, and falls back to it only for a fault plan or an engine
+    without batched row math.
     """
     if rate_pps <= 0:
         raise ValueError("rate must be positive")
@@ -549,7 +549,7 @@ def _simulate_scalar(
     tracer: EventTracer,
     faults: Optional["FaultPlan"],
     spans: SpanEmitter,
-    sampled_rows: List[int],
+    sampled_rows: np.ndarray,
     hostprof: PhaseClock,
 ) -> SimResult:
     """The scalar event loop: the reference oracle for every run."""
@@ -599,7 +599,7 @@ def _simulate_scalar(
     emit = tracer.emit
     #: span-sampled packets emit their per-packet records (the retention
     #: contract); every other packet is counted in bulk at the end.
-    sampled = frozenset(sampled_rows)
+    sampled = frozenset(sampled_rows.tolist())
     spans_on = bool(sampled)
     kept: Dict[str, int] = {}
 
@@ -694,7 +694,7 @@ def _simulate_scalar(
         wl = engine.wire_len(pp)
         wt = _wire_time_ns(wl, line_rate_bps)
         if i == 0:
-            wire_slack_ns = wt * _WIRE_SLACK_FRAMES
+            wire_slack_ns = wt * WIRE_SLACK_FRAMES
         if wire_free - now > wire_slack_ns:
             wire_dropped += 1
             if pp_sampled and tracing:
@@ -703,9 +703,9 @@ def _simulate_scalar(
             continue
         wire_free = (wire_free if wire_free > now else now) + wt
         # Host interconnect: DMA payload + descriptor + completion traffic.
-        dt = (dma_len(pp) + _PCIE_DESCRIPTOR_BYTES) * 8 / pcie_rate_bps * 1e9
+        dt = (dma_len(pp) + PCIE_DESCRIPTOR_BYTES) * 8 / pcie_rate_bps * 1e9
         if i == 0:
-            pcie_slack_ns = dt * _WIRE_SLACK_FRAMES
+            pcie_slack_ns = dt * WIRE_SLACK_FRAMES
         if pcie_free - now > pcie_slack_ns:
             pcie_dropped += 1
             if pp_sampled and tracing:

@@ -41,12 +41,24 @@ from .rss import (
     toeplitz_hash,
 )
 
-__all__ = ["SteeringMode", "Nic", "ETHERNET_OVERHEAD_BYTES", "MIN_FRAME_BYTES"]
+__all__ = [
+    "SteeringMode",
+    "Nic",
+    "ETHERNET_OVERHEAD_BYTES",
+    "MIN_FRAME_BYTES",
+    "WIRE_SLACK_FRAMES",
+    "PCIE_DESCRIPTOR_BYTES",
+]
 
 #: Preamble (7) + SFD (1) + inter-frame gap (12) + FCS (4) per frame.
 ETHERNET_OVERHEAD_BYTES = 24
 #: Minimum Ethernet frame size excluding FCS.
 MIN_FRAME_BYTES = 60
+#: Frames of backlog the MAC (and the PCIe DMA engine) absorbs before
+#: dropping on a saturated link, in units of the stream's first frame.
+WIRE_SLACK_FRAMES = 64
+#: Per-packet descriptor + completion bytes across the host interconnect.
+PCIE_DESCRIPTOR_BYTES = 16
 
 
 class SteeringMode(enum.Enum):

@@ -16,9 +16,11 @@ neither more nor less likely to be sampled than its clean twin.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
-__all__ = ["splitmix64", "sample_unit", "SpanSampler"]
+import numpy as np
+
+__all__ = ["splitmix64", "splitmix64_array", "sample_unit", "SpanSampler"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -37,9 +39,26 @@ def splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """:func:`splitmix64` over a uint64 array: uint64 sums and products
+    wrap mod 2**64, exactly like the masked ints."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    z = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _seed_hash(seed: int) -> int:
+    return splitmix64((seed & _MASK64) ^ (_SPAN_TAG * _TAG_MIX & _MASK64))
+
+
 def _mix(seed: int, index: int) -> int:
-    h = splitmix64((seed & _MASK64) ^ (_SPAN_TAG * _TAG_MIX & _MASK64))
-    return splitmix64(h ^ (index & _MASK64))
+    return splitmix64(_seed_hash(seed) ^ (index & _MASK64))
+
+
+def _mix_array(seed: int, indices: np.ndarray) -> np.ndarray:
+    """:func:`_mix` over an array of nonnegative packet indices."""
+    return splitmix64_array(np.uint64(_seed_hash(seed)) ^ indices.astype(np.uint64))
 
 
 def sample_unit(seed: int, index: int) -> float:
@@ -81,6 +100,21 @@ class SpanSampler:
         """The packet's stable 64-bit trace id (nonzero, seed-dependent)."""
         return _mix(self.seed, index) | 1
 
-    def sampled_indices(self, count: int) -> list:
+    def trace_ids(self, indices: np.ndarray) -> np.ndarray:
+        """:meth:`trace_id` over an array of packet indices (uint64)."""
+        return _mix_array(self.seed, indices) | np.uint64(1)
+
+    def sampled_array(self, count: int) -> np.ndarray:
+        """The sampled indices in ``range(count)``, ascending, as an int64
+        array: the per-index decisions of :meth:`sampled` as array math
+        (``mix >> 11`` has 53 bits, so the unit float is exact)."""
+        if self.rate <= 0.0:
+            return np.empty(0, dtype=np.int64)
+        indices = np.arange(count, dtype=np.int64)
+        unit = (_mix_array(self.seed, indices) >> np.uint64(11)).astype(
+            np.float64) / float(1 << 53)
+        return indices[unit < self.rate]
+
+    def sampled_indices(self, count: int) -> List[int]:
         """All sampled indices in ``range(count)`` (test/report helper)."""
-        return [i for i in range(count) if self.sampled(i)]
+        return self.sampled_array(count).tolist()

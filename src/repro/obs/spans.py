@@ -24,11 +24,14 @@ id.  Emitting is observational only: no simulated timestamp moves.
 
 from __future__ import annotations
 
+from functools import partial
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..telemetry.events import NULL_TRACER, EventTracer
-from .sampling import SpanSampler, splitmix64
+import numpy as np
+
+from ..telemetry.events import NULL_TRACER, EventTracer, RecordBatch
+from .sampling import SpanSampler, splitmix64, splitmix64_array
 
 __all__ = [
     "SPAN_PREFIX",
@@ -79,15 +82,28 @@ _STAGE_INDEX: Mapping[str, int] = MappingProxyType(
 
 _STAGE_MIX = 0xD1B54A32D192ED03
 
+#: The sampled rows of a disabled emitter (shared, read-only).
+_NO_ROWS = np.empty(0, dtype=np.int64)
+_NO_ROWS.flags.writeable = False
+
 
 def span_kind(stage: str) -> str:
     """The event kind a stage emits under (``span.core_pop`` etc.)."""
     return SPAN_PREFIX + stage
 
 
+def _stage_salt(stage: str) -> int:
+    return (_STAGE_INDEX[stage] + 1) * _STAGE_MIX & ((1 << 64) - 1)
+
+
 def span_id(trace_id: int, stage: str) -> int:
     """Deterministic per-(trace, stage) span id."""
-    return splitmix64(trace_id ^ ((_STAGE_INDEX[stage] + 1) * _STAGE_MIX))
+    return splitmix64(trace_id ^ _stage_salt(stage))
+
+
+def span_ids(trace_ids: np.ndarray, stage: str) -> np.ndarray:
+    """:func:`span_id` over a uint64 array of trace ids."""
+    return splitmix64_array(trace_ids ^ np.uint64(_stage_salt(stage)))
 
 
 class SpanEmitter:
@@ -110,20 +126,21 @@ class SpanEmitter:
         self._ids: Dict[Tuple[int, str], Tuple[str, int, int, Optional[int]]] = {}
         #: (count, sampled rows) of the last :meth:`sampled_rows` call:
         #: every probe of a search asks for the same trace length.
-        self._rows: Tuple[int, List[int]] = (-1, [])
+        self._rows: Tuple[int, np.ndarray] = (-1, _NO_ROWS)
 
     def sampled(self, index: int) -> bool:
         """Per-packet guard: emit spans for this packet at all?"""
         return self.enabled and self.sampler.sampled(index)
 
-    def sampled_rows(self, count: int) -> List[int]:
-        """The sampled indices in ``range(count)``, ascending (none when
-        disabled) — the rows a columnar post-pass records.  The list is
-        shared between calls with the same ``count``; do not mutate it."""
+    def sampled_rows(self, count: int) -> np.ndarray:
+        """The sampled indices in ``range(count)``, ascending, as an int64
+        array (none when disabled) — the rows a columnar post-pass
+        records.  The array is shared between calls with the same
+        ``count``; do not mutate it."""
         if not self.enabled:
-            return []
+            return _NO_ROWS
         if self._rows[0] != count:
-            self._rows = (count, self.sampler.sampled_indices(count))
+            self._rows = (count, self.sampler.sampled_array(count))
         return self._rows[1]
 
     def emit(
@@ -164,6 +181,37 @@ class SpanEmitter:
             **fields,
         )
 
+    def emit_columns(
+        self,
+        stage: str,
+        index: np.ndarray,
+        ts_ns: np.ndarray,
+        core: Optional[np.ndarray] = None,
+        dur_ns: Optional[np.ndarray] = None,
+        **fields: np.ndarray,
+    ) -> None:
+        """Stage one stage's spans for the sampled packets ``index`` as
+        columns (a committed columnar run's post-pass): the same records
+        :meth:`emit` makes, whose ids are computed, as arrays, only if
+        the batch becomes events."""
+        if stage not in _STAGE_INDEX:
+            raise ValueError(f"unknown span stage {stage!r}")
+        self.tracer.stage_columns(RecordBatch(
+            span_kind(stage), index, ts_ns, core, dur_ns,
+            (("index", index),) + tuple(fields.items()),
+            ids=partial(self._id_columns, stage)))
+
+    def _id_columns(self, stage: str,
+                    index: np.ndarray) -> List[Tuple[str, list]]:
+        """The ``trace``/``span``/``parent`` fields of ``stage``'s spans
+        for packets ``index``, in :meth:`emit`'s field order."""
+        trace = self.sampler.trace_ids(index)
+        parent_stage = SPAN_PARENT[stage]
+        parent = ([None] * len(index) if parent_stage is None
+                  else span_ids(trace, parent_stage).tolist())
+        return [("trace", trace.tolist()),
+                ("span", span_ids(trace, stage).tolist()),
+                ("parent", parent)]
 
 #: The shared disabled emitter every layer defaults to (cf. NULL_TRACER).
 NULL_SPANS = SpanEmitter(NULL_TRACER, SpanSampler(0, 0.0))

@@ -10,7 +10,7 @@ parameters and the contention constants in ``repro.cpu.costmodel``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -151,10 +151,10 @@ class BaseEngine(ABC):
         mirroring the simulator's scalar ``dma_len -> wire_len`` fallback)."""
         return self.wire_len_batch(trace)
 
-    def steer_batch(self, trace: "PerfTrace") -> np.ndarray:
-        """Target core per packet for the whole trace, without mutating
-        steer state (the driver calls :meth:`commit_steer_batch` once the
-        speculative run is known to commit)."""
+    def steer_batch(self, trace: "PerfTrace", rows: np.ndarray) -> np.ndarray:
+        """Target core of each of ``rows`` — the packets admitted to
+        steering, in arrival order — without mutating steer state (the
+        driver calls :meth:`commit_steer_batch` when the run commits)."""
         raise NotImplementedError(f"{self.name} has no batched steering")
 
     def commit_steer_batch(self, count: int) -> None:
@@ -201,8 +201,8 @@ class BaseEngine(ABC):
         return out
 
     def record_committed(self, trace: "PerfTrace", run: "ColumnarRun",
-                         sampled: List[int]) -> None:
-        """Emit the engine's own per-packet records for a committed
+                         sampled: np.ndarray) -> None:
+        """Stage the engine's own per-packet records for a committed
         columnar run — what ``steer``/``service_ns`` emit on the scalar
         loop — for the span-``sampled`` rows, and count the rest.
         Default: none (the technique emits no per-packet kinds)."""

@@ -19,7 +19,7 @@ no bouncing.  What SCR pays instead:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from ..telemetry.events import (
     EV_QUARANTINE,
     EV_RESYNC,
     EV_SPRAY,
+    RecordBatch,
 )
 from .base import BaseEngine
 
@@ -199,8 +200,9 @@ class ScrEngine(BaseEngine):
     # -- columnar hot-path hooks (docs/HOTPATH.md) --------------------------------
 
     def columnar_eligible(self) -> bool:
-        """Always: recovery *logging* is pure row math, and runs that lose
-        packets carry a fault plan, which the columnar driver declines."""
+        """Always: recovery *logging* is pure row math, and only fault-plan
+        drops charge gap recovery — the columnar driver declines a fault
+        plan, while congestion drops (wire, PCIe, ring) charge nothing."""
         return True
 
     def wire_len_batch(self, trace: "PerfTrace") -> np.ndarray:
@@ -215,10 +217,11 @@ class ScrEngine(BaseEngine):
             return trace.wire_lens + self.codec.overhead_bytes
         return trace.wire_lens
 
-    def steer_batch(self, trace: "PerfTrace") -> np.ndarray:
-        """Round-robin spraying as pure row math (state advances in
+    def steer_batch(self, trace: "PerfTrace", rows: np.ndarray) -> np.ndarray:
+        """Round-robin spraying as pure row math: the i-th steered packet
+        goes to ``(rr + i) % k`` (state advances in
         :meth:`commit_steer_batch`)."""
-        offsets = np.arange(len(trace), dtype=np.int64)
+        offsets = np.arange(len(rows), dtype=np.int64)
         return (self._rr + offsets) % self.num_cores
 
     def commit_steer_batch(self, count: int) -> None:
@@ -227,6 +230,11 @@ class ScrEngine(BaseEngine):
 
     def history_cap(self) -> int:
         return self.num_cores - 1
+
+    def _history_depths(self, steered_before: np.ndarray) -> np.ndarray:
+        """:meth:`_history_items` per packet, from the count of packets
+        steered when it was served."""
+        return np.minimum(np.maximum(steered_before - 1, 0), self.history_cap())
 
     def service_rows(
         self,
@@ -260,7 +268,7 @@ class ScrEngine(BaseEngine):
 
         c = self.costs
         extra = self.extra_compute_ns
-        h = np.minimum(np.maximum(steered_before - 1, 0), self.history_cap())
+        h = self._history_depths(steered_before)
         miss_frac, spill = l2_spill_rows(
             self.l2, trace, rows, cores, self.num_cores, commit=True)
         services = self.service_rows(trace, rows, miss_frac, spill, h)
@@ -288,31 +296,42 @@ class ScrEngine(BaseEngine):
         return services
 
     def record_committed(self, trace: "PerfTrace", run: "ColumnarRun",
-                         sampled: List[int]) -> None:
+                         sampled: np.ndarray) -> None:
         """The spray and service records ``steer``/``service_ns`` emit,
-        for a committed columnar run: no drops, so packet ``i`` was
-        sprayed as sequence ``i + 1`` at its arrival, and every popped
-        valid packet served with the depth :meth:`service_batch` charged."""
+        for a committed columnar run, staged as columns: every steered
+        packet was sprayed at its arrival as the sequence after its
+        steered rank, and every popped valid packet served with the depth
+        :meth:`service_batch` charged."""
+        steered = run.cores >= 0
         served = run.popped & trace.valid
-        if self.tracer.enabled:
-            served_sampled = int(np.count_nonzero(served[sampled]))
-            self.tracer.count(EV_SPRAY, len(run.arrivals) - len(sampled))
-            self.tracer.count(EV_HISTORY_DEPTH,
-                              int(np.count_nonzero(served)) - served_sampled)
-        if not sampled:
+        sprayed = sampled[steered[sampled]]
+        rows = sampled[served[sampled]]
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.count(EV_SPRAY, int(np.count_nonzero(steered)) - len(sprayed))
+            tracer.count(EV_HISTORY_DEPTH,
+                         int(np.count_nonzero(served)) - len(rows))
+            tracer.stage_columns(RecordBatch(
+                EV_SPRAY, sprayed, run.arrivals[sprayed], run.cores[sprayed],
+                fields=(("seq", run.steered_by[sprayed] + 1),
+                        ("index", sprayed))))
+        if not len(rows):
             return
-        rows = np.asarray(sampled, dtype=np.int64)
-        h = np.minimum(np.maximum(run.pop_event[rows] - 1, 0),
-                       self.history_cap())
-        columns = zip(sampled, run.cores[rows].tolist(),
-                      run.arrivals[rows].tolist(), served[rows].tolist(),
-                      run.starts[rows].tolist(), h.tolist())
-        for i, core, now, is_served, start, depth in columns:
-            if self.tracer.enabled:
-                self.tracer.emit(EV_SPRAY, ts_ns=now, core=core, seq=i + 1,
-                                 index=i)
-            if is_served:
-                self._record_service(True, i, core, start, depth)
+        h = self._history_depths(run.steered_by[run.pop_event[rows]])
+        start = run.starts[rows]
+        cores = run.cores[rows]
+        if tracer.enabled:
+            tracer.stage_columns(RecordBatch(
+                EV_HISTORY_DEPTH, rows, start, cores,
+                fields=(("depth", h), ("index", rows))))
+        c = self.costs
+        extra = self.extra_compute_ns
+        history = h * (c.c2 + extra)
+        self.spans.emit_columns("history_ff", rows, start + c.d, core=cores,
+                                dur_ns=history, depth=h)
+        self.spans.emit_columns("transition", rows, (start + c.d) + history,
+                                core=cores,
+                                dur_ns=np.full(len(rows), c.c1 + extra))
 
     def service_ns(self, core: int, pp: PerfPacket, start_ns: float) -> float:
         c = self.costs

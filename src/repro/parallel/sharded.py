@@ -70,8 +70,8 @@ class ShardedRssEngine(BaseEngine):
         functions of the packet row, so batched replay is exact."""
         return True
 
-    def steer_batch(self, trace: "PerfTrace") -> np.ndarray:
-        hashes = hash_column_for_program(self.program, trace)
+    def steer_batch(self, trace: "PerfTrace", rows: np.ndarray) -> np.ndarray:
+        hashes = hash_column_for_program(self.program, trace)[rows]
         size = self.indirection.table_size
         if size & (size - 1) == 0:
             shards = hashes & np.uint32(size - 1)

@@ -18,24 +18,30 @@ only for span-sampled packets and *counted* for every packet
 (:meth:`EventTracer.count`), so whole-run ``type_counts`` and ``emitted``
 stay exact while the ring holds a sample.  During a staged run
 (:meth:`EventTracer.stage`) those kinds and every ``span.*`` event
-(:data:`STAGED_RANK`) wait in a buffer of at most about twice the ring;
+(:data:`STAGED_RANK`) wait in a buffer of at most about twice the ring:
+event rows from the scalar loop, or column batches
+(:class:`RecordBatch`, one per kind) from a committed columnar run.
 :meth:`EventTracer.release` then retains them in one canonical order.
 Inside a retention scope (:meth:`EventTracer.hold`, one MLFFR search)
 each released batch waits for :meth:`EventTracer.settle`: a kept batch
 replaces the held one, every other batch is only counted, and
-:meth:`EventTracer.end_hold` retains the last kept batch once.  Every
-other kind (``fault.*``, ``recovery.*``, ``scr.fast_forward``,
-summaries) is retained as it is emitted.
+:meth:`EventTracer.end_hold` retains the last kept batch once — so a
+columnar search builds :class:`Event` objects only for the probe it
+reports.  Every other kind (``fault.*``, ``recovery.*``,
+``scr.fast_forward``, summaries) is retained as it is emitted.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
     "Event",
     "EventTracer",
+    "RecordBatch",
     "NULL_TRACER",
     "EV_WIRE_DROP",
     "EV_RING_DROP",
@@ -133,7 +139,10 @@ STAGED_RANK: Dict[str, int] = {kind: rank for rank, kind in enumerate((
 ))}
 
 
-def _canonical(row: Tuple[float, int, int, "Event"]) -> Tuple[float, int, int]:
+Row = Tuple[float, int, int, "Event"]
+
+
+def _canonical(row: Row) -> Tuple[float, int, int]:
     """A staged row's place in the canonical order (ts, index, rank)."""
     return row[:3]
 
@@ -172,6 +181,133 @@ class Event:
                 f"{'' if self.core is None else f' core={self.core}'})")
 
 
+class RecordBatch:
+    """One kind's staged records as columns: what a committed columnar
+    run stages instead of one :class:`Event` per record.
+
+    ``index``/``ts``/``core``/``dur`` are per-record arrays (``core`` and
+    ``dur`` may be None), ``fields`` the ``(name, column)`` pairs in the
+    order an event's fields take, and ``ids`` an optional function of the
+    index column giving leading ``(name, values)`` fields (span ids),
+    called only when records become events.
+    """
+
+    __slots__ = ("kind", "rank", "index", "ts", "core", "dur", "fields", "ids")
+
+    def __init__(self, kind: str, index: np.ndarray, ts: np.ndarray,
+                 core: Optional[np.ndarray] = None,
+                 dur: Optional[np.ndarray] = None,
+                 fields: Sequence[Tuple[str, np.ndarray]] = (),
+                 ids: Optional[Callable[[np.ndarray],
+                                        List[Tuple[str, list]]]] = None,
+                 ) -> None:
+        self.kind = kind
+        self.rank = STAGED_RANK[kind]
+        self.index = index
+        self.ts = ts
+        self.core = core
+        self.dur = dur
+        self.fields = tuple(fields)
+        self.ids = ids
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def take(self, pos: np.ndarray) -> "RecordBatch":
+        """The records at positions ``pos``."""
+        return RecordBatch(
+            self.kind, self.index[pos], self.ts[pos],
+            None if self.core is None else self.core[pos],
+            None if self.dur is None else self.dur[pos],
+            [(name, col[pos]) for name, col in self.fields], self.ids)
+
+    def events(self) -> List["Event"]:
+        """The batch as events, in its own order."""
+        n = len(self)
+        columns = self.ids(self.index) if self.ids is not None else []
+        columns += [(name, col.tolist()) for name, col in self.fields]
+        names = [name for name, _ in columns]
+        cores = [None] * n if self.core is None else self.core.tolist()
+        durs = [None] * n if self.dur is None else self.dur.tolist()
+        kind = self.kind
+        return [Event(ts, kind, core, dur, dict(zip(names, values)))
+                for ts, core, dur, values in zip(
+                    self.ts.tolist(), cores, durs,
+                    zip(*[values for _, values in columns]))]
+
+
+class _Staged:
+    """A staged run's sampled records: event rows (the scalar loop) and
+    column batches (a committed columnar run's post-pass)."""
+
+    __slots__ = ("rows", "batches")
+
+    def __init__(self) -> None:
+        self.rows: List[Row] = []
+        self.batches: List[RecordBatch] = []
+
+    def __len__(self) -> int:
+        return len(self.rows) + sum(len(b) for b in self.batches)
+
+    def last_ts(self) -> float:
+        """The largest stamp: the last one in canonical order."""
+        stamps = [row[0] for row in self.rows]
+        stamps += [float(b.ts.max()) for b in self.batches]
+        return max(stamps) if stamps else float("-inf")
+
+    def kind_counts(self) -> Dict[str, int]:
+        counts: Dict[str, int] = {}
+        for row in self.rows:
+            kind = row[3].kind
+            counts[kind] = counts.get(kind, 0) + 1
+        for b in self.batches:
+            counts[b.kind] = counts.get(b.kind, 0) + len(b)
+        return counts
+
+    def _order(self) -> np.ndarray:
+        """Canonical order of every record, as positions in the sequence
+        :attr:`rows` then each batch in turn."""
+        rows = self.rows
+        ts = [np.array([r[0] for r in rows], dtype=np.float64)]
+        index = [np.array([r[1] for r in rows], dtype=np.int64)]
+        rank = [np.array([r[2] for r in rows], dtype=np.int64)]
+        for b in self.batches:
+            ts.append(b.ts)
+            index.append(b.index)
+            rank.append(np.full(len(b), b.rank))
+        return np.lexsort((np.concatenate(rank), np.concatenate(index),
+                           np.concatenate(ts)))
+
+    def keep_last(self, count: int) -> "_Staged":
+        """The last ``count`` records in canonical order, as a new staged
+        run."""
+        kept = _Staged()
+        if count <= 0:
+            return kept
+        if not self.batches:
+            self.rows.sort(key=_canonical)
+            kept.rows = self.rows[max(len(self.rows) - count, 0):]
+            return kept
+        keep = np.sort(self._order()[-count:])
+        ends = np.cumsum([len(self.rows)] + [len(b) for b in self.batches])
+        cuts = np.searchsorted(keep, ends).tolist()
+        kept.rows = [self.rows[p] for p in keep[:cuts[0]].tolist()]
+        for b, lo, hi, offset in zip(self.batches, cuts, cuts[1:], ends):
+            if hi > lo:
+                kept.batches.append(b.take(keep[lo:hi] - offset))
+        return kept
+
+    def events(self) -> List["Event"]:
+        """Every record as an event, in canonical order."""
+        if not self.batches:
+            self.rows.sort(key=_canonical)
+            return [row[3] for row in self.rows]
+        made = [row[3] for row in self.rows]
+        for b in self.batches:
+            made += b.events()
+        return [made[p] for p in self._order().tolist()]
+
+
 class EventTracer:
     """Ring-buffered event sink; disabled instances retain nothing.
 
@@ -195,13 +331,13 @@ class EventTracer:
         self.emitted = 0
         self._tick = 0.0
         #: sampled records of the current staged run (None: not staging).
-        self._staged: Optional[List[Tuple[float, int, int, Event]]] = None
-        #: staged rows that trigger a prune to the ``capacity`` survivors.
+        self._staged: Optional[_Staged] = None
+        #: staged records that trigger a prune to the ``capacity`` survivors.
         self._stage_limit = max(2 * capacity, 1024)
         #: the kept batch of the open retention scope (None: no scope) and
         #: the released batch it has not settled yet.
-        self._held: Optional[List[Tuple[float, int, int, Event]]] = None
-        self._pending: List[Tuple[float, int, int, Event]] = []
+        self._held: Optional[_Staged] = None
+        self._pending = _Staged()
 
     def emit(
         self,
@@ -216,9 +352,10 @@ class EventTracer:
         if self._staged is not None and ts_ns is not None:
             rank = STAGED_RANK.get(kind)
             if rank is not None:
-                self._staged.append((ts_ns, fields.get("index", -1), rank,
-                                     Event(ts_ns, kind, core, dur_ns, fields)))
-                if len(self._staged) > self._stage_limit:
+                rows = self._staged.rows
+                rows.append((ts_ns, fields.get("index", -1), rank,
+                             Event(ts_ns, kind, core, dur_ns, fields)))
+                if len(rows) > self._stage_limit:
                     self._prune_staged()
                 return
         if ts_ns is None:
@@ -258,45 +395,66 @@ class EventTracer:
     def stage(self) -> None:
         """Buffer per-packet and span records until :meth:`release`."""
         if self.enabled:
-            self._staged = []
+            self._staged = _Staged()
+
+    def stage_columns(self, batch: RecordBatch) -> None:
+        """Stage one kind's records as columns (a staged kind): like
+        emitting each, but no :class:`Event` exists until the batch is
+        retained.  Outside a staged run the batch is retained at once."""
+        if not self.enabled or not len(batch):
+            return
+        if self._staged is None:
+            lone = _Staged()
+            lone.batches.append(batch)
+            self._settle(lone, True)
+            self._retain(lone)
+            return
+        self._staged.batches.append(batch)
+        if len(self._staged) > self._stage_limit:
+            self._prune_staged()
 
     def _prune_staged(self) -> None:
-        """Count now, and drop, the staged rows that cannot survive
+        """Count now, and drop, the staged records that cannot survive
         :meth:`release`: only the ``capacity`` last in canonical order
         reach the ring, so a staged run holds at most about twice it."""
         staged = self._staged
-        staged.sort(key=_canonical)
-        cut = len(staged) - self.capacity
-        for row in staged[:cut]:
-            self.count(row[3].kind)
-        del staged[:cut]
+        kept = staged.keep_last(self.capacity)
+        counts = staged.kind_counts()
+        for kind, n in kept.kind_counts().items():
+            counts[kind] -= n
+        for kind, n in counts.items():
+            self.count(kind, n)
+        self._staged = kept
 
     def release(self) -> None:
         """End a staged run: retain its buffered records in canonical order
         (timestamp, packet index, datapath rank) — or, inside a retention
         scope, leave them for :meth:`settle`."""
         staged, self._staged = self._staged, None
+        if staged is None:
+            return
         if self._held is not None:
-            self._pending = staged or []
+            self._pending = staged
             return
-        if not staged:
-            return
-        self._settle_rows(staged, True)
-        self._ring.extend(row[3] for row in staged)
+        self._settle(staged, True)
+        self._retain(staged)
 
-    def _settle_rows(self, rows: List[Tuple[float, int, int, Event]],
-                     keep: bool) -> None:
-        """Count ``rows``; a kept batch is sorted canonically first and
-        moves the tick to its last stamp."""
-        if keep and rows:
-            rows.sort(key=_canonical)
-            if rows[-1][0] > self._tick:
-                self._tick = rows[-1][0]
+    def _settle(self, staged: _Staged, keep: bool) -> None:
+        """Count ``staged``; a kept batch moves the tick to its last
+        canonical stamp."""
+        if keep and len(staged):
+            last = staged.last_ts()
+            if last > self._tick:
+                self._tick = last
         counts = self.type_counts
-        for row in rows:
-            kind = row[3].kind
-            counts[kind] = counts.get(kind, 0) + 1
-        self.emitted += len(rows)
+        for kind, n in staged.kind_counts().items():
+            counts[kind] = counts.get(kind, 0) + n
+        self.emitted += len(staged)
+
+    def _retain(self, staged: _Staged) -> None:
+        """Append the records of ``staged`` that the ring keeps — the last
+        ``capacity`` in canonical order — as events."""
+        self._ring.extend(staged.keep_last(self.capacity).events())
 
     # -- retention scopes ----------------------------------------------------------
 
@@ -304,7 +462,7 @@ class EventTracer:
         """Open a retention scope: released batches wait for :meth:`settle`
         and at most one reaches the ring, at :meth:`end_hold`."""
         if self.enabled:
-            self._held = []
+            self._held = _Staged()
 
     def settle(self, keep: bool) -> None:
         """Decide the last released batch: keep it in place of the held
@@ -312,17 +470,18 @@ class EventTracer:
         and the tick are those of retaining every kept batch."""
         if self._held is None:
             return
-        batch, self._pending = self._pending, []
-        self._settle_rows(batch, keep)
+        batch, self._pending = self._pending, _Staged()
+        self._settle(batch, keep)
         if keep:
             self._held = batch
 
     def end_hold(self) -> None:
-        """Close the scope: the held batch reaches the ring, once."""
+        """Close the scope: the held batch reaches the ring, once, and
+        only its retained records ever become events."""
         if self._held is None:
             return
         self.settle(False)
-        self._ring.extend(row[3] for row in self._held)
+        self._retain(self._held)
         self._held = None
 
     # -- reading back -----------------------------------------------------------
@@ -350,7 +509,7 @@ class EventTracer:
         self._tick = 0.0
         self._staged = None
         self._held = None
-        self._pending = []
+        self._pending = _Staged()
 
 
 #: The shared disabled tracer every layer defaults to.  Emitting to it is a

@@ -5,8 +5,9 @@ columnar driver in ``repro.cpu.columnar`` must reproduce every observable
 of every run it claims — SimResult fields, counters, per-core packet
 counts, latency samples and histogram state, and under telemetry the
 retained event stream and artifact bytes — *exactly*, across the whole
-program zoo, every eligible technique, underload and overload, clean and
-faulted, serial and multi-process.  Anything less falls back.
+program zoo, every eligible technique, underload and overload (wire, PCIe
+and ring drops), clean and faulted, serial and multi-process.  Only a
+fault plan or an ineligible engine falls back to the event loop.
 """
 
 import json
@@ -14,10 +15,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.bench.figures import SCR_IN_FRAME
 from repro.cpu import PerfTrace, simulate
 from repro.cpu.columnar import resolve_hotpath, use_hotpath
 from repro.faults import FaultPlan, FaultSpec
+from repro.hostprof import PhaseClock
+from repro.hostprof.clock import PATH_SEP
 from repro.obs import NULL_SPANS, SpanEmitter, SpanSampler
 from repro.parallel import COLUMNAR_TECHNIQUES, TECHNIQUES, make_engine
 from repro.programs import make_program, program_names
@@ -184,12 +190,14 @@ class TestFallbackPaths:
         assert len(streams[0]) > 0
         assert commits == [True]
 
-    def test_overload_drops_fall_back_and_match(self, traces):
-        """Above MLFFR the rings back up and packets drop — speculation
-        fails, the event loop answers, and results still match."""
+    def test_overload_drops_commit_and_match(self, traces, monkeypatch):
+        """Above MLFFR packets drop: the columnar run still commits (drops
+        are replayed, not a fallback trigger) and matches the event loop."""
+        commits = _count_commits(monkeypatch)
         scalar, columnar = _run_pair(
             traces["ddos"], "scr", rate=2e8, collect_latency=True)
         assert scalar.wire_dropped + scalar.ring_dropped > 0
+        assert commits == [True]
         _assert_deep_equal(scalar, columnar)
 
     def test_lossy_recovery_falls_back_and_match(self, traces):
@@ -203,6 +211,109 @@ class TestFallbackPaths:
         assert columnar.fault_stats["fault_dropped"] > 0
         assert columnar.fault_stats["fault_gaps"] > 0
         _assert_deep_equal(scalar, columnar)
+
+
+class TestLossyParity:
+    """Runs that drop packets commit on the columnar hot path and match
+    the event loop: the admission walk (wire, then PCIe), the per-core
+    walk from a ring's first overflow, and their engine variants."""
+
+    @pytest.mark.parametrize(
+        "program, technique, cores, rate, engine_kw, sim_kw, counters", [
+            pytest.param("ddos", "scr", 8, 2e8, {}, {}, ("wire_dropped",),
+                         id="wire-only"),
+            pytest.param("ddos", "scr", 8, 4e7,
+                         dict(count_wire_overhead=False, dummy_eth=False),
+                         dict(pcie_rate_gbps=20.0), ("pcie_dropped",),
+                         id="pcie-only"),
+            pytest.param("ddos", "rss", 4, 4e7, {}, dict(ring_capacity=16),
+                         ("ring_dropped",), id="ring-only"),
+            pytest.param("ddos", "rss", 4, 1.5e8, {},
+                         dict(pcie_rate_gbps=60.0, ring_capacity=16),
+                         ("wire_dropped", "pcie_dropped", "ring_dropped"),
+                         id="wire-pcie-ring"),
+            pytest.param("heavy_hitter", "scr", 4, 2e8, {},
+                         dict(burst_size=8, grace_fraction=0.2,
+                              grace_min_ns=5_000.0, ring_capacity=16),
+                         ("wire_dropped", "ring_dropped"), id="bursts-grace"),
+            pytest.param("ddos", "scr", 4, 8e7, SCR_IN_FRAME,
+                         dict(ring_capacity=16), ("ring_dropped",),
+                         id="scr-in-frame"),
+            pytest.param("ddos", "relaxed_scr", 7, 2e8, {},
+                         dict(ring_capacity=16), ("wire_dropped",),
+                         id="relaxed-scr"),
+            pytest.param("token_bucket", "scr", 4, 8e7,
+                         dict(with_recovery=True), dict(ring_capacity=16),
+                         ("ring_dropped",), id="with-recovery"),
+            pytest.param("conntrack", "scr", 1, 2e7, {},
+                         dict(ring_capacity=16), ("ring_dropped",),
+                         id="single-core"),
+        ])
+    def test_drop_regime_commits_and_matches(
+            self, traces, monkeypatch, program, technique, cores, rate,
+            engine_kw, sim_kw, counters):
+        commits = _count_commits(monkeypatch)
+        scalar, columnar = _run_pair(
+            traces[program], technique, cores=cores, rate=rate,
+            engine_kw=engine_kw, collect_latency=True, **sim_kw)
+        assert commits == [True]
+        for counter in counters:
+            assert getattr(columnar, counter) > 0, counter
+        _assert_deep_equal(scalar, columnar)
+
+    @pytest.mark.parametrize("technique", COLUMNAR_TECHNIQUES)
+    def test_l2_spill_counts_enqueued_packets_only(
+            self, telemetry_trace, monkeypatch, technique):
+        """An L2 smaller than the flow set spills on most services after a
+        ring overflows: the per-core walk's resident set holds only the
+        keys of packets that reached the ring."""
+        commits = _count_commits(monkeypatch)
+        runs = []
+        for mode in ("scalar", "columnar"):
+            engine = make_engine(technique, make_program("ddos"), 3)
+            engine.l2.capacity_entries = 8
+            runs.append(simulate(telemetry_trace, 6e7, engine, hotpath=mode,
+                                 ring_capacity=16, collect_latency=True))
+        assert commits == [True]
+        assert runs[1].ring_dropped > 0
+        _assert_deep_equal(*runs)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(technique=st.sampled_from(COLUMNAR_TECHNIQUES),
+           cores=st.integers(1, 8),
+           rate=st.floats(6.0, 8.5).map(lambda e: 10.0 ** e),
+           ring_capacity=st.integers(4, 256),
+           burst_size=st.integers(1, 16),
+           observed=st.booleans())
+    def test_any_load_commits_and_matches(self, traces, technique, cores,
+                                          rate, ring_capacity, burst_size,
+                                          observed):
+        """Any load, ring size and burst: the columnar run commits and
+        equals the event loop, and an observed run's retained stream,
+        ``type_counts`` and ``emitted`` equal the loop's too."""
+        program = make_program("ddos")
+        runs = []
+        for mode in ("scalar", "columnar"):
+            tele = Telemetry()
+            tele.spans = SpanEmitter(tele.tracer,
+                                     SpanSampler(_SPAN_SEED, _SPAN_RATE))
+            watch = (dict(tracer=tele.tracer, spans=tele.spans) if observed
+                     else {})
+            engine = make_engine(technique, program, cores, **watch)
+            clock = PhaseClock(enabled=True)
+            res = simulate(traces["ddos"], rate, engine, hotpath=mode,
+                           ring_capacity=ring_capacity, burst_size=burst_size,
+                           collect_latency=True, hostprof=clock, **watch)
+            phases = {name for path in clock.snapshot()
+                      for name in path.split(PATH_SEP)}
+            runs.append((res, [e.to_dict() for e in tele.tracer.events()],
+                         dict(tele.tracer.type_counts), tele.tracer.emitted,
+                         phases))
+        (scalar, *scalar_tele, _), (columnar, *columnar_tele, phases) = runs
+        assert "sim.columnar" in phases and "sim.drain" not in phases
+        _assert_deep_equal(scalar, columnar)
+        assert scalar_tele == columnar_tele
 
 
 def _count_commits(monkeypatch):
@@ -256,16 +367,25 @@ def _traced_search(trace, technique, mode, spans_rate, start_pps=1e6,
 
 
 class _PeakTracer(EventTracer):
-    """An event tracer that records its staged buffer's largest size."""
+    """An event tracer that records its staged buffer's largest size, in
+    records: event rows (the scalar loop) and column batches (a committed
+    columnar run)."""
 
     def __init__(self, capacity):
         super().__init__(capacity)
         self.peak = 0
 
-    def emit(self, *args, **kwargs):
-        super().emit(*args, **kwargs)
+    def _note_peak(self):
         if self._staged is not None:
             self.peak = max(self.peak, len(self._staged))
+
+    def emit(self, *args, **kwargs):
+        super().emit(*args, **kwargs)
+        self._note_peak()
+
+    def stage_columns(self, batch):
+        super().stage_columns(batch)
+        self._note_peak()
 
 
 class TestTelemetryParity:
@@ -366,7 +486,12 @@ class TestTelemetryParity:
         assert small[:3] == big[:3]
         assert small[3] == big[3][-64:]
         assert small[4] <= 1024 < big[4]
-        assert small[5] <= 64 < big[5]  # the span-id memo is bounded too
+        # The span-id memo is bounded too; a committed columnar run
+        # computes span ids as arrays and never fills it.
+        if mode == "scalar":
+            assert small[5] <= 64 < big[5]
+        else:
+            assert small[5] == big[5] == 0
 
     @pytest.mark.parametrize("case", sorted(json.loads(
         _PINNED_COUNTS.read_text())))

@@ -5,9 +5,15 @@ whether faults fire."""
 import multiprocessing
 import random
 
+import numpy as np
 import pytest
 
-from repro.obs.sampling import SpanSampler, sample_unit, splitmix64
+from repro.obs.sampling import (
+    SpanSampler,
+    sample_unit,
+    splitmix64,
+    splitmix64_array,
+)
 
 
 class TestSplitmix64:
@@ -120,6 +126,30 @@ class TestMemoisedDecisions:
         assert [s.trace_id(i) for i in (0, 1, 11, 19999)] == [
             10730967885070608315, 4788773623852633907,
             16131354544006802237, 2128897084696339245]
+
+
+class TestArrayDecisions:
+    """The sampled rows a columnar post-pass reads come from array math
+    (a uint64 splitmix64); every decision and trace id must equal the
+    scalar hash's, bit for bit."""
+
+    N = 100_000
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5, -3])
+    def test_matches_scalar_hash(self, seed):
+        units = [sample_unit(seed, i) for i in range(self.N)]
+        for rate in (0.05, 0.1, 1.0):
+            sampler = SpanSampler(seed, rate)
+            rows = sampler.sampled_array(self.N)
+            assert rows.tolist() == [i for i, u in enumerate(units) if u < rate]
+            probe = rows[:: max(len(rows) // 200, 1)]
+            assert sampler.trace_ids(probe).tolist() == [
+                sampler.trace_id(i) for i in probe.tolist()]
+
+    def test_splitmix64_array_matches_scalar(self):
+        xs = [0, 1, 7, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15]
+        assert splitmix64_array(np.array(xs, dtype=np.uint64)).tolist() == [
+            splitmix64(x) for x in xs]
 
 
 def _child_sample(args):

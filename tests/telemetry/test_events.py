@@ -1,5 +1,9 @@
 """Event tracer: ring retention, whole-run counts, no-op mode."""
 
+import random
+
+import numpy as np
+
 from repro.telemetry.events import (
     EV_FAULT_DROP,
     EV_RING_DROP,
@@ -8,6 +12,7 @@ from repro.telemetry.events import (
     NULL_TRACER,
     Event,
     EventTracer,
+    RecordBatch,
 )
 
 
@@ -189,3 +194,57 @@ def test_staged_buffer_stays_bounded_and_release_is_unchanged():
         assert small.type_counts == big.type_counts
         assert small.emitted == big.emitted == 6002
         assert small.events()[-1].ts_ns == big.events()[-1].ts_ns
+
+
+def test_column_batches_stage_like_emitted_rows():
+    """A kind staged as one column batch counts, orders, prunes and is
+    retained exactly like emitting its rows one by one — alone, mixed
+    with event rows, inside a retention scope or not, and whatever the
+    ring's capacity."""
+    rng = random.Random(9)
+    records = {kind: [(float(rng.randrange(400)), i, rng.randrange(9))
+                      for i in rng.sample(range(5000), 700)]
+               for kind in (EV_SERVICE, EV_SPRAY, "span.core_pop")}
+    for capacity in (40, 10_000):
+        for scoped in (False, True):
+            rows, columns = EventTracer(capacity), EventTracer(capacity)
+            for tr in (rows, columns):
+                tr.emit("mlffr.probe")
+                if scoped:
+                    tr.hold()
+                tr.stage()
+            for kind, recs in records.items():
+                for ts, index, depth in recs:
+                    rows.emit(kind, ts_ns=ts, core=index % 4, index=index,
+                              depth=depth)
+                if kind == EV_SPRAY:  # one kind stays rows: a mixed run
+                    for ts, index, depth in recs:
+                        columns.emit(kind, ts_ns=ts, core=index % 4,
+                                     index=index, depth=depth)
+                    continue
+                ts, index, depth = (np.array(col) for col in zip(*recs))
+                columns.stage_columns(RecordBatch(
+                    kind, index, ts, index % 4,
+                    fields=(("index", index), ("depth", depth))))
+                assert len(columns._staged) <= max(2 * capacity, 1024)
+            for tr in (rows, columns):
+                tr.release()
+                if scoped:
+                    tr.settle(True)
+                    tr.end_hold()
+                tr.emit("mlffr.probe")
+            assert ([e.to_dict() for e in columns.events()]
+                    == [e.to_dict() for e in rows.events()])
+            assert columns.type_counts == rows.type_counts
+            assert columns.emitted == rows.emitted == 2102
+            assert columns.events()[-1].ts_ns == rows.events()[-1].ts_ns
+
+
+def test_column_batch_outside_a_staged_run_is_retained_at_once():
+    tr = EventTracer()
+    index = np.array([3, 1])
+    tr.stage_columns(RecordBatch(EV_SERVICE, index, np.array([5.0, 5.0]),
+                                 fields=(("index", index),)))
+    assert [(e.ts_ns, e.fields) for e in tr.events()] == [
+        (5.0, {"index": 1}), (5.0, {"index": 3})]
+    assert tr.emitted == 2
