@@ -13,7 +13,8 @@ order exactly where it is not — from the first drop on:
   PCIe over the wire-admitted packets), recording each drop's backlog;
 * **steering** — eligible engines expose ``steer_batch`` over the
   admitted rows (round-robin row math for SCR, which counts steered
-  packets; an indirection-table gather for RSS);
+  packets; an indirection-table gather for RSS; one exact walk of the
+  hybrid's classifier and mice state map, in arrival order);
 * **core drain** — per-core FIFO service is the same max-plus recurrence
   over (arrival, service) rows.  SCR's history depth reads the global
   steer counter at *service* time, so the first ``k-1`` steered packets
@@ -66,7 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..hostprof.clock import PhaseClock
     from ..obs.spans import SpanEmitter
     from ..telemetry.events import EventTracer
-    from .cache import L2Model
     from .simulator import PerfEngine, PerfTrace, SimResult
 
 __all__ = [
@@ -178,29 +178,30 @@ def _chain(arrivals: np.ndarray, services: np.ndarray,
 
 
 def l2_spill_rows(
-    l2: "L2Model",
+    engine: "PerfEngine",
     trace: "PerfTrace",
     rows: np.ndarray,
     cores: np.ndarray,
-    num_cores: int,
     commit: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched :meth:`~repro.cpu.cache.L2Model.access` over ``rows``.
+    """Batched :meth:`~repro.cpu.cache.L2Model.access` over ``rows`` on
+    ``engine.l2``.
 
     ``rows``/``cores`` list packets in service order (per-core order is
     what matters — cores never share L2 state).  Returns per-row
-    ``(miss_frac, spill_ns)`` arrays, zero for invalid packets (which
-    never touch state).  With ``commit=True`` the touched keys are also
-    installed into the model's resident sets, completing the state the
-    scalar loop would have built.  Assumes the model was just reset —
-    the hot path always runs right after ``engine.reset()``.
+    ``(miss_frac, spill_ns)`` arrays, zero for packets that never touch
+    state (``engine.touches_state``).  With ``commit=True`` the touched
+    keys are also installed into the model's resident sets, completing
+    the state the scalar loop would have built.  Assumes the model was
+    just reset — the hot path always runs right after ``engine.reset()``.
     """
+    l2 = engine.l2
     key_ids = trace.key_ids[rows]
-    valid = trace.valid[rows]
+    touches = engine.touches_state(trace, rows)
     miss_frac = np.zeros(len(rows), dtype=np.float64)
     spill = np.zeros(len(rows), dtype=np.float64)
-    for core in range(num_cores):
-        sel = np.flatnonzero((cores == core) & valid)
+    for core in range(engine.num_cores):
+        sel = np.flatnonzero((cores == core) & touches)
         if len(sel) == 0:
             continue
         ids = key_ids[sel]
@@ -272,10 +273,11 @@ def simulate_columnar(
     back to the scalar event loop.
 
     The only fallback triggers are a fault plan attached and an engine
-    without batched row math (``columnar_eligible``).  Drops are not a
-    trigger: wire, PCIe and ring drops are replayed exactly.  Telemetry
-    is not one either: the caller emits a committed run's records with
-    :func:`record_committed`.
+    without batched row math (``columnar_eligible``: ``shared``,
+    ``rss++``, and a hybrid with ``count_wire_overhead=True``).  Drops
+    are not a trigger: wire, PCIe and ring drops are replayed exactly.
+    Telemetry is not one either: the caller emits a committed run's
+    records with :func:`record_committed`.
     """
     if faults is not None and faults.any_faults:
         return None
@@ -361,7 +363,7 @@ def _run(
     pcie_rate_gbps: float,
     collect_latency: bool,
 ) -> ColumnarRun:
-    from .simulator import SimResult
+    from .simulator import SimResult, placement_stats
 
     n = len(trace)
     k = engine.num_cores
@@ -400,7 +402,7 @@ def _run(
     # L2 outcome (the service-order restriction of each core equals its
     # FIFO order) and history depth.  A core's FIFO drain is exact up to
     # its first overflow; :class:`_CoreWalker` takes over from there.
-    miss_frac, spill = l2_spill_rows(engine.l2, trace, rows, row_cores, k)
+    miss_frac, spill = l2_spill_rows(engine, trace, rows, row_cores)
     cap = engine.history_cap()
     h = np.full(len(rows), cap, dtype=np.int64)
     if cap > 0:
@@ -486,6 +488,7 @@ def _run(
         latency_samples_ns=latency_samples,
         latency_histogram=latency_hist,
         fault_stats=None,
+        placement_stats=placement_stats(engine),
     )
     return ColumnarRun(result=result, arrivals=now, fate=fate,
                        backlog=backlog, cores=cores, depth=depth,
@@ -538,8 +541,9 @@ class _CoreWalker:
     follows the scalar loop packet by packet over plain floats: a FIFO of
     pop events (a packet leaves at the first arrival ``>= start``), the
     ring-full check at each arrival, L2 first touches among *enqueued*
-    packets only (a dropped packet never touches state), and the history
-    depth read from the steered count at the pop event.
+    packets that touch state only (``engine.touches_state``; a dropped
+    packet never does), and the history depth read from the steered
+    count at the pop event.
     """
 
     def __init__(self, trace: "PerfTrace", engine: "PerfEngine",
@@ -581,7 +585,7 @@ class _CoreWalker:
         # of the last one, and the keys it made resident.
         pops = m[:p].tolist()
         busy = float(f[p - 1]) if p else 0.0
-        head = rows[:p][trace.valid[rows[:p]]]
+        head = rows[:p][engine.touches_state(trace, rows[:p])]
         resident = set(trace.key_ids[head].tolist())
         full_cap = np.full(count, cap, dtype=np.int64)
         zeros = np.zeros(count, dtype=np.float64)
@@ -589,7 +593,7 @@ class _CoreWalker:
             trace, rest, zeros + 1.0, zeros + spill_ns, full_cap).tolist()
         hit = engine.service_rows(trace, rest, zeros, zeros, full_cap).tolist()
         keys = trace.key_ids[rest].tolist()
-        valid = trace.valid[rest].tolist()
+        touches = engine.touches_state(trace, rest).tolist()
         never = len(arrivals)
         # Packets before ``steady`` may still have fewer than ``cap``
         # steered packets ahead of them; every later one has h = cap.
@@ -615,7 +619,7 @@ class _CoreWalker:
             h = cap
             if q < steady and steered_by[pop] - 1 < cap:
                 h = steered_by[pop] - 1
-            if not valid[q]:
+            if not touches[q]:
                 service = hit[q]
             elif keys[q] not in resident:
                 resident.add(keys[q])

@@ -298,7 +298,7 @@ class PerfEngine(Protocol):
     # batched row-math hooks (``columnar_eligible`` / ``wire_len_batch`` /
     # ``dma_len_batch`` / ``steer_batch`` / ``service_rows`` /
     # ``service_batch`` / ``commit_steer_batch`` / ``history_cap`` /
-    # ``record_committed``) —
+    # ``touches_state`` / ``record_committed``) —
     # ``repro.parallel.base.BaseEngine`` carries conservative defaults,
     # including a scalar ``service_batch`` shim that loops ``service_ns``,
     # so subclasses only override what they can batch.  Engines without
@@ -400,6 +400,13 @@ class SimResult:
 def _wire_time_ns(wire_len: int, line_rate_bps: float) -> float:
     frame = max(MIN_FRAME_BYTES, wire_len) + ETHERNET_OVERHEAD_BYTES
     return frame * 8 / line_rate_bps * 1e9
+
+
+def placement_stats(engine: PerfEngine) -> Optional[Dict[str, object]]:
+    """``SimResult.placement_stats`` on either hot path: the engine's
+    ``placement_summary`` when it has one (the hybrid technique)."""
+    summary = getattr(engine, "placement_summary", None)
+    return summary() if summary is not None else None
 
 
 def staging_sinks(tracer: EventTracer, spans: SpanEmitter) -> List[EventTracer]:
@@ -783,10 +790,6 @@ def _simulate_scalar(
         recovery = getattr(engine, "fault_summary", None)
         if recovery is not None:
             fault_stats.update(recovery())
-    placement_stats: Optional[Dict[str, object]] = None
-    placement = getattr(engine, "placement_summary", None)
-    if placement is not None:
-        placement_stats = placement()
     return SimResult(
         offered=offered,
         processed=processed,
@@ -801,5 +804,5 @@ def _simulate_scalar(
         latency_samples_ns=latency_samples,
         latency_histogram=latency_hist,
         fault_stats=fault_stats,
-        placement_stats=placement_stats,
+        placement_stats=placement_stats(engine),
     )

@@ -153,12 +153,18 @@ class BaseEngine(ABC):
 
     def steer_batch(self, trace: "PerfTrace", rows: np.ndarray) -> np.ndarray:
         """Target core of each of ``rows`` — the packets admitted to
-        steering, in arrival order — without mutating steer state (the
-        driver calls :meth:`commit_steer_batch` when the run commits)."""
+        steering, in arrival order.  It may record the rows' routes for
+        the service hooks, as ``steer`` does per packet; steer counters
+        advance in :meth:`commit_steer_batch`."""
         raise NotImplementedError(f"{self.name} has no batched steering")
 
     def commit_steer_batch(self, count: int) -> None:
         """Advance steer state as if ``count`` packets were steered."""
+
+    def touches_state(self, trace: "PerfTrace", rows: np.ndarray) -> np.ndarray:
+        """Which of ``rows`` touch flow state, and so the L2 model: every
+        valid packet, unless the technique routes some statelessly."""
+        return trace.valid[rows]
 
     def history_cap(self) -> int:
         """Upper bound on piggybacked history items per packet (0 for

@@ -27,16 +27,27 @@ to pay for itself, and everyone else is cheapest left sharded.
   one replica entry back to the owning shard — so MLFFR numbers include
   the cost of deciding, not just the steady state.
 
-The engine is deliberately scalar-only (``columnar_eligible`` stays
-False): steering depends on classifier state that mutates per packet, so
-it takes the simulator's scalar event loop, where its decisions are a
-pure function of (seed, packet order) — ``--jobs N`` stays bit-identical.
-See docs/MULTITENANT.md for the model and the ``multitenant`` suite.
+Steering reads classifier state that mutates per packet, but only
+packets the wire and PCIe admitted are steered, and nothing in a
+packet's route depends on time.  So for a fixed set of admitted rows
+every route (core, elephant or mouse, history depth, stateless,
+migration charge) is a pure function of (seed, trace, admitted rows).
+The columnar hot path exploits that: :meth:`HybridEngine.steer_batch`
+makes one exact walk of the classifier and the mice state map over the
+admitted rows, in arrival order, and the rest of the run is row math
+over the walk's columns.  A search's full-admission probes share one
+walk.  Only ``count_wire_overhead=True`` keeps the scalar event loop:
+there a packet's wire length, and so its admission, reads the
+classifier.  Either way ``--jobs N`` stays bit-identical.  See
+docs/MULTITENANT.md for the model and the ``multitenant`` suite.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Hashable, Optional, Tuple
+
+import numpy as np
 
 from ..core.packet_format import ScrPacketCodec
 from ..cpu.simulator import PerfPacket
@@ -45,10 +56,109 @@ from ..placement import ElephantClassifier, PlacementSpec, tenant_of
 from ..placement.classifier import PROMOTE
 from ..state.cuckoo import _fnv1a, _key_bytes
 from ..state.sharded import ShardedStateMap
-from ..telemetry.events import EV_HISTORY_DEPTH, EV_SPRAY
-from .base import BaseEngine, hash_for_program
+from ..telemetry.events import EV_HISTORY_DEPTH, EV_SPRAY, RecordBatch
+from .base import BaseEngine, hash_column_for_program, hash_for_program
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cpu.columnar import ColumnarRun
+    from ..cpu.simulator import PerfTrace
 
 __all__ = ["HybridEngine"]
+
+
+class _Placer:
+    """One run's steering state: the classifier, the mice state map
+    (built when first needed), the elephant stream's sequence counter,
+    and the migration totals."""
+
+    def __init__(self, engine: "HybridEngine") -> None:
+        self.engine = engine
+        self.classifier = ElephantClassifier(engine.placement)
+        self._state: Optional[ShardedStateMap] = None
+        self.eseq = 0
+        self.migrations = 0
+        self.migration_ns_total = 0.0
+
+    @property
+    def state(self) -> ShardedStateMap:
+        if self._state is None:
+            self._state = self.engine._new_state_map()
+        return self._state
+
+    def route(self, key: Hashable, valid: bool,
+              nic_hash: int) -> Tuple[int, int, float, bool]:
+        """Steer one packet: its core, its elephant sequence number (0 for
+        a mouse), the migration ns it triggered, and whether it runs
+        stateless (an invalid packet, or a mouse whose tenant is over
+        quota)."""
+        engine = self.engine
+        if not valid:
+            # Stateless packets never touch the classifier; plain RSS
+            # over the program's NIC hash.
+            return engine.indirection.queue_of(nic_hash), 0, 0.0, True
+        promoted, events = self.classifier.observe(key)
+        migration_ns = 0.0
+        for event in events:
+            self.migrations += 1
+            if event.kind == PROMOTE:
+                # Drain-or-replicate handoff: the flow's entry leaves its
+                # shard and is installed into all k per-core replicas.
+                migration_ns += (engine.num_cores
+                                 * engine.contention.line_transfer_ns)
+                if self._state is not None:
+                    self._state.delete(event.key, engine._flow(event.key)[1])
+            else:
+                # Demotion drains one replica's entry back to the shard.
+                migration_ns += engine.contention.line_transfer_ns
+        if migration_ns:
+            self.migration_ns_total += migration_ns
+        if promoted:
+            # Round-robin spray over the elephant stream.
+            self.eseq += 1
+            core = (self.eseq - 1) % engine.num_cores
+            return core, self.eseq, migration_ns, False
+        core, tenant = engine._flow(key)
+        count = self.state.lookup(key, tenant)
+        # Quota-exhausted tenants degrade to stateless forwarding; the
+        # packet still ships (the drop cause names the *state entry*).
+        resident = self.state.update(key, (count or 0) + 1, tenant)
+        return core, 0, migration_ns, not resident
+
+    def counters(self) -> Dict[str, object]:
+        """The steer-time half of the placement summary."""
+        clf = self.classifier.snapshot()
+        # A map never built (no valid mouse steered yet) is an empty one.
+        state = (self._state.stats_snapshot() if self._state is not None
+                 else {"entries": 0, "grow_events": 0, "quota_drops": {}})
+        return {
+            "promotions": clf["promotions"],
+            "demotions": clf["demotions"],
+            "decays": clf["decays"],
+            "promoted_now": clf["promoted_now"],
+            "migrations": self.migrations,
+            "migration_ns_total": self.migration_ns_total,
+            "statemap_entries": state["entries"],
+            "statemap_grow_events": state["grow_events"],
+            "tenant_quota_drops": dict(state["quota_drops"]),
+        }
+
+
+@dataclass(frozen=True)
+class _Walk:
+    """One exact steering walk over a run's admitted rows.  ``cores`` is
+    aligned with those rows; the other columns are indexed by trace row
+    (zero for rows the walk did not steer).  Read-only."""
+
+    cores: np.ndarray
+    #: the elephant stream's sequence number (rank + 1); 0 for a mouse.
+    seq: np.ndarray
+    #: runs stateless: an invalid packet, or a mouse whose tenant's quota
+    #: refused its state entry.
+    stateless: np.ndarray
+    #: migration ns charged to the packet that triggered it.
+    migration: np.ndarray
+    #: :meth:`_Placer.counters` at the end of the walk.
+    counters: Dict[str, object]
 
 
 class HybridEngine(BaseEngine):
@@ -77,28 +187,26 @@ class HybridEngine(BaseEngine):
         """
         super().__init__(*args, **kwargs)
         self.placement = placement if placement is not None else PlacementSpec()
-        self.classifier = ElephantClassifier(self.placement)
         self.indirection = RssIndirection(
             self.num_cores, table_size=indirection_size
         )
         self.state_shards = state_shards
         self.state_capacity = state_capacity
-        self.mice_state = ShardedStateMap(
-            num_shards=state_shards,
-            capacity=state_capacity,
-            tenant_quota=self.placement.tenant_quota,
-            seed=self.placement.seed,
-        )
         self.codec = ScrPacketCodec(
             meta_size=self.program.metadata_size,
             num_slots=self.num_cores,
         )
         self.count_wire_overhead = count_wire_overhead
-        #: elephant stream round-robin cursor and sequence counter (the
-        #: history depth is the *elephant* stream's, not the whole trace's:
-        #: only promoted packets are sprayed and fast-forwarded).
-        self._rr = 0
-        self._eseq = 0
+        #: flow key -> (mice core, tenant): pure functions of the key.
+        self._flow_route: Dict[Hashable, Tuple[int, int]] = {}
+        #: the full-admission walk of the last trace steered whole.
+        self._memo: Optional[Tuple["PerfTrace", _Walk]] = None
+        self._start_run()
+
+    def _start_run(self) -> None:
+        self._placer = _Placer(self)
+        #: the columnar run's steering walk (None on the scalar loop).
+        self._walk: Optional[_Walk] = None
         #: per-packet routing decision, recorded at steer time so service
         #: charges match the placement the packet was actually steered
         #: under (placement may move on between steer and service).
@@ -106,36 +214,49 @@ class HybridEngine(BaseEngine):
         #: per-packet migration charge (promotions/demotions this packet
         #: triggered), folded into its service time.
         self._migration_ns: Dict[int, float] = {}
-        #: flow key -> hashed bytes memo for the mice steering hash.
-        self._flow_bytes: Dict[object, bytes] = {}
         self.elephant_packets = 0
         self.mice_packets = 0
         self.stateless_packets = 0
-        self.migrations = 0
-        self.migration_ns_total = 0.0
 
     def reset(self) -> None:
         super().reset()
-        self.classifier.reset()
-        self.indirection = RssIndirection(
-            self.num_cores, table_size=self.indirection.table_size
-        )
-        self.mice_state = ShardedStateMap(
+        self._start_run()
+
+    def _new_state_map(self) -> ShardedStateMap:
+        return ShardedStateMap(
             num_shards=self.state_shards,
             capacity=self.state_capacity,
             tenant_quota=self.placement.tenant_quota,
             seed=self.placement.seed,
         )
-        self._rr = 0
-        self._eseq = 0
-        self._route = {}
-        self._migration_ns = {}
-        self._flow_bytes = {}
-        self.elephant_packets = 0
-        self.mice_packets = 0
-        self.stateless_packets = 0
-        self.migrations = 0
-        self.migration_ns_total = 0.0
+
+    def _flow(self, key: Hashable) -> Tuple[int, int]:
+        """A flow's mice core and tenant.  The core comes from the
+        indirection table keyed by the placement layer's seeded FNV over
+        the flow key (symmetric by construction — both directions share
+        the state key), so a flow's packets land with its state shard."""
+        route = self._flow_route.get(key)
+        if route is None:
+            spec = self.placement
+            core = self.indirection.queue_of(_fnv1a(_key_bytes(key), spec.seed))
+            route = (core, tenant_of(key, spec.num_tenants, spec.seed))
+            self._flow_route[key] = route
+        return route
+
+    @property
+    def classifier(self) -> ElephantClassifier:
+        return self._placer.classifier
+
+    def _steer_counters(self) -> Dict[str, object]:
+        """The current run's steer-time totals: the columnar walk's, or
+        the scalar loop's live ones."""
+        if self._walk is not None:
+            return self._walk.counters
+        return self._placer.counters()
+
+    @property
+    def migration_ns_total(self) -> float:
+        return self._steer_counters()["migration_ns_total"]
 
     # -- protocol -----------------------------------------------------------
 
@@ -151,70 +272,22 @@ class HybridEngine(BaseEngine):
             return pp.wire_len + self.codec.overhead_bytes
         return pp.wire_len
 
-    def _steer_rss(self, pp: PerfPacket) -> int:
-        """Mice steering: the indirection table keyed by the placement
-        layer's seeded FNV over the flow key (symmetric by construction —
-        both directions share the state key), so a flow's packets land
-        with its state shard.  Stateless/invalid packets fall back to the
-        program's NIC hash."""
-        if not pp.valid:
-            return self.indirection.queue_of(hash_for_program(self.program, pp))
-        data = self._flow_bytes.get(pp.key)
-        if data is None:
-            data = _key_bytes(pp.key)
-            self._flow_bytes[pp.key] = data
-        return self.indirection.queue_of(_fnv1a(data, self.placement.seed))
-
     def steer(self, pp: PerfPacket) -> int:
-        if not pp.valid:
-            # Stateless packets never touch the classifier; plain RSS.
-            self._route[pp.index] = (False, 0, True)
-            return self._steer_rss(pp)
-        promoted, events = self.classifier.observe(pp.key)
-        migration_ns = 0.0
-        for event in events:
-            self.migrations += 1
-            if event.kind == PROMOTE:
-                # Drain-or-replicate handoff: the flow's entry leaves its
-                # shard and is installed into all k per-core replicas.
-                migration_ns += self.num_cores * self.contention.line_transfer_ns
-                tenant = tenant_of(
-                    event.key, self.placement.num_tenants, self.placement.seed
-                )
-                self.mice_state.delete(event.key, tenant)
-            else:
-                # Demotion drains one replica's entry back to the shard.
-                migration_ns += self.contention.line_transfer_ns
+        core, seq, migration_ns, stateless = self._placer.route(
+            pp.key, pp.valid, hash_for_program(self.program, pp))
+        self._route[pp.index] = (seq, stateless)
         if migration_ns:
-            self.migration_ns_total += migration_ns
-            self._migration_ns[pp.index] = (
-                self._migration_ns.get(pp.index, 0.0) + migration_ns
-            )
-        if promoted:
-            self._eseq += 1
-            h = min(max(self._eseq - 1, 0), self.num_cores - 1)
-            core = self._rr
-            self._rr = (self._rr + 1) % self.num_cores
-            self._route[pp.index] = (True, h, False)
-            return core
-        tenant = tenant_of(pp.key, self.placement.num_tenants,
-                           self.placement.seed)
-        count = self.mice_state.lookup(pp.key, tenant)
-        resident = self.mice_state.update(
-            pp.key, (count or 0) + 1, tenant
-        )
-        # Quota-exhausted tenants degrade to stateless forwarding; the
-        # packet still ships (the drop cause names the *state entry*).
-        self._route[pp.index] = (False, 0, not resident)
-        return self._steer_rss(pp)
+            self._migration_ns[pp.index] = migration_ns
+        return core
 
     def record_steer(self, pp: PerfPacket, core: int, now_ns: float) -> None:
         """The spray record of an elephant packet just steered, stamped
         at its arrival ``now_ns`` (counted for all, kept when sampled)."""
-        if self.tracer.enabled and self._route[pp.index][0]:
+        seq = self._route[pp.index][0]
+        if self.tracer.enabled and seq:
             self.tracer.emit_sampled(
                 self.spans.sampled(pp.index), EV_SPRAY, now_ns, core=core,
-                seq=self._eseq, index=pp.index)
+                seq=seq, index=pp.index)
 
     def note_fault_drop(self, core: int, pp: PerfPacket) -> None:
         """A fault stole a steered packet: forget its routing record (any
@@ -229,14 +302,14 @@ class HybridEngine(BaseEngine):
             counters.charge_packet(dispatch_ns=c.d, compute_ns=c.c1,
                                    state_accesses=0)
             return c.d + c.c1
-        elephant, h, stateless = self._route.pop(
-            pp.index, (False, 0, False)
-        )
+        seq, stateless = self._route.pop(pp.index, (0, False))
         migration_ns = self._migration_ns.pop(pp.index, 0.0)
         # The classification path itself is not free: one sketch update
         # per packet, modeled as a single uncontended atomic.
         classify_ns = self.contention.atomic_ns
-        if elephant:
+        if seq:
+            # History depth: the elephant stream's own, not the trace's.
+            h = min(seq - 1, self.num_cores - 1)
             self.elephant_packets += 1
             if self.tracer.enabled:
                 self.tracer.emit_sampled(
@@ -280,27 +353,172 @@ class HybridEngine(BaseEngine):
         )
         return c.d + compute + migration_ns
 
-    # ``columnar_eligible`` stays the BaseEngine default (False): steering
-    # reads classifier state that mutates per packet, so the scalar event
-    # loop is the reference and only path (docs/HOTPATH.md fallback rules).
+    # -- columnar hot-path hooks (docs/HOTPATH.md) --------------------------------
+
+    def columnar_eligible(self) -> bool:
+        """Unless promoted frames carry the sequencer prefix on the wire:
+        then a packet's wire length, and so its admission, reads the
+        classifier state its predecessors left."""
+        return not self.count_wire_overhead
+
+    def steer_batch(self, trace: "PerfTrace", rows: np.ndarray) -> np.ndarray:
+        """The admitted rows' cores, from one exact steering walk.  The
+        walk is the run's routing record (what ``steer`` keeps per packet
+        on the scalar loop); a walk over the whole trace is kept for the
+        next run that admits every packet of the same trace."""
+        if len(rows) == len(trace):
+            memo = self._memo
+            if memo is None or memo[0] is not trace:
+                memo = (trace, self._walk_rows(trace, rows))
+                self._memo = memo
+            self._walk = memo[1]
+        else:
+            self._walk = self._walk_rows(trace, rows)
+        return self._walk.cores
+
+    def _walk_rows(self, trace: "PerfTrace", rows: np.ndarray) -> _Walk:
+        """Steer ``rows`` in arrival order on a fresh :class:`_Placer`,
+        exactly as ``steer`` would, recording each route as columns."""
+        placer = _Placer(self)
+        table = trace.key_table
+        hashes = hash_column_for_program(self.program, trace)[rows].tolist()
+        routes = [placer.route(table[kid], valid, nic_hash)
+                  for kid, valid, nic_hash in zip(
+                      trace.key_ids[rows].tolist(),
+                      trace.valid[rows].tolist(), hashes)]
+        cores, seq, migration, stateless = zip(*routes) if routes else [()] * 4
+        n = len(trace)
+        columns = [np.asarray(cores, dtype=np.int64)]
+        for values, dtype in ((seq, np.int64), (stateless, bool),
+                              (migration, np.float64)):
+            column = np.zeros(n, dtype=dtype)
+            column[rows] = values
+            columns.append(column)
+        for column in columns:
+            column.setflags(write=False)
+        return _Walk(*columns, counters=placer.counters())
+
+    def touches_state(self, trace: "PerfTrace", rows: np.ndarray) -> np.ndarray:
+        """Valid packets, except quota-refused mice: they run stateless."""
+        return trace.valid[rows] & ~self._walk.stateless[rows]
+
+    def service_rows(
+        self,
+        trace: "PerfTrace",
+        rows: np.ndarray,
+        miss_frac: np.ndarray,
+        spill_ns: np.ndarray,
+        history_items: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`service_ns`'s branches as row math over the walk's
+        routes (the history depth is the elephant stream's, fixed at
+        steer time), adding floats in the same order."""
+        c = self.costs
+        compute, _, elephant = self._compute_rows(rows)
+        # An elephant adds its spill after dispatch + compute, a mouse
+        # folds it into compute first (the scalar branches' order).
+        total = np.where(elephant, (c.d + compute) + spill_ns,
+                         c.d + (compute + spill_ns))
+        total = total + self._walk.migration[rows]
+        return np.where(trace.valid[rows], total, c.d + c.c1)
+
+    def _compute_rows(self, rows: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A valid packet's compute before any L2 spill, its history
+        share, and the elephant mask, in :meth:`service_ns`'s order."""
+        c = self.costs
+        classify_ns = self.contention.atomic_ns
+        seq = self._walk.seq[rows]
+        elephant = seq > 0
+        h = np.minimum(seq - 1, self.num_cores - 1)
+        history = np.where(elephant, h * c.c2, 0.0)
+        compute = np.where(elephant, (c.c1 + history) + classify_ns,
+                           c.c1 + classify_ns)
+        return compute, history, elephant
+
+    def service_batch(
+        self,
+        trace: "PerfTrace",
+        rows: np.ndarray,
+        cores: np.ndarray,
+        start_ns: np.ndarray,
+        steered_before: np.ndarray,
+    ) -> np.ndarray:
+        from ..cpu.columnar import l2_spill_rows
+
+        c = self.costs
+        miss_frac, spill = l2_spill_rows(self, trace, rows, cores, commit=True)
+        services = self.service_rows(trace, rows, miss_frac, spill,
+                                     steered_before)
+        valid = trace.valid[rows]
+        touches = self.touches_state(trace, rows)
+        migration = self._walk.migration[rows]
+        compute, history, elephant = self._compute_rows(rows)
+        compute_col = np.where(valid, compute + spill, c.c1)
+        l2_misses = np.where(touches, miss_frac + (migration != 0), 0.0)
+        dispatch_col = np.full(len(rows), c.d, dtype=np.float64)
+        accesses = touches.astype(np.int64)
+        for core in range(self.num_cores):
+            sel = np.flatnonzero(cores == core)
+            if len(sel) == 0:
+                continue
+            self.counters.cores[core].charge_batch(
+                dispatch_ns=dispatch_col[sel],
+                compute_ns=compute_col[sel],
+                transfer_ns=migration[sel],
+                state_accesses=accesses[sel],
+                l2_misses=l2_misses[sel],
+                program_ns=compute_col[sel] + migration[sel],
+                history_ns=history[sel],
+            )
+        mice = valid & ~elephant
+        self.elephant_packets += int(np.count_nonzero(elephant))
+        self.mice_packets += int(np.count_nonzero(mice))
+        self.stateless_packets += int(np.count_nonzero(mice & ~touches))
+        return services
+
+    def record_committed(self, trace: "PerfTrace", run: "ColumnarRun",
+                         sampled: np.ndarray) -> None:
+        """The spray and history-depth records ``steer``/``service_ns``
+        emit, for a committed columnar run: every elephant was sprayed at
+        its arrival with its elephant sequence number, and every popped
+        elephant served at its steer-time depth."""
+        tracer = self.tracer
+        if not tracer.enabled:
+            return
+        seq = self._walk.seq
+        elephant = seq > 0
+        served = run.popped & elephant
+        sprayed = sampled[elephant[sampled]]
+        rows = sampled[served[sampled]]
+        tracer.count(EV_SPRAY, int(np.count_nonzero(elephant)) - len(sprayed))
+        tracer.count(EV_HISTORY_DEPTH,
+                     int(np.count_nonzero(served)) - len(rows))
+        tracer.stage_columns(RecordBatch(
+            EV_SPRAY, sprayed, run.arrivals[sprayed], run.cores[sprayed],
+            fields=(("seq", seq[sprayed]), ("index", sprayed))))
+        tracer.stage_columns(RecordBatch(
+            EV_HISTORY_DEPTH, rows, run.starts[rows], run.cores[rows],
+            fields=(("depth", np.minimum(seq[rows] - 1, self.num_cores - 1)),
+                    ("index", rows))))
 
     def placement_summary(self) -> dict:
         """Placement/quota counters for ``SimResult.placement_stats``
         (the hook ``simulate`` probes, mirroring ``fault_summary``)."""
-        clf = self.classifier.snapshot()
-        state = self.mice_state.stats_snapshot()
+        steer = self._steer_counters()
+        drops = dict(steer["tenant_quota_drops"])
         return {
-            "promotions": clf["promotions"],
-            "demotions": clf["demotions"],
-            "decays": clf["decays"],
-            "promoted_now": clf["promoted_now"],
-            "migrations": self.migrations,
-            "migration_ns_total": self.migration_ns_total,
+            "promotions": steer["promotions"],
+            "demotions": steer["demotions"],
+            "decays": steer["decays"],
+            "promoted_now": steer["promoted_now"],
+            "migrations": steer["migrations"],
+            "migration_ns_total": steer["migration_ns_total"],
             "elephant_packets": self.elephant_packets,
             "mice_packets": self.mice_packets,
             "stateless_packets": self.stateless_packets,
-            "statemap_entries": state["entries"],
-            "statemap_grow_events": state["grow_events"],
-            "tenant_quota_drops": state["quota_drops"],
-            "tenant_quota_drops_total": sum(state["quota_drops"].values()),
+            "statemap_entries": steer["statemap_entries"],
+            "statemap_grow_events": steer["statemap_grow_events"],
+            "tenant_quota_drops": drops,
+            "tenant_quota_drops_total": sum(drops.values()),
         }

@@ -22,11 +22,13 @@ TECHNIQUES = ("scr", "relaxed_scr", "shared", "rss", "rss++", "hybrid")
 
 #: Techniques whose engines can opt into the columnar hot path (a run
 #: with a fault plan still falls back to the scalar loop): scr /
-#: relaxed_scr (pure round-robin row math) and rss (static
-#: indirection-table gather).  ``shared`` engines serialize on
+#: relaxed_scr (pure round-robin row math), rss (static
+#: indirection-table gather) and hybrid (one steering walk over the
+#: admitted rows; ``count_wire_overhead=True`` falls back, since there
+#: admission reads the classifier).  ``shared`` engines serialize on
 #: time-dependent contention and ``rss++`` mutates its steering table
 #: mid-run, so both always run the scalar event loop (docs/HOTPATH.md).
-COLUMNAR_TECHNIQUES = ("scr", "relaxed_scr", "rss")
+COLUMNAR_TECHNIQUES = ("scr", "relaxed_scr", "rss", "hybrid")
 
 
 def make_engine(

@@ -269,8 +269,7 @@ class ScrEngine(BaseEngine):
         c = self.costs
         extra = self.extra_compute_ns
         h = self._history_depths(steered_before)
-        miss_frac, spill = l2_spill_rows(
-            self.l2, trace, rows, cores, self.num_cores, commit=True)
+        miss_frac, spill = l2_spill_rows(self, trace, rows, cores, commit=True)
         services = self.service_rows(trace, rows, miss_frac, spill, h)
         valid = trace.valid[rows]
         history = h * (c.c2 + extra)

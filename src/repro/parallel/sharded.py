@@ -102,8 +102,7 @@ class ShardedRssEngine(BaseEngine):
         from ..cpu.columnar import l2_spill_rows
 
         c = self.costs
-        miss_frac, spill = l2_spill_rows(
-            self.l2, trace, rows, cores, self.num_cores, commit=True)
+        miss_frac, spill = l2_spill_rows(self, trace, rows, cores, commit=True)
         services = self.service_rows(trace, rows, miss_frac, spill, steered_before)
         valid = trace.valid[rows]
         compute_col = np.where(valid, c.c1 + spill, c.c1)

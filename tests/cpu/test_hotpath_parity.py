@@ -26,10 +26,11 @@ from repro.hostprof import PhaseClock
 from repro.hostprof.clock import PATH_SEP
 from repro.obs import NULL_SPANS, SpanEmitter, SpanSampler
 from repro.parallel import COLUMNAR_TECHNIQUES, TECHNIQUES, make_engine
+from repro.placement import PlacementSpec
 from repro.programs import make_program, program_names
 from repro.scenario import Scenario, ScenarioExecutor, build_perf_trace, scenario_grid
 from repro.telemetry import EventTracer, Telemetry
-from repro.telemetry.events import STAGED_RANK
+from repro.telemetry.events import NULL_TRACER, STAGED_RANK
 
 _TRACE_KW = dict(num_flows=12, max_packets=500)
 
@@ -314,6 +315,154 @@ class TestLossyParity:
         assert "sim.columnar" in phases and "sim.drain" not in phases
         _assert_deep_equal(scalar, columnar)
         assert scalar_tele == columnar_tele
+
+
+#: ddos @ zipf: heavy-tailed flow sizes, so the hybrid promotes a few
+#: elephants and steers many mice.
+_ZIPF_SCENARIO = Scenario.create("ddos", "zipf", "hybrid", 1, num_flows=300,
+                                 max_packets=1200, seed=7)
+#: The multitenant suite's placement, plus placement churn (a decay
+#: interval short enough to demote) and tight tenant quotas (quota-
+#: refused mice run stateless and never touch L2).
+_PLACEMENT_KW = dict(max_elephants=12, promote_threshold=24, demote_threshold=8)
+_CHURN_KW = dict(promote_threshold=8, demote_threshold=4, decay_interval=64)
+_QUOTA_KW = dict(num_tenants=4, tenant_quota=5)
+
+
+@pytest.fixture(scope="module")
+def zipf_trace():
+    return build_perf_trace(_ZIPF_SCENARIO)
+
+
+def _hybrid(cores, l2_entries=None, tracer=NULL_TRACER, spans=NULL_SPANS,
+            **placement_kw):
+    engine = make_engine("hybrid", make_program("ddos"), cores,
+                         placement=PlacementSpec(**placement_kw),
+                         tracer=tracer, spans=spans)
+    if l2_entries is not None:
+        engine.l2.capacity_entries = l2_entries
+    return engine
+
+
+def _count_walks(monkeypatch):
+    """Record each hybrid ``steer_batch`` as (whole trace admitted,
+    walked afresh)."""
+    from repro.parallel.hybrid import HybridEngine
+
+    calls = []
+    steer, walk = HybridEngine.steer_batch, HybridEngine._walk_rows
+
+    def steering(self, trace, rows):
+        calls.append([len(rows) == len(trace), False])
+        return steer(self, trace, rows)
+
+    def walking(self, trace, rows):
+        calls[-1][1] = True
+        return walk(self, trace, rows)
+
+    monkeypatch.setattr(HybridEngine, "steer_batch", steering)
+    monkeypatch.setattr(HybridEngine, "_walk_rows", walking)
+    return calls
+
+
+class TestHybridParity:
+    """Elephant/mice placement on the columnar hot path: one steering
+    walk over the admitted rows, then row math, equal to the event loop
+    field for field (placement counters included)."""
+
+    @pytest.mark.parametrize(
+        "cores, rate, placement_kw, l2_entries, sim_kw, observed", [
+            pytest.param(4, 2e6, _CHURN_KW, None, {}, ("demotions",),
+                         id="decay-demotions"),
+            pytest.param(4, 2e6, {**_PLACEMENT_KW, **_QUOTA_KW}, 8, {},
+                         ("stateless_packets", "tenant_quota_drops_total"),
+                         id="quota-stateless"),
+            pytest.param(8, 1.5e8, _PLACEMENT_KW, None, {},
+                         ("wire_dropped",), id="wire-drops"),
+            pytest.param(4, 4e7, _PLACEMENT_KW, None, dict(ring_capacity=16),
+                         ("ring_dropped",), id="ring-drops"),
+            pytest.param(4, 4e7, {**_CHURN_KW, **_QUOTA_KW}, 8,
+                         dict(ring_capacity=16, burst_size=4),
+                         ("ring_dropped", "demotions", "stateless_packets"),
+                         id="churn-quota-ring-l2"),
+        ])
+    def test_commits_and_matches(self, zipf_trace, monkeypatch, cores, rate,
+                                 placement_kw, l2_entries, sim_kw, observed):
+        """Every packet is span-sampled, so the retained stream carries
+        each service time, spray and history depth, not only totals."""
+        commits = _count_commits(monkeypatch)
+        runs = []
+        for mode in ("scalar", "columnar"):
+            tracer = EventTracer(capacity=1 << 20)
+            spans = SpanEmitter(tracer, SpanSampler(_SPAN_SEED, 1.0))
+            engine = _hybrid(cores, l2_entries, tracer, spans, **placement_kw)
+            res = simulate(zipf_trace, rate, engine, hotpath=mode,
+                           collect_latency=True, tracer=tracer, spans=spans,
+                           **sim_kw)
+            runs.append((res, [e.to_dict() for e in tracer.events()],
+                         dict(tracer.type_counts)))
+        assert commits == [True]
+        (scalar, *scalar_events), (columnar, *columnar_events) = runs
+        for name in observed:
+            value = (columnar.placement_stats[name]
+                     if name in columnar.placement_stats
+                     else getattr(columnar, name))
+            assert value > 0, name
+        _assert_deep_equal(scalar, columnar)
+        assert scalar_events == columnar_events
+
+    @pytest.mark.parametrize("cores", range(1, 9))
+    def test_any_core_count(self, zipf_trace, monkeypatch, cores):
+        commits = _count_commits(monkeypatch)
+        runs = [simulate(zipf_trace, 2e7, _hybrid(cores, **_CHURN_KW,
+                                                  **_QUOTA_KW),
+                         hotpath=mode, ring_capacity=32, collect_latency=True)
+                for mode in ("scalar", "columnar")]
+        assert commits == [True]
+        _assert_deep_equal(*runs)
+
+    def test_memo_hit_equals_a_fresh_engine(self, zipf_trace, monkeypatch):
+        """A second whole-trace run reuses the first one's walk; a run with
+        admission drops walks afresh without evicting it, and a scalar run
+        in between cannot corrupt it."""
+        calls = _count_walks(monkeypatch)
+        engine = _hybrid(8, **_CHURN_KW)
+        first = simulate(zipf_trace, 2e6, engine, collect_latency=True)
+        dropped = simulate(zipf_trace, 1.5e8, engine)
+        scalar = simulate(zipf_trace, 2e6, engine, hotpath="scalar",
+                          collect_latency=True)
+        again = simulate(zipf_trace, 2e6, engine, collect_latency=True)
+        fresh = simulate(zipf_trace, 2e6, _hybrid(8, **_CHURN_KW),
+                         collect_latency=True)
+        assert dropped.wire_dropped > 0
+        assert calls == [[True, True], [False, True], [True, False],
+                         [True, True]]
+        for run in (first, scalar, again):
+            _assert_deep_equal(run, fresh)
+
+    def test_search_walks_once_around_its_drop_probe(self, zipf_trace,
+                                                     monkeypatch):
+        """hybrid/8's search overshoots into a wire-dropping probe and
+        comes back to whole-trace probes, which reuse the first walk."""
+        from repro.bench.mlffr import find_mlffr
+
+        calls = _count_walks(monkeypatch)
+        results = []
+        for mode in ("scalar", "columnar"):
+            with use_hotpath(mode):
+                results.append(find_mlffr(zipf_trace,
+                                          _hybrid(8, **_PLACEMENT_KW)))
+        assert results[0].probes == results[1].probes
+        assert results[0].mlffr_pps == results[1].mlffr_pps
+        _assert_deep_equal(results[0].result_at_mlffr,
+                           results[1].result_at_mlffr)
+        assert len(calls) == results[1].iterations
+        full = [whole for whole, _ in calls]
+        drop = full.index(False)
+        assert True in full[drop + 1:]
+        assert [walked for _, walked in calls] == [not whole or i == 0
+                                                   for i, whole in
+                                                   enumerate(full)]
 
 
 def _count_commits(monkeypatch):

@@ -40,9 +40,24 @@ def test_registered_technique():
     assert "hybrid" in TECHNIQUES
 
 
-def test_columnar_ineligible():
-    # Steering mutates classifier state per packet: scalar loop only.
-    assert engine().columnar_eligible() is False
+def test_columnar_eligible_unless_wire_overhead_counts():
+    """Routes are a pure function of the admitted rows, so the hybrid
+    replays columnar; only prefix-carrying frames fall back, because
+    there a packet's admission reads the classifier.  The fallback still
+    matches the scalar loop."""
+    assert engine().columnar_eligible() is True
+    pt = trace_of({1: 200, 2: 5, 3: 5})
+    runs = []
+    for mode in ("scalar", "columnar"):
+        eng = make_engine("hybrid", make_program("ddos"), 4,
+                          placement=PlacementSpec(promote_threshold=4,
+                                                  demote_threshold=2),
+                          count_wire_overhead=True)
+        assert eng.columnar_eligible() is False
+        runs.append(simulate(pt, 2e6, eng, hotpath=mode))
+    assert runs[0].placement_stats == runs[1].placement_stats
+    assert runs[0].per_core_packets == runs[1].per_core_packets
+    assert runs[0].counters.snapshot() == runs[1].counters.snapshot()
 
 
 def test_mice_pin_one_core_elephants_spray():
