@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from ..telemetry.inspect import text_table
+
 __all__ = ["render_table", "render_scaling_series", "format_mpps"]
 
 
@@ -12,21 +14,9 @@ def format_mpps(value: float) -> str:
 
 
 def render_table(headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = "") -> str:
-    """Aligned monospace table."""
-    str_rows = [[str(c) for c in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in str_rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    if title:
-        lines.append(title)
-    header_line = "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))
-    lines.append(header_line)
-    lines.append("-" * len(header_line))
-    for row in str_rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
+    """Aligned monospace table, under ``title`` when one is given."""
+    lines = text_table(headers, rows)
+    return "\n".join([title, *lines] if title else lines)
 
 
 def render_scaling_series(

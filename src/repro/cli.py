@@ -688,10 +688,6 @@ def cmd_reproduce(args, out) -> int:
 
 
 def cmd_inspect(args, out) -> int:
-    import json
-
-    from .telemetry.artifact import EventLogError
-
     path = Path(args.dir)
     if path.is_dir() and not (path / "manifest.json").exists():
         contents = "empty" if not any(path.iterdir()) else "no manifest.json"
@@ -700,15 +696,12 @@ def cmd_inspect(args, out) -> int:
         return 2
     try:
         print(summarize_artifact(args.dir), file=out)
-    except EventLogError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
     except (FileNotFoundError, NotADirectoryError):
         print(f"no run artifact at {args.dir!r} "
               "(expected a manifest.json written by --telemetry)", file=out)
         return 2
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"malformed run artifact at {args.dir!r}: {exc}", file=out)
+    except ValueError as exc:  # names the file and field
+        print(f"error: malformed run artifact: {exc}", file=out)
         return 2
     except OSError as exc:
         print(f"cannot read run artifact at {args.dir!r}: {exc}", file=out)

@@ -22,14 +22,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from ..telemetry.artifact import current_git_sha
-from .clock import PATH_SEP, PhaseClock
+from ..telemetry.artifact import JSON_NUMBER, current_git_sha, json_field, json_typed, load_json
+from .clock import PhaseClock
 from .export import to_folded, to_speedscope
 
 HOSTPROF_SCHEMA = "scr-repro/hostprof/v1"
 HOSTPROF_JSON = "hostprof.json"
 FOLDED_NAME = "profile.folded"
 SPEEDSCOPE_NAME = "profile.speedscope.json"
+
+#: What every phase entry holds (``PhaseClock.snapshot``).
+_PHASE_FIELDS = ("calls", "total_ns", "self_ns")
 
 
 @dataclass
@@ -123,17 +126,24 @@ class HostProfile:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "HostProfile":
+        """Rebuild a profile; raises ValueError naming the first field
+        whose JSON type does not fit the hostprof/v1 shape."""
+        json_typed(data, (dict,))
         schema = data.get("schema", "")
         if not str(schema).startswith("scr-repro/hostprof/"):
             raise ValueError(f"not a hostprof artifact (schema={schema!r})")
+        phases: Dict[str, Dict[str, int]] = {}
+        for path, entry in json_field(data, "phases", {}, (dict,)).items():
+            where = f"phases.{path}"
+            json_typed(entry, (dict,), where)
+            phases[str(path)] = {
+                key: int(json_field(entry, key, None, JSON_NUMBER, where))
+                for key in _PHASE_FIELDS}
         return cls(
             command=str(data.get("command", "")),
-            config=dict(data.get("config", {})),
-            phases={
-                str(path): {k: int(v) for k, v in entry.items()}
-                for path, entry in dict(data.get("phases", {})).items()
-            },
-            deep=data.get("deep"),
+            config=json_field(data, "config", {}, (dict,)),
+            phases=phases,
+            deep=json_field(data, "deep", None, (dict, type(None))),
             git_sha=str(data.get("git_sha", "unknown")),
             created_utc=str(data.get("created_utc", "")),
             python=str(data.get("python", "")),
@@ -165,12 +175,12 @@ class HostProfile:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "HostProfile":
-        """Load from a hostprof.json file or a directory containing one."""
+        """Load from a hostprof.json file or a directory containing one;
+        malformed JSON or shape raises ValueError naming the file."""
         path = Path(path)
         if path.is_dir():
             path = path / HOSTPROF_JSON
-        with path.open("r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return load_json(path, cls.from_dict)
 
 
 def _fmt_ns(ns: int) -> str:
@@ -181,8 +191,3 @@ def _fmt_ns(ns: int) -> str:
     if ns >= 1_000:
         return f"{ns / 1e3:.1f}us"
     return f"{ns}ns"
-
-
-def phase_depth(path: str) -> int:
-    """Nesting depth of a phase path (roots are depth 0)."""
-    return path.count(PATH_SEP)

@@ -4,11 +4,13 @@ Renders any mix of telemetry artifact directories (``manifest.json`` +
 ``events.jsonl``), ``BENCH_*.json`` suite artifacts, and host-profile
 artifacts (``hostprof.json`` from ``scr-repro profile``/``--hostprof``)
 into a single HTML file with no external assets: inline CSS, inline SVG,
-no scripts.  The sections mirror what the text tools answer one at a
-time — drop-cause Pareto (``inspect`` question 1), recovery SLO table
-(question 2), per-core span waterfalls for sampled packets, the suite's
-MLFFR curves, and the host wall-clock panel (phase Pareto + an icicle
-flamegraph of the PhaseClock tree).
+no scripts.  A run artifact's sections render its
+:class:`~repro.telemetry.summary.RunSummary`, the same summary ``inspect``
+renders as text: the header, the drop-cause Pareto (``inspect`` question
+1) and the recovery SLO table (question 2).  The per-core span
+waterfalls for sampled packets come from the event log itself.  Bench
+artifacts add the suite's MLFFR curves, host profiles the wall-clock
+panel (phase Pareto + an icicle flamegraph of the PhaseClock tree).
 
 Byte determinism is a contract, not an accident: rendering is a pure
 function of the input bytes (sorted iteration everywhere, fixed-precision
@@ -19,15 +21,14 @@ any process — CI ``cmp``-checks the serial vs ``--jobs 2`` renders.
 from __future__ import annotations
 
 import html
-import json
 from pathlib import Path
-from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..hostprof.artifact import HOSTPROF_JSON, HostProfile
 from ..hostprof.clock import PATH_SEP
-from ..perf.artifact import BenchArtifact
-from ..telemetry.artifact import MANIFEST_NAME, RunArtifact
+from ..perf.artifact import BenchArtifact, BenchSeries
+from ..telemetry.artifact import MANIFEST_NAME
+from ..telemetry.summary import RunSummary, fmt_ns, load_run
 from .spans import SPAN_PREFIX
 
 __all__ = ["classify_inputs", "render_report", "write_report"]
@@ -37,16 +38,6 @@ MAX_WATERFALLS = 8
 
 _BENCH_SCHEMA_PREFIX = "scr-repro/bench-artifact/"
 _HOSTPROF_SCHEMA_PREFIX = "scr-repro/hostprof/"
-
-#: Drop/loss kinds in Pareto candidacy order (label per kind).
-_DROP_LABELS: Mapping[str, str] = MappingProxyType({
-    "nic.wire_drop": "wire saturated",
-    "nic.ring_drop": "RX ring full",
-    "nic.pcie_drop": "PCIe saturated",
-    "sim.injected_loss": "injected loss",
-    "fault.drop": "fault: wire→ring drop",
-    "fault.pop_drop": "fault: ring-pop drop",
-})
 
 #: Fixed series palette (cycled); chosen for white backgrounds.
 _PALETTE = ("#2563eb", "#dc2626", "#16a34a", "#9333ea", "#ea580c", "#0891b2")
@@ -78,29 +69,29 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _fmt_ns(value: float) -> str:
-    if value >= 1e6:
-        return f"{value / 1e6:.2f} ms"
-    if value >= 1e3:
-        return f"{value / 1e3:.2f} us"
-    return f"{value:.0f} ns"
-
-
 def classify_inputs(
     inputs: Sequence[Union[str, Path]],
 ) -> Tuple[List[Path], List[Path], List[Path]]:
-    """Split inputs into (artifact dirs, bench files, hostprof files).
+    """Split inputs into (artifact dirs, bench files, hostprof files)."""
+    artifact_dirs, benches, hostprof_files = _load_inputs(inputs)
+    return artifact_dirs, [path for path, _ in benches], hostprof_files
+
+
+def _load_inputs(
+    inputs: Sequence[Union[str, Path]],
+) -> Tuple[List[Path], List[Tuple[Path, BenchArtifact]], List[Path]]:
+    """Split inputs into (artifact dirs, (bench file, its artifact),
+    hostprof files).
 
     A directory must hold a ``manifest.json`` (telemetry artifact) or a
     ``hostprof.json`` (host-profile artifact — resolved to that file); a
     file must carry a bench or hostprof schema, and is read through
-    :meth:`BenchArtifact.load`, so a malformed bench artifact fails here
-    rather than mid-render.  Anything else raises
-    ValueError — a misspelled path should fail loudly, not render an
-    empty report.
+    :meth:`BenchArtifact.load` once, so a malformed bench artifact fails
+    here rather than mid-render.  Anything else raises ValueError — a
+    misspelled path should fail loudly, not render an empty report.
     """
     artifact_dirs: List[Path] = []
-    bench_files: List[Path] = []
+    benches: List[Tuple[Path, BenchArtifact]] = []
     hostprof_files: List[Path] = []
     for raw in inputs:
         path = Path(raw)
@@ -116,45 +107,47 @@ def classify_inputs(
                     "artifact)"
                 )
         elif path.is_file():
-            schema = BenchArtifact.load(path).schema
-            if schema.startswith(_BENCH_SCHEMA_PREFIX):
-                bench_files.append(path)
-            elif schema.startswith(_HOSTPROF_SCHEMA_PREFIX):
+            bench = BenchArtifact.load(path)
+            if bench.schema.startswith(_BENCH_SCHEMA_PREFIX):
+                benches.append((path, bench))
+            elif bench.schema.startswith(_HOSTPROF_SCHEMA_PREFIX):
                 hostprof_files.append(path)
             else:
                 raise ValueError(
-                    f"{path}: unrecognized schema {schema!r} "
+                    f"{path}: unrecognized schema {bench.schema!r} "
                     "(expected a BENCH_*.json or hostprof.json artifact)"
                 )
         else:
             raise ValueError(f"{path}: no such file or directory")
-    return artifact_dirs, bench_files, hostprof_files
+    return artifact_dirs, benches, hostprof_files
 
 
 # -- run-artifact sections ----------------------------------------------------
 
 
-def _pareto_section(artifact: RunArtifact) -> List[str]:
-    drops = [
-        (kind, int(artifact.event_type_counts.get(kind, 0)))
-        for kind in _DROP_LABELS
-        if int(artifact.event_type_counts.get(kind, 0)) > 0
-    ]
+def _header_table(rows: Sequence[Tuple[str, Optional[str]]]) -> List[str]:
+    """A provenance table of (name, HTML value) rows; None values are skipped."""
+    return ["<table>"] + [f"<tr><th>{name}</th><td>{value}</td></tr>"
+                          for name, value in rows
+                          if value is not None] + ["</table>"]
+
+
+def _pareto_section(summary: RunSummary) -> List[str]:
+    drops = summary.drops
     if not drops:
         return ["<p class=\"note\">no drops recorded (loss-free run)</p>"]
-    drops.sort(key=lambda kv: (-kv[1], kv[0]))
-    total = sum(count for _, count in drops)
-    peak = drops[0][1]
+    total = sum(d.count for d in drops)
+    peak = drops[0].count
     out = ["<h3>drop-cause Pareto</h3>", "<table>",
            "<tr><th>cause</th><th>count</th><th>share</th><th></th></tr>"]
     cumulative = 0
-    for kind, count in drops:
-        cumulative += count
-        width = max(1, round(240 * count / peak))
+    for drop in drops:
+        cumulative += drop.count
+        width = max(1, round(240 * drop.count / peak))
         out.append(
             "<tr>"
-            f"<td>{_esc(_DROP_LABELS[kind])} <code>{_esc(kind)}</code></td>"
-            f"<td class=\"num\">{count}</td>"
+            f"<td>{_esc(drop.label)} <code>{_esc(drop.kind)}</code></td>"
+            f"<td class=\"num\">{drop.count}</td>"
             f"<td class=\"num\">{100.0 * cumulative / total:.1f}%</td>"
             f"<td><svg width=\"240\" height=\"12\">"
             f"<rect class=\"bar\" width=\"{width}\" height=\"12\"/></svg></td>"
@@ -164,42 +157,24 @@ def _pareto_section(artifact: RunArtifact) -> List[str]:
     return out
 
 
-def _slo_section(artifact: RunArtifact) -> List[str]:
-    slo = artifact.slo
+def _slo_section(summary: RunSummary) -> List[str]:
+    slo = summary.slo
     if slo is None:
-        if any(k.startswith(("fault.", "recovery."))
-               for k in artifact.event_type_counts):
-            return [
-                "<p class=\"note\">recovery SLOs: not recorded "
-                "(artifact predates the slo section)</p>"
-            ]
-        return []
-    out = [f"<h3>recovery SLOs <code>{_esc(slo.get('schema', '?'))}</code></h3>"]
-    gaps = slo.get("gaps", {})
-    shown = ", ".join(f"{key}={gaps[key]}" for key in sorted(gaps) if gaps[key])
-    out.append(f"<p>gaps: {_esc(shown) or 'none'}</p>")
-    out.append("<table><tr><th>measure</th><th>count</th><th>p50</th>"
-               "<th>p99</th><th>max</th><th>mean</th></tr>")
-    measures = [
-        ("time to detect", slo.get("ttd_ns", {}), _fmt_ns),
-        ("time to repair", slo.get("ttr_ns", {}), _fmt_ns),
-        ("packets degraded", slo.get("packets_degraded", {}), _fmt),
-        ("blast radius", slo.get("blast_radius", {}), _fmt),
-    ]
-    for label, dist, fmt in measures:
-        if dist.get("count", 0):
-            cells = "".join(
-                f"<td class=\"num\">{fmt(float(dist[key]))}</td>"
-                for key in ("p50", "p99", "max", "mean")
-            )
-            out.append(f"<tr><td>{label}</td>"
-                       f"<td class=\"num\">{dist['count']}</td>{cells}</tr>")
-        else:
-            out.append(f"<tr><td>{label}</td><td class=\"num\">0</td>"
-                       "<td>-</td><td>-</td><td>-</td><td>-</td></tr>")
+        return ["<p class=\"note\">recovery SLOs: not recorded (artifact "
+                "predates the slo section)</p>"] if summary.slo_not_recorded else []
+    out = [f"<h3>recovery SLOs <code>{_esc(slo.schema)}</code></h3>",
+           f"<p>gaps: {_esc(slo.gaps) or 'none'}</p>",
+           "<table><tr><th>measure</th><th>count</th><th>p50</th>"
+           "<th>p99</th><th>max</th><th>mean</th></tr>"]
+    for m in slo.measures:
+        fmt = fmt_ns if m.in_ns else _fmt
+        cells = "".join(f"<td class=\"num\">{fmt(float(v))}</td>"
+                        for v in m.values) if m.count else "<td>-</td>" * 4
+        out.append(f"<tr><td>{m.label}</td>"
+                   f"<td class=\"num\">{m.count}</td>{cells}</tr>")
     out.append("</table>")
-    if slo.get("unrecoverable_cores"):
-        cores = ", ".join(str(c) for c in slo["unrecoverable_cores"])
+    if slo.unrecoverable_cores:
+        cores = ", ".join(str(c) for c in slo.unrecoverable_cores)
         out.append(f"<p>unrecoverable cores: {_esc(cores)}</p>")
     return out
 
@@ -253,7 +228,7 @@ def _waterfall_svg(spans: List[dict]) -> str:
         if dur > 0.0:
             parts.append(
                 f"<text x=\"{x + w + 4:.2f}\" y=\"{y + 11}\">"
-                f"{_esc(_fmt_ns(dur))}</text>"
+                f"{_esc(fmt_ns(dur))}</text>"
             )
     parts.append("</svg>")
     return "".join(parts)
@@ -281,27 +256,19 @@ def _waterfall_section(events: List[dict]) -> List[str]:
 
 
 def _artifact_section(directory: Path) -> List[str]:
-    artifact = RunArtifact.load(directory)
+    summary, events = load_run(directory)
     out = [f"<h2>run artifact: <code>{_esc(directory.name)}</code></h2>"]
-    out.append("<table>")
-    out.append(f"<tr><th>command</th><td>{_esc(artifact.command)}</td></tr>")
-    out.append(f"<tr><th>git sha</th><td>{_esc(artifact.git_sha)}</td></tr>")
-    if artifact.created_utc:
-        out.append(
-            f"<tr><th>created</th><td>{_esc(artifact.created_utc)}</td></tr>"
-        )
-    if artifact.config:
-        cfg = ", ".join(f"{k}={v}"
-                        for k, v in sorted(artifact.config.items()))
-        out.append(f"<tr><th>config</th><td>{_esc(cfg)}</td></tr>")
-    out.append(
-        f"<tr><th>events</th><td>{artifact.events_emitted} emitted, "
-        f"{artifact.events_retained} retained</td></tr>"
-    )
-    out.append("</table>")
-    out.extend(_pareto_section(artifact))
-    out.extend(_slo_section(artifact))
-    out.extend(_waterfall_section(artifact.read_events(directory)))
+    out.extend(_header_table([
+        ("command", _esc(summary.command)),
+        ("git sha", _esc(summary.git_sha)),
+        ("created", _esc(summary.created_utc) or None),
+        ("config", _esc(summary.config) or None),
+        ("events", f"{summary.events_emitted} emitted, "
+                   f"{summary.events_retained} retained"),
+    ]))
+    out.extend(_pareto_section(summary))
+    out.extend(_slo_section(summary))
+    out.extend(_waterfall_section(events))
     return out
 
 
@@ -351,30 +318,24 @@ def _line_chart(points: List[Tuple[float, float]], unit: str,
     return "".join(parts)
 
 
-def _as_number(x: object) -> Optional[float]:
+def _as_number(x: Union[int, str]) -> Optional[float]:
     """Chartable x coordinate, if any (BENCH x values may be stringly)."""
-    if isinstance(x, bool):
-        return None
-    if isinstance(x, (int, float)):
+    try:
         return float(x)
-    if isinstance(x, str):
-        try:
-            return float(x)
-        except ValueError:
-            return None
-    return None
+    except ValueError:
+        return None
 
 
-def _series_block(name: str, series: dict, color: str) -> List[str]:
-    unit = str(series.get("unit", ""))
-    points = series.get("points", [])
+def _series_block(name: str, series: BenchSeries, color: str) -> List[str]:
+    unit = str(series.unit)
+    points = series.points
     out = [f"<h3><code>{_esc(name)}</code> "
            f"<span class=\"note\">({_esc(unit) or 'unitless'}, "
-           f"{_esc(series.get('direction', '?'))})</span></h3>"]
+           f"{_esc(series.direction)})</span></h3>"]
     numeric = [
-        (x, float(p["median"]))
+        (x, float(p.median))
         for p in points
-        for x in [_as_number(p.get("x"))]
+        for x in [_as_number(p.x)]
         if x is not None
     ]
     if len(numeric) >= 2 and len(numeric) == len(points):
@@ -382,23 +343,20 @@ def _series_block(name: str, series: dict, color: str) -> List[str]:
     out.append("<table><tr><th>x</th><th>median</th><th>mad</th></tr>")
     for p in points:
         out.append(
-            f"<tr><td>{_esc(p.get('x'))}</td>"
-            f"<td class=\"num\">{_fmt(float(p.get('median', 0.0)))}</td>"
-            f"<td class=\"num\">{_fmt(float(p.get('mad', 0.0)))}</td></tr>"
+            f"<tr><td>{_esc(p.x)}</td>"
+            f"<td class=\"num\">{_fmt(float(p.median))}</td>"
+            f"<td class=\"num\">{_fmt(float(p.mad))}</td></tr>"
         )
     out.append("</table>")
     return out
 
 
-def _bench_section(path: Path) -> List[str]:
-    with path.open() as fh:
-        data = json.load(fh)
-    name = str(data.get("name", path.name))
+def _bench_section(path: Path, bench: BenchArtifact) -> List[str]:
     out = [f"<h2>bench artifact: <code>{_esc(path.name)}</code> "
-           f"({_esc(name)})</h2>"]
-    if data.get("git_sha") and data["git_sha"] != "unknown":
-        out.append(f"<p>git sha: <code>{_esc(data['git_sha'])}</code></p>")
-    series = data.get("series", {})
+           f"({_esc(bench.name or path.name)})</h2>"]
+    if bench.git_sha and bench.git_sha != "unknown":
+        out.append(f"<p>git sha: <code>{_esc(bench.git_sha)}</code></p>")
+    series = bench.series
     if not series:
         out.append("<p class=\"note\">artifact has no series</p>")
     for i, sname in enumerate(sorted(series)):
@@ -470,8 +428,8 @@ def _flamegraph_svg(phases: Mapping[str, Mapping[str, int]]) -> str:
         name = path.rsplit(PATH_SEP, 1)[-1]
         color = _PALETTE[sibling % len(_PALETTE)]
         y = depth * row_h
-        title = (f"{path} — {_fmt_ns(float(entry['total_ns']))} total, "
-                 f"{_fmt_ns(float(entry['self_ns']))} self, "
+        title = (f"{path} — {fmt_ns(float(entry['total_ns']))} total, "
+                 f"{fmt_ns(float(entry['self_ns']))} self, "
                  f"{entry['calls']} calls")
         rects.append(
             f"<g><title>{_esc(title)}</title>"
@@ -520,8 +478,8 @@ def _hostprof_pareto(profile: HostProfile) -> List[str]:
             "<tr>"
             f"<td><code>{_esc(r['path'])}</code></td>"
             f"<td class=\"num\">{r['calls']}</td>"
-            f"<td class=\"num\">{_fmt_ns(float(r['total_ns']))}</td>"
-            f"<td class=\"num\">{_fmt_ns(float(r['self_ns']))}</td>"
+            f"<td class=\"num\">{fmt_ns(float(r['total_ns']))}</td>"
+            f"<td class=\"num\">{fmt_ns(float(r['self_ns']))}</td>"
             f"<td class=\"num\">{100.0 * r['self_share']:.1f}%</td>"
             f"<td><svg width=\"240\" height=\"12\">"
             f"<rect class=\"bar\" width=\"{bar}\" height=\"12\"/></svg></td>"
@@ -544,9 +502,9 @@ def _hostprof_deep(profile: HostProfile) -> List[str]:
                 f"<tr><td><code>{_esc(row.get('function', '?'))}</code></td>"
                 f"<td class=\"num\">{int(row.get('ncalls', 0))}</td>"
                 f"<td class=\"num\">"
-                f"{_fmt_ns(float(row.get('tottime_ns', 0)))}</td>"
+                f"{fmt_ns(float(row.get('tottime_ns', 0)))}</td>"
                 f"<td class=\"num\">"
-                f"{_fmt_ns(float(row.get('cumtime_ns', 0)))}</td></tr>"
+                f"{fmt_ns(float(row.get('cumtime_ns', 0)))}</td></tr>"
             )
         out.append("</table>")
     peaks = deep.get("memory_peak_bytes") or {}
@@ -565,26 +523,17 @@ def _hostprof_section(path: Path) -> List[str]:
     profile = HostProfile.load(path)
     out = [f"<h2>host profile: <code>{_esc(path.parent.name)}</code> "
            f"<span class=\"note\">({_esc(profile.command)})</span></h2>"]
-    out.append("<table>")
-    out.append(f"<tr><th>schema</th><td><code>{_esc(profile.schema)}</code>"
-               "</td></tr>")
-    out.append(f"<tr><th>git sha</th><td>{_esc(profile.git_sha)}</td></tr>")
-    if profile.created_utc:
-        out.append(
-            f"<tr><th>created</th><td>{_esc(profile.created_utc)}</td></tr>"
-        )
-    if profile.python or profile.platform:
-        out.append(f"<tr><th>host</th><td>python {_esc(profile.python)} · "
-                   f"{_esc(profile.platform)}</td></tr>")
-    if profile.config:
-        cfg = ", ".join(f"{k}={v}" for k, v in sorted(profile.config.items()))
-        out.append(f"<tr><th>config</th><td>{_esc(cfg)}</td></tr>")
-    out.append(
-        "<tr><th>wall accounted</th>"
-        f"<td>{_fmt_ns(float(profile.total_wall_ns()))} across "
-        f"{len(profile.phases)} phases</td></tr>"
-    )
-    out.append("</table>")
+    cfg = ", ".join(f"{k}={v}" for k, v in sorted(profile.config.items()))
+    out.extend(_header_table([
+        ("schema", f"<code>{_esc(profile.schema)}</code>"),
+        ("git sha", _esc(profile.git_sha)),
+        ("created", _esc(profile.created_utc) or None),
+        ("host", f"python {_esc(profile.python)} · {_esc(profile.platform)}"
+         if profile.python or profile.platform else None),
+        ("config", _esc(cfg) or None),
+        ("wall accounted", f"{fmt_ns(float(profile.total_wall_ns()))} "
+                           f"across {len(profile.phases)} phases"),
+    ]))
     out.extend(_hostprof_pareto(profile))
     out.append("<h3>phase flamegraph (wall time, icicle)</h3>")
     out.append(_flamegraph_svg(profile.phases))
@@ -601,12 +550,12 @@ def render_report(inputs: Sequence[Union[str, Path]]) -> str:
     Pure function of the input file bytes — no wall clock, no randomness,
     no environment reads — so identical inputs render identical bytes.
     """
-    artifact_dirs, bench_files, hostprof_files = classify_inputs(inputs)
+    artifact_dirs, benches, hostprof_files = _load_inputs(inputs)
     body: List[str] = []
     for directory in artifact_dirs:
         body.extend(_artifact_section(directory))
-    for path in bench_files:
-        body.extend(_bench_section(path))
+    for path, bench in benches:
+        body.extend(_bench_section(path, bench))
     for path in hostprof_files:
         body.extend(_hostprof_section(path))
     if not body:

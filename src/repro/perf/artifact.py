@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..cpu.costmodel import TABLE4_PARAMS
-from ..telemetry.artifact import current_git_sha
+from ..telemetry.artifact import JSON_NUMBER, current_git_sha, json_field, json_typed, load_json
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -45,25 +45,6 @@ BENCH_SCHEMA = "scr-repro/bench-artifact/v1"
 
 #: Directions a series can be compared in.
 _DIRECTIONS = ("higher_better", "lower_better")
-
-#: JSON type names for the shape check's messages.
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
-               int: "a number", float: "a number", bool: "a boolean",
-               type(None): "null"}
-_NUMBER = (int, float)
-
-
-def _typed(value, kinds: tuple, where: str = ""):
-    """``value`` if it has one of the JSON ``kinds``; otherwise a
-    ValueError naming the field ``where`` (empty: the top level)."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        expected = " or ".join(sorted({_JSON_TYPES[k] for k in kinds}))
-        field_name = f"field {where!r}" if where else "top level"
-        raise ValueError(
-            f"{field_name} must be {expected}, "
-            f"got {_JSON_TYPES.get(type(value), type(value).__name__)}"
-        )
-    return value
 
 
 def median(values: Sequence[float]) -> float:
@@ -103,12 +84,12 @@ class BenchPoint:
 
     @classmethod
     def from_dict(cls, data: dict, where: str = "point") -> "BenchPoint":
-        _typed(data, (dict,), where)
+        json_typed(data, (dict,), where)
         return cls(
-            x=_typed(data.get("x"), (int, str), f"{where}.x"),
-            median=_typed(data.get("median"), _NUMBER, f"{where}.median"),
-            mad=_typed(data.get("mad"), _NUMBER, f"{where}.mad"),
-            reps=list(_typed(data.get("reps", []), (list,), f"{where}.reps")),
+            x=json_typed(data.get("x"), (int, str), f"{where}.x"),
+            median=json_typed(data.get("median"), JSON_NUMBER, f"{where}.median"),
+            mad=json_typed(data.get("mad"), JSON_NUMBER, f"{where}.mad"),
+            reps=list(json_typed(data.get("reps", []), (list,), f"{where}.reps")),
         )
 
 
@@ -148,14 +129,13 @@ class BenchSeries:
     @classmethod
     def from_dict(cls, name: str, data: dict) -> "BenchSeries":
         where = f"series.{name}"
-        _typed(data, (dict,), where)
-        points = _typed(data.get("points", []), (list,), f"{where}.points")
+        json_typed(data, (dict,), where)
+        points = json_typed(data.get("points", []), (list,), f"{where}.points")
         return cls(
             name=name,
             unit=data.get("unit", ""),
             direction=data.get("direction", "higher_better"),
-            noise_floor=_typed(data.get("noise_floor", 0.0), _NUMBER,
-                               f"{where}.noise_floor"),
+            noise_floor=json_field(data, "noise_floor", 0.0, JSON_NUMBER, where),
             points=[BenchPoint.from_dict(p, f"{where}.points[{i}]")
                     for i, p in enumerate(points)],
         )
@@ -240,8 +220,8 @@ class BenchArtifact:
     def from_dict(cls, data: dict) -> "BenchArtifact":
         """Rebuild an artifact; raises ValueError naming the first field
         whose JSON type does not fit the bench-artifact/v1 shape."""
-        _typed(data, (dict,))
-        series = _typed(data.get("series", {}), (dict,), "series")
+        json_typed(data, (dict,))
+        series = json_typed(data.get("series", {}), (dict,), "series")
         art = cls(
             name=data.get("name", ""),
             config=data.get("config", {}),
@@ -250,11 +230,10 @@ class BenchArtifact:
             created_utc=data.get("created_utc", ""),
             python=data.get("python", ""),
             platform=data.get("platform", ""),
-            table4_params=_typed(data.get("table4_params", {}), (dict,),
-                                 "table4_params"),
+            table4_params=json_field(data, "table4_params", {}, (dict,)),
             model_fit=data.get("model_fit"),
             profile=data.get("profile"),
-            schema=_typed(data.get("schema", ""), (str,), "schema"),
+            schema=json_typed(data.get("schema", ""), (str,), "schema"),
         )
         for name, sdata in series.items():
             art.series[name] = BenchSeries.from_dict(name, sdata)
@@ -274,11 +253,4 @@ class BenchArtifact:
     def load(cls, path: Union[str, Path]) -> "BenchArtifact":
         """Read ``path``; malformed JSON or shape raises ValueError naming
         the file (and the field)."""
-        path = Path(path)
-        with path.open() as fh:
-            try:
-                return cls.from_dict(json.load(fh))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: not valid JSON ({exc})") from None
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+        return load_json(Path(path), cls.from_dict)

@@ -23,7 +23,7 @@ import os
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, TypeVar, Union
 
 from .events import EventTracer
 from .exporters import events_to_chrome_trace, events_to_jsonl
@@ -35,10 +35,14 @@ __all__ = [
     "TRACE_NAME",
     "PROM_NAME",
     "EventLogError",
+    "JSON_NUMBER",
     "RunArtifact",
     "Telemetry",
     "NULL_TELEMETRY",
     "current_git_sha",
+    "json_field",
+    "json_typed",
+    "load_json",
 ]
 
 MANIFEST_NAME = "manifest.json"
@@ -80,6 +84,47 @@ def _read_git_sha(cwd: str) -> str:
         return "unknown"
     sha = proc.stdout.strip()
     return sha if proc.returncode == 0 and sha else "unknown"
+
+
+#: JSON type names for the shape check's messages.
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               int: "a number", float: "a number", bool: "a boolean",
+               type(None): "null"}
+JSON_NUMBER = (int, float)
+_T = TypeVar("_T")
+
+
+def json_typed(value: Any, kinds: tuple, where: str = "") -> Any:
+    """``value`` if it has one of the JSON ``kinds``; otherwise a
+    ValueError naming the field ``where`` (empty: the top level)."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        expected = " or ".join(sorted({_JSON_TYPES[k] for k in kinds}))
+        field_name = f"field {where!r}" if where else "top level"
+        raise ValueError(
+            f"{field_name} must be {expected}, "
+            f"got {_JSON_TYPES.get(type(value), type(value).__name__)}"
+        )
+    return value
+
+
+def json_field(mapping: dict, key: str, default: Any, kinds: tuple,
+               where: str = "") -> Any:
+    """``mapping[key]`` (``default`` when absent), shape-checked by
+    :func:`json_typed` as field ``where.key``."""
+    return json_typed(mapping.get(key, default), kinds,
+                      f"{where}.{key}" if where else key)
+
+
+def load_json(path: Path, from_dict: Callable[[Any], _T]) -> _T:
+    """``from_dict`` of the JSON file at ``path``; malformed JSON or shape
+    raises ValueError naming the file (and the field)."""
+    with path.open(encoding="utf-8") as fh:
+        try:
+            return from_dict(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 class EventLogError(ValueError):
@@ -124,27 +169,29 @@ class RunArtifact:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunArtifact":
+        """Rebuild a manifest; raises ValueError naming the first field
+        whose JSON type does not fit the run-artifact/v1 shape."""
+        json_typed(data, (dict,))
         return cls(
-            command=data.get("command", ""),
-            config=data.get("config", {}),
-            git_sha=data.get("git_sha", "unknown"),
-            created_utc=data.get("created_utc", ""),
-            metrics=data.get("metrics", {}),
-            event_type_counts=data.get("event_type_counts", {}),
-            events_retained=data.get("events_retained", 0),
-            events_emitted=data.get("events_emitted", 0),
-            num_cores=data.get("num_cores"),
-            files=data.get("files", {}),
-            slo=data.get("slo"),
+            command=json_field(data, "command", "", (str,)),
+            config=json_field(data, "config", {}, (dict,)),
+            git_sha=json_field(data, "git_sha", "unknown", (str,)),
+            created_utc=json_field(data, "created_utc", "", (str,)),
+            metrics=json_field(data, "metrics", {}, (dict,)),
+            event_type_counts=json_field(data, "event_type_counts", {}, (dict,)),
+            events_retained=json_field(data, "events_retained", 0, (int,)),
+            events_emitted=json_field(data, "events_emitted", 0, (int,)),
+            num_cores=json_field(data, "num_cores", None, (int, type(None))),
+            files=json_field(data, "files", {}, (dict,)),
+            slo=json_field(data, "slo", None, (dict, type(None))),
         )
 
     @classmethod
     def load(cls, directory: Union[str, Path]) -> "RunArtifact":
+        """Read ``directory``'s manifest (or the manifest path itself)."""
         path = Path(directory)
-        if path.is_dir():
-            path = path / MANIFEST_NAME
-        with path.open() as fh:
-            return cls.from_dict(json.load(fh))
+        return load_json(path / MANIFEST_NAME if path.is_dir() else path,
+                         cls.from_dict)
 
     def read_events(self, directory: Union[str, Path]) -> List[dict]:
         """The event log's records, checked against this manifest.

@@ -10,7 +10,6 @@ from repro.hostprof.artifact import (
     HOSTPROF_SCHEMA,
     SPEEDSCOPE_NAME,
     HostProfile,
-    phase_depth,
 )
 from repro.hostprof.clock import PhaseClock
 from repro.hostprof.export import parse_folded
@@ -85,6 +84,38 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="not a hostprof artifact"):
             HostProfile.from_dict({"schema": "scr-repro/bench-artifact/v1"})
 
+    @pytest.mark.parametrize("phases, field", [
+        ({"a": 5}, "phases.a"),
+        ([], "phases"),
+        ({"a": {"calls": 1, "total_ns": "9", "self_ns": 9}}, "phases.a.total_ns"),
+    ])
+    def test_malformed_phases_rejected(self, phases, field):
+        with pytest.raises(ValueError, match=f"field '{field}' must be"):
+            HostProfile.from_dict({"schema": HOSTPROF_SCHEMA, "phases": phases})
+
+    @pytest.mark.parametrize("phases, field", [
+        ({"a": 5}, "phases.a"),
+        ([], "phases"),
+    ])
+    def test_report_on_malformed_phases_exits_2(self, tmp_path, phases,
+                                                field):
+        import io
+
+        from repro.cli import main
+
+        HostProfile.create("profile", {}, _clock()).save(tmp_path / "hp")
+        path = tmp_path / "hp" / HOSTPROF_JSON
+        data = json.loads(path.read_text())
+        path.write_text(json.dumps({**data, "phases": phases}))
+        out = io.StringIO()
+        code = main(["report", str(tmp_path / "hp"),
+                     "--out", str(tmp_path / "p.html")], out=out)
+        text = out.getvalue()
+        assert code == 2
+        assert text.count("\n") == 1 and "Traceback" not in text
+        assert str(path) in text and f"field '{field}'" in text
+        assert not (tmp_path / "p.html").exists()
+
     def test_json_is_deterministic_given_same_dict(self, tmp_path):
         profile = HostProfile.create("profile", {}, _clock())
         profile.save(tmp_path / "a")
@@ -100,8 +131,3 @@ class TestSaveLoad:
         profile.save(tmp_path / "hp")
         data = json.loads((tmp_path / "hp" / HOSTPROF_JSON).read_text())
         assert data["deep"]["memory_peak_bytes"] == {"a": 10}
-
-
-def test_phase_depth():
-    assert phase_depth("a") == 0
-    assert phase_depth("a;b;c") == 2
