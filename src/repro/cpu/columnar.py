@@ -8,9 +8,13 @@ order exactly where it is not — from the first drop on:
 
 * **admission** — the serializing wire and the PCIe descriptor budget are
   max-plus recurrences ``free_j = max(free_{j-1}, now_j) + t_j``, solved
-  exactly by :func:`_chain`; when a backlog exceeds its slack window,
-  :func:`_admit` walks the stage from that packet on (wire first, then
-  PCIe over the wire-admitted packets), recording each drop's backlog;
+  exactly by :func:`_chain`: a one-pass Lindley estimate guesses the busy
+  periods, each is folded with the scalar loop's own adds, and the guess
+  is kept only once the folded finishes reproduce it (a self-consistent
+  reset set is the scalar walk, step by step); when a backlog exceeds
+  its slack window, :func:`_admit` walks the stage from that packet on
+  (wire first, then PCIe over the wire-admitted packets), recording each
+  drop's backlog;
 * **steering** — eligible engines expose ``steer_batch`` over the
   admitted rows (round-robin row math for SCR, which counts steered
   packets; an indirection-table gather for RSS; one exact walk of the
@@ -138,26 +142,36 @@ def _chain(arrivals: np.ndarray, services: np.ndarray,
            max_rounds: int = 64) -> Tuple[np.ndarray, np.ndarray]:
     """Solve ``b_j = max(b_{j-1}, a_j) + s_j`` (``b_{-1} = 0``) exactly.
 
-    Iterative reset-point detection: hypothesize which packets start a
-    fresh busy period (initially all — the pointwise-minimal solution),
-    recompute finishes per busy period with a sequential
-    ``np.add.accumulate`` (bit-identical to the scalar left-to-right
-    adds), and repeat until the hypothesis reproduces itself.  Underload
-    converges in one round (every packet resets); overload merges busy
-    periods monotonically.  The round cap only bounds the loop — on the
-    (never observed) non-converged path the exact scalar walk answers.
+    A packet *resets* (starts a fresh busy period) when it arrives at or
+    after its predecessor's finish.  The loop hypothesizes the reset set,
+    folds every busy period with a sequential ``np.add.accumulate`` (the
+    scalar loop's own left-to-right adds), re-derives the resets from
+    those finishes (``finish[j-1] <= a_j``) and stops when they equal the
+    hypothesis.  A reset set that reproduces itself is exact: by
+    induction over ``j``, each fold step is the scalar step
+    ``max(b_{j-1}, a_j) + s_j`` on the same floats, so the result is
+    bit-identical to :func:`_chain_scalar`.
+
+    The first hypothesis is Lindley's: with ``S`` the running sum of the
+    services and ``lead = a - (S - s)``, packet ``j`` resets where
+    ``lead_j`` reaches the running maximum of ``lead`` before it.  Its
+    global sum rounds differently from the per-period folds, so it is a
+    guess only and never reaches an output; it can misjudge only where a
+    finish and an arrival lie within rounding of each other, and the next
+    round corrects that.  A round fixes at least the first wrong reset
+    (the re-derived ``reset_j`` depends only on the hypothesis before
+    ``j``), so the loop always converges; ``max_rounds`` only bounds it,
+    and past the cap the exact scalar walk answers.
     """
     n = len(arrivals)
     if n == 0:
         empty = np.empty(0, dtype=np.float64)
         return empty, empty
     base = arrivals + services
-    finish = base.copy()
-    reset = np.empty(n, dtype=bool)
+    lead = arrivals - (np.cumsum(services) - services)
+    reset = np.concatenate(([True], lead[1:] >= np.maximum.accumulate(lead)[:-1]))
     for _ in range(max_rounds):
-        reset[0] = True
-        reset[1:] = finish[:-1] <= arrivals[1:]
-        new_finish = base.copy()
+        finish = base.copy()
         seg_start = np.flatnonzero(reset)
         seg_end = np.append(seg_start[1:], n)
         long_segs = seg_end - seg_start > 1
@@ -165,12 +179,12 @@ def _chain(arrivals: np.ndarray, services: np.ndarray,
             tmp = services[s0:s1].copy()
             tmp[0] = base[s0]
             np.add.accumulate(tmp, out=tmp)
-            new_finish[s0:s1] = tmp
-        if np.array_equal(new_finish, finish):
-            prev = np.concatenate((np.zeros(1), new_finish[:-1]))
-            start = np.where(reset, arrivals, prev)
-            return start, new_finish
-        finish = new_finish
+            finish[s0:s1] = tmp
+        derived = np.concatenate(([True], finish[:-1] <= arrivals[1:]))
+        if np.array_equal(derived, reset):
+            prev = np.concatenate((np.zeros(1), finish[:-1]))
+            return np.where(reset, arrivals, prev), finish
+        reset = derived
     return _chain_scalar(arrivals, services)
 
 

@@ -50,10 +50,5 @@ class RxQueue(Generic[T]):
             return None
         return self._ring.popleft()
 
-    def peek(self) -> Optional[T]:
-        if not self._ring:
-            return None
-        return self._ring[0]
-
     def clear(self) -> None:
         self._ring.clear()

@@ -29,12 +29,6 @@ class TestRxQueue:
     def test_dequeue_empty_returns_none(self):
         assert RxQueue(2).dequeue() is None
 
-    def test_peek_does_not_consume(self):
-        q = RxQueue(2)
-        q.enqueue("x")
-        assert q.peek() == "x"
-        assert len(q) == 1
-
     def test_default_capacity_is_256_descriptors(self):
         assert RxQueue().capacity == DEFAULT_DESCRIPTORS == 256
 
