@@ -90,6 +90,7 @@ report:
 # docs/HOTPATH.md).
 hotpath:
 	PYTHONPATH=src python -m pytest -x -q tests/cpu/test_hotpath_parity.py \
+		tests/cpu/test_chain.py tests/cpu/test_fault_parity.py \
 		tests/nic/test_rss.py
 
 # Multi-tenant placement gate: the placement test package, then the

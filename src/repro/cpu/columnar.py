@@ -19,26 +19,38 @@ order exactly where it is not — from the first drop on:
   admitted rows (round-robin row math for SCR, which counts steered
   packets; an indirection-table gather for RSS; one exact walk of the
   hybrid's classifier and mice state map, in arrival order);
+* **fault drops** — a drop-only fault plan's vectorized mask
+  (``FaultPlan.drop_mask``) steals admitted, steered rows before their
+  rings: they count in the steer counter but never enqueue;
 * **core drain** — per-core FIFO service is the same max-plus recurrence
   over (arrival, service) rows.  SCR's history depth reads the global
-  steer counter at *service* time, so the first ``k-1`` steered packets
-  are resolved by an exact scalar prefix walk and every later packet is
-  in steady state (``h = k-1``).  The chain is exact up to a core's first
-  ring overflow; :class:`_CoreWalker` replays the core from there;
+  steer counter at service time; it is below ``k-1`` only for the first
+  ``k-1`` steered packets, each the first on its core under round robin
+  and served at the next arrival, so every depth is known up front.  A
+  fault drop is a gap the core's next *valid* packet pays for
+  (``gap_charge``), which depends on the pop events: :class:`_Drain`
+  chains each core, re-derives the gaps from the pop events and repeats
+  until they reproduce themselves.  The chain is exact up to a core's
+  first ring overflow; :class:`_Drain` walks the core from there;
 * **commit** — counters, the L2 model, and engine steer state are updated
   once, in batch, through ``engine.service_batch`` /
-  ``CoreCounters.charge_batch``, in the exact scalar accumulation order;
+  ``CoreCounters.charge_batch``, in the exact scalar accumulation order,
+  from the row columns the drain solved (L2 outcome, depth, gap);
 * **records** — under telemetry, :func:`record_committed` stages the run's
   span-sampled records (drops included) as column batches over the
   committed columns and counts the rest (the retention contract in
   :mod:`repro.telemetry.events`); the tracer turns only the batches it
-  retains into events, in the order it gives the scalar loop's.
+  retains into events, in the order it gives the scalar loop's.  Fault
+  drops and the recovery they cost are emitted in full, in the loop's
+  order.
 
 Every float is added in the same order as the scalar reference
 (``np.add.accumulate`` is sequential left-to-right), so the result is
 **bit-identical** to the event loop — the parity tests and the scalar
-oracle (``--hotpath scalar``) pin this.  Only a fault plan or an
-ineligible engine sends a run to the event loop.  See docs/HOTPATH.md.
+oracle (``--hotpath scalar``) pin this.  Only a fault plan with a fault
+kind other than drops, or an ineligible engine (``shared``, ``rss++``,
+the hybrid under fault drops or with ``count_wire_overhead``), sends a
+run to the event loop.  See docs/HOTPATH.md.
 """
 
 from __future__ import annotations
@@ -58,6 +70,7 @@ from ..nic.nic import (
     WIRE_SLACK_FRAMES,
 )
 from ..telemetry.events import (
+    EV_FAULT_DROP,
     EV_PCIE_DROP,
     EV_RING_DROP,
     EV_SERVICE,
@@ -67,7 +80,7 @@ from ..telemetry.events import (
 from ..telemetry.metrics import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from ..faults.plan import FaultPlan
+    from ..faults.inject import SimFaults
     from ..hostprof.clock import PhaseClock
     from ..obs.spans import SpanEmitter
     from ..telemetry.events import EventTracer
@@ -196,52 +209,69 @@ def l2_spill_rows(
     trace: "PerfTrace",
     rows: np.ndarray,
     cores: np.ndarray,
-    commit: bool = False,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched :meth:`~repro.cpu.cache.L2Model.access` over ``rows`` on
-    ``engine.l2``.
+    ``engine.l2``, charging nothing.
 
     ``rows``/``cores`` list packets in service order (per-core order is
     what matters — cores never share L2 state).  Returns per-row
-    ``(miss_frac, spill_ns)`` arrays, zero for packets that never touch
-    state (``engine.touches_state``).  With ``commit=True`` the touched
-    keys are also installed into the model's resident sets, completing
-    the state the scalar loop would have built.  Assumes the model was
-    just reset — the hot path always runs right after ``engine.reset()``.
+    ``(miss_frac, spill_ns, first)`` arrays: zero (False) for packets that
+    never touch state (``engine.touches_state``), ``first`` marking each
+    key's first touch on its core.  The outcome of a row depends only on
+    the rows before it on its core, so it holds for any prefix of each
+    core's rows.  Assumes the model was just reset — the hot path always
+    runs right after ``engine.reset()``.
     """
     l2 = engine.l2
     key_ids = trace.key_ids[rows]
     touches = engine.touches_state(trace, rows)
     miss_frac = np.zeros(len(rows), dtype=np.float64)
     spill = np.zeros(len(rows), dtype=np.float64)
+    first = np.zeros(len(rows), dtype=bool)
     for core in range(engine.num_cores):
         sel = np.flatnonzero((cores == core) & touches)
         if len(sel) == 0:
             continue
-        ids = key_ids[sel]
-        uniq, first_idx = np.unique(ids, return_index=True)
-        first = np.zeros(len(ids), dtype=bool)
-        first[first_idx] = True
-        resident = np.cumsum(first)
-        excess = resident - l2.capacity_entries
-        over = excess > 0
-        frac = np.where(
-            first, 1.0,
-            np.where(over, excess / np.maximum(resident, 1), 0.0),
-        )
-        miss_frac[sel] = frac
-        spill[sel] = frac * l2.spill_ns
-        if commit:
-            table = trace.key_table
-            l2.install(core, (table[int(i)] for i in uniq))
-    return miss_frac, spill
+        miss_frac[sel], first[sel] = _first_touches(key_ids[sel],
+                                                    l2.capacity_entries)
+        spill[sel] = miss_frac[sel] * l2.spill_ns
+    return miss_frac, spill, first
+
+
+def _first_touches(key_ids: np.ndarray,
+                   capacity: int) -> Tuple[np.ndarray, np.ndarray]:
+    """One core's L2 outcome over the keys it touches, in service order:
+    each access's miss fraction and whether it is the key's first touch."""
+    _, first_idx = np.unique(key_ids, return_index=True)
+    new = np.zeros(len(key_ids), dtype=bool)
+    new[first_idx] = True
+    resident = np.cumsum(new)
+    excess = resident - capacity
+    frac = np.where(
+        new, 1.0,
+        np.where(excess > 0, excess / np.maximum(resident, 1), 0.0),
+    )
+    return frac, new
+
+
+def _install_l2(engine: "PerfEngine", trace: "PerfTrace", rows: np.ndarray,
+                cores: np.ndarray, first: np.ndarray) -> None:
+    """Make the keys of the served ``rows`` resident on their cores, as
+    touching each once would: their first touches name every such key."""
+    table = trace.key_table
+    key_ids = trace.key_ids[rows]
+    for core in range(engine.num_cores):
+        kids = key_ids[first & (cores == core)].tolist()
+        if kids:
+            engine.l2.install(core, [table[i] for i in kids])
 
 
 # -- the columnar driver --------------------------------------------------------
 
 #: A row's fate in a committed run (:attr:`ColumnarRun.fate`): enqueued on
-#: its core's ring, or dropped by the wire, PCIe or a full ring.
-ENQUEUED, WIRE_DROP, PCIE_DROP, RING_DROP = 0, 1, 2, 3
+#: its core's ring, dropped by the wire, PCIe or a full ring, or stolen by
+#: the fault plan after it was steered (a fault drop).
+ENQUEUED, WIRE_DROP, PCIE_DROP, RING_DROP, FAULT_DROP = 0, 1, 2, 3, 4
 
 
 @dataclass(frozen=True)
@@ -267,6 +297,10 @@ class ColumnarRun:
     popped: np.ndarray
     #: each popped row's service time (0 elsewhere).
     services: np.ndarray
+    #: each popped row's history depth and the fault gap its service
+    #: charged (0: none).
+    history: np.ndarray
+    gaps: np.ndarray
 
 
 def simulate_columnar(
@@ -280,23 +314,33 @@ def simulate_columnar(
     grace_min_ns: float,
     pcie_rate_gbps: float,
     collect_latency: bool,
-    faults: Optional["FaultPlan"],
+    sim_faults: Optional["SimFaults"],
     hostprof: "PhaseClock",
 ) -> Optional[ColumnarRun]:
     """One fixed-rate run on the columnar hot path, or ``None`` to fall
     back to the scalar event loop.
 
-    The only fallback triggers are a fault plan attached and an engine
-    without batched row math (``columnar_eligible``: ``shared``,
-    ``rss++``, and a hybrid with ``count_wire_overhead=True``).  Drops
-    are not a trigger: wire, PCIe and ring drops are replayed exactly.
+    The fallback triggers, and the only ones:
+
+    * a fault plan (``sim_faults``, the run's injector) with any fault
+      kind but drops between admission and the ring: pop drops,
+      reordering, duplicates, history truncation, core stalls and kills;
+    * an engine without batched row math (``columnar_eligible``):
+      ``shared``, ``rss++``, and a hybrid with ``count_wire_overhead=True``;
+    * a plan's drops on an engine that cannot take them
+      (``columnar_eligible(fault_drops=True)``): the hybrid.
+
+    Drops are not a trigger: wire, PCIe and ring drops are replayed
+    exactly, and so are a drop-only plan's fault drops on ``scr``,
+    ``relaxed_scr`` and ``rss``, SCR's gap recovery included.
     Telemetry is not one either: the caller emits a committed run's
     records with :func:`record_committed`.
     """
-    if faults is not None and faults.any_faults:
+    if sim_faults is not None and not sim_faults.plan.drops_only:
         return None
     eligible = getattr(engine, "columnar_eligible", None)
-    if not callable(eligible) or not eligible():
+    if not callable(eligible) or not eligible(
+            fault_drops=sim_faults is not None):
         return None
 
     hp_on = hostprof.enabled
@@ -305,7 +349,7 @@ def simulate_columnar(
     try:
         return _run(perf_trace, rate_pps, engine, line_rate_gbps,
                     ring_capacity, burst_size, grace_fraction, grace_min_ns,
-                    pcie_rate_gbps, collect_latency)
+                    pcie_rate_gbps, collect_latency, sim_faults)
     finally:
         if hp_on:
             hostprof.pop()
@@ -326,7 +370,9 @@ def record_committed(
     ``sampled`` rows, counts for every other row, plus the engine's own
     records (``engine.record_committed``).  They are staged as column
     batches (:class:`~repro.telemetry.events.RecordBatch`), one per kind,
-    which become events only if the tracer retains them.
+    which become events only if the tracer retains them.  The fault
+    drops and the gap recovery they cause are retained in full, as the
+    loop emits them (:func:`_record_faults`).
     """
     record = getattr(engine, "record_committed", None)
     if record is not None:
@@ -337,6 +383,9 @@ def record_committed(
     if len(sampled):
         spans.emit_columns("nic_arrival", sampled, arrivals[sampled],
                            wire_len=trace.wire_lens[sampled])
+        stolen = sampled[fate == FAULT_DROP]
+        spans.emit_columns("fault_drop", stolen, arrivals[stolen],
+                           core=cores[stolen])
         enqueued = sampled[fate == ENQUEUED]
         spans.emit_columns("ring_enqueue", enqueued, arrivals[enqueued],
                            core=cores[enqueued], depth=run.depth[enqueued])
@@ -344,6 +393,7 @@ def record_committed(
                            core=cores[popped])
     if not tracer.enabled:
         return
+    _record_faults(run, engine, tracer)
     result = run.result
     tracer.count(EV_SERVICE, result.processed - len(popped))
     tracer.stage_columns(RecordBatch(
@@ -365,6 +415,31 @@ def record_committed(
             fields=(("index", rows), (name, column[rows]))))
 
 
+def _record_faults(run: ColumnarRun, engine: "PerfEngine",
+                   tracer: "EventTracer") -> None:
+    """Emit ``fault.drop`` for every stolen row and each charged gap's
+    recovery records (``engine.record_gap``) in the scalar loop's order:
+    by loop step; within a step, the drain before the arrival (by core,
+    then FIFO position) and then the arrival's own drop."""
+    stolen = np.flatnonzero(run.fate == FAULT_DROP)
+    charged = np.flatnonzero(run.gaps)
+    if not len(stolen) and not len(charged):
+        return
+    rows = np.concatenate((charged, stolen))
+    late = np.arange(len(rows)) >= len(charged)
+    step = np.concatenate((run.pop_event[charged], stolen))
+    order = np.lexsort((rows, run.cores[rows], late, step))
+    rows, late = rows[order], late[order]
+    for row, is_drop, ts, core, start, gap, h in zip(
+            rows.tolist(), late.tolist(), run.arrivals[rows].tolist(),
+            run.cores[rows].tolist(), run.starts[rows].tolist(),
+            run.gaps[rows].tolist(), run.history[rows].tolist()):
+        if is_drop:
+            tracer.emit(EV_FAULT_DROP, ts_ns=ts, core=core, index=row)
+        else:
+            engine.record_gap(engine.gap_charge(gap, h), core, start)
+
+
 def _run(
     trace: "PerfTrace",
     rate_pps: float,
@@ -376,8 +451,9 @@ def _run(
     grace_min_ns: float,
     pcie_rate_gbps: float,
     collect_latency: bool,
+    sf: Optional["SimFaults"],
 ) -> ColumnarRun:
-    from .simulator import SimResult, placement_stats
+    from .simulator import SimResult, fault_stats, placement_stats
 
     n = len(trace)
     k = engine.num_cores
@@ -405,51 +481,55 @@ def _run(
     fate[rows] = ENQUEUED
     steered_by = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(fate == ENQUEUED, out=steered_by[1:])
+    steered = len(rows)
 
     # Steering counts steered packets (SCR's round robin), so only the
-    # admitted rows are steered.
+    # admitted rows are steered; the fault plan then steals some of them
+    # on the way to their rings.
     cores = np.full(n, -1, dtype=np.int64)
     cores[rows] = engine.steer_batch(trace, rows)
+    stolen = rows[:0]
+    if sf is not None:
+        lost = sf.drop_rows(rows, n)
+        stolen = rows[lost]
+        fate[stolen] = FAULT_DROP
+        rows = rows[~lost]
     row_cores = cores[rows]
 
-    # Service times as if no ring overflowed: per-core first-touch + spill
-    # L2 outcome (the service-order restriction of each core equals its
-    # FIFO order) and history depth.  A core's FIFO drain is exact up to
-    # its first overflow; :class:`_CoreWalker` takes over from there.
-    miss_frac, spill = l2_spill_rows(engine, trace, rows, row_cores)
-    cap = engine.history_cap()
-    h = np.full(len(rows), cap, dtype=np.int64)
-    if cap > 0:
-        _resolve_history_prefix(trace, engine, now, rows, row_cores,
-                                miss_frac, spill, h, cap, steered_by)
-    svc = np.zeros(n, dtype=np.float64)
-    svc[rows] = engine.service_rows(trace, rows, miss_frac, spill, h)
+    # Service times as if no ring overflowed and no gap were charged: the
+    # per-core first-touch + spill L2 outcome (the service-order
+    # restriction of each core equals its FIFO order) and the history
+    # depth.  SCR's depth reads the steer counter at service time,
+    # ``min(steered_by[m] - 1, cap)``; it is below ``cap`` only for the
+    # first ``cap <= k-1`` steered packets, which round robin sends to
+    # distinct cores, each the first packet there and so served at the
+    # next arrival (``m = j + 1``): its depth is its steered rank.
+    cols = _Columns(n)
+    cols.miss_frac[rows], cols.spill[rows], cols.first[rows] = l2_spill_rows(
+        engine, trace, rows, row_cores)
+    cols.history[rows] = np.minimum(steered_by[rows], engine.history_cap())
+    cols.services[rows] = engine.service_rows(
+        trace, rows, cols.miss_frac[rows], cols.spill[rows],
+        cols.history[rows])
 
     # Per-core FIFO drain: the max-plus recurrence per core.  Packet j
     # leaves its ring at the first arrival i > j with now_i >= start_j
     # (every arrival drains all cores first), or at the final grace drain
-    # (m = n); ``searchsorted`` is exact because the arrival grid is
-    # nondecreasing.  Ring length after each enqueue: FIFO position minus
-    # the core's earlier packets popped by this arrival.
+    # (m = n).  Ring length after each enqueue: FIFO position minus the
+    # core's earlier packets popped by this arrival.
     starts = np.zeros(n, dtype=np.float64)
     finishes = np.zeros(n, dtype=np.float64)
     pop_event = np.full(n, n, dtype=np.int64)
     depth = np.zeros(n, dtype=np.int64)
+    gaps_on = getattr(engine, "charges_fault_gaps", False) and len(stolen) > 0
+    drain = _Drain(trace, engine, now, ring_capacity, cols)
     order = rows[np.argsort(row_cores, kind="stable")]
     boundaries = np.flatnonzero(np.diff(cores[order])) + 1
-    walker: Optional[_CoreWalker] = None
-    for rows_c in np.split(order, boundaries):
-        s, f = _chain(now[rows_c], svc[rows_c])
-        m = np.maximum(np.searchsorted(now, s, side="left"), rows_c + 1)
-        d = np.arange(1, len(rows_c) + 1) - np.searchsorted(m, rows_c,
-                                                            side="right")
-        over = np.flatnonzero(d > ring_capacity)
-        if len(over):
-            if walker is None:
-                walker = _CoreWalker(trace, engine, now, steered_by,
-                                     ring_capacity)
-            dropped = walker.walk(rows_c, int(over[0]), s, f, m, d)
-            fate[rows_c[dropped]] = RING_DROP
+    for rows_c in np.split(order, boundaries) if len(order) else ():
+        drops = (stolen[cores[stolen] == cores[rows_c[0]]] if gaps_on
+                 else stolen[:0])
+        s, f, m, d, dropped = drain.core(rows_c, drops)
+        fate[rows_c[dropped]] = RING_DROP
         starts[rows_c] = s
         finishes[rows_c] = f
         pop_event[rows_c] = m
@@ -461,22 +541,25 @@ def _run(
     popped = enqueued & (starts <= horizon)
     processed = int(np.count_nonzero(popped))
     unfinished = int(np.count_nonzero(enqueued)) - processed
+    cols.gaps[~popped] = 0
 
     # Commit, in the scalar loop's pop order: by drain event, then core
     # (drained 0..k-1), then FIFO position (== arrival index on a core).
-    engine.commit_steer_batch(len(rows))
+    engine.commit_steer_batch(steered)
     pop_rows = np.flatnonzero(popped)
     pop_rows = pop_rows[np.lexsort(
         (pop_rows, cores[pop_rows], pop_event[pop_rows])
     )]
+    pop_cores = cores[pop_rows]
     committed = engine.service_batch(
-        trace, pop_rows, cores[pop_rows], starts[pop_rows],
-        steered_by[pop_event[pop_rows]]
-    )
+        trace, pop_rows, pop_cores, cols.miss_frac[pop_rows],
+        cols.spill[pop_rows], cols.history[pop_rows],
+        cols.gaps[pop_rows] if gaps_on else None)
+    _install_l2(engine, trace, pop_rows, pop_cores, cols.first[pop_rows])
     services = np.zeros(n, dtype=np.float64)
     services[pop_rows] = committed
 
-    per_core_packets = np.bincount(cores[pop_rows], minlength=k).tolist()
+    per_core_packets = np.bincount(pop_cores, minlength=k).tolist()
     last_finish = float(np.max(finishes[pop_rows])) if processed else 0.0
     duration = max(last_finish, stream_end)
 
@@ -501,13 +584,14 @@ def _run(
         per_core_packets=per_core_packets,
         latency_samples_ns=latency_samples,
         latency_histogram=latency_hist,
-        fault_stats=None,
+        fault_stats=fault_stats(sf, engine),
         placement_stats=placement_stats(engine),
     )
     return ColumnarRun(result=result, arrivals=now, fate=fate,
                        backlog=backlog, cores=cores, depth=depth,
                        steered_by=steered_by, starts=starts,
-                       pop_event=pop_event, popped=popped, services=services)
+                       pop_event=pop_event, popped=popped, services=services,
+                       history=cols.history, gaps=cols.gaps)
 
 
 def _admit(now: np.ndarray, cost: np.ndarray, rows: np.ndarray,
@@ -547,73 +631,167 @@ def _admit(now: np.ndarray, cost: np.ndarray, rows: np.ndarray,
     return np.delete(rows, dropped)
 
 
-class _CoreWalker:
-    """Exact drain of one core's ring from its first overflow on.
+class _Columns:
+    """The per-row service inputs of a run, indexed by trace row: each
+    row's L2 outcome (miss fraction, spill, first touch), history depth,
+    fault gap and service time.  The first pass fills them for every
+    queued row; each core's drain corrects what its pop events (gaps)
+    and ring overflows (L2) change; the commit reads them for the served
+    rows."""
 
-    Up to a core's first overflow the vectorized chain is exact: nothing
-    earlier on the core depends on a later packet.  From there the walk
-    follows the scalar loop packet by packet over plain floats: a FIFO of
-    pop events (a packet leaves at the first arrival ``>= start``), the
+    def __init__(self, n: int) -> None:
+        self.miss_frac = np.zeros(n, dtype=np.float64)
+        self.spill = np.zeros(n, dtype=np.float64)
+        self.first = np.zeros(n, dtype=bool)
+        self.history = np.zeros(n, dtype=np.int64)
+        self.gaps = np.zeros(n, dtype=np.int64)
+        self.services = np.zeros(n, dtype=np.float64)
+
+
+class _Drain:
+    """Each core's exact FIFO drain, solved from its queued rows.
+
+    A fault drop on a core is a gap that the first *valid* packet popped
+    after it pays for, so a packet's service depends on its own pop
+    event and its predecessors'.  :meth:`core` chains the core with the
+    gaps guessed so far (none at first), re-derives them from the new pop
+    events, and stops when they reproduce themselves.  A row's derived
+    gap depends only on the rows before it, so each round fixes at least
+    the first wrong one, and a self-consistent assignment is the scalar
+    walk, step by step.
+
+    The chain is exact up to the core's first ring overflow: nothing
+    earlier depends on a later packet.  From there :meth:`_walk` follows
+    the scalar loop packet by packet over plain floats: a FIFO of pop
+    events (a packet leaves at the first arrival ``>= start``), the
     ring-full check at each arrival, L2 first touches among *enqueued*
     packets that touch state only (``engine.touches_state``; a dropped
-    packet never does), and the history depth read from the steered
-    count at the pop event.
+    packet never does), and the gaps.  It also answers a core whose gaps
+    do not settle within :attr:`max_rounds`.
     """
 
+    #: Rounds before the walk answers instead (a safety net, like
+    #: :func:`_chain`'s: a round fixes at least one row).
+    max_rounds = 64
+
     def __init__(self, trace: "PerfTrace", engine: "PerfEngine",
-                 now: np.ndarray, steered_by: np.ndarray,
-                 ring_capacity: int) -> None:
+                 now: np.ndarray, ring_capacity: int,
+                 cols: _Columns) -> None:
         self.trace = trace
         self.engine = engine
-        self.now = now.tolist()
-        self.steered = steered_by
-        self.steered_by = steered_by.tolist()
+        self.now = now
         self.ring_capacity = ring_capacity
-        self.cap = engine.history_cap()
+        self.cols = cols
+        self._arrivals: Optional[List[float]] = None
 
-    def _service(self, row: int, miss_frac: float, spill_ns: float,
-                 h: int) -> float:
-        return float(self.engine.service_rows(
-            self.trace, np.array([row]), np.array([miss_frac]),
-            np.array([spill_ns]), np.array([h]))[0])
+    def _pops(self, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Each row's pop event: ``searchsorted`` is exact because the
+        arrival grid is nondecreasing."""
+        return np.maximum(np.searchsorted(self.now, starts, side="left"),
+                          rows + 1)
 
-    def walk(self, rows: np.ndarray, p: int, s: np.ndarray, f: np.ndarray,
-             m: np.ndarray, d: np.ndarray) -> np.ndarray:
+    def core(self, rows: np.ndarray, drops: np.ndarray
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                        np.ndarray]:
+        """Drain one core's queued ``rows`` (arrival order), with the
+        arrival indices of the fault drops it gets charged for: each row's
+        start, finish, pop event and ring length, and the positions a
+        full ring dropped."""
+        cols = self.cols
+        arrivals = self.now[rows]
+        services = cols.services[rows]
+        s, f = _chain(arrivals, services)
+        m = self._pops(rows, s)
+        settled = True
+        if len(drops):
+            settled = False
+            gaps = np.zeros(len(rows), dtype=np.int64)
+            valid = self.trace.valid[rows]
+            for _ in range(self.max_rounds):
+                derived = self._gaps(m, drops, valid)
+                changed = np.flatnonzero(derived != gaps)
+                if not len(changed):
+                    settled = True
+                    break
+                gaps = derived
+                at = rows[changed]
+                services[changed] = self.engine.service_rows(
+                    self.trace, at, cols.miss_frac[at], cols.spill[at],
+                    cols.history[at], gaps[changed])
+                # Rows before the first change keep their chain: re-chain
+                # the rest from there, with the finish before it folded
+                # into its arrival (``max`` picks one float, so exactly).
+                p = int(changed[0])
+                head = arrivals[p:].copy()
+                if p:
+                    head[0] = max(f[p - 1], head[0])
+                s[p:], f[p:] = _chain(head, services[p:])
+                m[p:] = self._pops(rows[p:], s[p:])
+            cols.gaps[rows] = gaps
+        d = np.arange(1, len(rows) + 1) - np.searchsorted(m, rows,
+                                                          side="right")
+        over = np.flatnonzero(d > self.ring_capacity)
+        if settled and not len(over):
+            return s, f, m, d, over
+        p = int(over[0]) if settled else 0
+        return s, f, m, d, self._walk(rows, p, s, f, m, d, drops)
+
+    @staticmethod
+    def _gaps(m: np.ndarray, drops: np.ndarray,
+              valid: np.ndarray) -> np.ndarray:
+        """The gaps that pop events ``m`` imply: each valid row pays for
+        the drops before its pop event that no earlier valid row paid
+        for."""
+        gaps = np.zeros(len(m), dtype=np.int64)
+        seen = np.searchsorted(drops, m[valid], side="left")
+        paid = np.zeros_like(seen)
+        paid[1:] = seen[:-1]
+        gaps[valid] = seen - paid
+        return gaps
+
+    def _walk(self, rows: np.ndarray, p: int, s: np.ndarray, f: np.ndarray,
+              m: np.ndarray, d: np.ndarray, drops: np.ndarray) -> np.ndarray:
         """Redo positions ``p..`` of one core's ``rows`` in place (start,
-        finish, pop event, ring length); returns the dropped positions.
+        finish, pop event, ring length, and the row columns); returns the
+        dropped positions.
 
         The ring never holds more than its capacity, so the ``e``-th
         packet the core enqueues finds room exactly when the one
         ``capacity`` places ahead of it has popped: every arrival before
         that pop event is dropped at full depth.
         """
-        trace, engine = self.trace, self.engine
-        arrivals, steered_by = self.now, self.steered_by
-        capacity, cap = self.ring_capacity, self.cap
+        trace, engine, cols = self.trace, self.engine, self.cols
+        if self._arrivals is None:
+            self._arrivals = self.now.tolist()
+        arrivals = self._arrivals
+        capacity = self.ring_capacity
         l2 = engine.l2
         entries, spill_ns = l2.capacity_entries, l2.spill_ns
         rest = rows[p:]
         index = rest.tolist()
         count = len(index)
         # Everything before ``p`` was enqueued: its pop events, the finish
-        # of the last one, and the keys it made resident.
+        # of the last one, the keys it made resident and the drops its
+        # valid packets paid for.
         pops = m[:p].tolist()
         busy = float(f[p - 1]) if p else 0.0
         head = rows[:p][engine.touches_state(trace, rows[:p])]
         resident = set(trace.key_ids[head].tolist())
-        full_cap = np.full(count, cap, dtype=np.int64)
+        paid = int(cols.gaps[rows[:p]].sum())
+        stolen = drops.tolist()
+        depth = cols.history[rest]
         zeros = np.zeros(count, dtype=np.float64)
         first_touch = engine.service_rows(
-            trace, rest, zeros + 1.0, zeros + spill_ns, full_cap).tolist()
-        hit = engine.service_rows(trace, rest, zeros, zeros, full_cap).tolist()
+            trace, rest, zeros + 1.0, zeros + spill_ns, depth).tolist()
+        hit = engine.service_rows(trace, rest, zeros, zeros, depth).tolist()
+        depth = depth.tolist()
         keys = trace.key_ids[rest].tolist()
         touches = engine.touches_state(trace, rest).tolist()
+        valid = trace.valid[rest].tolist()
         never = len(arrivals)
-        # Packets before ``steady`` may still have fewer than ``cap``
-        # steered packets ahead of them; every later one has h = cap.
-        steady = int(np.searchsorted(self.steered[rest], cap))
         out_s: List[float] = []
         out_f: List[float] = []
+        charged: List[Tuple[int, int]] = []
         dropped: List[int] = []
         q = 0
         while q < count:
@@ -630,22 +808,26 @@ class _CoreWalker:
             arrival = arrivals[i]
             start = busy if busy > arrival else arrival
             pop = bisect_left(arrivals, start, i + 1)
-            h = cap
-            if q < steady and steered_by[pop] - 1 < cap:
-                h = steered_by[pop] - 1
             if not touches[q]:
-                service = hit[q]
+                frac, service = 0.0, hit[q]
             elif keys[q] not in resident:
                 resident.add(keys[q])
-                service = (first_touch[q] if h == cap
-                           else self._service(i, 1.0, spill_ns, h))
+                frac, service = 1.0, first_touch[q]
             else:
                 excess = len(resident) - entries
-                if excess <= 0 and h == cap:
-                    service = hit[q]
+                if excess > 0:
+                    frac = excess / len(resident)
+                    service = engine.service_row(
+                        trace, i, frac, frac * spill_ns, depth[q])
                 else:
-                    frac = excess / len(resident) if excess > 0 else 0.0
-                    service = self._service(i, frac, frac * spill_ns, h)
+                    frac, service = 0.0, hit[q]
+            if stolen and valid[q]:
+                seen = bisect_left(stolen, pop)
+                gap, paid = seen - paid, seen
+                if gap:
+                    charged.append((i, gap))
+                    service = engine.service_row(
+                        trace, i, frac, frac * spill_ns, depth[q], gap)
             busy = start + service
             pops.append(pop)
             out_s.append(start)
@@ -666,40 +848,15 @@ class _CoreWalker:
         d[p + lost] = capacity
         s[p + lost] = 0.0
         f[p + lost] = 0.0
+        # The L2 outcome of the rows the core enqueued (the walk touched
+        # the same keys in the same order), and the walked rows' gaps.
+        kept = np.concatenate((rows[:p], rest[at]))
+        kept = kept[engine.touches_state(trace, kept)]
+        cols.miss_frac[kept], cols.first[kept] = _first_touches(
+            trace.key_ids[kept], entries)
+        cols.spill[kept] = cols.miss_frac[kept] * spill_ns
+        cols.gaps[rest] = 0
+        if charged:
+            where, values = zip(*charged)
+            cols.gaps[list(where)] = values
         return p + lost
-
-
-def _resolve_history_prefix(
-    trace: "PerfTrace",
-    engine: "PerfEngine",
-    now: np.ndarray,
-    rows: np.ndarray,
-    cores: np.ndarray,
-    miss_frac: np.ndarray,
-    spill: np.ndarray,
-    h: np.ndarray,
-    cap: int,
-    steered_by: np.ndarray,
-) -> None:
-    """Exact history depths for the first ``cap`` steered packets, in
-    place (``h`` and the other columns are aligned with ``rows``).
-
-    SCR's history depth reads the global steer counter at *service*
-    time: ``h = min(steered_by[m] - 1, cap)`` for pop event ``m``.  A
-    packet whose steered rank is at least ``cap`` is in steady state
-    (``h = cap``); each prefix packet's start time depends only on earlier
-    prefix packets on its core, so a short scalar walk resolves the rest.
-    """
-    core_busy = [0.0] * engine.num_cores
-    for q in range(min(cap, len(rows))):
-        j = int(rows[q])
-        core = int(cores[q])
-        arrival = float(now[j])
-        busy = core_busy[core]
-        start = busy if busy > arrival else arrival
-        m = max(int(np.searchsorted(now, start, side="left")), j + 1)
-        h[q] = min(max(int(steered_by[m]) - 1, 0), cap)
-        service = engine.service_rows(
-            trace, rows[q:q + 1], miss_frac[q:q + 1], spill[q:q + 1],
-            h[q:q + 1])
-        core_busy[core] = start + float(service[0])

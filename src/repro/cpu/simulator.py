@@ -51,6 +51,7 @@ from ..telemetry.events import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from ..faults.inject import SimFaults
     from ..faults.plan import FaultPlan
 from ..hostprof.clock import NULL_HOSTPROF, PhaseClock
 from ..obs.spans import NULL_SPANS, SpanEmitter
@@ -297,13 +298,12 @@ class PerfEngine(Protocol):
     # Engines may also opt into the columnar hot path by providing the
     # batched row-math hooks (``columnar_eligible`` / ``wire_len_batch`` /
     # ``dma_len_batch`` / ``steer_batch`` / ``service_rows`` /
-    # ``service_batch`` / ``commit_steer_batch`` / ``history_cap`` /
-    # ``touches_state`` / ``record_committed``) —
-    # ``repro.parallel.base.BaseEngine`` carries conservative defaults,
-    # including a scalar ``service_batch`` shim that loops ``service_ns``,
-    # so subclasses only override what they can batch.  Engines without
-    # the hooks (or reporting ineligible) run on the scalar event loop
-    # below unchanged (see docs/HOTPATH.md).
+    # ``service_row`` / ``service_batch`` / ``commit_steer_batch`` /
+    # ``history_cap`` / ``touches_state`` / ``record_committed``, plus
+    # ``gap_charge`` / ``record_gap`` for engines that charge fault gaps)
+    # — ``repro.parallel.base.BaseEngine`` carries conservative defaults
+    # (ineligible).  Engines without the hooks (or reporting ineligible)
+    # run on the scalar event loop below unchanged (see docs/HOTPATH.md).
 
     def steer(self, pp: PerfPacket) -> int:
         """RX queue / core index for this packet."""
@@ -409,6 +409,20 @@ def placement_stats(engine: PerfEngine) -> Optional[Dict[str, object]]:
     return summary() if summary is not None else None
 
 
+def fault_stats(sf: Optional["SimFaults"],
+                engine: PerfEngine) -> Optional[Dict[str, object]]:
+    """``SimResult.fault_stats`` on either hot path: the injector's counts
+    plus the engine's recovery counters (``fault_summary``), or None for
+    a run without a fault plan."""
+    if sf is None:
+        return None
+    stats = sf.summary()
+    recovery = getattr(engine, "fault_summary", None)
+    if recovery is not None:
+        stats.update(recovery())
+    return stats
+
+
 def staging_sinks(tracer: EventTracer, spans: SpanEmitter) -> List[EventTracer]:
     """The enabled tracers a run stages its sampled records into: the
     event tracer and, when it is a separate sink, the span emitter's."""
@@ -480,14 +494,23 @@ def simulate(
 
     ``hotpath`` picks the execution strategy (``scalar`` | ``columnar``;
     default: the ``REPRO_HOTPATH`` env var, else columnar).  The columnar
-    driver is bit-identical to the scalar loop, drops and telemetry
-    included, and falls back to it only for a fault plan or an engine
-    without batched row math.
+    driver is bit-identical to the scalar loop, drops, fault drops and
+    telemetry included.  It falls back to it only for a fault plan with
+    any fault kind but drops, or an engine without batched row math (or
+    one that cannot take fault drops); see
+    :func:`repro.cpu.columnar.simulate_columnar`.
     """
     if rate_pps <= 0:
         raise ValueError("rate must be positive")
     engine.reset()
     from .columnar import record_committed, resolve_hotpath, simulate_columnar
+
+    #: the run's fault injector, shared by both hot paths.
+    sf: Optional["SimFaults"] = None
+    if faults is not None and faults.any_faults:
+        from ..faults.inject import SimFaults
+
+        sf = SimFaults(faults, engine.num_cores)
 
     #: the span-sampled packets: their per-packet records are emitted on
     #: either hot path, every other packet's are counted.
@@ -507,7 +530,7 @@ def simulate(
                 grace_min_ns=grace_min_ns,
                 pcie_rate_gbps=pcie_rate_gbps,
                 collect_latency=collect_latency,
-                faults=faults,
+                sim_faults=sf,
                 hostprof=hostprof,
             )
         if committed is not None:
@@ -516,7 +539,7 @@ def simulate(
             result = _simulate_scalar(
                 perf_trace, rate_pps, engine, line_rate_gbps, ring_capacity,
                 burst_size, grace_fraction, grace_min_ns, pcie_rate_gbps,
-                collect_latency, tracer, faults, spans, sampled, hostprof)
+                collect_latency, tracer, sf, spans, sampled, hostprof)
         if committed is not None and (tracer.enabled or spans.enabled):
             record_committed(committed, perf_trace, engine, tracer, spans,
                              sampled)
@@ -554,7 +577,7 @@ def _simulate_scalar(
     pcie_rate_gbps: float,
     collect_latency: bool,
     tracer: EventTracer,
-    faults: Optional["FaultPlan"],
+    sf: Optional["SimFaults"],
     spans: SpanEmitter,
     sampled_rows: np.ndarray,
     hostprof: PhaseClock,
@@ -565,11 +588,6 @@ def _simulate_scalar(
     line_rate_bps = line_rate_gbps * 1e9
     pcie_rate_bps = pcie_rate_gbps * 1e9
     dma_len = getattr(engine, "dma_len", engine.wire_len)
-    sf = None
-    if faults is not None and faults.any_faults:
-        from ..faults.inject import SimFaults
-
-        sf = SimFaults(faults, k)
     #: engines that model per-core gap recovery expose note_fault_drop.
     note_fault_drop = getattr(engine, "note_fault_drop", None)
     #: engines with per-packet steering records (SCR's sprays) expose
@@ -784,12 +802,6 @@ def _simulate_scalar(
             tracer.count(kind, total - kept.get(kind, 0))
 
     duration = max(last_finish, stream_end)
-    fault_stats: Optional[Dict[str, object]] = None
-    if sf is not None:
-        fault_stats = sf.summary()
-        recovery = getattr(engine, "fault_summary", None)
-        if recovery is not None:
-            fault_stats.update(recovery())
     return SimResult(
         offered=offered,
         processed=processed,
@@ -803,6 +815,6 @@ def _simulate_scalar(
         per_core_packets=per_core_packets,
         latency_samples_ns=latency_samples,
         latency_histogram=latency_hist,
-        fault_stats=fault_stats,
+        fault_stats=fault_stats(sf, engine),
         placement_stats=placement_stats(engine),
     )

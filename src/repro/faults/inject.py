@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .plan import FaultPlan
 
 __all__ = ["SimFaults", "SequencerFaults"]
@@ -52,6 +54,13 @@ class SimFaults:
             self.dropped += 1
             return True
         return False
+
+    def drop_rows(self, rows: np.ndarray, count: int) -> np.ndarray:
+        """:meth:`drop` over ``rows``, indices into a ``count``-packet
+        trace: which of them drop (a bool per row), counted like it."""
+        dropped = self.plan.drop_mask(count)[rows]
+        self.dropped += int(np.count_nonzero(dropped))
+        return dropped
 
     def pop_drop(self, index: int) -> bool:
         if self.plan.pop_drops(index):

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..obs.sampling import splitmix64
+import numpy as np
+
+from ..obs.sampling import splitmix64, splitmix64_array
 from .spec import FaultSpec
 
 __all__ = ["FaultPlan"]
@@ -47,13 +49,21 @@ def _unit(seed: int, tag: int, index: int) -> float:
     return (h >> 11) / float(1 << 53)
 
 
+def _units(seed: int, tag: int, count: int) -> np.ndarray:
+    """:func:`_unit` for every index in ``range(count)``, as float64."""
+    h = np.uint64(splitmix64(seed ^ tag * 0xA24BAED4963EE407))
+    h = splitmix64_array(h ^ np.arange(count, dtype=np.uint64))
+    return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+
+
 class FaultPlan:
     """Order-independent fault decisions for one :class:`FaultSpec`.
 
     Stateless by design: every method is a pure function of the spec and
     its arguments, so one plan can be shared (or rebuilt) freely across
     the NIC model, the event simulator, and the functional harness and
-    still describe one single schedule.
+    still describe one single schedule.  (:meth:`drop_mask` memoizes its
+    last answer, a pure function of the count.)
     """
 
     def __init__(self, spec: FaultSpec) -> None:
@@ -72,10 +82,23 @@ class FaultPlan:
         for core, from_index in spec.core_kills:
             prev = self._kills.get(core)
             self._kills[core] = from_index if prev is None else min(prev, from_index)
+        self._drop_mask: Tuple[int, np.ndarray] = (-1, np.empty(0, dtype=bool))
 
     @property
     def any_faults(self) -> bool:
         return self.spec.any_faults
+
+    @property
+    def drops_only(self) -> bool:
+        """True when the plan fires and every decision it can make is a
+        :meth:`drops` (``drop_rate`` / ``drop_indices``): no pop drops,
+        duplicates, reordering, truncation, stalls or kills."""
+        spec = self.spec
+        return self.any_faults and not (
+            spec.pop_drop_rate or spec.reorder_rate or spec.duplicate_rate
+            or spec.truncate_rate or spec.pop_drop_indices
+            or spec.duplicate_indices or spec.reorder_indices
+            or spec.truncate_seqs or spec.core_stalls or spec.core_kills)
 
     # -- per-packet decisions (0-based arrival index) -------------------------
 
@@ -85,6 +108,20 @@ class FaultPlan:
             return True
         rate = self.spec.drop_rate
         return bool(rate) and _unit(self.spec.seed, _TAG_DROP, index) < rate
+
+    def drop_mask(self, count: int) -> np.ndarray:
+        """:meth:`drops` for every index in ``range(count)``, as one
+        read-only bool array (the same splitmix64 draws, vectorized).
+        Every probe of a search asks for the same count, so the last
+        answer is kept."""
+        if self._drop_mask[0] != count:
+            rate = self.spec.drop_rate
+            mask = (_units(self.spec.seed, _TAG_DROP, count) < rate if rate
+                    else np.zeros(count, dtype=bool))
+            mask[[i for i in self._drop_ix if 0 <= i < count]] = True
+            mask.setflags(write=False)
+            self._drop_mask = (count, mask)
+        return self._drop_mask[1]
 
     def pop_drops(self, index: int) -> bool:
         """Is packet ``index`` discarded at the ring-pop (after dispatch)?"""

@@ -129,12 +129,19 @@ class BaseEngine(ABC):
         ...
 
     # Columnar hot-path hooks (see repro.cpu.columnar / docs/HOTPATH.md).
-    # Conservative defaults: an engine is ineligible until it opts in, and
-    # ``service_batch`` falls back to a scalar shim over ``service_ns`` so
-    # every technique keeps working unchanged when called in bursts.
+    # Conservative defaults: an engine is ineligible until it opts in and
+    # provides batched ``steer_batch`` / ``service_rows`` /
+    # ``service_batch`` row math.
 
-    def columnar_eligible(self) -> bool:
-        """Can whole runs be replayed as batched row math?
+    #: Does a fault drop charge gap recovery to the core's next valid
+    #: service (``note_fault_drop``)?  The columnar driver derives each
+    #: row's gap only for engines that do.
+    charges_fault_gaps = False
+
+    def columnar_eligible(self, fault_drops: bool = False) -> bool:
+        """Can whole runs be replayed as batched row math — with
+        ``fault_drops``, runs whose fault plan drops packets between
+        admission and the ring?
 
         Only true when steering and service time are pure functions of the
         packet row (plus replay-invariant engine state) — no time-dependent
@@ -178,33 +185,38 @@ class BaseEngine(ABC):
         miss_frac: np.ndarray,
         spill_ns: np.ndarray,
         history_items: np.ndarray,
+        gaps: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Pure service times (ns) for ``rows``, given each row's L2
-        outcome and history depth; charges nothing."""
+        outcome, history depth and (for :attr:`charges_fault_gaps`
+        engines) fault gap; charges nothing."""
         raise NotImplementedError(f"{self.name} has no batched service math")
+
+    def service_row(self, trace: "PerfTrace", row: int, miss_frac: float,
+                    spill_ns: float, h: int, gap: int = 0) -> float:
+        """:meth:`service_rows` for one row (the per-core walk's rare
+        cases).  Engines whose row math is cheap override it with plain
+        float arithmetic in the same order."""
+        return float(self.service_rows(
+            trace, np.array([row]), np.array([miss_frac]),
+            np.array([spill_ns]), np.array([h]),
+            np.array([gap]) if gap else None)[0])
 
     def service_batch(
         self,
         trace: "PerfTrace",
         rows: np.ndarray,
         cores: np.ndarray,
-        start_ns: np.ndarray,
-        steered_before: np.ndarray,
+        miss_frac: np.ndarray,
+        spill_ns: np.ndarray,
+        history_items: np.ndarray,
+        gaps: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Service a burst of packets and charge counters, returning each
-        packet's service time.  ``rows`` are trace indices in service
-        order; ``steered_before`` is how many packets had been steered
-        when each one reached its core (what SCR's history depth reads).
-
-        Default: a scalar shim over :meth:`service_ns`, so engines without
-        batched row math behave identically when driven in bursts.
-        """
-        records = trace.records
-        out = np.empty(len(rows), dtype=np.float64)
-        for i in range(len(rows)):
-            out[i] = self.service_ns(
-                int(cores[i]), records[int(rows[i])], float(start_ns[i]))
-        return out
+        """Serve a committed run's popped ``rows`` (in the scalar loop's
+        pop order, on ``cores``) and charge the counters, returning each
+        service time.  The driver solved each row's L2 outcome, history
+        depth and gap; the L2 model itself is filled by the driver."""
+        raise NotImplementedError(f"{self.name} has no batched service math")
 
     def record_committed(self, trace: "PerfTrace", run: "ColumnarRun",
                          sampled: np.ndarray) -> None:

@@ -355,11 +355,13 @@ class HybridEngine(BaseEngine):
 
     # -- columnar hot-path hooks (docs/HOTPATH.md) --------------------------------
 
-    def columnar_eligible(self) -> bool:
+    def columnar_eligible(self, fault_drops: bool = False) -> bool:
         """Unless promoted frames carry the sequencer prefix on the wire:
         then a packet's wire length, and so its admission, reads the
-        classifier state its predecessors left."""
-        return not self.count_wire_overhead
+        classifier state its predecessors left.  Not under fault drops
+        either: a stolen packet's route is forgotten (``note_fault_drop``)
+        and the steering walk does not model that."""
+        return not self.count_wire_overhead and not fault_drops
 
     def steer_batch(self, trace: "PerfTrace", rows: np.ndarray) -> np.ndarray:
         """The admitted rows' cores, from one exact steering walk.  The
@@ -409,6 +411,7 @@ class HybridEngine(BaseEngine):
         miss_frac: np.ndarray,
         spill_ns: np.ndarray,
         history_items: np.ndarray,
+        gaps: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """:meth:`service_ns`'s branches as row math over the walk's
         routes (the history depth is the elephant stream's, fixed at
@@ -441,20 +444,19 @@ class HybridEngine(BaseEngine):
         trace: "PerfTrace",
         rows: np.ndarray,
         cores: np.ndarray,
-        start_ns: np.ndarray,
-        steered_before: np.ndarray,
+        miss_frac: np.ndarray,
+        spill_ns: np.ndarray,
+        history_items: np.ndarray,
+        gaps: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        from ..cpu.columnar import l2_spill_rows
-
         c = self.costs
-        miss_frac, spill = l2_spill_rows(self, trace, rows, cores, commit=True)
-        services = self.service_rows(trace, rows, miss_frac, spill,
-                                     steered_before)
+        services = self.service_rows(trace, rows, miss_frac, spill_ns,
+                                     history_items)
         valid = trace.valid[rows]
         touches = self.touches_state(trace, rows)
         migration = self._walk.migration[rows]
         compute, history, elephant = self._compute_rows(rows)
-        compute_col = np.where(valid, compute + spill, c.c1)
+        compute_col = np.where(valid, compute + spill_ns, c.c1)
         l2_misses = np.where(touches, miss_frac + (migration != 0), 0.0)
         dispatch_col = np.full(len(rows), c.d, dtype=np.float64)
         accesses = touches.astype(np.int64)

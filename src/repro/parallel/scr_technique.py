@@ -19,7 +19,7 @@ no bouncing.  What SCR pays instead:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +40,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cpu.columnar import ColumnarRun
     from ..cpu.simulator import PerfTrace
 
-__all__ = ["ScrEngine"]
+__all__ = ["GapCharge", "ScrEngine"]
+
+#: How a replica heals a history gap (:attr:`GapCharge.kind`).
+COVERED, PEER_LOG, RESYNC = 0, 1, 2
+
+
+class GapCharge(NamedTuple):
+    """What one history gap costs the valid packet that meets it
+    (:meth:`ScrEngine.gap_charge`): extra fast-forward work, a transfer
+    stall and cold-state misses on top of the packet's own service."""
+
+    #: :data:`COVERED`, :data:`PEER_LOG` or :data:`RESYNC`.
+    kind: int
+    #: packets the fault plan stole from this core since its last service.
+    gap: int
+    #: sequences the replica missed (round robin spreads ``gap`` steals).
+    missed: int
+    #: sequences fast-forwarded (``RESYNC``: replayed after the fetch).
+    length: int
+    catchup_ns: float
+    transfer_ns: float
+    misses: float
 
 
 class ScrEngine(BaseEngine):
@@ -71,10 +92,10 @@ class ScrEngine(BaseEngine):
 
         ``with_recovery`` adds Algorithm 1's per-packet log writes and
         heals history gaps the window cannot cover from peer logs instead
-        of a checkpoint resync (see ``service_ns``).
+        of a checkpoint resync (see :meth:`gap_charge`).
 
         ``fault_epoch_len`` is the sequencer's checkpoint epoch for the
-        quarantine-resync cost model (see ``note_fault_drop``): a
+        quarantine-resync cost model (see :meth:`gap_charge`): a
         resyncing core replays on average half an epoch past the gap.
         """
         super().__init__(*args, **kwargs)
@@ -156,8 +177,8 @@ class ScrEngine(BaseEngine):
 
         The replica will see a sequence hole on its next delivery; the
         recovery work (window catch-up, peer-log catch-up, or an
-        epoch-checkpoint resync — see ``service_ns``) is charged to that
-        next packet's service time.
+        epoch-checkpoint resync — see :meth:`gap_charge`) is charged to
+        that next valid packet's service time.
         """
         self._fault_gap[core] += 1
 
@@ -172,6 +193,77 @@ class ScrEngine(BaseEngine):
             "resync_ns_total": self.resync_ns_total,
             "resync_cycles_total": self.resync_ns_total * CPU_FREQ_GHZ,
         }
+
+    def gap_charge(self, gap: int, h: int) -> GapCharge:
+        """The recovery a gap of ``gap`` stolen packets costs the valid
+        packet of history depth ``h`` that meets it — the one gap model
+        both hot paths charge (``service_ns`` and the batched hooks).
+
+        Round-robin spraying turns ``gap`` steals into ``(gap+1)*k - 1``
+        missed sequences.  A widened history window (``num_slots > k``)
+        may still cover them: extra fast-forward beyond the natural ``h``.
+        Otherwise Algorithm 1 (App. B, ``with_recovery``) reads each lost
+        sequence from another core's log (a cross-core transfer per probe)
+        and fast-forwards through it.  Without it the replica quarantines:
+        it fetches the sequencer's newest epoch checkpoint and replays, on
+        average, half an epoch of logged metadata past the missed ones
+        (the restored snapshot is cold: one miss).
+        """
+        c = self.costs
+        step = c.c2 + self.extra_compute_ns
+        missed = (gap + 1) * self.num_cores - 1
+        if missed <= self.num_slots:
+            return GapCharge(COVERED, gap, missed, missed - h,
+                             (missed - h) * step, 0.0, 0.0)
+        if self.with_recovery:
+            probes = 1 + (self.num_cores - 1) / 2
+            return GapCharge(PEER_LOG, gap, missed, gap, gap * step,
+                             gap * probes * self.contention.recovery_probe_ns,
+                             float(gap))
+        replay = missed + self.fault_epoch_len // 2
+        return GapCharge(RESYNC, gap, missed, replay, replay * step,
+                         self.contention.checkpoint_fetch_ns, 1.0)
+
+    def _count_gap(self, charge: GapCharge) -> None:
+        """Add one charged gap to the recovery counters (``fault_summary``)."""
+        self.fault_gaps += 1
+        if charge.kind == COVERED:
+            self.fault_gaps_covered += 1
+        elif charge.kind == RESYNC:
+            self.quarantines += 1
+            self.resyncs += 1
+            self.resync_replayed += charge.length
+            self.resync_ns_total += charge.catchup_ns + charge.transfer_ns
+
+    def record_gap(self, charge: GapCharge, core: int, start_ns: float) -> None:
+        """A charged gap's recovery records, retained in full (emitted by
+        ``service_ns``, or by the columnar driver in the loop's order)."""
+        tracer = self.tracer
+        if charge.kind != RESYNC:
+            tracer.emit(EV_FAST_FORWARD, ts_ns=start_ns, core=core,
+                        length=charge.length)
+            return
+        tracer.emit(EV_QUARANTINE, ts_ns=start_ns, core=core,
+                    gap=charge.gap, missed=charge.missed)
+        tracer.emit(EV_RESYNC, ts_ns=start_ns, core=core,
+                    dur_ns=charge.catchup_ns + charge.transfer_ns,
+                    replayed=charge.length)
+
+    def _service_terms(self, h, spill_ns, catchup, transfer) -> Tuple:
+        """A valid packet's ``(service, compute charge, history charge)``
+        in ``service_ns``'s float order, over scalars or arrays alike: the
+        Appendix A row ``d + c1 + h·c2 (+ catch-up) + spill (+ log writes)
+        (+ transfer)``.  A zero catch-up or transfer adds nothing."""
+        c = self.costs
+        extra = self.extra_compute_ns
+        history = h * (c.c2 + extra)
+        compute = ((c.c1 + extra) + history) + catchup
+        log_ns = 0.0
+        if self.with_recovery:
+            # Logging the h history items plus the packet's own entry.
+            log_ns = (h + 1) * self.contention.log_write_ns
+        total = (((c.d + compute) + spill_ns) + log_ns) + transfer
+        return total, (compute + spill_ns) + log_ns, history + catchup
 
     def _history_items(self) -> int:
         """Fast-forward work per packet: k-1 in steady state, fewer early."""
@@ -199,10 +291,14 @@ class ScrEngine(BaseEngine):
 
     # -- columnar hot-path hooks (docs/HOTPATH.md) --------------------------------
 
-    def columnar_eligible(self) -> bool:
-        """Always: recovery *logging* is pure row math, and only fault-plan
-        drops charge gap recovery — the columnar driver declines a fault
-        plan, while congestion drops (wire, PCIe, ring) charge nothing."""
+    #: A fault drop charges gap recovery to the core's next valid service.
+    charges_fault_gaps = True
+
+    def columnar_eligible(self, fault_drops: bool = False) -> bool:
+        """Always: recovery logging is pure row math, congestion drops
+        (wire, PCIe, ring) charge nothing, and the gap a fault drop leaves
+        is charged from the pop events the driver solves
+        (:meth:`gap_charge` per charged row)."""
         return True
 
     def wire_len_batch(self, trace: "PerfTrace") -> np.ndarray:
@@ -231,10 +327,19 @@ class ScrEngine(BaseEngine):
     def history_cap(self) -> int:
         return self.num_cores - 1
 
-    def _history_depths(self, steered_before: np.ndarray) -> np.ndarray:
-        """:meth:`_history_items` per packet, from the count of packets
-        steered when it was served."""
-        return np.minimum(np.maximum(steered_before - 1, 0), self.history_cap())
+    def _gap_terms(self, gaps: np.ndarray, history_items: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+        """Per-row catch-up, transfer and miss columns of the charged
+        ``gaps`` (zero elsewhere), plus each charged row's
+        :class:`GapCharge` in row order."""
+        charged = np.flatnonzero(gaps)
+        charges = [self.gap_charge(gap, h) for gap, h in zip(
+            gaps[charged].tolist(), history_items[charged].tolist())]
+        columns = np.zeros((3, len(gaps)), dtype=np.float64)
+        if charges:
+            columns[:, charged] = np.array(
+                [(g.catchup_ns, g.transfer_ns, g.misses) for g in charges]).T
+        return columns[0], columns[1], columns[2], charges
 
     def service_rows(
         self,
@@ -243,41 +348,61 @@ class ScrEngine(BaseEngine):
         miss_frac: np.ndarray,
         spill_ns: np.ndarray,
         history_items: np.ndarray,
+        gaps: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Batched history fast-forward: the Appendix A row math
-        ``d + c1 + h·c2 (+ spill + log)`` over whole arrays, adding floats
-        in the exact order :meth:`service_ns` does."""
+        """Batched service: :meth:`_service_terms` over whole arrays, with
+        each row's gap charged when ``gaps`` is given."""
+        catchup = transfer = 0.0
+        if gaps is not None:
+            catchup, transfer, _, _ = self._gap_terms(gaps, history_items)
+        total = self._service_terms(history_items, spill_ns, catchup,
+                                    transfer)[0]
         c = self.costs
-        extra = self.extra_compute_ns
-        history = history_items * (c.c2 + extra)
-        compute = (c.c1 + extra) + history
-        total = (c.d + compute) + spill_ns
-        if self.with_recovery:
-            total = total + (history_items + 1) * self.contention.log_write_ns
-        return np.where(trace.valid[rows], total, c.d + c.c1 + extra)
+        return np.where(trace.valid[rows], total,
+                        c.d + c.c1 + self.extra_compute_ns)
+
+    def service_row(self, trace: "PerfTrace", row: int, miss_frac: float,
+                    spill_ns: float, h: int, gap: int = 0) -> float:
+        """:meth:`service_rows` for one row, over plain floats."""
+        c = self.costs
+        if not trace.valid[row]:
+            return c.d + c.c1 + self.extra_compute_ns
+        catchup = transfer = 0.0
+        if gap:
+            charge = self.gap_charge(gap, h)
+            catchup, transfer = charge.catchup_ns, charge.transfer_ns
+        return self._service_terms(h, spill_ns, catchup, transfer)[0]
 
     def service_batch(
         self,
         trace: "PerfTrace",
         rows: np.ndarray,
         cores: np.ndarray,
-        start_ns: np.ndarray,
-        steered_before: np.ndarray,
+        miss_frac: np.ndarray,
+        spill_ns: np.ndarray,
+        history_items: np.ndarray,
+        gaps: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        from ..cpu.columnar import l2_spill_rows
-
+        """Serve ``rows`` (commit order) and charge the counters: the gap
+        counters in that order (so ``resync_ns_total`` adds up as the
+        scalar loop's does), each core's columns through
+        ``charge_batch``."""
         c = self.costs
         extra = self.extra_compute_ns
-        h = self._history_depths(steered_before)
-        miss_frac, spill = l2_spill_rows(self, trace, rows, cores, commit=True)
-        services = self.service_rows(trace, rows, miss_frac, spill, h)
+        catchup = transfer = misses = 0.0
+        if gaps is not None:
+            catchup, transfer, misses, charges = self._gap_terms(
+                gaps, history_items)
+            for charge in charges:
+                self._count_gap(charge)
+        total, compute, history = self._service_terms(
+            history_items, spill_ns, catchup, transfer)
         valid = trace.valid[rows]
-        history = h * (c.c2 + extra)
-        charge = ((c.c1 + extra) + history) + spill
-        if self.with_recovery:
-            charge = charge + (h + 1) * self.contention.log_write_ns
-        compute_col = np.where(valid, charge, c.c1 + extra)
+        services = np.where(valid, total, c.d + c.c1 + extra)
+        compute_col = np.where(valid, compute, c.c1 + extra)
+        transfer_col = np.where(valid, transfer, 0.0)
         history_col = np.where(valid, history, 0.0)
+        misses_col = np.where(valid, miss_frac + misses, 0.0)
         dispatch_col = np.full(len(rows), c.d, dtype=np.float64)
         accesses = valid.astype(np.int64)
         for core in range(self.num_cores):
@@ -287,9 +412,10 @@ class ScrEngine(BaseEngine):
             self.counters.cores[core].charge_batch(
                 dispatch_ns=dispatch_col[sel],
                 compute_ns=compute_col[sel],
+                transfer_ns=transfer_col[sel],
                 state_accesses=accesses[sel],
-                l2_misses=miss_frac[sel],
-                program_ns=compute_col[sel],
+                l2_misses=misses_col[sel],
+                program_ns=compute_col[sel] + transfer_col[sel],
                 history_ns=history_col[sel],
             )
         return services
@@ -298,9 +424,12 @@ class ScrEngine(BaseEngine):
                          sampled: np.ndarray) -> None:
         """The spray and service records ``steer``/``service_ns`` emit,
         for a committed columnar run, staged as columns: every steered
-        packet was sprayed at its arrival as the sequence after its
-        steered rank, and every popped valid packet served with the depth
-        :meth:`service_batch` charged."""
+        packet (fault-dropped ones too) was sprayed at its arrival as the
+        sequence after its steered rank, every popped valid packet served
+        at the depth the driver charged it, and a sampled packet that
+        met an uncoverable gap also resynced.  The gaps' own recovery
+        records are not staged: the driver emits them in the loop's order
+        (:meth:`record_gap`)."""
         steered = run.cores >= 0
         served = run.popped & trace.valid
         sprayed = sampled[steered[sampled]]
@@ -316,7 +445,7 @@ class ScrEngine(BaseEngine):
                         ("index", sprayed))))
         if not len(rows):
             return
-        h = self._history_depths(run.steered_by[run.pop_event[rows]])
+        h = run.history[rows]
         start = run.starts[rows]
         cores = run.cores[rows]
         if tracer.enabled:
@@ -331,6 +460,29 @@ class ScrEngine(BaseEngine):
         self.spans.emit_columns("transition", rows, (start + c.d) + history,
                                 core=cores,
                                 dur_ns=np.full(len(rows), c.c1 + extra))
+        charged = rows[run.gaps[rows] > 0]
+        charges = [self.gap_charge(gap, depth) for gap, depth in zip(
+            run.gaps[charged].tolist(), run.history[charged].tolist())]
+        resync = np.array([g.kind == RESYNC for g in charges], dtype=bool)
+        if not resync.any():
+            return
+        rows = charged[resync]
+        charges = [g for g in charges if g.kind == RESYNC]
+        start = run.starts[rows]
+        cores = run.cores[rows]
+        fetch = np.array([g.transfer_ns for g in charges])
+        catchup = np.array([g.catchup_ns for g in charges])
+        spans = self.spans
+        spans.emit_columns("quarantine", rows, start, core=cores,
+                           gap=run.gaps[rows],
+                           missed=np.array([g.missed for g in charges]))
+        spans.emit_columns("checkpoint_fetch", rows, start, core=cores,
+                           dur_ns=fetch)
+        spans.emit_columns("replay", rows, start + fetch, core=cores,
+                           dur_ns=catchup,
+                           replayed=np.array([g.length for g in charges]))
+        spans.emit_columns("resync", rows, (start + fetch) + catchup,
+                           core=cores)
 
     def service_ns(self, core: int, pp: PerfPacket, start_ns: float) -> float:
         c = self.costs
@@ -340,8 +492,6 @@ class ScrEngine(BaseEngine):
             counters.charge_packet(dispatch_ns=c.d, compute_ns=c.c1 + extra, state_accesses=0)
             return c.d + c.c1 + extra
         h = self._history_items()
-        history = h * (c.c2 + extra)
-        compute = (c.c1 + extra) + history
         spans = self.spans
         pp_sampled = spans.enabled and spans.sampled(pp.index)
         if self.tracer.enabled or pp_sampled:
@@ -349,81 +499,41 @@ class ScrEngine(BaseEngine):
         # Every core holds every flow, so spill is judged against the full
         # (replicated) working set.
         miss_frac, spill = self.l2.access(core, pp.key)
-        log_ns = 0.0
-        recovery_transfer_ns = 0.0
-        recovery_misses = 0.0
-        if self.with_recovery:
-            # Logging the h history items plus the packet's own entry.
-            log_ns = (h + 1) * self.contention.log_write_ns
+        catchup = transfer = misses = 0.0
         gap = self._fault_gap[core]
         if gap:
             hp = self.hostprof
             hp_t0 = hp.now() if hp.enabled else 0
             self._fault_gap[core] = 0
-            self.fault_gaps += 1
-            # Round-robin spraying turns ``gap`` stolen packets into
-            # (gap+1)*k - 1 sequences the replica must account for.
-            missed = (gap + 1) * self.num_cores - 1
-            if missed <= self.num_slots:
-                # A widened history window (num_slots > k) still covers
-                # the hole: extra fast-forward items beyond the natural h.
-                self.fault_gaps_covered += 1
-                catchup = (missed - h) * (c.c2 + extra)
-                if self.tracer.enabled:
-                    self.tracer.emit(EV_FAST_FORWARD, ts_ns=start_ns,
-                                     core=core, length=missed - h)
-            elif self.with_recovery:
-                # Algorithm 1 (App. B): read each lost sequence from
-                # another core's log (a cross-core transfer per probe)
-                # and fast-forward through it.
-                probes = 1 + (self.num_cores - 1) / 2
-                recovery_transfer_ns = gap * probes * self.contention.recovery_probe_ns
-                recovery_misses = float(gap)
-                catchup = gap * (c.c2 + extra)
-                if self.tracer.enabled:
-                    self.tracer.emit(EV_FAST_FORWARD, ts_ns=start_ns,
-                                     core=core, length=gap)
-            else:
-                # Quarantine: fetch the sequencer's newest epoch
-                # checkpoint and replay, on average, half an epoch of
-                # logged metadata on top of the missed sequences.
-                self.quarantines += 1
-                self.resyncs += 1
-                replay = missed + self.fault_epoch_len // 2
-                catchup = replay * (c.c2 + extra)
-                fetch = self.contention.checkpoint_fetch_ns
-                recovery_transfer_ns = fetch
-                recovery_misses = 1.0  # the restored snapshot is cold
-                self.resync_replayed += replay
-                self.resync_ns_total += catchup + fetch
-                if self.tracer.enabled:
-                    self.tracer.emit(EV_QUARANTINE, ts_ns=start_ns,
-                                     core=core, gap=gap, missed=missed)
-                    self.tracer.emit(EV_RESYNC, ts_ns=start_ns, core=core,
-                                     dur_ns=catchup + fetch, replayed=replay)
-                if pp_sampled:
-                    spans.emit("quarantine", pp.index, ts_ns=start_ns,
-                               core=core, gap=gap, missed=missed)
-                    spans.emit("checkpoint_fetch", pp.index, ts_ns=start_ns,
-                               dur_ns=fetch, core=core)
-                    spans.emit("replay", pp.index, ts_ns=start_ns + fetch,
-                               dur_ns=catchup, core=core, replayed=replay)
-                    spans.emit("resync", pp.index,
-                               ts_ns=start_ns + fetch + catchup, core=core)
-            compute += catchup
-            history += catchup
+            charge = self.gap_charge(gap, h)
+            self._count_gap(charge)
+            if self.tracer.enabled:
+                self.record_gap(charge, core, start_ns)
+            if pp_sampled and charge.kind == RESYNC:
+                fetch, catchup = charge.transfer_ns, charge.catchup_ns
+                spans.emit("quarantine", pp.index, ts_ns=start_ns,
+                           core=core, gap=gap, missed=charge.missed)
+                spans.emit("checkpoint_fetch", pp.index, ts_ns=start_ns,
+                           dur_ns=fetch, core=core)
+                spans.emit("replay", pp.index, ts_ns=start_ns + fetch,
+                           dur_ns=catchup, core=core, replayed=charge.length)
+                spans.emit("resync", pp.index,
+                           ts_ns=start_ns + fetch + catchup, core=core)
+            catchup, transfer, misses = (
+                charge.catchup_ns, charge.transfer_ns, charge.misses)
             if hp.enabled:
                 # Wall cost of gap-recovery fast-forward/resync modeling
                 # (steady-state history replay is pure arithmetic above).
                 hp.charge("scr.history_ff", hp_t0)
-        total = c.d + compute + spill + log_ns + recovery_transfer_ns
+        total, compute, history = self._service_terms(h, spill, catchup,
+                                                      transfer)
         counters.charge_packet(
             dispatch_ns=c.d,
-            compute_ns=compute + spill + log_ns,
-            transfer_ns=recovery_transfer_ns,
+            compute_ns=compute,
+            transfer_ns=transfer,
             state_accesses=1,
-            l2_misses=miss_frac + recovery_misses,
-            program_ns=compute + spill + log_ns + recovery_transfer_ns,
+            l2_misses=miss_frac + misses,
+            program_ns=compute + transfer,
             history_ns=history,
         )
         return total

@@ -15,7 +15,7 @@ calls out as RSS++'s limits (§4.2).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
@@ -65,9 +65,10 @@ class ShardedRssEngine(BaseEngine):
 
     # -- columnar hot-path hooks (docs/HOTPATH.md) --------------------------------
 
-    def columnar_eligible(self) -> bool:
+    def columnar_eligible(self, fault_drops: bool = False) -> bool:
         """Static hash → static table: steering and service are pure
-        functions of the packet row, so batched replay is exact."""
+        functions of the packet row, so batched replay is exact.  A fault
+        drop is just a lost packet: the replica-free shards charge none."""
         return True
 
     def steer_batch(self, trace: "PerfTrace", rows: np.ndarray) -> np.ndarray:
@@ -87,25 +88,31 @@ class ShardedRssEngine(BaseEngine):
         miss_frac: np.ndarray,
         spill_ns: np.ndarray,
         history_items: np.ndarray,
+        gaps: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         c = self.costs
         return np.where(trace.valid[rows], (c.d + c.c1) + spill_ns, c.d + c.c1)
+
+    def service_row(self, trace: "PerfTrace", row: int, miss_frac: float,
+                    spill_ns: float, h: int, gap: int = 0) -> float:
+        c = self.costs
+        return (c.d + c.c1) + spill_ns if trace.valid[row] else c.d + c.c1
 
     def service_batch(
         self,
         trace: "PerfTrace",
         rows: np.ndarray,
         cores: np.ndarray,
-        start_ns: np.ndarray,
-        steered_before: np.ndarray,
+        miss_frac: np.ndarray,
+        spill_ns: np.ndarray,
+        history_items: np.ndarray,
+        gaps: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        from ..cpu.columnar import l2_spill_rows
-
         c = self.costs
-        miss_frac, spill = l2_spill_rows(self, trace, rows, cores, commit=True)
-        services = self.service_rows(trace, rows, miss_frac, spill, steered_before)
+        services = self.service_rows(trace, rows, miss_frac, spill_ns,
+                                     history_items)
         valid = trace.valid[rows]
-        compute_col = np.where(valid, c.c1 + spill, c.c1)
+        compute_col = np.where(valid, c.c1 + spill_ns, c.c1)
         dispatch_col = np.full(len(rows), c.d, dtype=np.float64)
         accesses = valid.astype(np.int64)
         for core in range(self.num_cores):
@@ -155,7 +162,7 @@ class RssPlusPlusEngine(ShardedRssEngine):
         self._since_rebalance = 0
         self.migrations = 0
 
-    def columnar_eligible(self) -> bool:
+    def columnar_eligible(self, fault_drops: bool = False) -> bool:
         """RSS++ mutates its steering table mid-run (shard migrations) and
         surcharges first-touch-after-migration services — per-packet order
         matters, so it stays on the scalar event loop."""

@@ -7,7 +7,8 @@ counts, latency samples and histogram state, and under telemetry the
 retained event stream and artifact bytes — *exactly*, across the whole
 program zoo, every eligible technique, underload and overload (wire, PCIe
 and ring drops), clean and faulted, serial and multi-process.  Only a
-fault plan or an ineligible engine falls back to the event loop.
+fault plan with a fault kind other than drops, or an ineligible engine,
+falls back to the event loop (drop-only plans: test_fault_parity.py).
 """
 
 import json
@@ -164,14 +165,40 @@ class TestVariantParity:
 
 
 class TestFallbackPaths:
-    def test_faults_fall_back_and_match(self, traces):
-        """A fault plan forces the scalar loop; both modes must agree
-        (they run the same code) and report fault stats."""
+    def test_faults_commit_and_match(self, traces, monkeypatch):
+        """A drop-only fault plan commits columnar (tests/cpu/
+        test_fault_parity.py covers it in depth) and reports the same
+        fault stats as the event loop."""
+        commits = _count_commits(monkeypatch)
         plan_kw = dict(faults=FaultPlan(FaultSpec.create(seed=3, drop_rate=0.05)))
         scalar, columnar = _run_pair(traces["ddos"], "scr",
                                      collect_latency=True, **plan_kw)
+        assert commits == [True]
         assert columnar.fault_stats is not None
         assert columnar.fault_stats["fault_dropped"] > 0
+        _assert_deep_equal(scalar, columnar)
+
+    @pytest.mark.parametrize("technique, spec_kw", [
+        ("scr", dict(pop_drop_rate=0.05)),
+        ("scr", dict(drop_rate=0.05, duplicate_rate=0.05)),
+        ("scr", dict(reorder_rate=0.1, reorder_window=3)),
+        ("scr", dict(truncate_rate=0.1)),
+        ("scr", dict(core_stalls=[(1, 20, 5_000.0)])),
+        ("scr", dict(core_kills=[(2, 40)])),
+        ("rss", dict(pop_drop_rate=0.05, core_kills=[(0, 30)])),
+        ("hybrid", dict(drop_rate=0.05)),
+    ], ids=["pop-drop", "duplicate", "reorder", "truncate", "stall", "kill",
+            "rss-pop-drop-kill", "hybrid-drop"])
+    def test_other_faults_fall_back_and_match(self, traces, monkeypatch,
+                                              technique, spec_kw):
+        """Every other fault kind, and the hybrid under drops, keeps the
+        scalar loop: the driver declines, and both modes agree."""
+        commits = _count_commits(monkeypatch)
+        plan = FaultPlan(FaultSpec.create(seed=3, **spec_kw))
+        scalar, columnar = _run_pair(traces["ddos"], technique, rate=2e7,
+                                     collect_latency=True, faults=plan)
+        assert commits == [False]
+        assert columnar.fault_stats is not None
         _assert_deep_equal(scalar, columnar)
 
     def test_tracer_falls_back_with_identical_events(self, traces,
@@ -201,14 +228,16 @@ class TestFallbackPaths:
         assert commits == [True]
         _assert_deep_equal(scalar, columnar)
 
-    def test_lossy_recovery_falls_back_and_match(self, traces):
+    def test_lossy_recovery_commits_and_match(self, traces, monkeypatch):
         """Fig. 10b's configuration: Algorithm 1 logging plus FaultSpec
-        drops.  The plan forces the scalar loop in both modes, and the
-        peer-log catch-up it charges must not depend on the mode."""
+        drops.  The run commits columnar, and the peer-log catch-up it
+        charges must not depend on the mode."""
+        commits = _count_commits(monkeypatch)
         plan = FaultPlan(FaultSpec.create(seed=3, drop_rate=0.01))
         scalar, columnar = _run_pair(
             traces["ddos"], "scr", engine_kw=dict(with_recovery=True),
             collect_latency=True, faults=plan)
+        assert commits == [True]
         assert columnar.fault_stats["fault_dropped"] > 0
         assert columnar.fault_stats["fault_gaps"] > 0
         _assert_deep_equal(scalar, columnar)
