@@ -91,7 +91,7 @@ report:
 hotpath:
 	PYTHONPATH=src python -m pytest -x -q tests/cpu/test_hotpath_parity.py \
 		tests/cpu/test_chain.py tests/cpu/test_fault_parity.py \
-		tests/nic/test_rss.py
+		tests/cpu/test_coupled_parity.py tests/nic/test_rss.py
 
 # Multi-tenant placement gate: the placement test package, then the
 # multitenant suite (hybrid vs scr vs rss on zipf, 10^3..10^6 flows)

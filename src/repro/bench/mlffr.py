@@ -14,6 +14,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
+from ..cpu.counters import SystemCounters
 from ..cpu.simulator import PerfEngine, PerfTrace, SimResult, simulate, staging_sinks
 from ..hostprof.clock import NULL_HOSTPROF, PhaseClock
 from ..obs.spans import NULL_SPANS, SpanEmitter
@@ -133,8 +134,10 @@ def find_mlffr(
             best_result = res
             # The engine mutates one counters object in place across
             # probes; freeze this probe's attribution so the reported
-            # point's counters survive later (lossy) probes.
-            best_result.counters = copy.deepcopy(res.counters)
+            # point's counters survive later (lossy) probes.  Each
+            # ``CoreCounters`` is a flat record of numbers.
+            best_result.counters = SystemCounters(
+                cores=[copy.copy(core) for core in res.counters.cores])
         return ok
 
     for sink in sinks:

@@ -32,10 +32,18 @@ order exactly where it is not — from the first drop on:
   chains each core, re-derives the gaps from the pop events and repeats
   until they reproduce themselves.  The chain is exact up to a core's
   first ring overflow; :class:`_Drain` walks the core from there;
+* **coupled walk** — ``shared`` and ``rss++`` couple their cores (a key's
+  serialization wait and bouncing line, a migrated shard's first touch
+  depend on which core served the key last, in call order), so
+  :func:`_merged_walk` replaces the per-core drain with one walk over
+  all cores in the scalar loop's call order: a heap of each core's next
+  pop event, each pop served by the engine's one per-packet term
+  function on its live models (``engine.coupled_walk``);
 * **commit** — counters, the L2 model, and engine steer state are updated
   once, in batch, through ``engine.service_batch`` /
   ``CoreCounters.charge_batch``, in the exact scalar accumulation order,
-  from the row columns the drain solved (L2 outcome, depth, gap);
+  from the row columns the drain solved (L2 outcome, depth, gap) or the
+  terms the coupled walk recorded;
 * **records** — under telemetry, :func:`record_committed` stages the run's
   span-sampled records (drops included) as column batches over the
   committed columns and counts the rest (the retention contract in
@@ -48,18 +56,21 @@ Every float is added in the same order as the scalar reference
 (``np.add.accumulate`` is sequential left-to-right), so the result is
 **bit-identical** to the event loop — the parity tests and the scalar
 oracle (``--hotpath scalar``) pin this.  Only a fault plan with a fault
-kind other than drops, or an ineligible engine (``shared``, ``rss++``,
-the hybrid under fault drops or with ``count_wire_overhead``), sends a
-run to the event loop.  See docs/HOTPATH.md.
+kind other than drops, or the hybrid under fault drops or with
+``count_wire_overhead``, sends a run to the event loop.  See
+docs/HOTPATH.md.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import (TYPE_CHECKING, Any, Callable, Iterator, List,
+                    Optional, Tuple)
 
 import numpy as np
 
@@ -301,6 +312,9 @@ class ColumnarRun:
     #: charged (0: none).
     history: np.ndarray
     gaps: np.ndarray
+    #: a coupled engine's walk (``engine.coupled_walk``): the terms of
+    #: each served row, in call order, for its records; None otherwise.
+    walk: Any = None
 
 
 def simulate_columnar(
@@ -325,14 +339,15 @@ def simulate_columnar(
     * a fault plan (``sim_faults``, the run's injector) with any fault
       kind but drops between admission and the ring: pop drops,
       reordering, duplicates, history truncation, core stalls and kills;
-    * an engine without batched row math (``columnar_eligible``):
-      ``shared``, ``rss++``, and a hybrid with ``count_wire_overhead=True``;
+    * an engine that is not ``columnar_eligible``: a hybrid with
+      ``count_wire_overhead=True``;
     * a plan's drops on an engine that cannot take them
       (``columnar_eligible(fault_drops=True)``): the hybrid.
 
     Drops are not a trigger: wire, PCIe and ring drops are replayed
-    exactly, and so are a drop-only plan's fault drops on ``scr``,
-    ``relaxed_scr`` and ``rss``, SCR's gap recovery included.
+    exactly, and so are a drop-only plan's fault drops on every other
+    engine, SCR's gap recovery included.  Coupled cores are not one
+    either: ``shared`` and ``rss++`` replay as one merged walk.
     Telemetry is not one either: the caller emits a committed run's
     records with :func:`record_committed`.
     """
@@ -496,48 +511,59 @@ def _run(
         rows = rows[~lost]
     row_cores = cores[rows]
 
-    # Service times as if no ring overflowed and no gap were charged: the
-    # per-core first-touch + spill L2 outcome (the service-order
-    # restriction of each core equals its FIFO order) and the history
-    # depth.  SCR's depth reads the steer counter at service time,
-    # ``min(steered_by[m] - 1, cap)``; it is below ``cap`` only for the
-    # first ``cap <= k-1`` steered packets, which round robin sends to
-    # distinct cores, each the first packet there and so served at the
-    # next arrival (``m = j + 1``): its depth is its steered rank.
-    cols = _Columns(n)
-    cols.miss_frac[rows], cols.spill[rows], cols.first[rows] = l2_spill_rows(
-        engine, trace, rows, row_cores)
-    cols.history[rows] = np.minimum(steered_by[rows], engine.history_cap())
-    cols.services[rows] = engine.service_rows(
-        trace, rows, cols.miss_frac[rows], cols.spill[rows],
-        cols.history[rows])
-
-    # Per-core FIFO drain: the max-plus recurrence per core.  Packet j
-    # leaves its ring at the first arrival i > j with now_i >= start_j
-    # (every arrival drains all cores first), or at the final grace drain
-    # (m = n).  Ring length after each enqueue: FIFO position minus the
-    # core's earlier packets popped by this arrival.
     starts = np.zeros(n, dtype=np.float64)
     finishes = np.zeros(n, dtype=np.float64)
     pop_event = np.full(n, n, dtype=np.int64)
     depth = np.zeros(n, dtype=np.int64)
-    gaps_on = getattr(engine, "charges_fault_gaps", False) and len(stolen) > 0
-    drain = _Drain(trace, engine, now, ring_capacity, cols)
-    order = rows[np.argsort(row_cores, kind="stable")]
-    boundaries = np.flatnonzero(np.diff(cores[order])) + 1
-    for rows_c in np.split(order, boundaries) if len(order) else ():
-        drops = (stolen[cores[stolen] == cores[rows_c[0]]] if gaps_on
-                 else stolen[:0])
-        s, f, m, d, dropped = drain.core(rows_c, drops)
-        fate[rows_c[dropped]] = RING_DROP
-        starts[rows_c] = s
-        finishes[rows_c] = f
-        pop_event[rows_c] = m
-        depth[rows_c] = d
-
-    enqueued = fate == ENQUEUED
     stream_end = n * interval
     horizon = stream_end + max(grace_min_ns, grace_fraction * stream_end)
+    cols = _Columns(n)
+    walk = None
+    gaps_on = False
+    if getattr(engine, "couples_cores", False):
+        # Coupled cores (shared keys, migrated shards): one walk over all
+        # cores in the loop's call order, serving each pop as it comes.
+        walk = engine.coupled_walk(trace)
+        dropped = _merged_walk(now, rows, row_cores, k, ring_capacity,
+                               horizon, walk.serve, starts, finishes,
+                               pop_event, depth, cols.services)
+        fate[dropped] = RING_DROP
+    else:
+        # Service times as if no ring overflowed and no gap were charged: the
+        # per-core first-touch + spill L2 outcome (the service-order
+        # restriction of each core equals its FIFO order) and the history
+        # depth.  SCR's depth reads the steer counter at service time,
+        # ``min(steered_by[m] - 1, cap)``; it is below ``cap`` only for the
+        # first ``cap <= k-1`` steered packets, which round robin sends to
+        # distinct cores, each the first packet there and so served at the
+        # next arrival (``m = j + 1``): its depth is its steered rank.
+        cols.miss_frac[rows], cols.spill[rows], cols.first[rows] = l2_spill_rows(
+            engine, trace, rows, row_cores)
+        cols.history[rows] = np.minimum(steered_by[rows], engine.history_cap())
+        cols.services[rows] = engine.service_rows(
+            trace, rows, cols.miss_frac[rows], cols.spill[rows],
+            cols.history[rows])
+
+        # Per-core FIFO drain: the max-plus recurrence per core.  Packet j
+        # leaves its ring at the first arrival i > j with now_i >= start_j
+        # (every arrival drains all cores first), or at the final grace drain
+        # (m = n).  Ring length after each enqueue: FIFO position minus the
+        # core's earlier packets popped by this arrival.
+        gaps_on = getattr(engine, "charges_fault_gaps", False) and len(stolen) > 0
+        drain = _Drain(trace, engine, now, ring_capacity, cols)
+        order = rows[np.argsort(row_cores, kind="stable")]
+        boundaries = np.flatnonzero(np.diff(cores[order])) + 1
+        for rows_c in np.split(order, boundaries) if len(order) else ():
+            drops = (stolen[cores[stolen] == cores[rows_c[0]]] if gaps_on
+                     else stolen[:0])
+            s, f, m, d, dropped = drain.core(rows_c, drops)
+            fate[rows_c[dropped]] = RING_DROP
+            starts[rows_c] = s
+            finishes[rows_c] = f
+            pop_event[rows_c] = m
+            depth[rows_c] = d
+
+    enqueued = fate == ENQUEUED
     popped = enqueued & (starts <= horizon)
     processed = int(np.count_nonzero(popped))
     unfinished = int(np.count_nonzero(enqueued)) - processed
@@ -551,11 +577,15 @@ def _run(
         (pop_rows, cores[pop_rows], pop_event[pop_rows])
     )]
     pop_cores = cores[pop_rows]
-    committed = engine.service_batch(
-        trace, pop_rows, pop_cores, cols.miss_frac[pop_rows],
-        cols.spill[pop_rows], cols.history[pop_rows],
-        cols.gaps[pop_rows] if gaps_on else None)
-    _install_l2(engine, trace, pop_rows, pop_cores, cols.first[pop_rows])
+    if walk is not None:
+        walk.commit(pop_rows, pop_cores)
+        committed = cols.services[pop_rows]
+    else:
+        committed = engine.service_batch(
+            trace, pop_rows, pop_cores, cols.miss_frac[pop_rows],
+            cols.spill[pop_rows], cols.history[pop_rows],
+            cols.gaps[pop_rows] if gaps_on else None)
+        _install_l2(engine, trace, pop_rows, pop_cores, cols.first[pop_rows])
     services = np.zeros(n, dtype=np.float64)
     services[pop_rows] = committed
 
@@ -591,7 +621,127 @@ def _run(
                        backlog=backlog, cores=cores, depth=depth,
                        steered_by=steered_by, starts=starts,
                        pop_event=pop_event, popped=popped, services=services,
-                       history=cols.history, gaps=cols.gaps)
+                       history=cols.history, gaps=cols.gaps, walk=walk)
+
+
+def _merged_walk(now: np.ndarray, rows: np.ndarray, row_cores: np.ndarray,
+                 k: int, ring_capacity: int, horizon: float,
+                 serve: Callable[[int, int, int, float], float],
+                 starts: np.ndarray, finishes: np.ndarray,
+                 pop_event: np.ndarray, depth: np.ndarray,
+                 services: np.ndarray) -> np.ndarray:
+    """Serve the queued ``rows`` (arrival order, on ``row_cores``) of an
+    engine whose cores are coupled, in the scalar loop's call order,
+    filling the row columns in place; returns the rows a full ring
+    dropped.
+
+    A heap holds each core's next pop event ``(m, core)``: its head
+    packet ``j`` starts at ``max(busy, now_j)`` and leaves at the first
+    arrival ``m > j`` with ``now_m >= start`` (``m = n``: the final drain,
+    which pops only starts within the horizon, and leaves the rest of
+    the core's packets unfinished).  Events pop by arrival, then core —
+    the loop drains every core before each arrival — and each calls
+    ``serve(core, row, m, start)``, which runs the engine's models in that
+    order and returns the service.  A core's head is the first of its
+    packets that found room: the ``e``-th packet it enqueues does exactly
+    when the one ``capacity`` places ahead of it popped before its
+    arrival, so the walk never visits an arrival on its own.  A row left
+    unserved keeps an infinite start.
+    """
+    arrivals = array("d", now.tobytes())
+    n = len(arrivals)
+    order = np.argsort(row_cores, kind="stable")
+    cuts = np.searchsorted(row_cores[order], np.arange(1, k)).tolist()
+    queues = [array("q", q.tobytes())
+              for q in np.split(rows[order].astype(np.int64), cuts)]
+    #: each core's next packet, and the pop event of each it enqueued.
+    nexts = [0] * k
+    pops = [array("q") for _ in range(k)]
+    heap: List[Tuple[int, int, float, int]] = []
+    # Raw doubles: a boxed float per packet would outweigh the trace.
+    start_of = array("d", [np.inf]) * n
+    service_of = array("d", [0.0]) * n
+    dropped: List[int] = []
+
+    def enqueued(c: int) -> int:
+        """Core ``c``'s next packet that found room (its full-ring drops
+        before it recorded), or -1 when none is left."""
+        queue, mine, p = queues[c], pops[c], nexts[c]
+        while p < len(queue):
+            e = len(mine)
+            if e >= ring_capacity:
+                gate = mine[e - ring_capacity] if ring_capacity else n + 1
+                if queue[p] < gate:
+                    stop = bisect_left(queue, gate, p)
+                    dropped.extend(queue[p:stop])
+                    p = stop
+                    continue
+            nexts[c] = p + 1
+            return queue[p]
+        nexts[c] = p
+        return -1
+
+    def head(c: int, busy: float) -> None:
+        """Queue core ``c``'s next pop event, if it has a packet left."""
+        j = enqueued(c)
+        if j < 0:
+            return
+        arrival = arrivals[j]
+        if busy > arrival:
+            heappush(heap, (bisect_left(arrivals, busy, j + 1), c, busy, j))
+        else:
+            heappush(heap, (j + 1, c, arrival, j))
+
+    for c in range(k):
+        head(c, 0.0)
+    while heap:
+        m, c, start, j = heappop(heap)
+        mine = pops[c]
+        if start > horizon:
+            # Unfinished: this packet and every later one that found room.
+            mine.append(n)
+            while enqueued(c) >= 0:
+                mine.append(n)
+            continue
+        service = serve(c, j, m, start)
+        start_of[j] = start
+        service_of[j] = service
+        mine.append(m)
+        busy = start + service
+        # The common case inline: the core's next packet found room.
+        queue, p = queues[c], nexts[c]
+        if p == len(queue):
+            continue
+        e = len(mine)
+        if e >= ring_capacity and queue[p] < mine[e - ring_capacity]:
+            head(c, busy)
+            continue
+        nexts[c] = p + 1
+        j = queue[p]
+        arrival = arrivals[j]
+        if busy > arrival:
+            heappush(heap, (bisect_left(arrivals, busy, j + 1), c, busy, j))
+        else:
+            heappush(heap, (j + 1, c, arrival, j))
+
+    lost = np.asarray(sorted(dropped), dtype=np.int64)
+    kept = np.ones(len(rows), dtype=bool)
+    kept[np.searchsorted(rows, lost)] = False
+    queued = rows[kept]
+    starts[rows] = np.frombuffer(start_of)[rows]
+    services[rows] = np.frombuffer(service_of)[rows]
+    finishes[rows] = starts[rows] + services[rows]
+    # Ring length after each enqueue: its ordinal on the core minus the
+    # core's packets popped by its arrival (FIFO pops are in order); a
+    # full ring holds its capacity.
+    for c in range(k):
+        mine = queued[row_cores[kept] == c]
+        events = np.frombuffer(pops[c], dtype=np.int64)
+        pop_event[mine] = events
+        depth[mine] = (np.arange(1, len(mine) + 1)
+                       - np.searchsorted(events, mine, side="right"))
+    depth[lost] = ring_capacity
+    return lost
 
 
 def _admit(now: np.ndarray, cost: np.ndarray, rows: np.ndarray,

@@ -157,6 +157,12 @@ class CoreCounters:
         totals are bit-identical to charging each packet in a loop —
         provided the counter starts from zero, which it does: the hot path
         commits exactly once per freshly-reset run.
+
+        ``wait_ns``, ``transfer_ns``, ``state_accesses`` and
+        ``l2_misses`` may hold more entries than there are packets: an
+        access charged after a packet's own (a shared engine's update of
+        the global entry, an rss++ migration's miss) is one more addend
+        right after the packet's, folded in that order.
         """
         count = len(dispatch_ns)
         if count == 0:

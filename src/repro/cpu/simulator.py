@@ -494,11 +494,11 @@ def simulate(
 
     ``hotpath`` picks the execution strategy (``scalar`` | ``columnar``;
     default: the ``REPRO_HOTPATH`` env var, else columnar).  The columnar
-    driver is bit-identical to the scalar loop, drops, fault drops and
-    telemetry included.  It falls back to it only for a fault plan with
-    any fault kind but drops, or an engine without batched row math (or
-    one that cannot take fault drops); see
-    :func:`repro.cpu.columnar.simulate_columnar`.
+    driver is bit-identical to the scalar loop, drops, fault drops,
+    coupled cores and telemetry included.  It falls back to it only for
+    a fault plan with any fault kind but drops, or an engine that is not
+    columnar-eligible (or cannot take fault drops): two hybrid modes;
+    see :func:`repro.cpu.columnar.simulate_columnar`.
     """
     if rate_pps <= 0:
         raise ValueError("rate must be positive")

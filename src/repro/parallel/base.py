@@ -139,15 +139,34 @@ class BaseEngine(ABC):
     charges_fault_gaps = False
 
     def columnar_eligible(self, fault_drops: bool = False) -> bool:
-        """Can whole runs be replayed as batched row math — with
+        """Can whole runs be replayed on the columnar hot path — with
         ``fault_drops``, runs whose fault plan drops packets between
         admission and the ring?
 
-        Only true when steering and service time are pure functions of the
-        packet row (plus replay-invariant engine state) — no time-dependent
-        contention, no RNG, no mutable steering tables.
+        True when steering is a walk over the admitted rows in arrival
+        order (no RNG, nothing read at service time), and each service
+        is row math given what the driver solves per core (L2 outcome,
+        history depth, fault gap) or, for engines whose cores are
+        coupled (:attr:`couples_cores`), given the call order the
+        driver's merged walk replays.
         """
         return False
+
+    #: Do services on one core depend on services on others (a shared
+    #: key's wait and bounced line, a migrated shard's first touch)?  The
+    #: columnar driver then serves every core in one merged walk, in the
+    #: scalar loop's call order, through :meth:`coupled_walk`.
+    couples_cores = False
+
+    def coupled_walk(self, trace: "PerfTrace"):
+        """A fresh walk over one committed run of a coupled engine, with
+        ``serve(core, row, step, start) -> float`` — serve ``row`` on
+        ``core`` from ``start`` at loop step ``step`` (the arrival whose
+        drain pops it; ``n``: the final drain) with the engine's live
+        models, record its charges and return its service — and
+        ``commit(rows, cores)``, which charges the counters for the
+        served rows (call order) from what ``serve`` recorded."""
+        raise NotImplementedError(f"{self.name} does not couple its cores")
 
     def wire_len_batch(self, trace: "PerfTrace") -> np.ndarray:
         """Per-packet wire bytes for the whole trace (``wire_len`` rowwise)."""

@@ -20,15 +20,15 @@ __all__ = ["TECHNIQUES", "COLUMNAR_TECHNIQUES", "make_engine", "technique_names"
 #: (repro.placement, docs/MULTITENANT.md).
 TECHNIQUES = ("scr", "relaxed_scr", "shared", "rss", "rss++", "hybrid")
 
-#: Techniques whose engines can opt into the columnar hot path (a run
-#: with a fault plan still falls back to the scalar loop): scr /
-#: relaxed_scr (pure round-robin row math), rss (static
-#: indirection-table gather) and hybrid (one steering walk over the
-#: admitted rows; ``count_wire_overhead=True`` falls back, since there
-#: admission reads the classifier).  ``shared`` engines serialize on
-#: time-dependent contention and ``rss++`` mutates its steering table
-#: mid-run, so both always run the scalar event loop (docs/HOTPATH.md).
-COLUMNAR_TECHNIQUES = ("scr", "relaxed_scr", "rss", "hybrid")
+#: Techniques whose engines commit runs on the columnar hot path — all
+#: of them: scr / relaxed_scr (pure round-robin row math), rss (static
+#: indirection-table gather), hybrid (one steering walk over the admitted
+#: rows; ``count_wire_overhead=True`` falls back, since there admission
+#: reads the classifier), and shared / rss++, whose coupled cores are
+#: served in one merged walk in the scalar loop's call order.  A fault
+#: plan with any fault kind but drops still runs the scalar event loop
+#: (docs/HOTPATH.md).
+COLUMNAR_TECHNIQUES = TECHNIQUES
 
 
 def make_engine(

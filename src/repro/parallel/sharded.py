@@ -15,7 +15,7 @@ calls out as RSS++'s limits (§4.2).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class ShardedRssEngine(BaseEngine):
         if not pp.valid:
             counters.charge_packet(dispatch_ns=c.d, compute_ns=c.c1, state_accesses=0)
             return c.d + c.c1
-        miss_frac, spill = self.l2.access(core, pp.key)
+        service, miss_frac, spill = self.packet_terms(core, pp.key)
         counters.charge_packet(
             dispatch_ns=c.d,
             compute_ns=c.c1 + spill,
@@ -61,7 +61,14 @@ class ShardedRssEngine(BaseEngine):
             l2_misses=miss_frac,
             program_ns=c.c1 + spill,
         )
-        return c.d + c.c1 + spill
+        return service
+
+    def packet_terms(self, core: int, key: object) -> Tuple[float, float, float]:
+        """A valid packet's state access on its core's L2: ``(service,
+        miss fraction, spill)``.  No sharing, no contention."""
+        c = self.costs
+        miss_frac, spill = self.l2.access(core, key)
+        return c.d + c.c1 + spill, miss_frac, spill
 
     # -- columnar hot-path hooks (docs/HOTPATH.md) --------------------------------
 
@@ -71,15 +78,18 @@ class ShardedRssEngine(BaseEngine):
         drop is just a lost packet: the replica-free shards charge none."""
         return True
 
-    def steer_batch(self, trace: "PerfTrace", rows: np.ndarray) -> np.ndarray:
-        hashes = hash_column_for_program(self.program, trace)[rows]
+    def _shards(self, trace: "PerfTrace") -> np.ndarray:
+        """Each packet's shard (indirection-table index), ``shard_of``
+        over the whole trace's RSS hashes."""
+        hashes = hash_column_for_program(self.program, trace)
         size = self.indirection.table_size
         if size & (size - 1) == 0:
-            shards = hashes & np.uint32(size - 1)
-        else:
-            shards = hashes % np.uint32(size)
+            return hashes & np.uint32(size - 1)
+        return hashes % np.uint32(size)
+
+    def steer_batch(self, trace: "PerfTrace", rows: np.ndarray) -> np.ndarray:
         table = np.asarray(self.indirection.table, dtype=np.int64)
-        return table[shards]
+        return table[self._shards(trace)[rows]]
 
     def service_rows(
         self,
@@ -108,25 +118,38 @@ class ShardedRssEngine(BaseEngine):
         history_items: np.ndarray,
         gaps: Optional[np.ndarray] = None,
     ) -> np.ndarray:
+        self._charge_rows(trace.valid[rows], cores, miss_frac, spill_ns)
+        return self.service_rows(trace, rows, miss_frac, spill_ns,
+                                 history_items)
+
+    def _charge_rows(self, valid: np.ndarray, cores: np.ndarray,
+                     miss_frac: np.ndarray, spill_ns: np.ndarray,
+                     moved: Optional[np.ndarray] = None) -> None:
+        """Charge served rows (commit order, on ``cores``) per core.  A
+        ``moved`` row (rss++) also paid the migration surcharge: a
+        transfer, and one more miss right after its own."""
         c = self.costs
-        services = self.service_rows(trace, rows, miss_frac, spill_ns,
-                                     history_items)
-        valid = trace.valid[rows]
         compute_col = np.where(valid, c.c1 + spill_ns, c.c1)
-        dispatch_col = np.full(len(rows), c.d, dtype=np.float64)
+        dispatch_col = np.full(len(valid), c.d, dtype=np.float64)
         accesses = valid.astype(np.int64)
+        transfer = None
+        if moved is not None:
+            transfer = np.where(moved, self.contention.line_transfer_ns, 0.0)
         for core in range(self.num_cores):
             sel = np.flatnonzero(cores == core)
             if len(sel) == 0:
                 continue
+            misses = miss_frac[sel]
+            if moved is not None:
+                misses = np.insert(misses, np.flatnonzero(moved[sel]) + 1, 1.0)
             self.counters.cores[core].charge_batch(
                 dispatch_ns=dispatch_col[sel],
                 compute_ns=compute_col[sel],
+                transfer_ns=None if transfer is None else transfer[sel],
                 state_accesses=accesses[sel],
-                l2_misses=miss_frac[sel],
+                l2_misses=misses,
                 program_ns=compute_col[sel],
             )
-        return services
 
 
 class RssPlusPlusEngine(ShardedRssEngine):
@@ -153,6 +176,9 @@ class RssPlusPlusEngine(ShardedRssEngine):
         self._shard_gen: List[int] = [0] * self.indirection.table_size
         self._key_gen: Dict[object, int] = {}
         self.migrations = 0
+        #: the shard generations a columnar run starts from, and each
+        #: ``(row, shard, gen)`` a rebalance set (:meth:`steer_batch`).
+        self._gens_from: Tuple[List[int], List[Tuple[int, int, int]]] = ([], [])
 
     def reset(self) -> None:
         super().reset()
@@ -161,12 +187,7 @@ class RssPlusPlusEngine(ShardedRssEngine):
         self._key_gen = {}
         self._since_rebalance = 0
         self.migrations = 0
-
-    def columnar_eligible(self, fault_drops: bool = False) -> bool:
-        """RSS++ mutates its steering table mid-run (shard migrations) and
-        surcharges first-touch-after-migration services — per-packet order
-        matters, so it stays on the scalar event loop."""
-        return False
+        self._gens_from = ([], [])
 
     def steer(self, pp: PerfPacket) -> int:
         shard = self.indirection.shard_of(hash_for_program(self.program, pp))
@@ -212,19 +233,134 @@ class RssPlusPlusEngine(ShardedRssEngine):
         # sliding estimate of shard load).
         self._shard_load = [load // 2 for load in self._shard_load]
 
+    def _migrated(self, key: object, gen: int) -> bool:
+        """Does a service of ``key`` in a shard of generation ``gen`` pay
+        the migration surcharge — the key's first touch since its shard
+        migrated?  Records the touch; both hot paths ask it, in the
+        loop's call order."""
+        if gen and self._key_gen.get(key, 0) != gen:
+            self._key_gen[key] = gen
+            return True
+        return False
+
     def service_ns(self, core: int, pp: PerfPacket, start_ns: float) -> float:
         base = super().service_ns(core, pp, start_ns)
         if not pp.valid:
             return base
         shard = self.indirection.shard_of(hash_for_program(self.program, pp))
-        gen = self._shard_gen[shard]
-        if gen and self._key_gen.get(pp.key, 0) != gen:
+        if self._migrated(pp.key, self._shard_gen[shard]):
             # First touch after this shard migrated: the flow's state line
             # must move from the old core.
-            self._key_gen[pp.key] = gen
             transfer = self.contention.line_transfer_ns
             counters = self.counters.cores[core]
             counters.transfer_ns += transfer
             counters.l2_misses += 1
             return base + transfer
         return base
+
+    # -- columnar hot-path hooks (docs/HOTPATH.md) --------------------------------
+
+    #: A migrated key's first touch, in call order, decides which service
+    #: pays its transfer, wherever its queued packets are served: the
+    #: columnar driver serves every core in one walk.
+    couples_cores = True
+
+    def columnar_eligible(self, fault_drops: bool = False) -> bool:
+        """Steering depends on arrival order only (:meth:`steer_batch`),
+        and the merged walk serves each packet in the loop's call order,
+        under the shard generations its loop step sees."""
+        return True
+
+    def steer_batch(self, trace: "PerfTrace", rows: np.ndarray) -> np.ndarray:
+        """``steer`` over the admitted rows in arrival order.  The table is
+        constant between rebalances, so each stretch of steers up to the
+        next rebalance is one gather; the packet that completes a stretch
+        runs the rebalance and takes the new table.  Records the shard
+        generations each rebalance sets, stamped with that packet's
+        arrival index, for :meth:`coupled_walk` (state advances here)."""
+        shards = self._shards(trace)[rows]
+        cores = np.empty(len(rows), dtype=np.int64)
+        size = self.indirection.table_size
+        self._gens_from = (list(self._shard_gen), [])
+        pos = 0
+        while pos < len(rows):
+            end = min(len(rows),
+                      pos + max(1, self.rebalance_every - self._since_rebalance))
+            stretch = shards[pos:end]
+            counts = np.bincount(stretch, minlength=size).tolist()
+            self._shard_load = [a + b for a, b in zip(self._shard_load, counts)]
+            self._since_rebalance += end - pos
+            cores[pos:end] = np.asarray(self.indirection.table)[stretch]
+            if self._since_rebalance >= self.rebalance_every:
+                before = list(self._shard_gen)
+                self._rebalance()
+                last = int(stretch[-1])
+                cores[end - 1] = self.indirection.table[last]
+                row = int(rows[end - 1])
+                self._gens_from[1].extend(
+                    (row, shard, gen) for shard, (old, gen) in enumerate(
+                        zip(before, self._shard_gen)) if gen != old)
+            pos = end
+        return cores
+
+    def commit_steer_batch(self, count: int) -> None:
+        """Nothing left: :meth:`steer_batch` advanced the steer state."""
+
+    def coupled_walk(self, trace: "PerfTrace") -> "_MigrationWalk":
+        return _MigrationWalk(self, trace)
+
+
+class _MigrationWalk:
+    """A committed rss++ run's services, in the scalar loop's call order:
+    the RSS service over the live L2 model, plus the migration surcharge
+    of a key's first service after its shard migrated, under the shard
+    generations in force at the service's loop step (the rebalances of
+    the packets steered before it)."""
+
+    def __init__(self, engine: RssPlusPlusEngine, trace: "PerfTrace") -> None:
+        c = engine.costs
+        self.engine = engine
+        self.trace = trace
+        gens, self._changes = engine._gens_from
+        self._gens = list(gens)
+        self._applied = 0
+        self._table = trace.key_table
+        self._keys = trace.key_ids.tolist()
+        self._valid = trace.valid.tolist()
+        self._shards = engine._shards(trace).tolist()
+        #: an invalid packet's service: dispatch and compute, no state.
+        self._invalid = c.d + c.c1
+        #: each served row's L2 miss fraction and spill, and whether it
+        #: paid the surcharge, in call order.
+        self.miss_frac: List[float] = []
+        self.spill: List[float] = []
+        self.moved: List[bool] = []
+
+    def serve(self, core: int, row: int, step: int, start: float) -> float:
+        engine = self.engine
+        if not self._valid[row]:
+            self.miss_frac.append(0.0)
+            self.spill.append(0.0)
+            self.moved.append(False)
+            return self._invalid
+        changes = self._changes
+        while self._applied < len(changes) and changes[self._applied][0] < step:
+            _, shard, gen = changes[self._applied]
+            self._gens[shard] = gen
+            self._applied += 1
+        key = self._table[self._keys[row]]
+        service, miss_frac, spill = engine.packet_terms(core, key)
+        moved = engine._migrated(key, self._gens[self._shards[row]])
+        self.miss_frac.append(miss_frac)
+        self.spill.append(spill)
+        self.moved.append(moved)
+        if moved:
+            return service + engine.contention.line_transfer_ns
+        return service
+
+    def commit(self, rows: np.ndarray, cores: np.ndarray) -> None:
+        self.engine._charge_rows(
+            self.trace.valid[rows], cores,
+            np.asarray(self.miss_frac, dtype=np.float64),
+            np.asarray(self.spill, dtype=np.float64),
+            np.asarray(self.moved, dtype=bool))

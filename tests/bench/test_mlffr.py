@@ -98,3 +98,18 @@ def test_repeatability(pt):
 def test_rejects_bad_start(pt):
     with pytest.raises(ValueError):
         find_mlffr(pt, FixedServiceEngine(1, 100), start_pps=0)
+
+
+def test_reported_counters_survive_later_probes(pt):
+    """The engine mutates its counters on every probe; the reported
+    probe's are frozen, equal to a lone run at the reported rate."""
+    from repro.cpu import simulate
+    from repro.parallel import make_engine
+
+    engine = make_engine("shared", make_program("ddos"), 4)
+    res = find_mlffr(pt, engine)
+    best = res.result_at_mlffr
+    assert any(rate > best.rate_pps for rate, _ in res.probes)
+    assert best.counters is not engine.counters
+    lone = simulate(pt, best.rate_pps, make_engine("shared", make_program("ddos"), 4))
+    assert best.counters.snapshot() == lone.counters.snapshot()

@@ -7,8 +7,10 @@ counts, latency samples and histogram state, and under telemetry the
 retained event stream and artifact bytes — *exactly*, across the whole
 program zoo, every eligible technique, underload and overload (wire, PCIe
 and ring drops), clean and faulted, serial and multi-process.  Only a
-fault plan with a fault kind other than drops, or an ineligible engine,
-falls back to the event loop (drop-only plans: test_fault_parity.py).
+fault plan with a fault kind other than drops, or the hybrid under fault
+drops or with ``count_wire_overhead``, falls back to the event loop
+(drop-only plans: test_fault_parity.py; coupled cores:
+test_coupled_parity.py).
 """
 
 import json
@@ -26,7 +28,7 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.hostprof import PhaseClock
 from repro.hostprof.clock import PATH_SEP
 from repro.obs import NULL_SPANS, SpanEmitter, SpanSampler
-from repro.parallel import COLUMNAR_TECHNIQUES, TECHNIQUES, make_engine
+from repro.parallel import COLUMNAR_TECHNIQUES, make_engine
 from repro.placement import PlacementSpec
 from repro.programs import make_program, program_names
 from repro.scenario import Scenario, ScenarioExecutor, build_perf_trace, scenario_grid
@@ -124,13 +126,14 @@ class TestProgramZooParity:
             grace_fraction=0.1, collect_latency=True)
         _assert_deep_equal(scalar, columnar, f"{program}/{technique}")
 
-    @pytest.mark.parametrize("technique", [t for t in TECHNIQUES
-                                           if t not in COLUMNAR_TECHNIQUES])
-    def test_ineligible_techniques_unaffected(self, traces, technique):
-        """shared / rss++ always run the scalar loop; the dispatch layer
-        must be a no-op for them."""
+    @pytest.mark.parametrize("technique", ["shared", "rss++"])
+    def test_coupled_techniques_commit(self, traces, monkeypatch, technique):
+        """shared / rss++ couple their cores: the merged walk commits the
+        run and equals the loop (more in test_coupled_parity.py)."""
+        commits = _count_commits(monkeypatch)
         scalar, columnar = _run_pair(
             traces["ddos"], technique, collect_latency=True)
+        assert commits == [True]
         _assert_deep_equal(scalar, columnar, technique)
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.cpu import PerfTrace, simulate
 from repro.packet import make_udp_packet
 from repro.parallel import SharedAtomicEngine, SharedLockEngine, make_shared_engine
-from repro.programs import make_program
+from repro.programs import make_program, program_names
 from repro.traffic import Trace
 
 
@@ -125,3 +125,22 @@ def test_reset_clears_serialization_state():
     eng.reset()
     assert eng.serialization.acquisitions == 0
     assert eng.bounces.accesses == 0
+
+
+@pytest.mark.parametrize("program", program_names())
+def test_l2_hit_ratio_is_a_ratio(program):
+    """A bounced access is one access and one miss, so every core's L2
+    hit ratio stays in [0, 1] on both shared engines, at any load."""
+    from repro.scenario import Scenario, build_perf_trace
+
+    prog = make_program(program)
+    trace = build_perf_trace(Scenario.create(
+        program, "caida", "shared", 1, num_flows=60, max_packets=600))
+    engines = [SharedLockEngine]
+    if not prog.needs_locks:
+        engines.append(SharedAtomicEngine)
+    for cls in engines:
+        for rate in (2e6, 4e7):
+            res = simulate(trace, rate, cls(prog, 4), grace_fraction=0.1)
+            for core in res.counters.cores:
+                assert 0.0 <= core.l2_hit_ratio <= 1.0, (cls.name, rate)
