@@ -1,8 +1,10 @@
 """Content-addressed on-disk cache for synthesized workloads.
 
-Repeated benches used to re-synthesize every trace and re-lower every
-perf-trace from scratch — the dominant fixed cost of a sweep once the
-MLFFR search itself is warm.  This cache keys both by the
+Without it, every bench re-synthesizes each trace and re-lowers each
+perf-trace from scratch.  Synthesis builds only the flows and packets a
+capped trace keeps, so that fixed cost is now small and split about
+evenly between the two (a quick ``scr-repro bench``: 1.0 s synthesis and
+0.9 s lowering of 15 s on 2 vCPUs).  This cache keys both by the
 :meth:`~repro.scenario.spec.TraceSpec.content_hash` (which already folds
 in :data:`~repro.scenario.spec.SPEC_SCHEMA`) plus this module's own
 :data:`CACHE_SCHEMA`, stored under a ``v<N>/`` directory:

@@ -216,7 +216,7 @@ class ZipfFlowSizes(FlowSizeDistribution):
         sizes = np.maximum(1, (weights * total).astype(np.int64))
         # Shuffle so rank order is not arrival order.
         rng.shuffle(sizes)
-        return [int(s) for s in sizes]
+        return sizes.tolist()
 
     def cdf_series(self, points: int = 50) -> Tuple[List[float], List[float]]:
         sizes = sorted(self.sample_packets(np.random.default_rng(0), points))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,10 +54,16 @@ def flow_packets(
     Bidirectional flows emit the full exchange: SYN, SYN/ACK, ACK, then a
     data/ACK pair per data packet, then FIN, FIN/ACK, ACK.
     """
+    return list(_flow_stream(spec, bidirectional, payload_size))
+
+
+def _flow_stream(
+    spec: FlowSpec, bidirectional: bool, payload_size: int
+) -> Iterator[Packet]:
+    """:func:`flow_packets`, one packet at a time in timestamp order."""
     if spec.data_packets < 1:
         raise ValueError("flows carry at least one data packet")
     payload = bytes(payload_size)
-    pkts: List[Packet] = []
     t = spec.start_ns
     seq_c, seq_s = 1000, 5000
 
@@ -74,38 +80,37 @@ def flow_packets(
         )
 
     if not bidirectional:
-        pkts.append(client(TCP_SYN, seq_c))
+        yield client(TCP_SYN, seq_c)
         t += spec.gap_ns
         for _ in range(max(0, spec.data_packets - 2)):
             seq_c += len(payload)
-            pkts.append(client(TCP_ACK, seq_c, data=payload))
+            yield client(TCP_ACK, seq_c, data=payload)
             t += spec.gap_ns
         seq_c += len(payload)
-        pkts.append(client(TCP_FIN | TCP_ACK, seq_c))
-        return pkts
+        yield client(TCP_FIN | TCP_ACK, seq_c)
+        return
 
     # Bidirectional: handshake.
-    pkts.append(client(TCP_SYN, seq_c))
+    yield client(TCP_SYN, seq_c)
     t += spec.gap_ns
-    pkts.append(server(TCP_SYN | TCP_ACK, seq_s, ack=seq_c + 1))
+    yield server(TCP_SYN | TCP_ACK, seq_s, ack=seq_c + 1)
     t += spec.gap_ns
     seq_c += 1
-    pkts.append(client(TCP_ACK, seq_c, ack=seq_s + 1))
+    yield client(TCP_ACK, seq_c, ack=seq_s + 1)
     t += spec.gap_ns
     # Data packets from the client, each ACKed by the server.
     for _ in range(spec.data_packets):
-        pkts.append(client(TCP_ACK, seq_c, ack=seq_s + 1, data=payload))
+        yield client(TCP_ACK, seq_c, ack=seq_s + 1, data=payload)
         seq_c += len(payload)
         t += spec.gap_ns
-        pkts.append(server(TCP_ACK, seq_s + 1, ack=seq_c))
+        yield server(TCP_ACK, seq_s + 1, ack=seq_c)
         t += spec.gap_ns
     # Teardown: client FIN, server FIN/ACK, client final ACK.
-    pkts.append(client(TCP_FIN | TCP_ACK, seq_c, ack=seq_s + 1))
+    yield client(TCP_FIN | TCP_ACK, seq_c, ack=seq_s + 1)
     t += spec.gap_ns
-    pkts.append(server(TCP_FIN | TCP_ACK, seq_s + 1, ack=seq_c + 1))
+    yield server(TCP_FIN | TCP_ACK, seq_s + 1, ack=seq_c + 1)
     t += spec.gap_ns
-    pkts.append(client(TCP_ACK, seq_c + 1, ack=seq_s + 2))
-    return pkts
+    yield client(TCP_ACK, seq_c + 1, ack=seq_s + 2)
 
 
 def synthesize_trace(
@@ -139,59 +144,47 @@ def synthesize_trace(
         raise ValueError("need at least one flow")
     rng = np.random.default_rng(seed)
     sizes = distribution.sample_packets(rng, num_flows)
-    interarrivals = rng.exponential(mean_flow_interarrival_ns, num_flows)
+    # Truncating each gap to int64 and summing is the running
+    # ``start += int(gap)``: flow i starts at starts[i].
+    starts = np.cumsum(
+        rng.exponential(mean_flow_interarrival_ns, num_flows).astype(np.int64)
+    )
 
-    specs: List[FlowSpec] = []
-    start = 0
-    for i, (size, gap) in enumerate(zip(sizes, interarrivals)):
-        start += int(gap)
-        if flow_duration_ns is not None:
-            flow_gap = max(1, flow_duration_ns // max(1, size))
-        else:
-            flow_gap = intra_flow_gap_ns
-        specs.append(
-            FlowSpec(
-                src_ip=_CLIENT_BASE + 1 + (i % 0xFFFF_00) ,
+    # Merge the flows' packet streams by timestamp.  The heap holds each
+    # active flow's next packet keyed by (timestamp, flow index), unique
+    # since a flow has one entry.  A flow's FlowSpec is built only once
+    # its start is due (its packets carry timestamps >= its start, and
+    # flows start in index order), and a packet only once its flow's
+    # previous one leaves the heap: a capped trace builds at most
+    # ``max_packets`` plus one packet per admitted flow.
+    heap: List[Tuple[int, int, Packet, Iterator[Packet]]] = []
+    merged: List[Packet] = []
+    i = 0
+    while True:
+        while i < num_flows and (not heap or starts[i] <= heap[0][0]):
+            spec = FlowSpec(
+                src_ip=_CLIENT_BASE + 1 + (i % 0xFFFF_00),
                 dst_ip=_SERVER_BASE + 1 + (i % 1024),
                 src_port=1024 + (i % 60000),
                 dst_port=80 if i % 2 == 0 else 443,
-                data_packets=size,
-                start_ns=start,
-                gap_ns=flow_gap,
+                data_packets=sizes[i],
+                start_ns=int(starts[i]),
+                gap_ns=(intra_flow_gap_ns if flow_duration_ns is None
+                        else max(1, flow_duration_ns // max(1, sizes[i]))),
             )
-        )
-
-    # Merge per-flow packet streams by timestamp with a heap; the tie-breaker
-    # (flow index, packet index) keeps synthesis deterministic.  Flows are
-    # admitted lazily in start order: a flow's packets are only materialized
-    # once its start time is due, so a million-flow spec truncated by
-    # ``max_packets`` never pays for the flows past the cap.  (A flow's
-    # packets all carry timestamps >= its start, and specs are built in
-    # start order, so lazy admission merges identically to the eager merge.)
-    heap: List[Tuple[int, int, int, List[Packet]]] = []
-    merged: List[Packet] = []
-    next_flow = 0
-    while True:
-        while next_flow < len(specs) and (
-            not heap or specs[next_flow].start_ns <= heap[0][0]
-        ):
-            stream = flow_packets(
-                specs[next_flow],
-                bidirectional=bidirectional,
-                payload_size=payload_size,
-            )
-            heapq.heappush(
-                heap, (stream[0].timestamp_ns, next_flow, 0, stream)
-            )
-            next_flow += 1
+            stream = _flow_stream(spec, bidirectional, payload_size)
+            pkt = next(stream)
+            heapq.heappush(heap, (pkt.timestamp_ns, i, pkt, stream))
+            i += 1
         if not heap:
             break
-        ts, fi, pi, stream = heapq.heappop(heap)
-        merged.append(stream[pi])
+        _, fi, pkt, stream = heapq.heappop(heap)
+        merged.append(pkt)
         if max_packets is not None and len(merged) >= max_packets:
             break
-        if pi + 1 < len(stream):
-            heapq.heappush(heap, (stream[pi + 1].timestamp_ns, fi, pi + 1, stream))
+        pkt = next(stream, None)
+        if pkt is not None:
+            heapq.heappush(heap, (pkt.timestamp_ns, fi, pkt, stream))
 
     trace_name = name or f"{distribution.name}-{num_flows}flows"
     return Trace(merged, name=trace_name)

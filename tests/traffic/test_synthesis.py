@@ -161,6 +161,37 @@ class TestLazyFlowAdmission:
         # even on a slow machine (sampling 10^6 flow sizes dominates).
         assert time.perf_counter() - t0 < 60
 
+    def test_capped_trace_builds_only_what_it_keeps(self, monkeypatch):
+        """The multitenant suite's 10^6-flow zipf trace, capped at 1500
+        packets, builds a FlowSpec per admitted flow and at most one
+        packet past the cap per admitted flow."""
+        from repro.scenario import TraceSpec
+        from repro.scenario.build import _synthesize
+        from repro.traffic import synthesis
+
+        built = {"FlowSpec": 0, "make_tcp_packet": 0}
+
+        def counted(name):
+            make = getattr(synthesis, name)
+
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return make(*args, **kwargs)
+
+            monkeypatch.setattr(synthesis, name, wrapper)
+
+        counted("FlowSpec")
+        counted("make_tcp_packet")
+        spec = TraceSpec("zipf", num_flows=1_000_000, max_packets=1500, seed=7)
+        trace = _synthesize(spec)
+        assert len(trace) == 1500
+        # Each flow has its own client address, and an admitted flow's SYN
+        # carries its start, which the merge reached: every admitted flow
+        # is in the trace.
+        admitted = len({p.ip.src for p in trace})
+        assert built["FlowSpec"] == admitted < 1_000
+        assert built["make_tcp_packet"] <= spec.max_packets + admitted
+
 
 class TestSingleFlowTrace:
     def test_single_connection(self, elephant_trace):
