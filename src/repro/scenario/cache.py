@@ -2,9 +2,8 @@
 
 Without it, every bench re-synthesizes each trace and re-lowers each
 perf-trace from scratch.  Synthesis builds only the flows and packets a
-capped trace keeps, so that fixed cost is now small and split about
-evenly between the two (a quick ``scr-repro bench``: 1.0 s synthesis and
-0.9 s lowering of 15 s on 2 vCPUs).  This cache keys both by the
+capped trace keeps, so that fixed cost is small and split about
+evenly between synthesis and lowering.  This cache keys both by the
 :meth:`~repro.scenario.spec.TraceSpec.content_hash` (which already folds
 in :data:`~repro.scenario.spec.SPEC_SCHEMA`) plus this module's own
 :data:`CACHE_SCHEMA`, stored under a ``v<N>/`` directory:

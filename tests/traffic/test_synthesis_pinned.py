@@ -10,10 +10,14 @@ direct :func:`flow_packets` / :func:`single_flow_trace` calls.
 
 Synthesis may get faster, never different: a changed digest means the
 cached traces (``repro.scenario.cache``) no longer match their specs.
-The digests were recorded before synthesis became lazy; re-record them
-(``PYTHONPATH=src python -m tests.traffic.test_synthesis_pinned``) only
-for a deliberate change to the synthesized bytes, together with a
-``CACHE_SCHEMA`` bump.
+The digests were recorded before synthesis became lazy, with numpy
+2.4.6 on Python 3.11.  The bytes depend on numpy's Generator streams,
+which NEP 19 does not promise to keep across numpy versions: a digest
+that changes after a numpy upgrade alone is an RNG-stream change, not a
+synthesis regression, but the cached traces are stale all the same.
+Re-record them (``PYTHONPATH=src python -m
+tests.traffic.test_synthesis_pinned``) only for such a change to the
+synthesized bytes, together with a ``CACHE_SCHEMA`` bump.
 """
 
 from __future__ import annotations
