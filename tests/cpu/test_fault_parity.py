@@ -135,6 +135,24 @@ class TestPinnedDropCases:
             pytest.param("rss", 4, dict(drop_rate=0.05, seed=3), {},
                          dict(rate=6e7, ring_capacity=8), (),
                          ("fault_dropped", "ring_dropped"), id="rss"),
+            pytest.param("scr", 4, dict(drop_rate=0.05, seed=3),
+                         dict(extra_compute_ns=12.7), {}, (3, 9),
+                         ("resyncs",), id="extra-compute"),
+            pytest.param("scr", 4, dict(drop_rate=0.05, seed=3),
+                         dict(extra_compute_ns=12.7, num_slots=16), {}, (),
+                         ("fault_gaps_covered",),
+                         id="extra-compute-covered-window"),
+            pytest.param("scr", 4, dict(drop_rate=0.05, seed=3),
+                         dict(extra_compute_ns=12.7, with_recovery=True), {},
+                         (), ("fault_gaps",), id="extra-compute-algorithm-1"),
+            pytest.param("relaxed_scr", 5, dict(drop_rate=0.05, seed=3),
+                         dict(extra_compute_ns=12.7), {}, (), ("resyncs",),
+                         id="extra-compute-relaxed-scr"),
+            pytest.param("scr", 3, dict(drop_rate=0.05, seed=3),
+                         dict(extra_compute_ns=12.7),
+                         dict(rate=6e7, ring_capacity=8), (),
+                         ("resyncs", "ring_dropped"),
+                         id="extra-compute-ring-overflow"),
         ])
     @pytest.mark.parametrize("observed", [False, True],
                              ids=["plain", "observed"])

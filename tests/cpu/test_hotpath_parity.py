@@ -166,6 +166,44 @@ class TestVariantParity:
             traces["conntrack"], "scr", cores=1, collect_latency=True)
         _assert_deep_equal(scalar, columnar)
 
+    @pytest.mark.parametrize("technique", ["scr", "relaxed_scr"])
+    @pytest.mark.parametrize("engine_kw, rate, sim_kw, l2_entries", [
+        pytest.param({}, _UNDERLOAD_PPS, {}, None, id="underload"),
+        pytest.param({}, 4e7, dict(ring_capacity=8), 4, id="ring-walk-l2"),
+        pytest.param(dict(with_recovery=True), 4e7, dict(ring_capacity=8),
+                     None, id="with-recovery"),
+        pytest.param(dict(num_slots=9), 4e7, dict(ring_capacity=8), 4,
+                     id="wide-window"),
+    ])
+    @pytest.mark.parametrize("observed", [False, True],
+                             ids=["plain", "observed"])
+    def test_extra_compute(self, traces, monkeypatch, technique, engine_kw,
+                           rate, sim_kw, l2_entries, observed):
+        """Fig. 9's ``extra_compute_ns`` inflates ``c1`` and every history
+        item's ``c2``: the invalid service, the fast-forward step and the
+        span durations all read it.  Every packet is span-sampled when
+        observed, so the stream carries each service time."""
+        commits = _count_commits(monkeypatch)
+        runs = []
+        for mode in ("scalar", "columnar"):
+            tracer = EventTracer(capacity=1 << 20)
+            spans = SpanEmitter(tracer, SpanSampler(_SPAN_SEED, 1.0))
+            watch = dict(tracer=tracer, spans=spans) if observed else {}
+            engine = make_engine(technique, make_program("ddos"), 3,
+                                 extra_compute_ns=12.7, **engine_kw, **watch)
+            if l2_entries is not None:
+                engine.l2.capacity_entries = l2_entries
+            res = simulate(traces["ddos"], rate, engine, hotpath=mode,
+                           collect_latency=True, **sim_kw, **watch)
+            runs.append((res, [e.to_dict() for e in tracer.events()],
+                         dict(tracer.type_counts)))
+        assert commits == [True]
+        (scalar, *scalar_events), (columnar, *columnar_events) = runs
+        if sim_kw:
+            assert columnar.ring_dropped > 0
+        _assert_deep_equal(scalar, columnar)
+        assert scalar_events == columnar_events
+
 
 class TestFallbackPaths:
     def test_faults_commit_and_match(self, traces, monkeypatch):
