@@ -40,10 +40,12 @@ order exactly where it is not — from the first drop on:
   pop event, each pop served by the engine's one per-packet term
   function on its live models (``engine.coupled_walk``);
 * **commit** — counters, the L2 model, and engine steer state are updated
-  once, in batch, through ``engine.service_batch`` /
-  ``CoreCounters.charge_batch``, in the exact scalar accumulation order,
-  from the row columns the drain solved (L2 outcome, depth, gap) or the
-  terms the coupled walk recorded;
+  once, in batch, in the exact scalar accumulation order:
+  ``engine.service_batch`` evaluates the engine's term function (the one
+  ``service_ns`` charges) on the row columns the drain solved (L2
+  outcome, depth, gap), or the coupled walk commits the terms it
+  recorded, and both charge each core through
+  ``CoreCounters.charge_batch`` (``BaseEngine.charge_rows``);
 * **records** — under telemetry, :func:`record_committed` stages the run's
   span-sampled records (drops included) as column batches over the
   committed columns and counts the rest (the retention contract in

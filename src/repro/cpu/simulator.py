@@ -296,14 +296,17 @@ class PerfEngine(Protocol):
     # ``steer`` so the record carries the packet's arrival time.
     #
     # Engines may also opt into the columnar hot path by providing the
-    # batched row-math hooks (``columnar_eligible`` / ``wire_len_batch`` /
-    # ``dma_len_batch`` / ``steer_batch`` / ``service_rows`` /
-    # ``service_row`` / ``service_batch`` / ``commit_steer_batch`` /
-    # ``history_cap`` / ``touches_state`` / ``record_committed``, plus
-    # ``gap_charge`` / ``record_gap`` for engines that charge fault gaps)
-    # — ``repro.parallel.base.BaseEngine`` carries conservative defaults
-    # (ineligible).  Engines without the hooks (or reporting ineligible)
-    # run on the scalar event loop below unchanged (see docs/HOTPATH.md).
+    # batched hooks (``columnar_eligible`` / ``wire_len_batch`` /
+    # ``dma_len_batch`` / ``steer_batch`` / ``commit_steer_batch`` /
+    # ``history_cap`` / ``touches_state`` / ``record_committed``, their
+    # term function as ``row_terms`` plus the ``count_committed`` commit
+    # hook — or ``coupled_walk`` for coupled cores — and ``gap_charge`` /
+    # ``record_gap`` for engines that charge fault gaps).
+    # ``repro.parallel.base.BaseEngine`` carries conservative defaults
+    # (ineligible) and the ``service_rows`` / ``service_row`` /
+    # ``service_batch`` callers of ``row_terms`` the driver uses.  Engines
+    # without the hooks (or reporting ineligible) run on the scalar event
+    # loop below unchanged (see docs/HOTPATH.md).
 
     def steer(self, pp: PerfPacket) -> int:
         """RX queue / core index for this packet."""

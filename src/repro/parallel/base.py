@@ -10,7 +10,7 @@ parameters and the contention constants in ``repro.cpu.costmodel``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -32,11 +32,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cpu.columnar import ColumnarRun
     from ..cpu.simulator import PerfTrace
 
-__all__ = ["BaseEngine", "hash_for_program", "hash_column_for_program"]
+__all__ = ["BaseEngine", "Terms", "hash_for_program", "pick"]
 
 
-def hash_for_program(program: PacketProgram, pp: PerfPacket) -> int:
-    """The RSS hash a NIC would use to shard this program correctly.
+def hash_for_program(program: PacketProgram,
+                     pp: Union[PerfPacket, "PerfTrace"]) -> Any:
+    """The RSS hash a NIC would use to shard this program correctly: one
+    packet's, or every packet's column of a whole trace.
 
     Table 1's "RSS hash fields" column: IP-pair programs hash L3 only;
     5-tuple programs hash L4; bidirectional programs need the symmetric key
@@ -49,14 +51,35 @@ def hash_for_program(program: PacketProgram, pp: PerfPacket) -> int:
     return pp.hash_l4
 
 
-def hash_column_for_program(program: PacketProgram, trace: "PerfTrace") -> np.ndarray:
-    """Column twin of :func:`hash_for_program`: the whole trace's RSS
-    hashes under the program's configured hash fields."""
-    if program.bidirectional:
-        return trace.hash_sym
-    if program.rss_fields == "src & dst IP":
-        return trace.hash_l3
-    return trace.hash_l4
+def pick(cond: Any, a: Any, b: Any) -> Any:
+    """``a`` where ``cond`` holds, else ``b``: ``np.where`` over columns,
+    a plain branch over one packet's numbers (which stay Python floats).
+    The engines' term functions select with it, so one formula serves
+    both hot paths."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+class Terms(NamedTuple):
+    """One packet's cost, or columns of them, one row per packet: its
+    service time and what the core's counters are charged for it (the
+    ``charge_packet`` fields; dispatch is always ``d``)."""
+
+    service: Any
+    compute: Any
+    transfer: Any
+    accesses: Any
+    misses: Any
+    program: Any
+    history: Any
+
+    def charges(self) -> Dict[str, Any]:
+        """The ``charge_packet`` / ``charge_batch`` keywords, dispatch
+        aside."""
+        return dict(compute_ns=self.compute, transfer_ns=self.transfer,
+                    state_accesses=self.accesses, l2_misses=self.misses,
+                    program_ns=self.program, history_ns=self.history)
 
 
 class BaseEngine(ABC):
@@ -128,10 +151,20 @@ class BaseEngine(ABC):
     def service_ns(self, core: int, pp: PerfPacket, start_ns: float) -> float:
         ...
 
+    def _charge(self, core: int, terms: Terms) -> float:
+        """Charge one packet's ``terms`` to ``core``'s counters (the scalar
+        loop); returns its service time."""
+        service, compute, transfer, accesses, misses, program, history = terms
+        self.counters.cores[core].charge_packet(
+            self.costs.d, compute, 0.0, transfer, accesses, misses, program,
+            history)
+        return service
+
     # Columnar hot-path hooks (see repro.cpu.columnar / docs/HOTPATH.md).
     # Conservative defaults: an engine is ineligible until it opts in and
-    # provides batched ``steer_batch`` / ``service_rows`` /
-    # ``service_batch`` row math.
+    # provides ``steer_batch`` plus its term function as ``row_terms``
+    # (or, for coupled cores, ``coupled_walk``); ``service_rows`` /
+    # ``service_row`` / ``service_batch`` below are thin callers of it.
 
     #: Does a fault drop charge gap recovery to the core's next valid
     #: service (``note_fault_drop``)?  The columnar driver derives each
@@ -197,6 +230,21 @@ class BaseEngine(ABC):
         techniques that carry no history)."""
         return 0
 
+    def row_terms(
+        self,
+        trace: "PerfTrace",
+        rows: Any,
+        miss_frac: Any,
+        spill_ns: Any,
+        history_items: Any,
+        gaps: Optional[Any] = None,
+    ) -> Terms:
+        """The engine's term function over ``rows`` (columns) or one row
+        (plain numbers), given each row's L2 outcome, history depth and,
+        for :attr:`charges_fault_gaps` engines, fault gap (None: no row
+        pays one).  Charges nothing."""
+        raise NotImplementedError(f"{self.name} has no row math")
+
     def service_rows(
         self,
         trace: "PerfTrace",
@@ -206,20 +254,16 @@ class BaseEngine(ABC):
         history_items: np.ndarray,
         gaps: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Pure service times (ns) for ``rows``, given each row's L2
-        outcome, history depth and (for :attr:`charges_fault_gaps`
-        engines) fault gap; charges nothing."""
-        raise NotImplementedError(f"{self.name} has no batched service math")
+        """Pure service times (ns) for ``rows`` (:meth:`row_terms`)."""
+        return self.row_terms(trace, rows, miss_frac, spill_ns,
+                              history_items, gaps).service
 
     def service_row(self, trace: "PerfTrace", row: int, miss_frac: float,
                     spill_ns: float, h: int, gap: int = 0) -> float:
-        """:meth:`service_rows` for one row (the per-core walk's rare
-        cases).  Engines whose row math is cheap override it with plain
-        float arithmetic in the same order."""
-        return float(self.service_rows(
-            trace, np.array([row]), np.array([miss_frac]),
-            np.array([spill_ns]), np.array([h]),
-            np.array([gap]) if gap else None)[0])
+        """:meth:`service_rows` for one row, over plain floats (the
+        per-core walk's rare cases)."""
+        return float(self.row_terms(trace, row, miss_frac, spill_ns, h,
+                                    gap or None).service)
 
     def service_batch(
         self,
@@ -232,10 +276,53 @@ class BaseEngine(ABC):
         gaps: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Serve a committed run's popped ``rows`` (in the scalar loop's
-        pop order, on ``cores``) and charge the counters, returning each
-        service time.  The driver solved each row's L2 outcome, history
-        depth and gap; the L2 model itself is filled by the driver."""
-        raise NotImplementedError(f"{self.name} has no batched service math")
+        pop order, on ``cores``): charge the counters and the engine's
+        own tallies (:meth:`count_committed`), and return each service
+        time.  The driver solved each row's L2 outcome, history depth and
+        gap; the L2 model itself is filled by the driver."""
+        terms = self.row_terms(trace, rows, miss_frac, spill_ns,
+                               history_items, gaps)
+        self.charge_rows(cores, **terms.charges())
+        self.count_committed(trace, rows, history_items, gaps)
+        return terms.service
+
+    def count_committed(self, trace: "PerfTrace", rows: np.ndarray,
+                        history_items: np.ndarray,
+                        gaps: Optional[np.ndarray]) -> None:
+        """Advance the engine's own tallies for the committed ``rows``
+        (pop order), as their services on the scalar loop do.  Default:
+        none."""
+
+    def charge_rows(self, cores: np.ndarray,
+                    after: Optional[Tuple[np.ndarray, Dict[str, Any]]] = None,
+                    **columns: Any) -> None:
+        """Charge served rows (the scalar loop's pop order, on ``cores``)
+        per core through ``charge_batch``: ``columns`` are its keyword
+        columns over the rows (a scalar stands for every row), dispatch
+        is ``d``.  ``after``, ``(positions, columns)``, charges one more
+        access right after the row at each position: its entries fold in
+        after the row's own, as ``service_ns`` adds them."""
+        def full(values: Any, count: int) -> np.ndarray:
+            if isinstance(values, np.ndarray):
+                return values
+            return np.full(count, values)
+
+        columns = {name: full(column, len(cores))
+                   for name, column in columns.items()}
+        columns["dispatch_ns"] = full(self.costs.d, len(cores))
+        for core in range(self.num_cores):
+            sel = np.flatnonzero(cores == core)
+            if not len(sel):
+                continue
+            charge = {name: column[sel] for name, column in columns.items()}
+            if after is not None:
+                at, extra = after
+                mine = cores[at] == core
+                where = np.searchsorted(sel, at[mine]) + 1
+                for name, values in extra.items():
+                    charge[name] = np.insert(charge[name], where,
+                                             full(values, len(at))[mine])
+            self.counters.cores[core].charge_batch(**charge)
 
     def record_committed(self, trace: "PerfTrace", run: "ColumnarRun",
                          sampled: np.ndarray) -> None:

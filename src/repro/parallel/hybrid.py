@@ -45,7 +45,7 @@ docs/MULTITENANT.md for the model and the ``multitenant`` suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Hashable, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from ..placement.classifier import PROMOTE
 from ..state.cuckoo import _fnv1a, _key_bytes
 from ..state.sharded import ShardedStateMap
 from ..telemetry.events import EV_HISTORY_DEPTH, EV_SPRAY, RecordBatch
-from .base import BaseEngine, hash_column_for_program, hash_for_program
+from .base import BaseEngine, Terms, hash_for_program, pick
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cpu.columnar import ColumnarRun
@@ -296,62 +296,58 @@ class HybridEngine(BaseEngine):
         self._migration_ns.pop(pp.index, None)
 
     def service_ns(self, core: int, pp: PerfPacket, start_ns: float) -> float:
-        c = self.costs
-        counters = self.counters.cores[core]
-        if not pp.valid:
-            counters.charge_packet(dispatch_ns=c.d, compute_ns=c.c1,
-                                   state_accesses=0)
-            return c.d + c.c1
         seq, stateless = self._route.pop(pp.index, (0, False))
         migration_ns = self._migration_ns.pop(pp.index, 0.0)
-        # The classification path itself is not free: one sketch update
-        # per packet, modeled as a single uncontended atomic.
-        classify_ns = self.contention.atomic_ns
-        if seq:
-            # History depth: the elephant stream's own, not the trace's.
-            h = min(seq - 1, self.num_cores - 1)
-            self.elephant_packets += 1
-            if self.tracer.enabled:
-                self.tracer.emit_sampled(
-                    self.spans.sampled(pp.index), EV_HISTORY_DEPTH, start_ns,
-                    core=core, depth=h, index=pp.index)
-            history = h * c.c2
-            compute = c.c1 + history + classify_ns
+        miss_frac = spill = 0.0
+        if pp.valid and seq and self.tracer.enabled:
+            self.tracer.emit_sampled(
+                self.spans.sampled(pp.index), EV_HISTORY_DEPTH, start_ns,
+                core=core, depth=self._depth(seq), index=pp.index)
+        if pp.valid and not stateless:
             miss_frac, spill = self.l2.access(core, pp.key)
-            total = c.d + compute + spill + migration_ns
-            counters.charge_packet(
-                dispatch_ns=c.d,
-                compute_ns=compute + spill,
-                transfer_ns=migration_ns,
-                state_accesses=1,
-                l2_misses=miss_frac + (1.0 if migration_ns else 0.0),
-                program_ns=compute + spill + migration_ns,
-                history_ns=history,
-            )
-            return total
-        self.mice_packets += 1
-        if stateless:
-            self.stateless_packets += 1
-            compute = c.c1 + classify_ns
-            counters.charge_packet(
-                dispatch_ns=c.d,
-                compute_ns=compute,
-                transfer_ns=migration_ns,
-                state_accesses=0,
-                program_ns=compute + migration_ns,
-            )
-            return c.d + compute + migration_ns
-        miss_frac, spill = self.l2.access(core, pp.key)
-        compute = c.c1 + classify_ns + spill
-        counters.charge_packet(
-            dispatch_ns=c.d,
-            compute_ns=compute,
-            transfer_ns=migration_ns,
-            state_accesses=1,
-            l2_misses=miss_frac + (1.0 if migration_ns else 0.0),
-            program_ns=compute + migration_ns,
-        )
-        return c.d + compute + migration_ns
+        self._tally(pp.valid, seq, stateless)
+        return self._charge(core, self._terms(
+            pp.valid, seq, stateless, migration_ns, miss_frac, spill))
+
+    def _depth(self, seq: Any) -> Any:
+        """An elephant's history depth: its stream's own, not the trace's
+        (one packet's, or a column of them)."""
+        cap = self.num_cores - 1
+        return pick(seq <= cap, seq - 1, cap)
+
+    def _terms(self, valid: Any, seq: Any, stateless: Any, migration_ns: Any,
+               miss_frac: Any, spill_ns: Any) -> Terms:
+        """The hybrid's term function, over one packet's numbers or columns
+        alike, in ``service_ns``'s float order.  An elephant (``seq > 0``)
+        pays SCR's ``d + c1 + h·c2`` at its stream's depth, a mouse RSS's
+        ``d + c1``; both pay one sketch update per packet (the
+        classification path, modeled as a single uncontended atomic), the
+        L2 spill unless they run stateless, and the migration they
+        triggered.  An elephant adds its spill after dispatch + compute, a
+        mouse folds it into compute first.  An invalid packet pays
+        ``d + c1``."""
+        c = self.costs
+        classify_ns = self.contention.atomic_ns
+        elephant = seq > 0
+        touches = pick(stateless, False, valid)
+        history = pick(elephant, self._depth(seq) * c.c2, 0.0)
+        compute = pick(elephant, (c.c1 + history) + classify_ns,
+                       c.c1 + classify_ns)
+        service = pick(elephant, (c.d + compute) + spill_ns,
+                       c.d + (compute + spill_ns)) + migration_ns
+        compute = pick(valid, compute + spill_ns, c.c1)
+        return Terms(pick(valid, service, c.d + c.c1), compute, migration_ns,
+                     touches, pick(touches, miss_frac + (migration_ns != 0), 0.0),
+                     compute + migration_ns, history)
+
+    def _tally(self, valid: Any, seq: Any, stateless: Any) -> None:
+        """Count served packets — one, or columns of them — as elephants,
+        mice, and mice running stateless."""
+        count = np.count_nonzero if isinstance(seq, np.ndarray) else int
+        mice = pick(seq > 0, False, valid)
+        self.elephant_packets += int(count(seq > 0))
+        self.mice_packets += int(count(mice))
+        self.stateless_packets += int(count(pick(stateless, mice, False)))
 
     # -- columnar hot-path hooks (docs/HOTPATH.md) --------------------------------
 
@@ -383,7 +379,7 @@ class HybridEngine(BaseEngine):
         exactly as ``steer`` would, recording each route as columns."""
         placer = _Placer(self)
         table = trace.key_table
-        hashes = hash_column_for_program(self.program, trace)[rows].tolist()
+        hashes = hash_for_program(self.program, trace)[rows].tolist()
         routes = [placer.route(table[kid], valid, nic_hash)
                   for kid, valid, nic_hash in zip(
                       trace.key_ids[rows].tolist(),
@@ -404,80 +400,27 @@ class HybridEngine(BaseEngine):
         """Valid packets, except quota-refused mice: they run stateless."""
         return trace.valid[rows] & ~self._walk.stateless[rows]
 
-    def service_rows(
+    def row_terms(
         self,
         trace: "PerfTrace",
-        rows: np.ndarray,
-        miss_frac: np.ndarray,
-        spill_ns: np.ndarray,
-        history_items: np.ndarray,
-        gaps: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """:meth:`service_ns`'s branches as row math over the walk's
-        routes (the history depth is the elephant stream's, fixed at
-        steer time), adding floats in the same order."""
-        c = self.costs
-        compute, _, elephant = self._compute_rows(rows)
-        # An elephant adds its spill after dispatch + compute, a mouse
-        # folds it into compute first (the scalar branches' order).
-        total = np.where(elephant, (c.d + compute) + spill_ns,
-                         c.d + (compute + spill_ns))
-        total = total + self._walk.migration[rows]
-        return np.where(trace.valid[rows], total, c.d + c.c1)
+        rows: Any,
+        miss_frac: Any,
+        spill_ns: Any,
+        history_items: Any,
+        gaps: Optional[Any] = None,
+    ) -> Terms:
+        """:meth:`_terms` over the walk's routes (the history depth is the
+        elephant stream's, fixed at steer time)."""
+        walk = self._walk
+        return self._terms(trace.valid[rows], walk.seq[rows],
+                           walk.stateless[rows], walk.migration[rows],
+                           miss_frac, spill_ns)
 
-    def _compute_rows(self, rows: np.ndarray
-                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A valid packet's compute before any L2 spill, its history
-        share, and the elephant mask, in :meth:`service_ns`'s order."""
-        c = self.costs
-        classify_ns = self.contention.atomic_ns
-        seq = self._walk.seq[rows]
-        elephant = seq > 0
-        h = np.minimum(seq - 1, self.num_cores - 1)
-        history = np.where(elephant, h * c.c2, 0.0)
-        compute = np.where(elephant, (c.c1 + history) + classify_ns,
-                           c.c1 + classify_ns)
-        return compute, history, elephant
-
-    def service_batch(
-        self,
-        trace: "PerfTrace",
-        rows: np.ndarray,
-        cores: np.ndarray,
-        miss_frac: np.ndarray,
-        spill_ns: np.ndarray,
-        history_items: np.ndarray,
-        gaps: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        c = self.costs
-        services = self.service_rows(trace, rows, miss_frac, spill_ns,
-                                     history_items)
-        valid = trace.valid[rows]
-        touches = self.touches_state(trace, rows)
-        migration = self._walk.migration[rows]
-        compute, history, elephant = self._compute_rows(rows)
-        compute_col = np.where(valid, compute + spill_ns, c.c1)
-        l2_misses = np.where(touches, miss_frac + (migration != 0), 0.0)
-        dispatch_col = np.full(len(rows), c.d, dtype=np.float64)
-        accesses = touches.astype(np.int64)
-        for core in range(self.num_cores):
-            sel = np.flatnonzero(cores == core)
-            if len(sel) == 0:
-                continue
-            self.counters.cores[core].charge_batch(
-                dispatch_ns=dispatch_col[sel],
-                compute_ns=compute_col[sel],
-                transfer_ns=migration[sel],
-                state_accesses=accesses[sel],
-                l2_misses=l2_misses[sel],
-                program_ns=compute_col[sel] + migration[sel],
-                history_ns=history[sel],
-            )
-        mice = valid & ~elephant
-        self.elephant_packets += int(np.count_nonzero(elephant))
-        self.mice_packets += int(np.count_nonzero(mice))
-        self.stateless_packets += int(np.count_nonzero(mice & ~touches))
-        return services
+    def count_committed(self, trace: "PerfTrace", rows: np.ndarray,
+                        history_items: np.ndarray,
+                        gaps: Optional[np.ndarray]) -> None:
+        walk = self._walk
+        self._tally(trace.valid[rows], walk.seq[rows], walk.stateless[rows])
 
     def record_committed(self, trace: "PerfTrace", run: "ColumnarRun",
                          sampled: np.ndarray) -> None:
@@ -501,8 +444,7 @@ class HybridEngine(BaseEngine):
             fields=(("seq", seq[sprayed]), ("index", sprayed))))
         tracer.stage_columns(RecordBatch(
             EV_HISTORY_DEPTH, rows, run.starts[rows], run.cores[rows],
-            fields=(("depth", np.minimum(seq[rows] - 1, self.num_cores - 1)),
-                    ("index", rows))))
+            fields=(("depth", self._depth(seq[rows])), ("index", rows))))
 
     def placement_summary(self) -> dict:
         """Placement/quota counters for ``SimResult.placement_stats``

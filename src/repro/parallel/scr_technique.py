@@ -19,7 +19,7 @@ no bouncing.  What SCR pays instead:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from ..telemetry.events import (
     EV_SPRAY,
     RecordBatch,
 )
-from .base import BaseEngine
+from .base import BaseEngine, Terms, pick
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cpu.columnar import ColumnarRun
@@ -49,19 +49,20 @@ COVERED, PEER_LOG, RESYNC = 0, 1, 2
 class GapCharge(NamedTuple):
     """What one history gap costs the valid packet that meets it
     (:meth:`ScrEngine.gap_charge`): extra fast-forward work, a transfer
-    stall and cold-state misses on top of the packet's own service."""
+    stall and cold-state misses on top of the packet's own service.  Each
+    field is a number, or a column with one row per gap."""
 
     #: :data:`COVERED`, :data:`PEER_LOG` or :data:`RESYNC`.
-    kind: int
+    kind: Any
     #: packets the fault plan stole from this core since its last service.
-    gap: int
+    gap: Any
     #: sequences the replica missed (round robin spreads ``gap`` steals).
-    missed: int
+    missed: Any
     #: sequences fast-forwarded (``RESYNC``: replayed after the fetch).
-    length: int
-    catchup_ns: float
-    transfer_ns: float
-    misses: float
+    length: Any
+    catchup_ns: Any
+    transfer_ns: Any
+    misses: Any
 
 
 class ScrEngine(BaseEngine):
@@ -194,10 +195,11 @@ class ScrEngine(BaseEngine):
             "resync_cycles_total": self.resync_ns_total * CPU_FREQ_GHZ,
         }
 
-    def gap_charge(self, gap: int, h: int) -> GapCharge:
+    def gap_charge(self, gap: Any, h: Any) -> GapCharge:
         """The recovery a gap of ``gap`` stolen packets costs the valid
         packet of history depth ``h`` that meets it — the one gap model
-        both hot paths charge (``service_ns`` and the batched hooks).
+        both hot paths charge, over one gap's ints or columns of them (a
+        zero gap charges nothing).
 
         Round-robin spraying turns ``gap`` steals into ``(gap+1)*k - 1``
         missed sequences.  A widened history window (``num_slots > k``)
@@ -209,31 +211,36 @@ class ScrEngine(BaseEngine):
         average, half an epoch of logged metadata past the missed ones
         (the restored snapshot is cold: one miss).
         """
-        c = self.costs
-        step = c.c2 + self.extra_compute_ns
         missed = (gap + 1) * self.num_cores - 1
-        if missed <= self.num_slots:
-            return GapCharge(COVERED, gap, missed, missed - h,
-                             (missed - h) * step, 0.0, 0.0)
+        covered = missed <= self.num_slots
         if self.with_recovery:
             probes = 1 + (self.num_cores - 1) / 2
-            return GapCharge(PEER_LOG, gap, missed, gap, gap * step,
-                             gap * probes * self.contention.recovery_probe_ns,
-                             float(gap))
-        replay = missed + self.fault_epoch_len // 2
-        return GapCharge(RESYNC, gap, missed, replay, replay * step,
-                         self.contention.checkpoint_fetch_ns, 1.0)
+            kind, length = PEER_LOG, gap
+            transfer = gap * probes * self.contention.recovery_probe_ns
+            misses = gap * 1.0  # one miss per stolen packet, as a float
+        else:
+            kind, length = RESYNC, missed + self.fault_epoch_len // 2
+            transfer, misses = self.contention.checkpoint_fetch_ns, 1.0
+        length = pick(gap, pick(covered, missed - h, length), 0)
+        return GapCharge(pick(covered, COVERED, kind), gap, missed, length,
+                         self._fast_forward(length),
+                         pick(covered, 0.0, transfer),
+                         pick(covered, 0.0, misses))
 
-    def _count_gap(self, charge: GapCharge) -> None:
-        """Add one charged gap to the recovery counters (``fault_summary``)."""
-        self.fault_gaps += 1
-        if charge.kind == COVERED:
-            self.fault_gaps_covered += 1
-        elif charge.kind == RESYNC:
-            self.quarantines += 1
-            self.resyncs += 1
-            self.resync_replayed += charge.length
-            self.resync_ns_total += charge.catchup_ns + charge.transfer_ns
+    def _count_gaps(self, charge: GapCharge) -> None:
+        """Add charged gaps — one, or columns of them in pop order — to
+        the recovery counters (``fault_summary``)."""
+        kind = np.atleast_1d(charge.kind)
+        resync = kind == RESYNC
+        count = int(np.count_nonzero(resync))
+        self.fault_gaps += len(kind)
+        self.fault_gaps_covered += int(np.count_nonzero(kind == COVERED))
+        self.quarantines += count
+        self.resyncs += count
+        self.resync_replayed += int(np.atleast_1d(charge.length)[resync].sum())
+        for ns in np.atleast_1d(
+                charge.catchup_ns + charge.transfer_ns)[resync].tolist():
+            self.resync_ns_total += ns
 
     def record_gap(self, charge: GapCharge, core: int, start_ns: float) -> None:
         """A charged gap's recovery records, retained in full (emitted by
@@ -249,21 +256,38 @@ class ScrEngine(BaseEngine):
                     dur_ns=charge.catchup_ns + charge.transfer_ns,
                     replayed=charge.length)
 
-    def _service_terms(self, h, spill_ns, catchup, transfer) -> Tuple:
-        """A valid packet's ``(service, compute charge, history charge)``
-        in ``service_ns``'s float order, over scalars or arrays alike: the
-        Appendix A row ``d + c1 + h·c2 (+ catch-up) + spill (+ log writes)
-        (+ transfer)``.  A zero catch-up or transfer adds nothing."""
+    def _fast_forward(self, h: Any) -> Any:
+        """The work of fast-forwarding ``h`` history items: ``h·c2``, each
+        item inflated by Fig. 9's extra compute."""
+        return h * (self.costs.c2 + self.extra_compute_ns)
+
+    def _service_terms(self, valid: Any, h: Any, miss_frac: Any,
+                       spill_ns: Any, charge: Optional[GapCharge] = None
+                       ) -> Terms:
+        """SCR's term function, over one packet's numbers or columns alike,
+        in ``service_ns``'s float order: a valid packet's Appendix A row
+        ``d + c1 + h·c2 (+ catch-up) + spill (+ log writes) (+ transfer)``
+        with the gap ``charge`` it pays (None: none), an invalid packet's
+        ``d + c1`` (both with Fig. 9's extra compute)."""
         c = self.costs
         extra = self.extra_compute_ns
-        history = h * (c.c2 + extra)
-        compute = ((c.c1 + extra) + history) + catchup
+        history = self._fast_forward(h)
+        compute = (c.c1 + extra) + history
+        transfer = 0.0
+        if charge is not None:
+            compute = compute + charge.catchup_ns
+            history = history + charge.catchup_ns
+            transfer = charge.transfer_ns
+            miss_frac = miss_frac + charge.misses
         log_ns = 0.0
         if self.with_recovery:
             # Logging the h history items plus the packet's own entry.
             log_ns = (h + 1) * self.contention.log_write_ns
         total = (((c.d + compute) + spill_ns) + log_ns) + transfer
-        return total, (compute + spill_ns) + log_ns, history + catchup
+        compute = pick(valid, (compute + spill_ns) + log_ns, c.c1 + extra)
+        return Terms(pick(valid, total, c.d + c.c1 + extra), compute,
+                     transfer, valid, miss_frac, compute + transfer,
+                     pick(valid, history, 0.0))
 
     def _history_items(self) -> int:
         """Fast-forward work per packet: k-1 in steady state, fewer early."""
@@ -282,12 +306,11 @@ class ScrEngine(BaseEngine):
             self.tracer.emit(EV_HISTORY_DEPTH, ts_ns=start_ns, core=core,
                              depth=h, index=index)
         c = self.costs
-        extra = self.extra_compute_ns
-        history = h * (c.c2 + extra)
+        history = self._fast_forward(h)
         self.spans.emit("history_ff", index, ts_ns=start_ns + c.d,
                         dur_ns=history, core=core, depth=h)
         self.spans.emit("transition", index, ts_ns=start_ns + c.d + history,
-                        dur_ns=c.c1 + extra, core=core)
+                        dur_ns=c.c1 + self.extra_compute_ns, core=core)
 
     # -- columnar hot-path hooks (docs/HOTPATH.md) --------------------------------
 
@@ -327,98 +350,28 @@ class ScrEngine(BaseEngine):
     def history_cap(self) -> int:
         return self.num_cores - 1
 
-    def _gap_terms(self, gaps: np.ndarray, history_items: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-        """Per-row catch-up, transfer and miss columns of the charged
-        ``gaps`` (zero elsewhere), plus each charged row's
-        :class:`GapCharge` in row order."""
-        charged = np.flatnonzero(gaps)
-        charges = [self.gap_charge(gap, h) for gap, h in zip(
-            gaps[charged].tolist(), history_items[charged].tolist())]
-        columns = np.zeros((3, len(gaps)), dtype=np.float64)
-        if charges:
-            columns[:, charged] = np.array(
-                [(g.catchup_ns, g.transfer_ns, g.misses) for g in charges]).T
-        return columns[0], columns[1], columns[2], charges
-
-    def service_rows(
+    def row_terms(
         self,
         trace: "PerfTrace",
-        rows: np.ndarray,
-        miss_frac: np.ndarray,
-        spill_ns: np.ndarray,
-        history_items: np.ndarray,
-        gaps: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Batched service: :meth:`_service_terms` over whole arrays, with
-        each row's gap charged when ``gaps`` is given."""
-        catchup = transfer = 0.0
-        if gaps is not None:
-            catchup, transfer, _, _ = self._gap_terms(gaps, history_items)
-        total = self._service_terms(history_items, spill_ns, catchup,
-                                    transfer)[0]
-        c = self.costs
-        return np.where(trace.valid[rows], total,
-                        c.d + c.c1 + self.extra_compute_ns)
+        rows: Any,
+        miss_frac: Any,
+        spill_ns: Any,
+        history_items: Any,
+        gaps: Optional[Any] = None,
+    ) -> Terms:
+        charge = None if gaps is None else self.gap_charge(gaps, history_items)
+        return self._service_terms(trace.valid[rows], history_items,
+                                   miss_frac, spill_ns, charge)
 
-    def service_row(self, trace: "PerfTrace", row: int, miss_frac: float,
-                    spill_ns: float, h: int, gap: int = 0) -> float:
-        """:meth:`service_rows` for one row, over plain floats."""
-        c = self.costs
-        if not trace.valid[row]:
-            return c.d + c.c1 + self.extra_compute_ns
-        catchup = transfer = 0.0
-        if gap:
-            charge = self.gap_charge(gap, h)
-            catchup, transfer = charge.catchup_ns, charge.transfer_ns
-        return self._service_terms(h, spill_ns, catchup, transfer)[0]
-
-    def service_batch(
-        self,
-        trace: "PerfTrace",
-        rows: np.ndarray,
-        cores: np.ndarray,
-        miss_frac: np.ndarray,
-        spill_ns: np.ndarray,
-        history_items: np.ndarray,
-        gaps: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Serve ``rows`` (commit order) and charge the counters: the gap
-        counters in that order (so ``resync_ns_total`` adds up as the
-        scalar loop's does), each core's columns through
-        ``charge_batch``."""
-        c = self.costs
-        extra = self.extra_compute_ns
-        catchup = transfer = misses = 0.0
+    def count_committed(self, trace: "PerfTrace", rows: np.ndarray,
+                        history_items: np.ndarray,
+                        gaps: Optional[np.ndarray]) -> None:
+        """The gap counters of the committed rows' gaps, in pop order (so
+        ``resync_ns_total`` adds up as the scalar loop's does)."""
         if gaps is not None:
-            catchup, transfer, misses, charges = self._gap_terms(
-                gaps, history_items)
-            for charge in charges:
-                self._count_gap(charge)
-        total, compute, history = self._service_terms(
-            history_items, spill_ns, catchup, transfer)
-        valid = trace.valid[rows]
-        services = np.where(valid, total, c.d + c.c1 + extra)
-        compute_col = np.where(valid, compute, c.c1 + extra)
-        transfer_col = np.where(valid, transfer, 0.0)
-        history_col = np.where(valid, history, 0.0)
-        misses_col = np.where(valid, miss_frac + misses, 0.0)
-        dispatch_col = np.full(len(rows), c.d, dtype=np.float64)
-        accesses = valid.astype(np.int64)
-        for core in range(self.num_cores):
-            sel = np.flatnonzero(cores == core)
-            if len(sel) == 0:
-                continue
-            self.counters.cores[core].charge_batch(
-                dispatch_ns=dispatch_col[sel],
-                compute_ns=compute_col[sel],
-                transfer_ns=transfer_col[sel],
-                state_accesses=accesses[sel],
-                l2_misses=misses_col[sel],
-                program_ns=compute_col[sel] + transfer_col[sel],
-                history_ns=history_col[sel],
-            )
-        return services
+            charged = gaps > 0
+            self._count_gaps(self.gap_charge(gaps[charged],
+                                             history_items[charged]))
 
     def record_committed(self, trace: "PerfTrace", run: "ColumnarRun",
                          sampled: np.ndarray) -> None:
@@ -453,44 +406,35 @@ class ScrEngine(BaseEngine):
                 EV_HISTORY_DEPTH, rows, start, cores,
                 fields=(("depth", h), ("index", rows))))
         c = self.costs
-        extra = self.extra_compute_ns
-        history = h * (c.c2 + extra)
+        history = self._fast_forward(h)
         self.spans.emit_columns("history_ff", rows, start + c.d, core=cores,
                                 dur_ns=history, depth=h)
-        self.spans.emit_columns("transition", rows, (start + c.d) + history,
-                                core=cores,
-                                dur_ns=np.full(len(rows), c.c1 + extra))
+        self.spans.emit_columns(
+            "transition", rows, (start + c.d) + history, core=cores,
+            dur_ns=np.full(len(rows), c.c1 + self.extra_compute_ns))
         charged = rows[run.gaps[rows] > 0]
-        charges = [self.gap_charge(gap, depth) for gap, depth in zip(
-            run.gaps[charged].tolist(), run.history[charged].tolist())]
-        resync = np.array([g.kind == RESYNC for g in charges], dtype=bool)
+        charge = self.gap_charge(run.gaps[charged], run.history[charged])
+        resync = charge.kind == RESYNC
         if not resync.any():
             return
         rows = charged[resync]
-        charges = [g for g in charges if g.kind == RESYNC]
         start = run.starts[rows]
         cores = run.cores[rows]
-        fetch = np.array([g.transfer_ns for g in charges])
-        catchup = np.array([g.catchup_ns for g in charges])
+        fetch = charge.transfer_ns[resync]
+        catchup = charge.catchup_ns[resync]
         spans = self.spans
         spans.emit_columns("quarantine", rows, start, core=cores,
-                           gap=run.gaps[rows],
-                           missed=np.array([g.missed for g in charges]))
+                           gap=run.gaps[rows], missed=charge.missed[resync])
         spans.emit_columns("checkpoint_fetch", rows, start, core=cores,
                            dur_ns=fetch)
         spans.emit_columns("replay", rows, start + fetch, core=cores,
-                           dur_ns=catchup,
-                           replayed=np.array([g.length for g in charges]))
+                           dur_ns=catchup, replayed=charge.length[resync])
         spans.emit_columns("resync", rows, (start + fetch) + catchup,
                            core=cores)
 
     def service_ns(self, core: int, pp: PerfPacket, start_ns: float) -> float:
-        c = self.costs
-        counters = self.counters.cores[core]
-        extra = self.extra_compute_ns
         if not pp.valid:
-            counters.charge_packet(dispatch_ns=c.d, compute_ns=c.c1 + extra, state_accesses=0)
-            return c.d + c.c1 + extra
+            return self._charge(core, self._service_terms(False, 0, 0.0, 0.0))
         h = self._history_items()
         spans = self.spans
         pp_sampled = spans.enabled and spans.sampled(pp.index)
@@ -499,14 +443,14 @@ class ScrEngine(BaseEngine):
         # Every core holds every flow, so spill is judged against the full
         # (replicated) working set.
         miss_frac, spill = self.l2.access(core, pp.key)
-        catchup = transfer = misses = 0.0
+        charge = None
         gap = self._fault_gap[core]
         if gap:
             hp = self.hostprof
             hp_t0 = hp.now() if hp.enabled else 0
             self._fault_gap[core] = 0
             charge = self.gap_charge(gap, h)
-            self._count_gap(charge)
+            self._count_gaps(charge)
             if self.tracer.enabled:
                 self.record_gap(charge, core, start_ns)
             if pp_sampled and charge.kind == RESYNC:
@@ -519,21 +463,10 @@ class ScrEngine(BaseEngine):
                            dur_ns=catchup, core=core, replayed=charge.length)
                 spans.emit("resync", pp.index,
                            ts_ns=start_ns + fetch + catchup, core=core)
-            catchup, transfer, misses = (
-                charge.catchup_ns, charge.transfer_ns, charge.misses)
             if hp.enabled:
                 # Wall cost of gap-recovery fast-forward/resync modeling
-                # (steady-state history replay is pure arithmetic above).
+                # (steady-state history replay is pure arithmetic in
+                # :meth:`_service_terms`).
                 hp.charge("scr.history_ff", hp_t0)
-        total, compute, history = self._service_terms(h, spill, catchup,
-                                                      transfer)
-        counters.charge_packet(
-            dispatch_ns=c.d,
-            compute_ns=compute,
-            transfer_ns=transfer,
-            state_accesses=1,
-            l2_misses=miss_frac + misses,
-            program_ns=compute + transfer,
-            history_ns=history,
-        )
-        return total
+        return self._charge(core, self._service_terms(True, h, miss_frac,
+                                                      spill, charge))

@@ -15,13 +15,13 @@ calls out as RSS++'s limits (§4.2).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..cpu.simulator import PerfPacket
 from ..nic.rss import RssIndirection
-from .base import BaseEngine, hash_column_for_program, hash_for_program
+from .base import BaseEngine, Terms, hash_for_program, pick
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cpu.simulator import PerfTrace
@@ -48,27 +48,30 @@ class ShardedRssEngine(BaseEngine):
         return self.indirection.queue_of(hash_for_program(self.program, pp))
 
     def service_ns(self, core: int, pp: PerfPacket, start_ns: float) -> float:
-        c = self.costs
-        counters = self.counters.cores[core]
         if not pp.valid:
-            counters.charge_packet(dispatch_ns=c.d, compute_ns=c.c1, state_accesses=0)
-            return c.d + c.c1
-        service, miss_frac, spill = self.packet_terms(core, pp.key)
-        counters.charge_packet(
-            dispatch_ns=c.d,
-            compute_ns=c.c1 + spill,
-            state_accesses=1,
-            l2_misses=miss_frac,
-            program_ns=c.c1 + spill,
-        )
-        return service
+            return self._charge(core, self.packet_terms(False, 0.0, 0.0))
+        miss_frac, spill = self.l2.access(core, pp.key)
+        return self._charge(core, self.packet_terms(
+            True, miss_frac, spill, self._moved(pp)))
 
-    def packet_terms(self, core: int, key: object) -> Tuple[float, float, float]:
-        """A valid packet's state access on its core's L2: ``(service,
-        miss fraction, spill)``.  No sharing, no contention."""
+    def _moved(self, pp: PerfPacket) -> bool:
+        """Does this valid packet pay a migration surcharge?  Never: RSS
+        shards are static."""
+        return False
+
+    def packet_terms(self, valid: Any, miss_frac: Any, spill_ns: Any,
+                     moved: Any = False) -> Terms:
+        """The sharded term function, over one packet's numbers or columns
+        alike: ``d + c1`` plus the L2 spill of the packet's own core (an
+        invalid packet touches no state: no spill, no miss).  No sharing,
+        no contention; a ``moved`` packet (rss++) first pulls its state
+        line from the shard's old core: one transfer, and its one access
+        is a miss."""
         c = self.costs
-        miss_frac, spill = self.l2.access(core, key)
-        return c.d + c.c1 + spill, miss_frac, spill
+        transfer = pick(moved, self.contention.line_transfer_ns, 0.0)
+        compute = c.c1 + spill_ns
+        return Terms(((c.d + c.c1) + spill_ns) + transfer, compute, transfer,
+                     valid, pick(moved, 1.0, miss_frac), compute, 0.0)
 
     # -- columnar hot-path hooks (docs/HOTPATH.md) --------------------------------
 
@@ -81,7 +84,7 @@ class ShardedRssEngine(BaseEngine):
     def _shards(self, trace: "PerfTrace") -> np.ndarray:
         """Each packet's shard (indirection-table index), ``shard_of``
         over the whole trace's RSS hashes."""
-        hashes = hash_column_for_program(self.program, trace)
+        hashes = hash_for_program(self.program, trace)
         size = self.indirection.table_size
         if size & (size - 1) == 0:
             return hashes & np.uint32(size - 1)
@@ -91,65 +94,16 @@ class ShardedRssEngine(BaseEngine):
         table = np.asarray(self.indirection.table, dtype=np.int64)
         return table[self._shards(trace)[rows]]
 
-    def service_rows(
+    def row_terms(
         self,
         trace: "PerfTrace",
-        rows: np.ndarray,
-        miss_frac: np.ndarray,
-        spill_ns: np.ndarray,
-        history_items: np.ndarray,
-        gaps: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        c = self.costs
-        return np.where(trace.valid[rows], (c.d + c.c1) + spill_ns, c.d + c.c1)
-
-    def service_row(self, trace: "PerfTrace", row: int, miss_frac: float,
-                    spill_ns: float, h: int, gap: int = 0) -> float:
-        c = self.costs
-        return (c.d + c.c1) + spill_ns if trace.valid[row] else c.d + c.c1
-
-    def service_batch(
-        self,
-        trace: "PerfTrace",
-        rows: np.ndarray,
-        cores: np.ndarray,
-        miss_frac: np.ndarray,
-        spill_ns: np.ndarray,
-        history_items: np.ndarray,
-        gaps: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        self._charge_rows(trace.valid[rows], cores, miss_frac, spill_ns)
-        return self.service_rows(trace, rows, miss_frac, spill_ns,
-                                 history_items)
-
-    def _charge_rows(self, valid: np.ndarray, cores: np.ndarray,
-                     miss_frac: np.ndarray, spill_ns: np.ndarray,
-                     moved: Optional[np.ndarray] = None) -> None:
-        """Charge served rows (commit order, on ``cores``) per core.  A
-        ``moved`` row (rss++) also paid the migration surcharge: a
-        transfer, and one more miss right after its own."""
-        c = self.costs
-        compute_col = np.where(valid, c.c1 + spill_ns, c.c1)
-        dispatch_col = np.full(len(valid), c.d, dtype=np.float64)
-        accesses = valid.astype(np.int64)
-        transfer = None
-        if moved is not None:
-            transfer = np.where(moved, self.contention.line_transfer_ns, 0.0)
-        for core in range(self.num_cores):
-            sel = np.flatnonzero(cores == core)
-            if len(sel) == 0:
-                continue
-            misses = miss_frac[sel]
-            if moved is not None:
-                misses = np.insert(misses, np.flatnonzero(moved[sel]) + 1, 1.0)
-            self.counters.cores[core].charge_batch(
-                dispatch_ns=dispatch_col[sel],
-                compute_ns=compute_col[sel],
-                transfer_ns=None if transfer is None else transfer[sel],
-                state_accesses=accesses[sel],
-                l2_misses=misses,
-                program_ns=compute_col[sel],
-            )
+        rows: Any,
+        miss_frac: Any,
+        spill_ns: Any,
+        history_items: Any,
+        gaps: Optional[Any] = None,
+    ) -> Terms:
+        return self.packet_terms(trace.valid[rows], miss_frac, spill_ns)
 
 
 class RssPlusPlusEngine(ShardedRssEngine):
@@ -243,20 +197,11 @@ class RssPlusPlusEngine(ShardedRssEngine):
             return True
         return False
 
-    def service_ns(self, core: int, pp: PerfPacket, start_ns: float) -> float:
-        base = super().service_ns(core, pp, start_ns)
-        if not pp.valid:
-            return base
+    def _moved(self, pp: PerfPacket) -> bool:
+        """First touch after this packet's shard migrated: the flow's
+        state line must move from the old core."""
         shard = self.indirection.shard_of(hash_for_program(self.program, pp))
-        if self._migrated(pp.key, self._shard_gen[shard]):
-            # First touch after this shard migrated: the flow's state line
-            # must move from the old core.
-            transfer = self.contention.line_transfer_ns
-            counters = self.counters.cores[core]
-            counters.transfer_ns += transfer
-            counters.l2_misses += 1
-            return base + transfer
-        return base
+        return self._migrated(pp.key, self._shard_gen[shard])
 
     # -- columnar hot-path hooks (docs/HOTPATH.md) --------------------------------
 
@@ -312,13 +257,12 @@ class RssPlusPlusEngine(ShardedRssEngine):
 
 class _MigrationWalk:
     """A committed rss++ run's services, in the scalar loop's call order:
-    the RSS service over the live L2 model, plus the migration surcharge
-    of a key's first service after its shard migrated, under the shard
-    generations in force at the service's loop step (the rebalances of
-    the packets steered before it)."""
+    the sharded term function over the live L2 model, with the migration
+    surcharge of a key's first service after its shard migrated, under
+    the shard generations in force at the service's loop step (the
+    rebalances of the packets steered before it)."""
 
     def __init__(self, engine: RssPlusPlusEngine, trace: "PerfTrace") -> None:
-        c = engine.costs
         self.engine = engine
         self.trace = trace
         gens, self._changes = engine._gens_from
@@ -328,8 +272,6 @@ class _MigrationWalk:
         self._keys = trace.key_ids.tolist()
         self._valid = trace.valid.tolist()
         self._shards = engine._shards(trace).tolist()
-        #: an invalid packet's service: dispatch and compute, no state.
-        self._invalid = c.d + c.c1
         #: each served row's L2 miss fraction and spill, and whether it
         #: paid the surcharge, in call order.
         self.miss_frac: List[float] = []
@@ -338,29 +280,27 @@ class _MigrationWalk:
 
     def serve(self, core: int, row: int, step: int, start: float) -> float:
         engine = self.engine
-        if not self._valid[row]:
-            self.miss_frac.append(0.0)
-            self.spill.append(0.0)
-            self.moved.append(False)
-            return self._invalid
-        changes = self._changes
-        while self._applied < len(changes) and changes[self._applied][0] < step:
-            _, shard, gen = changes[self._applied]
-            self._gens[shard] = gen
-            self._applied += 1
-        key = self._table[self._keys[row]]
-        service, miss_frac, spill = engine.packet_terms(core, key)
-        moved = engine._migrated(key, self._gens[self._shards[row]])
+        valid = self._valid[row]
+        miss_frac = spill = 0.0
+        moved = False
+        if valid:
+            changes = self._changes
+            while (self._applied < len(changes)
+                   and changes[self._applied][0] < step):
+                _, shard, gen = changes[self._applied]
+                self._gens[shard] = gen
+                self._applied += 1
+            key = self._table[self._keys[row]]
+            miss_frac, spill = engine.l2.access(core, key)
+            moved = engine._migrated(key, self._gens[self._shards[row]])
         self.miss_frac.append(miss_frac)
         self.spill.append(spill)
         self.moved.append(moved)
-        if moved:
-            return service + engine.contention.line_transfer_ns
-        return service
+        return engine.packet_terms(valid, miss_frac, spill, moved).service
 
     def commit(self, rows: np.ndarray, cores: np.ndarray) -> None:
-        self.engine._charge_rows(
-            self.trace.valid[rows], cores,
-            np.asarray(self.miss_frac, dtype=np.float64),
+        terms = self.engine.packet_terms(
+            self.trace.valid[rows], np.asarray(self.miss_frac, dtype=np.float64),
             np.asarray(self.spill, dtype=np.float64),
             np.asarray(self.moved, dtype=bool))
+        self.engine.charge_rows(cores, **terms.charges())

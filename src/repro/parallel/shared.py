@@ -233,39 +233,18 @@ class _SharedWalk:
         """Charge the served ``rows`` (call order, on ``cores``) per core,
         each global update as one more wait, stall, access and miss right
         after its packet's own (the order ``service_ns`` adds them)."""
-        engine = self.engine
         self.rows = rows
         _, compute, wait, transfer, misses, program = self._columns().T
         g_rows, _, g_stall, g_wait, g_misses = self._global_columns().T
         position = np.empty(len(self.trace), dtype=np.int64)
         position[rows] = np.arange(len(rows))
-        g_pos = position[g_rows.astype(np.int64)]
-        g_cores = cores[g_pos]
-        accesses = self.trace.valid[rows].astype(np.int64)
-        dispatch = np.full(len(rows), engine.costs.d, dtype=np.float64)
-        for core in range(engine.num_cores):
-            sel = np.flatnonzero(cores == core)
-            if len(sel) == 0:
-                continue
-            mine = g_cores == core
-            after = np.searchsorted(sel, g_pos[mine]) + 1
-
-            def with_global(column: np.ndarray, extra) -> np.ndarray:
-                """``column`` over ``sel``, each global update's
-                ``extra`` right after its packet's own entry."""
-                if not len(after):
-                    return column[sel]
-                return np.insert(column[sel], after, extra)
-
-            engine.counters.cores[core].charge_batch(
-                dispatch_ns=dispatch[sel],
-                compute_ns=compute[sel],
-                wait_ns=with_global(wait, g_wait[mine]),
-                transfer_ns=with_global(transfer, g_stall[mine]),
-                state_accesses=with_global(accesses, 1),
-                l2_misses=with_global(misses, g_misses[mine]),
-                program_ns=program[sel],
-            )
+        self.engine.charge_rows(
+            cores, compute_ns=compute, wait_ns=wait, transfer_ns=transfer,
+            state_accesses=self.trace.valid[rows].astype(np.int64),
+            l2_misses=misses, program_ns=program,
+            after=(position[g_rows.astype(np.int64)],
+                   dict(wait_ns=g_wait, transfer_ns=g_stall,
+                        state_accesses=1, l2_misses=g_misses)))
 
     def waits(self, starts: np.ndarray) -> Tuple[np.ndarray, ...]:
         """Every update that waited, key updates first: its row, its

@@ -1,5 +1,6 @@
 """Sharded engines: RSS pinning and RSS++ migration."""
 
+import pytest
 
 from repro.cpu import PerfTrace, simulate
 from repro.packet import make_udp_packet
@@ -123,3 +124,20 @@ class TestRssPlusPlus:
         eng.reset()
         assert eng.migrations == 0
         assert all(g == 0 for g in eng._shard_gen)
+
+
+@pytest.mark.parametrize("hotpath", ["scalar", "columnar"])
+def test_rss_plus_plus_l2_hit_ratio_is_a_ratio(hotpath):
+    """A migrated key's first touch is one access and one miss, so every
+    core's L2 hit ratio stays in [0, 1] on both hot paths."""
+    from repro.scenario import Scenario, build_perf_trace
+
+    prog = make_program("ddos")
+    trace = build_perf_trace(Scenario.create(
+        "ddos", "caida", "rss++", 1, num_flows=400, max_packets=4000))
+    for rebalance_every in (500, 2000):
+        engine = RssPlusPlusEngine(prog, 8, rebalance_every=rebalance_every)
+        res = simulate(trace, 2e6, engine, hotpath=hotpath)
+        assert engine.migrations > 0
+        for core in res.counters.cores:
+            assert 0.0 <= core.l2_hit_ratio <= 1.0, (rebalance_every, core)
