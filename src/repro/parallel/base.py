@@ -75,8 +75,8 @@ class Terms(NamedTuple):
     history: Any
 
     def charges(self) -> Dict[str, Any]:
-        """The ``charge_packet`` / ``charge_batch`` keywords, dispatch
-        aside."""
+        """The ``charge_batch`` keywords, dispatch aside (the columns
+        :meth:`BaseEngine.charge_rows` takes)."""
         return dict(compute_ns=self.compute, transfer_ns=self.transfer,
                     state_accesses=self.accesses, l2_misses=self.misses,
                     program_ns=self.program, history_ns=self.history)
