@@ -6,7 +6,10 @@ to_bytes())`` (plus the trace name and length) of the traces that
 four distributions x flows {1, 7, 400, 10^4} x seeds {0, 7} x uni- and
 bidirectional x caps {1, 1500, 4000} x ``packet_size`` {None, 64}, one
 10^6-flow ``zipf`` spec at the multitenant suite's 1500-packet cap, and
-direct :func:`flow_packets` / :func:`single_flow_trace` calls.
+direct :func:`flow_packets` / :func:`single_flow_trace` calls.  A second
+grid pins the perf suites' sizes {192, 256} (the ``.../sized`` keys,
+single-flow specs included); its digests were recorded while sized
+traces were still built at 512 bytes and then truncated.
 
 Synthesis may get faster, never different: a changed digest means the
 cached traces (``repro.scenario.cache``) no longer match their specs.
@@ -24,13 +27,14 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import pytest
 
 from repro.packet import Packet
 from repro.scenario import Scenario, TraceSpec
 from repro.scenario.build import _synthesize
+from repro.scenario.spec import SINGLE_FLOW_WORKLOAD
 from repro.traffic import FlowSpec, flow_packets, single_flow_trace
 from repro.traffic.distributions import TRACE_DISTRIBUTIONS
 
@@ -38,6 +42,8 @@ FLOWS = (1, 7, 400, 10_000)
 SEEDS = (0, 7)
 CAPS = (1, 1500, 4000)
 PACKET_SIZES = (None, 64)
+#: The perf suites' packet sizes, pinned in a grid of their own.
+SUITE_PACKET_SIZES = (192, 256)
 
 #: The multitenant suite's largest trace: ddos on zipf, 10^6 flows.
 MILLION = Scenario.create(
@@ -60,8 +66,9 @@ def _digest(named: Iterable[Tuple[str, Iterable[Packet]]]) -> str:
     return h.hexdigest()
 
 
-def _grid_specs(workload: str, flows: int, bidirectional: bool):
-    for seed, cap, size in itertools.product(SEEDS, CAPS, PACKET_SIZES):
+def _grid_specs(workload: str, flows: int, bidirectional: bool,
+                sizes: Tuple[Optional[int], ...] = PACKET_SIZES):
+    for seed, cap, size in itertools.product(SEEDS, CAPS, sizes):
         yield TraceSpec(
             workload, num_flows=flows, max_packets=cap, seed=seed,
             bidirectional=bidirectional, packet_size=size,
@@ -93,14 +100,29 @@ def _single_flow_cases():
         yield f"{trace.name}-{n}-{bidir}", trace.packets
 
 
+def _single_flow_specs():
+    for cap, bidir, size in itertools.product(
+        (2, 4000), (False, True), (None,) + SUITE_PACKET_SIZES
+    ):
+        yield TraceSpec(SINGLE_FLOW_WORKLOAD, max_packets=cap,
+                        bidirectional=bidir, packet_size=size)
+
+
+GRID_CASES = list(itertools.product(sorted(TRACE_DISTRIBUTIONS), FLOWS, (False, True)))
+
+
 def current_digests() -> Dict[str, str]:
     """Every pinned case's digest under the code as it stands."""
     digests = {
         f"{w}/{f}/{'bi' if b else 'uni'}": _digest(_traces(_grid_specs(w, f, b)))
-        for w, f, b in itertools.product(
-            sorted(TRACE_DISTRIBUTIONS), FLOWS, (False, True)
-        )
+        for w, f, b in GRID_CASES
     }
+    digests.update({
+        f"{w}/{f}/{'bi' if b else 'uni'}/sized": _digest(
+            _traces(_grid_specs(w, f, b, SUITE_PACKET_SIZES)))
+        for w, f, b in GRID_CASES
+    })
+    digests[f"{SINGLE_FLOW_WORKLOAD}/sized"] = _digest(_traces(_single_flow_specs()))
     digests["zipf/1000000/multitenant"] = _digest(_traces([MILLION]))
     digests["flow_packets"] = _digest(_flow_cases())
     digests["single_flow_trace"] = _digest(_single_flow_cases())
@@ -143,17 +165,60 @@ PINNED: Dict[str, str] = {
     "zipf/1000000/multitenant": "76710222474a26d4f7568b57d012b349215b225ed57c6925e895a71972173a80",
     "flow_packets": "61ae91d3106463bee306550ea4b9e71a3690854381d8282acedaaa4288c455d2",
     "single_flow_trace": "25ff80dfdde43e4ab0bd3570882db99faba9877047dd12bcaa9db6112d7dca74",
+    "caida/1/uni/sized": "b7a084d270196880634ac5d613ade9844553677389e0f61506265b33cbf0faf6",
+    "caida/1/bi/sized": "ffe0d05f7b4c510d8eaffd6c920817b176e13e0040bcd4115c61db3456f6a0df",
+    "caida/7/uni/sized": "74206ea38ed73a5afda4a2a596bd18e885e426f41c3759c1ee2e6b3eddea7ed5",
+    "caida/7/bi/sized": "9c0847c11eda59e10127ed813802bb4b087ab233e33a80f2260e05f1a3fe5a0c",
+    "caida/400/uni/sized": "437522c5399aafc2ce52385d574d6b4a955d82f4eceed4a4b08aed25347bbae8",
+    "caida/400/bi/sized": "ffbe86edfecb3c5c36316da758d6211da308fb40dc9801f1e91c422fdb2f7b0b",
+    "caida/10000/uni/sized": "2eed821d83f902b8f5dce1992bd074447c08dc1393e6d3833bd3ef57d7a94b3a",
+    "caida/10000/bi/sized": "e8e17336f377679a84157c37b5891d721d04473979ca23e8e84297c254caae7d",
+    "hyperscalar_dc/1/uni/sized": "153c4a086d60ec470bb0524ae7c0817f885a3762c9574c3bda306e46cdf118c0",
+    "hyperscalar_dc/1/bi/sized": "55916fb6755ae2f04b0b3af8b3f3cabab4aa3ec2c4b15fce5ee5ad9293f53315",
+    "hyperscalar_dc/7/uni/sized": "bfee6ff7d7340e0aa6706a637a95676a849abc0bcf6467ae90d019e305ca93ff",
+    "hyperscalar_dc/7/bi/sized": "894d8d07e7112090197dfa0b7f670e7e8d8a4763b159aaabfb9943d2fff441a2",
+    "hyperscalar_dc/400/uni/sized": "ba44d3cd25be644cff7e09a9cbd0ffaabb7672cfaf4773b7cb9280ecfb2a9222",
+    "hyperscalar_dc/400/bi/sized": "aac89474f37b3d21b92e1da19154005e1c4278f7b0137b267a0cbeb6b0c4b8ff",
+    "hyperscalar_dc/10000/uni/sized": "1aeb1d2b08cece76833d172e367a535d26d000637f755defacd6a2eb171248a8",
+    "hyperscalar_dc/10000/bi/sized": "93df821de201bdd2c16c760bf07d9917366de7545b75308421ed9d9a9629cea5",
+    "univ_dc/1/uni/sized": "635e92713f8586b75c8308b614ab61087314fab6cc0e9719baa3ffc358ef7561",
+    "univ_dc/1/bi/sized": "74bed0dacd3964b3a131c8b7f6cf37e941cdcc68872a198397d391518da7e357",
+    "univ_dc/7/uni/sized": "c6c68876acff3aff9f8bcfca0ca5280ad8f60930ac1259e54f923fa5618bf209",
+    "univ_dc/7/bi/sized": "e77df8048760e22a6ce84872adb069242e1ec022340059faaf843bd81d693cd8",
+    "univ_dc/400/uni/sized": "5e03b6d769a962814fa444fffefd37ab3cfed51b0f6d72186b25f2557e6fa9b8",
+    "univ_dc/400/bi/sized": "67c24d1800cebc720ee1ce69f3030b3c1417c0a020b3751c51c10461bb071fb6",
+    "univ_dc/10000/uni/sized": "f681c8f8f800ed6cc20afd65bffdc30990e850e9a685da42525bef200df96070",
+    "univ_dc/10000/bi/sized": "7c0e251d57beff6b6ebc97bc34c1f99debc9ca9be1cdbf07584d790f7191f3ef",
+    "zipf/1/uni/sized": "af5c8ad66fd5379e7b615e0fca004d1bf4881b40fa1f0621340ac98a8379174c",
+    "zipf/1/bi/sized": "fe1bc84493362be2c23dda38a862dd44672bbde3b1ddb77c37e895c1fbd743dc",
+    "zipf/7/uni/sized": "c3aa7f04017e93133c962ff055fdbe82e399877794bf6ad9a86e3c91c4c140fd",
+    "zipf/7/bi/sized": "538b631ac157a55db591255f11fc050fda9c70aabd103a6740860242ea2c533d",
+    "zipf/400/uni/sized": "47a2f6acdcb01b8ce1b5c67a3d71c1b0dccbc8b422ded039e5ec5e34758c4d63",
+    "zipf/400/bi/sized": "39b92a59cce7d4ae5e47c778619670ac9390efd16bbfceff408325fbf59496fa",
+    "zipf/10000/uni/sized": "bc0f7055b2e9366dcfc533def8e1ffaed954964235d32a19d8902c712a6befe8",
+    "zipf/10000/bi/sized": "c4d2217f5c35ac1812e984d14ade3335061c6808edbc4cc5e123bcc8ed07becf",
+    "single-flow/sized": "5ad58dade55f1416394fef67a3fead5813d929b3513444729f678f72df72dfcb",
 }
 
 
-@pytest.mark.parametrize(
-    "workload,flows,bidirectional",
-    list(itertools.product(sorted(TRACE_DISTRIBUTIONS), FLOWS, (False, True))),
-)
+@pytest.mark.parametrize("workload,flows,bidirectional", GRID_CASES)
 def test_grid_traces_pinned(workload, flows, bidirectional):
     key = f"{workload}/{flows}/{'bi' if bidirectional else 'uni'}"
     got = _digest(_traces(_grid_specs(workload, flows, bidirectional)))
     assert got == PINNED[key], key
+
+
+@pytest.mark.parametrize("workload,flows,bidirectional", GRID_CASES)
+def test_suite_sized_traces_pinned(workload, flows, bidirectional):
+    key = f"{workload}/{flows}/{'bi' if bidirectional else 'uni'}/sized"
+    got = _digest(_traces(
+        _grid_specs(workload, flows, bidirectional, SUITE_PACKET_SIZES)))
+    assert got == PINNED[key], key
+
+
+def test_single_flow_sized_traces_pinned():
+    got = _digest(_traces(_single_flow_specs()))
+    assert got == PINNED[f"{SINGLE_FLOW_WORKLOAD}/sized"]
 
 
 def test_million_flow_trace_pinned():
