@@ -91,7 +91,8 @@ report:
 hotpath:
 	PYTHONPATH=src python -m pytest -x -q tests/cpu/test_hotpath_parity.py \
 		tests/cpu/test_chain.py tests/cpu/test_fault_parity.py \
-		tests/cpu/test_coupled_parity.py tests/nic/test_rss.py
+		tests/cpu/test_coupled_parity.py tests/cpu/test_lowering_reference.py \
+		tests/nic/test_rss.py
 
 # Multi-tenant placement gate: the placement and traffic test packages
 # (the suite's 10^6-flow traces come from traffic synthesis), then the

@@ -32,7 +32,7 @@ from ..nic.nic import (
     WIRE_SLACK_FRAMES,
 )
 from ..nic.queues import DEFAULT_DESCRIPTORS
-from ..nic.rss import SYMMETRIC_RSS_KEY, hash_input_l4, toeplitz_hash, toeplitz_hash_batch
+from ..nic.rss import SYMMETRIC_RSS_KEY, toeplitz_hash, toeplitz_hash_batch
 from ..programs.base import PacketProgram
 from ..telemetry.events import (
     EV_FAULT_DROP,
@@ -218,59 +218,116 @@ class PerfTrace:
         cls, trace: Trace, program: PacketProgram,
         hotpath: Optional[str] = None,
     ) -> "PerfTrace":
+        """Lower ``trace`` for ``program``.
+
+        What the headers alone decide (the hash inputs, ``wire_lens``,
+        ``valid`` and, in columnar mode, the three Toeplitz columns) is
+        read once per trace and shared by every program lowered from it;
+        only the program's metadata, keys and ``touches_global`` are
+        read per program.
+        """
         from .columnar import resolve_hotpath
 
-        mode = resolve_hotpath(hotpath)
-        key_table: List[object] = []
+        headers = trace.derived("lowering.headers", _read_headers)
+        if resolve_hotpath(hotpath) == "columnar":
+            l3, l4, sym = trace.derived("lowering.toeplitz", _toeplitz_columns)
+        else:
+            l3, l4, sym = _scalar_toeplitz(headers.packed)
+        extract = program.extract_metadata
+        key_of = program.key
+        touches_global = program.touches_global
         key_index: Dict[object, int] = {}
         key_ids: List[int] = []
-        wire_lens: List[int] = []
-        valid: List[bool] = []
         touches: List[bool] = []
-        packed: List[bytes] = []
         for pkt in trace:
-            meta = program.extract_metadata(pkt)
-            key = program.key(meta)
+            meta = extract(pkt)
+            key = key_of(meta)
             kid = key_index.get(key)
             if kid is None:
-                kid = len(key_table)
-                key_index[key] = kid
-                key_table.append(key)
+                kid = key_index[key] = len(key_index)
             key_ids.append(kid)
-            # One packed 4-tuple hash input per packet, shared by all three
-            # hashes: the L3 input (src+dst IP) is its 8-byte prefix.
-            packed.append(hash_input_l4(pkt.five_tuple()))
-            wire_lens.append(pkt.wire_len)
-            # "valid" mirrors the program's control dependency: packets that
-            # cannot touch state (wrong protocol) still cost dispatch.
-            valid.append(pkt.is_ipv4)
-            touches.append(program.touches_global(meta))
-        n = len(key_ids)
-        if mode == "columnar" and n:
-            mat = np.frombuffer(b"".join(packed), dtype=np.uint8).reshape(n, 12)
-            l3 = toeplitz_hash_batch(mat[:, :8])
-            l4 = toeplitz_hash_batch(mat)
-            sym = toeplitz_hash_batch(mat, key=SYMMETRIC_RSS_KEY)
-        else:
-            l3 = np.fromiter(
-                (toeplitz_hash(p[:8]) for p in packed), dtype=np.uint32, count=n)
-            l4 = np.fromiter(
-                (toeplitz_hash(p) for p in packed), dtype=np.uint32, count=n)
-            sym = np.fromiter(
-                (toeplitz_hash(p, key=SYMMETRIC_RSS_KEY) for p in packed),
-                dtype=np.uint32, count=n)
+            touches.append(touches_global(meta))
         return cls.from_columns(
             program_name=program.name,
             name=trace.name,
-            key_table=key_table,
+            key_table=list(key_index),
             key_ids=np.asarray(key_ids, dtype=np.int64),
             hash_l3=l3,
             hash_l4=l4,
             hash_sym=sym,
-            wire_lens=np.asarray(wire_lens, dtype=np.int64),
-            valid=np.asarray(valid, dtype=bool),
+            wire_lens=headers.wire_lens,
+            valid=headers.valid,
             touches_global=np.asarray(touches, dtype=bool),
         )
+
+
+#: The 12-byte RSS 4-tuple input (``hash_input_l4``): IPs then ports, big
+#: endian.  The L3 input (src+dst IP) is its 8-byte prefix.
+_HASH_INPUT = np.dtype([("src", ">u4"), ("dst", ">u4"),
+                        ("sport", ">u2"), ("dport", ">u2")])
+
+
+@dataclass(frozen=True)
+class _Headers:
+    """The program-independent columns of a lowered trace (read-only)."""
+
+    #: ``(n, 12)`` uint8: each packet's ``hash_input_l4(pkt.five_tuple())``.
+    packed: np.ndarray
+    wire_lens: np.ndarray
+    #: "valid" mirrors the program's control dependency: packets that
+    #: cannot touch state (not IPv4) still cost dispatch.
+    valid: np.ndarray
+
+
+def _read_headers(trace: Trace) -> _Headers:
+    """One pass over ``trace``'s headers, shared by every program.
+
+    The 4-tuple follows ``Packet.five_tuple``: all zero without an IPv4
+    header, zero ports without an L4 header.
+    """
+    packets = trace.packets
+    n = len(packets)
+    ips = [p.ip for p in packets]
+    l4s = [p.l4 if ip is not None else None for p, ip in zip(packets, ips)]
+    rows = np.zeros(n, dtype=_HASH_INPUT)
+    valid = np.fromiter((ip is not None for ip in ips), dtype=bool, count=n)
+    rows["src"] = [ip.src if ip is not None else 0 for ip in ips]
+    rows["dst"] = [ip.dst if ip is not None else 0 for ip in ips]
+    rows["sport"] = [l4.sport if l4 is not None else 0 for l4 in l4s]
+    rows["dport"] = [l4.dport if l4 is not None else 0 for l4 in l4s]
+    packed = rows.view(np.uint8).reshape(n, _HASH_INPUT.itemsize)
+    wire_lens = np.fromiter((p.wire_len for p in packets), dtype=np.int64, count=n)
+    for column in (packed, wire_lens, valid):
+        column.setflags(write=False)
+    return _Headers(packed=packed, wire_lens=wire_lens, valid=valid)
+
+
+def _toeplitz_columns(trace: Trace) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three Toeplitz columns of ``trace``, hashed as a batch."""
+    packed = trace.derived("lowering.headers", _read_headers).packed
+    columns = (
+        toeplitz_hash_batch(packed[:, :8]),
+        toeplitz_hash_batch(packed),
+        toeplitz_hash_batch(packed, key=SYMMETRIC_RSS_KEY),
+    )
+    for column in columns:
+        column.setflags(write=False)
+    return columns
+
+
+def _scalar_toeplitz(packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scalar oracle's Toeplitz columns: one ``toeplitz_hash`` per row
+    over the same bytes the batch path hashes."""
+    raw = packed.tobytes()
+    width = _HASH_INPUT.itemsize
+    inputs = [raw[i:i + width] for i in range(0, len(raw), width)]
+    n = len(inputs)
+    return (
+        np.fromiter((toeplitz_hash(p[:8]) for p in inputs), dtype=np.uint32, count=n),
+        np.fromiter((toeplitz_hash(p) for p in inputs), dtype=np.uint32, count=n),
+        np.fromiter((toeplitz_hash(p, key=SYMMETRIC_RSS_KEY) for p in inputs),
+                    dtype=np.uint32, count=n),
+    )
 
 
 class PerfEngine(Protocol):

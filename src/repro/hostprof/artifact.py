@@ -143,7 +143,7 @@ class HostProfile:
             command=str(data.get("command", "")),
             config=json_field(data, "config", {}, (dict,)),
             phases=phases,
-            deep=json_field(data, "deep", None, (dict, type(None))),
+            deep=_checked_deep(json_field(data, "deep", None, (dict, type(None)))),
             git_sha=str(data.get("git_sha", "unknown")),
             created_utc=str(data.get("created_utc", "")),
             python=str(data.get("python", "")),
@@ -181,6 +181,24 @@ class HostProfile:
         if path.is_dir():
             path = path / HOSTPROF_JSON
         return load_json(path, cls.from_dict)
+
+
+def _checked_deep(deep: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
+    """``deep`` once its rows have the shape :mod:`repro.hostprof.deep`
+    writes; raises ValueError naming the first field that does not."""
+    if deep is None:
+        return None
+    for i, row in enumerate(json_field(deep, "functions", [], (list,), "deep")):
+        where = f"deep.functions[{i}]"
+        json_typed(row, (dict,), where)
+        json_field(row, "function", None, (str,), where)
+        json_field(row, "ncalls", None, (int,), where)
+        for key in ("tottime_ns", "cumtime_ns"):
+            json_field(row, key, None, JSON_NUMBER, where)
+    peaks = json_field(deep, "memory_peak_bytes", {}, (dict,), "deep")
+    for phase, peak in peaks.items():
+        json_typed(peak, (int,), f"deep.memory_peak_bytes.{phase}")
+    return deep
 
 
 def _fmt_ns(ns: int) -> str:

@@ -114,7 +114,7 @@ class StackBuilder:
         self._perf: Dict[Tuple[str, TraceSpec], PerfTrace] = {}
 
     def trace(self, spec: TraceSpec) -> Trace:
-        """The synthesized (and truncated) workload for ``spec``."""
+        """The synthesized workload for ``spec``, built at its packet size."""
         memo = self._traces.get(spec)
         if memo is not None:
             return memo
@@ -196,23 +196,23 @@ class StackBuilder:
 
 
 def _synthesize(spec: TraceSpec) -> Trace:
+    """``spec``'s workload.  A sized spec's packets are built at
+    ``packet_size`` directly, the bytes ``Trace.truncated`` would give."""
     if spec.workload == SINGLE_FLOW_WORKLOAD:
-        trace = single_flow_trace(
-            spec.max_packets // 2, bidirectional=spec.bidirectional
+        return single_flow_trace(
+            spec.max_packets // 2, bidirectional=spec.bidirectional,
+            packet_size=spec.packet_size,
         )
-    else:
-        trace = synthesize_trace(
-            TRACE_DISTRIBUTIONS[spec.workload](),
-            spec.num_flows,
-            seed=spec.seed,
-            bidirectional=spec.bidirectional,
-            mean_flow_interarrival_ns=_FLOW_INTERARRIVAL_NS,
-            flow_duration_ns=_FLOW_DURATION_NS,
-            max_packets=spec.max_packets,
-        )
-    if spec.packet_size is not None:
-        trace = trace.truncated(spec.packet_size)
-    return trace
+    return synthesize_trace(
+        TRACE_DISTRIBUTIONS[spec.workload](),
+        spec.num_flows,
+        seed=spec.seed,
+        bidirectional=spec.bidirectional,
+        mean_flow_interarrival_ns=_FLOW_INTERARRIVAL_NS,
+        flow_duration_ns=_FLOW_DURATION_NS,
+        max_packets=spec.max_packets,
+        packet_size=spec.packet_size,
+    )
 
 
 def build_trace(spec: TraceSpec, cache: Optional[TraceCache] = None) -> Trace:

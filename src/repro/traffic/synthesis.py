@@ -19,7 +19,10 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..packet import TCP_ACK, TCP_FIN, TCP_SYN, Packet, make_tcp_packet
+from ..packet import (
+    ETH_HLEN, IPV4_HLEN, TCP_ACK, TCP_FIN, TCP_HLEN, TCP_SYN, Packet,
+    make_tcp_packet,
+)
 from .distributions import FlowSizeDistribution
 from .trace import Trace
 
@@ -28,6 +31,9 @@ __all__ = ["FlowSpec", "synthesize_trace", "single_flow_trace", "flow_packets"]
 #: Base of the synthetic address space (10.0.0.0/8 clients, 172.16/12 servers).
 _CLIENT_BASE = 0x0A000000
 _SERVER_BASE = 0xAC100000
+
+#: Headers of every synthesized packet (Ethernet/IPv4/TCP).
+_TCP_FRAME_HLEN = ETH_HLEN + IPV4_HLEN + TCP_HLEN
 
 
 @dataclass
@@ -58,12 +64,23 @@ def flow_packets(
 
 
 def _flow_stream(
-    spec: FlowSpec, bidirectional: bool, payload_size: int
+    spec: FlowSpec, bidirectional: bool, payload_size: int,
+    packet_size: Optional[int] = None,
 ) -> Iterator[Packet]:
-    """:func:`flow_packets`, one packet at a time in timestamp order."""
+    """:func:`flow_packets`, one packet at a time in timestamp order.
+
+    With ``packet_size`` set, each packet is built at that size on the
+    wire, exactly as :meth:`Packet.truncated` would cut it: the payload
+    keeps ``packet_size`` minus the headers, and sequence numbers still
+    advance by the full ``payload_size``.
+    """
     if spec.data_packets < 1:
         raise ValueError("flows carry at least one data packet")
     payload = bytes(payload_size)
+    wire_len = 0  # make_tcp_packet's default: headers plus payload
+    if packet_size is not None:
+        payload = payload[:max(0, packet_size - _TCP_FRAME_HLEN)]
+        wire_len = max(packet_size, _TCP_FRAME_HLEN)
     t = spec.start_ns
     seq_c, seq_s = 1000, 5000
 
@@ -71,22 +88,24 @@ def _flow_stream(
         return make_tcp_packet(
             spec.src_ip, spec.dst_ip, spec.src_port, spec.dst_port,
             flags, seq=seq, ack=ack, payload=data, timestamp_ns=t,
+            wire_len=wire_len,
         )
 
     def server(flags: int, seq: int, ack: int = 0, data: bytes = b"") -> Packet:
         return make_tcp_packet(
             spec.dst_ip, spec.src_ip, spec.dst_port, spec.src_port,
             flags, seq=seq, ack=ack, payload=data, timestamp_ns=t,
+            wire_len=wire_len,
         )
 
     if not bidirectional:
         yield client(TCP_SYN, seq_c)
         t += spec.gap_ns
         for _ in range(max(0, spec.data_packets - 2)):
-            seq_c += len(payload)
+            seq_c += payload_size
             yield client(TCP_ACK, seq_c, data=payload)
             t += spec.gap_ns
-        seq_c += len(payload)
+        seq_c += payload_size
         yield client(TCP_FIN | TCP_ACK, seq_c)
         return
 
@@ -101,7 +120,7 @@ def _flow_stream(
     # Data packets from the client, each ACKed by the server.
     for _ in range(spec.data_packets):
         yield client(TCP_ACK, seq_c, ack=seq_s + 1, data=payload)
-        seq_c += len(payload)
+        seq_c += payload_size
         t += spec.gap_ns
         yield server(TCP_ACK, seq_s + 1, ack=seq_c)
         t += spec.gap_ns
@@ -124,6 +143,7 @@ def synthesize_trace(
     payload_size: int = 512,
     max_packets: Optional[int] = None,
     name: Optional[str] = None,
+    packet_size: Optional[int] = None,
 ) -> Trace:
     """Sample ``num_flows`` flows and interleave their packets by timestamp.
 
@@ -139,6 +159,10 @@ def synthesize_trace(
     window of the merged trace as skewed as the size distribution itself —
     an elephant's share of any window matches its share of the trace.
     Without it, every flow uses the fixed ``intra_flow_gap_ns``.
+
+    ``packet_size`` fixes every packet's size on the wire (§4.2).  Each
+    packet is built at that size, byte for byte what ``Trace.truncated``
+    would make of the full-size trace, without building it twice.
     """
     if num_flows < 1:
         raise ValueError("need at least one flow")
@@ -172,7 +196,7 @@ def synthesize_trace(
                 gap_ns=(intra_flow_gap_ns if flow_duration_ns is None
                         else max(1, flow_duration_ns // max(1, sizes[i]))),
             )
-            stream = _flow_stream(spec, bidirectional, payload_size)
+            stream = _flow_stream(spec, bidirectional, payload_size, packet_size)
             pkt = next(stream)
             heapq.heappush(heap, (pkt.timestamp_ns, i, pkt, stream))
             i += 1
@@ -196,11 +220,14 @@ def single_flow_trace(
     gap_ns: int = 100,
     payload_size: int = 512,
     name: str = "single-flow",
+    packet_size: Optional[int] = None,
 ) -> Trace:
     """One elephant TCP connection — the Figure 1 workload.
 
     All packets belong to a single connection, so sharding techniques are
     pinned to one core while SCR can still spread the work.
+    ``packet_size`` builds every packet at that size on the wire, as in
+    :func:`synthesize_trace`.
     """
     if num_packets < 1:
         raise ValueError("need at least one packet")
@@ -213,5 +240,5 @@ def single_flow_trace(
         start_ns=0,
         gap_ns=gap_ns,
     )
-    pkts = flow_packets(spec, bidirectional=bidirectional, payload_size=payload_size)
+    pkts = list(_flow_stream(spec, bidirectional, payload_size, packet_size))
     return Trace(pkts, name=name)

@@ -12,12 +12,14 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, TypeVar, Union
 
 from ..packet import Packet
 from ..packet.flow import FiveTuple
 
 __all__ = ["Trace", "TraceStats"]
+
+_T = TypeVar("_T")
 
 _MAGIC = b"SCRT"
 _VERSION = 1
@@ -44,23 +46,45 @@ class TraceStats:
 
 
 class Trace:
-    """An ordered packet trace."""
+    """An ordered packet trace.
+
+    :meth:`derived` memoizes values computed from the packets (lowering's
+    per-trace header columns); :meth:`append` and assigning
+    :attr:`packets` drop them.
+    """
 
     def __init__(self, packets: Optional[List[Packet]] = None, name: str = "trace") -> None:
-        self.packets: List[Packet] = packets or []
+        self.packets = packets or []
         self.name = name
 
+    @property
+    def packets(self) -> List[Packet]:
+        return self._packets
+
+    @packets.setter
+    def packets(self, packets: List[Packet]) -> None:
+        self._packets = packets
+        self._derived: Dict[str, object] = {}
+
     def __len__(self) -> int:
-        return len(self.packets)
+        return len(self._packets)
 
     def __iter__(self) -> Iterator[Packet]:
-        return iter(self.packets)
+        return iter(self._packets)
 
     def __getitem__(self, idx):
-        return self.packets[idx]
+        return self._packets[idx]
 
     def append(self, pkt: Packet) -> None:
-        self.packets.append(pkt)
+        self._packets.append(pkt)
+        self._derived = {}
+
+    def derived(self, key: str, build: Callable[["Trace"], _T]) -> _T:
+        """``build(self)``, built once per ``key`` until the packets change."""
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build(self)
+        return value  # type: ignore[return-value]
 
     def truncated(self, size: int) -> "Trace":
         """All packets truncated to ``size`` bytes on the wire (§4.2)."""

@@ -1,6 +1,7 @@
 """HostProfile: schema versioning, save/load round-trip, Pareto views."""
 
 import json
+import re
 
 import pytest
 
@@ -13,6 +14,24 @@ from repro.hostprof.artifact import (
 )
 from repro.hostprof.clock import PhaseClock
 from repro.hostprof.export import parse_folded
+
+
+_ROW = {"function": "f.py:1:f", "ncalls": 3, "tottime_ns": 5, "cumtime_ns": 7.5}
+
+#: A ``deep`` section of the wrong shape, and the field the error names.
+MALFORMED_DEEP = [
+    ({"functions": [1, 2]}, "deep.functions[0]"),
+    ({"functions": {"f": _ROW}}, "deep.functions"),
+    ({"functions": [_ROW, {**_ROW, "function": 4}]}, "deep.functions[1].function"),
+    ({"functions": [{**_ROW, "ncalls": 1.5}]}, "deep.functions[0].ncalls"),
+    ({"functions": [{**_ROW, "ncalls": True}]}, "deep.functions[0].ncalls"),
+    ({"functions": [{**_ROW, "tottime_ns": "5"}]}, "deep.functions[0].tottime_ns"),
+    ({"functions": [{k: v for k, v in _ROW.items() if k != "cumtime_ns"}]},
+     "deep.functions[0].cumtime_ns"),
+    ({"memory_peak_bytes": [10]}, "deep.memory_peak_bytes"),
+    ({"memory_peak_bytes": {"a": 10, "b": 2.5}}, "deep.memory_peak_bytes.b"),
+    ({"memory_peak_bytes": {"a": "10"}}, "deep.memory_peak_bytes.a"),
+]
 
 
 def _clock():
@@ -107,6 +126,35 @@ class TestSaveLoad:
         path = tmp_path / "hp" / HOSTPROF_JSON
         data = json.loads(path.read_text())
         path.write_text(json.dumps({**data, "phases": phases}))
+        out = io.StringIO()
+        code = main(["report", str(tmp_path / "hp"),
+                     "--out", str(tmp_path / "p.html")], out=out)
+        text = out.getvalue()
+        assert code == 2
+        assert text.count("\n") == 1 and "Traceback" not in text
+        assert str(path) in text and f"field '{field}'" in text
+        assert not (tmp_path / "p.html").exists()
+
+    def test_well_formed_deep_loads(self):
+        deep = {"functions": [_ROW], "memory_peak_bytes": {"a": 10}}
+        profile = HostProfile.from_dict({"schema": HOSTPROF_SCHEMA, "deep": deep})
+        assert profile.deep == deep
+
+    @pytest.mark.parametrize("deep, field", MALFORMED_DEEP)
+    def test_malformed_deep_rejected(self, deep, field):
+        with pytest.raises(ValueError, match=re.escape(f"field '{field}' must be")):
+            HostProfile.from_dict({"schema": HOSTPROF_SCHEMA, "deep": deep})
+
+    @pytest.mark.parametrize("deep, field", MALFORMED_DEEP)
+    def test_report_on_malformed_deep_exits_2(self, tmp_path, deep, field):
+        import io
+
+        from repro.cli import main
+
+        HostProfile.create("profile", {}, _clock()).save(tmp_path / "hp")
+        path = tmp_path / "hp" / HOSTPROF_JSON
+        data = json.loads(path.read_text())
+        path.write_text(json.dumps({**data, "deep": deep}))
         out = io.StringIO()
         code = main(["report", str(tmp_path / "hp"),
                      "--out", str(tmp_path / "p.html")], out=out)

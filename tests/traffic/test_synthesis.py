@@ -198,6 +198,35 @@ class TestLazyFlowAdmission:
         missing = [f for f in flows if f.src_ip not in in_trace]
         assert all(f.start_ns == last for f in missing)
 
+    def test_sized_trace_builds_each_packet_once(self, monkeypatch):
+        """A sized spec builds each kept packet once, at its size on the
+        wire, not at 512 bytes and again through ``Trace.truncated``."""
+        from repro.packet import Packet
+        from repro.scenario import TraceSpec
+        from repro.scenario.build import _synthesize
+        from repro.traffic import synthesis
+
+        built = {"FlowSpec": 0, "Packet": 0}
+        flow_spec = synthesis.FlowSpec
+        post_init = Packet.__post_init__
+
+        def counted_flow_spec(*args, **kwargs):
+            built["FlowSpec"] += 1
+            return flow_spec(*args, **kwargs)
+
+        def counted_post_init(self):
+            built["Packet"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(synthesis, "FlowSpec", counted_flow_spec)
+        monkeypatch.setattr(Packet, "__post_init__", counted_post_init)
+        spec = TraceSpec("caida", num_flows=400, max_packets=4000, seed=7,
+                         packet_size=192)
+        trace = _synthesize(spec)
+        assert len(trace) == spec.max_packets
+        assert built["Packet"] <= spec.max_packets + built["FlowSpec"]
+        assert {p.wire_len for p in trace} == {192}
+
 
 class TestSingleFlowTrace:
     def test_single_connection(self, elephant_trace):
