@@ -94,13 +94,15 @@ hotpath:
 		tests/cpu/test_coupled_parity.py tests/cpu/test_lowering_reference.py \
 		tests/nic/test_rss.py
 
-# Multi-tenant placement gate: the placement and traffic test packages
-# (the suite's 10^6-flow traces come from traffic synthesis), then the
+# Multi-tenant placement gate: the placement, state and traffic test
+# packages (the hybrid's mice state lives in the cuckoo and sharded maps
+# of tests/state; the suite's 10^6-flow traces come from traffic
+# synthesis), then the
 # multitenant suite (hybrid vs scr vs rss on zipf, 10^3..10^6 flows)
 # against its committed baseline.  Simulated-time numbers, so the gate
 # uses the default noise-aware tolerances (see docs/MULTITENANT.md).
 multitenant:
-	PYTHONPATH=src python -m pytest -x -q tests/placement tests/traffic
+	PYTHONPATH=src python -m pytest -x -q tests/placement tests/state tests/traffic
 	PYTHONPATH=src python -m repro.cli bench --suite multitenant \
 		--jobs 2 --out results/bench-multitenant
 	PYTHONPATH=src python -m repro.cli bench \

@@ -1,6 +1,6 @@
 """Multicore CPU performance-simulation substrate."""
 
-from .cache import BounceTracker, L2Model
+from .cache import L2Model
 from .costmodel import (
     CPU_FREQ_GHZ,
     DEFAULT_CONTENTION,
@@ -17,11 +17,10 @@ from .counters import (
     CoreCounters,
     SystemCounters,
 )
-from .locks import SerializationTable
+from .locks import LineTable
 from .simulator import PerfEngine, PerfPacket, PerfTrace, SimResult, simulate
 
 __all__ = [
-    "BounceTracker",
     "L2Model",
     "CPU_FREQ_GHZ",
     "DEFAULT_CONTENTION",
@@ -35,7 +34,7 @@ __all__ = [
     "POLL_IPC",
     "CoreCounters",
     "SystemCounters",
-    "SerializationTable",
+    "LineTable",
     "PerfEngine",
     "PerfPacket",
     "PerfTrace",

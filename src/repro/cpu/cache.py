@@ -5,7 +5,9 @@ Two effects dominate the paper's Figure 8 story:
 * **Bouncing** — a state cache line written by one core and then accessed by
   another must travel through the LLC (a "bounce"), stalling the accessor.
   Shared-state techniques bounce on nearly every packet of a hot flow;
-  sharded and SCR techniques never do.
+  sharded and SCR techniques never do.  A bounce and the line's
+  serialization are one step of one record,
+  :class:`repro.cpu.locks.LineTable`.
 * **Capacity spill** — a core whose resident state outgrows its private L2
   pays extra latency per access (SCR replicates *all* flows onto every core,
   so it feels this first — scaling limit (ii) in §3.1).
@@ -13,11 +15,11 @@ Two effects dominate the paper's Figure 8 story:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Set, Tuple
+from typing import Hashable, Iterable, Set, Tuple
 
 from .costmodel import L2_BYTES, STATE_ENTRY_BYTES
 
-__all__ = ["L2Model", "BounceTracker"]
+__all__ = ["L2Model"]
 
 
 class L2Model:
@@ -68,30 +70,3 @@ class L2Model:
         for s in self._resident:
             s.clear()
 
-
-class BounceTracker:
-    """Tracks which core last wrote each state line to detect bounces."""
-
-    def __init__(self, transfer_ns: float = 70.0) -> None:
-        self.transfer_ns = transfer_ns
-        self._last_writer: Dict[Hashable, int] = {}
-        self.bounces = 0
-        self.accesses = 0
-
-    def access(self, core: int, key: Hashable) -> Tuple[bool, float]:
-        """Access ``key`` from ``core``; returns (bounced, stall ns)."""
-        self.accesses += 1
-        last = self._last_writer.get(key)
-        self._last_writer[key] = core
-        if last is not None and last != core:
-            self.bounces += 1
-            return True, self.transfer_ns
-        return False, 0.0
-
-    def forget(self, key: Hashable) -> None:
-        self._last_writer.pop(key, None)
-
-    def reset(self) -> None:
-        self._last_writer.clear()
-        self.bounces = 0
-        self.accesses = 0

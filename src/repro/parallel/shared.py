@@ -22,8 +22,7 @@ from typing import TYPE_CHECKING, Callable, List, Tuple
 
 import numpy as np
 
-from ..cpu.cache import BounceTracker
-from ..cpu.locks import SerializationTable
+from ..cpu.locks import LineTable
 from ..cpu.simulator import PerfPacket
 from ..telemetry.events import EV_LOCK_WAIT, RecordBatch
 from .base import BaseEngine
@@ -53,19 +52,25 @@ class _SharedBase(BaseEngine):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._rr = 0
-        self.serialization = SerializationTable()
-        self.bounces = BounceTracker(transfer_ns=self.contention.line_transfer_ns)
+        #: every key's line (its last writer and free time), the global
+        #: entry's included.
+        self.lines = LineTable(transfer_ns=self.contention.line_transfer_ns)
         #: the global entry's hold when its line stayed (False) or
         #: bounced (True): the update runs under a lock that every core
         #: contends for once the line moves.
         self._global_hold = tuple(self.contention.lock_hold_ns(
             self.costs.c1 * 0.5, contenders) for contenders in (1, self.num_cores))
+        #: a bounced line's read stall, indexed by ``bounced``.
+        self._stall = (0.0, self.lines.transfer_ns)
+        # Bound once: the term functions run once per packet.
+        self._d, self._c1 = self.costs.d, self.costs.c1
+        self._advance = self.lines.advance
+        self._l2_access = self.l2.access
 
     def reset(self) -> None:
         super().reset()
         self._rr = 0
-        self.serialization.reset()
-        self.bounces.reset()
+        self.lines.reset()
 
     def steer(self, pp: PerfPacket) -> int:
         core = self._rr
@@ -74,8 +79,8 @@ class _SharedBase(BaseEngine):
 
     def packet_terms(self, core: int, key: object, start_ns: float) -> Terms:
         """One valid packet's update of ``key`` from ``core``, served from
-        ``start_ns``: the line bounce, the serialization wait and hold and
-        the L2 access, each model advanced as the update goes.  Returns
+        ``start_ns``: the key's line (its bounce, wait and hold, one
+        :meth:`LineTable.advance`) and the L2 access.  Returns
         ``(service, compute, wait, transfer, misses, program)``, what
         ``charge_packet`` takes.  A bounced line counts one L2 miss: the
         line is dirty in another core's cache, whatever the capacity
@@ -90,9 +95,9 @@ class _SharedBase(BaseEngine):
         from ``start_ns``: ``(stall, wait, misses, service)`` — the stall
         and wait it adds to the core's counters, its L2 misses (one
         access) and the ns it adds to the packet's service."""
-        bounced, read_stall = self.bounces.access(core, _GLOBAL_KEY)
-        hold = self._global_hold[bounced]
-        wait = self.serialization.acquire(_GLOBAL_KEY, start_ns, hold)
+        bounced, wait, hold = self._advance(core, _GLOBAL_KEY, start_ns,
+                                            self._global_hold)
+        read_stall = self._stall[bounced]
         return read_stall, wait, 1.0 if bounced else 0.0, read_stall + wait + hold
 
     def service_ns(self, core: int, pp: PerfPacket, start_ns: float) -> float:
@@ -282,19 +287,21 @@ class SharedAtomicEngine(_SharedBase):
         # exclusively for a full cross-core transfer.  Uncontended updates
         # pay only the RMW instruction.  (Indexed by ``bounced``.)
         self._hold = (self.contention.atomic_ns, self.contention.atomic_hold_ns())
+        #: the transfer an update charges: none, or the stall and the hold.
+        self._transfer = (0.0, self._stall[1] + self._hold[1])
 
     def packet_terms(self, core: int, key: object, start_ns: float) -> Terms:
-        d, c1 = self.costs.d, self.costs.c1
-        bounced, read_stall = self.bounces.access(core, key)
-        hold = self._hold[bounced]
+        d, c1 = self._d, self._c1
         # The RMW happens after dispatch + compute + the read stall.
-        wait = self.serialization.acquire(key, start_ns + d + c1 + read_stall, hold)
-        miss_frac, spill = self.l2.access(core, key)
+        bounced, wait, hold = self._advance(core, key, start_ns + d + c1,
+                                            self._hold, self._stall[1])
+        read_stall = self._stall[bounced]
+        miss_frac, spill = self._l2_access(core, key)
         return (
             d + c1 + read_stall + wait + hold + spill,
             c1 + spill,
             wait,
-            read_stall + (hold if bounced else 0.0),
+            self._transfer[bounced],
             1.0 if bounced else miss_frac,
             c1 + read_stall + wait + hold + spill,
         )
@@ -312,19 +319,19 @@ class SharedLockEngine(_SharedBase):
         # ``bounced``.)
         self._hold = tuple(self.contention.lock_hold_ns(self.costs.c1, contenders)
                            for contenders in (1, self.num_cores))
+        #: lock instructions + line handoffs, indexed by ``bounced``.
+        self._handoff = tuple(hold - self.costs.c1 for hold in self._hold)
 
     def packet_terms(self, core: int, key: object, start_ns: float) -> Terms:
-        d, c1 = self.costs.d, self.costs.c1
-        bounced, _ = self.bounces.access(core, key)
-        hold = self._hold[bounced]
+        d = self._d
         # The lock is taken after dispatch; the update (c1) runs under it.
-        wait = self.serialization.acquire(key, start_ns + d, hold)
-        miss_frac, spill = self.l2.access(core, key)
+        bounced, wait, hold = self._advance(core, key, start_ns + d, self._hold)
+        miss_frac, spill = self._l2_access(core, key)
         return (
             d + wait + hold + spill,
-            c1 + spill,
+            self._c1 + spill,
             wait,
-            hold - c1,  # lock instructions + line handoffs
+            self._handoff[bounced],
             1.0 if bounced else miss_frac,
             wait + hold + spill,
         )

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..cpu.costmodel import TABLE4_PARAMS
+from ..cpu.costmodel import TABLE4_PARAMS, CostParams
 from ..telemetry.artifact import JSON_NUMBER, current_git_sha, json_field, json_typed, load_json
 
 __all__ = [
@@ -89,7 +89,8 @@ class BenchPoint:
             x=json_typed(data.get("x"), (int, str), f"{where}.x"),
             median=json_typed(data.get("median"), JSON_NUMBER, f"{where}.median"),
             mad=json_typed(data.get("mad"), JSON_NUMBER, f"{where}.mad"),
-            reps=list(json_typed(data.get("reps", []), (list,), f"{where}.reps")),
+            reps=[json_typed(v, JSON_NUMBER, f"{where}.reps[{i}]") for i, v in
+                  enumerate(json_field(data, "reps", [], (list,), where))],
         )
 
 
@@ -133,8 +134,8 @@ class BenchSeries:
         points = json_typed(data.get("points", []), (list,), f"{where}.points")
         return cls(
             name=name,
-            unit=data.get("unit", ""),
-            direction=data.get("direction", "higher_better"),
+            unit=json_field(data, "unit", "", (str,), where),
+            direction=json_field(data, "direction", "higher_better", (str,), where),
             noise_floor=json_field(data, "noise_floor", 0.0, JSON_NUMBER, where),
             points=[BenchPoint.from_dict(p, f"{where}.points[{i}]")
                     for i, p in enumerate(points)],
@@ -149,6 +150,17 @@ def _table4_dict(programs: Optional[Sequence[str]] = None) -> dict:
         for name in names
         if name in TABLE4_PARAMS
     }
+
+
+def _cost_rows(table4: dict) -> dict:
+    """``table4_params`` with each program's row checked: every
+    :class:`CostParams` field present and a number."""
+    for name, row in table4.items():
+        where = f"table4_params.{name}"
+        json_typed(row, (dict,), where)
+        for cost in dataclasses.fields(CostParams):
+            json_typed(row.get(cost.name), JSON_NUMBER, f"{where}.{cost.name}")
+    return table4
 
 
 def bench_filename(name: str) -> str:
@@ -221,19 +233,20 @@ class BenchArtifact:
         """Rebuild an artifact; raises ValueError naming the first field
         whose JSON type does not fit the bench-artifact/v1 shape."""
         json_typed(data, (dict,))
-        series = json_typed(data.get("series", {}), (dict,), "series")
+        series = json_field(data, "series", {}, (dict,))
+        optional = (dict, type(None))
         art = cls(
-            name=data.get("name", ""),
-            config=data.get("config", {}),
-            seed_policy=data.get("seed_policy", {}),
-            git_sha=data.get("git_sha", "unknown"),
-            created_utc=data.get("created_utc", ""),
-            python=data.get("python", ""),
-            platform=data.get("platform", ""),
-            table4_params=json_field(data, "table4_params", {}, (dict,)),
-            model_fit=data.get("model_fit"),
-            profile=data.get("profile"),
-            schema=json_typed(data.get("schema", ""), (str,), "schema"),
+            name=json_field(data, "name", "", (str,)),
+            config=json_field(data, "config", {}, (dict,)),
+            seed_policy=json_field(data, "seed_policy", {}, (dict,)),
+            git_sha=json_field(data, "git_sha", "unknown", (str,)),
+            created_utc=json_field(data, "created_utc", "", (str,)),
+            python=json_field(data, "python", "", (str,)),
+            platform=json_field(data, "platform", "", (str,)),
+            table4_params=_cost_rows(json_field(data, "table4_params", {}, (dict,))),
+            model_fit=json_field(data, "model_fit", None, optional),
+            profile=json_field(data, "profile", None, optional),
+            schema=json_field(data, "schema", "", (str,)),
         )
         for name, sdata in series.items():
             art.series[name] = BenchSeries.from_dict(name, sdata)

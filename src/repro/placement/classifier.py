@@ -49,10 +49,11 @@ class CountMinSketch:
     """Seeded count-min sketch with conservative update and halving decay.
 
     Row indexes derive from one 64-bit FNV-1a hash by double hashing
-    (``h1 + i·h2``), so the per-packet cost is a single byte-level hash no
-    matter the depth.  Conservative update increments only the minimal
-    counters, tightening the classic over-count without breaking the
-    "never under-counts" guarantee promotions rely on.
+    (``h1 + i·h2``), so the cost is a single byte-level hash per distinct
+    key no matter the depth (the sketch remembers each key's indexes).
+    Conservative update increments only the minimal counters, tightening
+    the classic over-count without breaking the "never under-counts"
+    guarantee promotions rely on.
     """
 
     def __init__(self, width: int = 1024, depth: int = 4, seed: int = 0) -> None:
@@ -62,27 +63,30 @@ class CountMinSketch:
         self.depth = depth
         self._seed = seed
         self._rows: List[List[int]] = [[0] * width for _ in range(depth)]
+        #: key bytes -> one counter index per row: a pure function.
+        self._index_memo: Dict[bytes, Tuple[int, ...]] = {}
 
-    def _indexes(self, data: bytes) -> List[int]:
-        h = _fnv1a(data, self._seed)
-        h1 = h & 0xFFFFFFFF
-        h2 = ((h >> 32) | 1) & 0xFFFFFFFF
-        return [(h1 + i * h2) % self.width for i in range(self.depth)]
+    def _indexes(self, data: bytes) -> Tuple[int, ...]:
+        idxs = self._index_memo.get(data)
+        if idxs is None:
+            h = _fnv1a(data, self._seed)
+            h1 = h & 0xFFFFFFFF
+            h2 = ((h >> 32) | 1) & 0xFFFFFFFF
+            idxs = self._index_memo[data] = tuple(
+                (h1 + i * h2) % self.width for i in range(self.depth))
+        return idxs
 
     def add(self, data: bytes, count: int = 1) -> int:
         """Record ``count`` observations; returns the updated estimate."""
-        idxs = self._indexes(data)
-        rows = self._rows
-        current = min(rows[i][idx] for i, idx in enumerate(idxs))
-        target = current + count
-        for i, idx in enumerate(idxs):
-            if rows[i][idx] < target:
-                rows[i][idx] = target
+        cells = tuple(zip(self._rows, self._indexes(data)))
+        target = min([row[idx] for row, idx in cells]) + count
+        for row, idx in cells:
+            if row[idx] < target:
+                row[idx] = target
         return target
 
     def estimate(self, data: bytes) -> int:
-        idxs = self._indexes(data)
-        return min(self._rows[i][idx] for i, idx in enumerate(idxs))
+        return min([row[idx] for row, idx in zip(self._rows, self._indexes(data))])
 
     def decay(self) -> None:
         """Halve every counter (the aging clock demotion runs on)."""

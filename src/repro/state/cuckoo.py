@@ -9,11 +9,16 @@ chain, and optional growth when insertion fails.
 The table intentionally exposes bucket geometry (``bucket_count``,
 ``slots_per_bucket``, ``load_factor``) so tests and benchmarks can reason
 about occupancy the way a fixed-size eBPF map forces one to.
+
+Two host-cost measures change nothing observable: a bucket's storage is
+allocated when a key first lands in it, and each table remembers its two
+bucket indexes per key until the geometry changes (equal keys hash
+alike, as the value-type keys the programs use do).
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
 __all__ = ["CuckooHashTable", "CuckooInsertError"]
 
@@ -82,9 +87,11 @@ class CuckooHashTable:
         self.allow_grow = allow_grow
         self._seed = seed
         self._bucket_count = self._geometry(capacity, slots_per_bucket)
-        self._buckets: List[List[Tuple[Hashable, Any]]] = [
-            [] for _ in range(self._bucket_count)
-        ]
+        #: bucket index -> its entries; a bucket no key ever landed in
+        #: has no entry.
+        self._buckets: Dict[int, List[Tuple[Hashable, Any]]] = {}
+        #: key -> its two bucket indexes under the current geometry.
+        self._hash_memo: Dict[Hashable, Tuple[int, int]] = {}
         self._size = 0
         # _kick_cursor makes eviction choice deterministic without an RNG.
         self._kick_cursor = 0
@@ -104,12 +111,22 @@ class CuckooHashTable:
     # -- hashing -----------------------------------------------------------
 
     def _hashes(self, key: Hashable) -> Tuple[int, int]:
-        data = _key_bytes(key)
-        h1 = _fnv1a(data, self._seed) & (self._bucket_count - 1)
-        h2 = _fnv1a(data, self._seed ^ 0x5BD1E995) & (self._bucket_count - 1)
-        if h1 == h2:
-            h2 = (h2 + 1) & (self._bucket_count - 1)
-        return h1, h2
+        hashes = self._hash_memo.get(key)
+        if hashes is None:
+            data = _key_bytes(key)
+            h1 = _fnv1a(data, self._seed) & (self._bucket_count - 1)
+            h2 = _fnv1a(data, self._seed ^ 0x5BD1E995) & (self._bucket_count - 1)
+            if h1 == h2:
+                h2 = (h2 + 1) & (self._bucket_count - 1)
+            hashes = self._hash_memo[key] = (h1, h2)
+        return hashes
+
+    def _bucket(self, h: int) -> List[Tuple[Hashable, Any]]:
+        """Bucket ``h``'s entries, allocated on first use."""
+        bucket = self._buckets.get(h)
+        if bucket is None:
+            bucket = self._buckets[h] = []
+        return bucket
 
     # -- public API ---------------------------------------------------------
 
@@ -129,9 +146,9 @@ class CuckooHashTable:
 
     def lookup(self, key: Hashable) -> Optional[Any]:
         """Return the value for ``key`` or None — the single 'helper call'."""
-        h1, h2 = self._hashes(key)
-        for h in (h1, h2):
-            for k, v in self._buckets[h]:
+        buckets = self._buckets
+        for h in self._hashes(key):
+            for k, v in buckets.get(h, ()):
                 if k == key:
                     return v
         return None
@@ -149,7 +166,7 @@ class CuckooHashTable:
         """
         h1, h2 = self._hashes(key)
         for h in (h1, h2):
-            bucket = self._buckets[h]
+            bucket = self._buckets.get(h, ())
             for i, (k, _v) in enumerate(bucket):
                 if k == key:
                     bucket[i] = (key, value)
@@ -164,13 +181,15 @@ class CuckooHashTable:
 
     def _place(self, key: Hashable, value: Any, h1: int, h2: int) -> bool:
         # Prefer the less-loaded bucket, like a d-left insert.
-        order = (h1, h2) if len(self._buckets[h1]) <= len(self._buckets[h2]) else (h2, h1)
-        for h in order:
-            if len(self._buckets[h]) < self.slots_per_bucket:
-                self._buckets[h].append((key, value))
+        if len(self._bucket(h1)) > len(self._bucket(h2)):
+            h1, h2 = h2, h1
+        for h in (h1, h2):
+            bucket = self._buckets[h]
+            if len(bucket) < self.slots_per_bucket:
+                bucket.append((key, value))
                 return True
         # Both full: displace along a kick chain.
-        current_key, current_value, home = key, value, order[0]
+        current_key, current_value, home = key, value, h1
         for _ in range(self.max_kicks):
             bucket = self._buckets[home]
             victim_slot = self._kick_cursor % self.slots_per_bucket
@@ -180,8 +199,9 @@ class CuckooHashTable:
             current_key, current_value = victim_key, victim_value
             v1, v2 = self._hashes(current_key)
             home = v2 if home == v1 else v1
-            if len(self._buckets[home]) < self.slots_per_bucket:
-                self._buckets[home].append((current_key, current_value))
+            bucket = self._bucket(home)
+            if len(bucket) < self.slots_per_bucket:
+                bucket.append((current_key, current_value))
                 return True
         # Chain exhausted: undo is unnecessary because the displaced item is
         # still held in current_*; re-inserting after growth re-places it.
@@ -197,16 +217,16 @@ class CuckooHashTable:
             entries.append(pending)
             self._pending = None
         self._bucket_count *= 2
-        self._buckets = [[] for _ in range(self._bucket_count)]
+        self._buckets = {}
+        self._hash_memo = {}
         self._size = 0
         for k, v in entries:
             self.insert(k, v)
 
     def delete(self, key: Hashable) -> bool:
         """Remove ``key``; return True when it was present."""
-        h1, h2 = self._hashes(key)
-        for h in (h1, h2):
-            bucket = self._buckets[h]
+        for h in self._hashes(key):
+            bucket = self._buckets.get(h, ())
             for i, (k, _v) in enumerate(bucket):
                 if k == key:
                     bucket.pop(i)
@@ -215,9 +235,9 @@ class CuckooHashTable:
         return False
 
     def items(self) -> Iterator[Tuple[Hashable, Any]]:
-        for bucket in self._buckets:
-            for entry in bucket:
-                yield entry
+        """Entries in bucket order, each bucket's in slot order."""
+        for h in sorted(self._buckets):
+            yield from self._buckets[h]
 
     def keys(self) -> Iterator[Hashable]:
         for k, _v in self.items():
@@ -228,6 +248,5 @@ class CuckooHashTable:
             yield v
 
     def clear(self) -> None:
-        for bucket in self._buckets:
-            bucket.clear()
+        self._buckets.clear()
         self._size = 0

@@ -84,13 +84,19 @@ class ShardedStateMap:
         self._tenant_entries: Dict[int, int] = {}
         #: quota-refused inserts per tenant (the per-tenant drop cause).
         self.quota_drops: Dict[int, int] = {}
+        #: (tenant, key) -> its shard: a pure function, hashed once.
+        self._shard_memo: Dict[Tuple[int, Hashable], int] = {}
 
     # -- key plumbing -------------------------------------------------------
 
     def shard_of(self, tenant_id: int, key: Hashable) -> int:
         """Deterministic shard index for a tenant-namespaced key."""
-        data = tenant_id.to_bytes(8, "big", signed=True) + _key_bytes(key)
-        return _fnv1a(data, self._seed) % self.num_shards
+        stored = (tenant_id, key)
+        shard = self._shard_memo.get(stored)
+        if shard is None:
+            data = tenant_id.to_bytes(8, "big", signed=True) + _key_bytes(key)
+            shard = self._shard_memo[stored] = _fnv1a(data, self._seed) % self.num_shards
+        return shard
 
     @staticmethod
     def namespaced(tenant_id: int, key: Hashable) -> Tuple[int, Hashable]:

@@ -1,8 +1,8 @@
-"""Cache (L2 + bounce) and serialization-point models."""
+"""Cache (L2) and shared-line (bounce + serialization) models."""
 
 import pytest
 
-from repro.cpu import BounceTracker, L2Model, SerializationTable
+from repro.cpu import L2Model, LineTable
 
 
 class TestL2Model:
@@ -50,71 +50,103 @@ class TestL2Model:
             L2Model(0)
 
 
+def _holds(hold):
+    """A hold that is the same whether or not the line bounced."""
+    return (hold, hold)
+
+
 class TestBounceTracker:
+    """The bounce rule of the shared line record."""
+
     def test_first_access_never_bounces(self):
-        bt = BounceTracker()
-        assert bt.access(0, "k") == (False, 0.0)
+        lines = LineTable()
+        assert lines.advance(0, "k", 0.0, _holds(0.0))[0] is False
 
     def test_same_core_never_bounces(self):
-        bt = BounceTracker()
-        bt.access(0, "k")
-        assert bt.access(0, "k") == (False, 0.0)
+        lines = LineTable()
+        lines.advance(0, "k", 0.0, _holds(0.0))
+        assert lines.advance(0, "k", 0.0, _holds(0.0))[0] is False
 
     def test_cross_core_bounces_with_transfer(self):
-        bt = BounceTracker(transfer_ns=70)
-        bt.access(0, "k")
-        bounced, stall = bt.access(1, "k")
-        assert bounced and stall == 70
+        lines = LineTable(transfer_ns=70)
+        lines.advance(0, "k", 0.0, _holds(0.0))
+        assert lines.advance(1, "k", 0.0, _holds(0.0))[0] is True
+        assert lines.transfer_ns == 70
+
+    def test_bounce_delays_the_update_by_its_lead(self):
+        """An atomic's read stall comes before its RMW: a bounced update
+        begins ``lead`` later, one whose line stayed does not."""
+        lines = LineTable(transfer_ns=70)
+        lines.advance(0, "k", 0.0, (10.0, 50.0))           # free at 10
+        bounced, wait, hold = lines.advance(1, "k", 0.0, (10.0, 50.0),
+                                            70.0)          # begins at 70
+        assert (bounced, wait, hold) == (True, 0.0, 50.0)  # free at 120
+        assert lines.advance(1, "k", 100.0, (10.0, 50.0),
+                             70.0) == (False, 20.0, 10.0)
 
     def test_ping_pong_counts_every_bounce(self):
-        bt = BounceTracker()
+        lines = LineTable()
         for i in range(10):
-            bt.access(i % 2, "k")
-        assert bt.bounces == 9
-        assert bt.accesses == 10
+            lines.advance(i % 2, "k", 0.0, _holds(0.0))
+        assert lines.bounces == 9
+        assert lines.accesses == 10
 
     def test_forget_clears_ownership(self):
-        bt = BounceTracker()
-        bt.access(0, "k")
-        bt.forget("k")
-        assert bt.access(1, "k") == (False, 0.0)
+        lines = LineTable()
+        lines.advance(0, "k", 0.0, _holds(0.0))
+        lines.forget("k")
+        assert lines.advance(1, "k", 0.0, _holds(0.0)) == (False, 0.0, 0.0)
 
     def test_reset(self):
-        bt = BounceTracker()
-        bt.access(0, "k")
-        bt.access(1, "k")
-        bt.reset()
-        assert bt.bounces == 0 and bt.accesses == 0
+        lines = LineTable()
+        lines.advance(0, "k", 0.0, _holds(0.0))
+        lines.advance(1, "k", 0.0, _holds(0.0))
+        lines.reset()
+        assert lines.bounces == 0 and lines.accesses == 0
+        assert lines.advance(1, "k", 0.0, _holds(0.0))[0] is False
 
 
 class TestSerializationTable:
+    """The wait rule of the shared line record (one core: no bounces)."""
+
+    @staticmethod
+    def wait(lines, key, start, hold):
+        return lines.advance(0, key, start, _holds(hold))[1]
+
     def test_uncontended_no_wait(self):
-        t = SerializationTable()
-        assert t.acquire("k", 100.0, 50.0) == 0.0
+        assert self.wait(LineTable(), "k", 100.0, 50.0) == 0.0
 
     def test_back_to_back_waits(self):
-        t = SerializationTable()
-        t.acquire("k", 100.0, 50.0)  # free at 150
-        assert t.acquire("k", 120.0, 50.0) == 30.0  # waits till 150
+        lines = LineTable()
+        self.wait(lines, "k", 100.0, 50.0)  # free at 150
+        assert self.wait(lines, "k", 120.0, 50.0) == 30.0  # waits till 150
 
     def test_throughput_cap_is_one_over_hold(self):
         """N acquisitions at time 0 serialize: last waits (N-1)*hold."""
-        t = SerializationTable()
-        waits = [t.acquire("k", 0.0, 70.0) for _ in range(10)]
+        lines = LineTable()
+        waits = [self.wait(lines, "k", 0.0, 70.0) for _ in range(10)]
         assert waits[-1] == pytest.approx(9 * 70.0)
+        assert lines.contended == 9
+        assert lines.total_wait_ns == sum(waits)
 
     def test_distinct_keys_independent(self):
-        t = SerializationTable()
-        t.acquire("a", 0.0, 100.0)
-        assert t.acquire("b", 0.0, 100.0) == 0.0
+        lines = LineTable()
+        self.wait(lines, "a", 0.0, 100.0)
+        assert self.wait(lines, "b", 0.0, 100.0) == 0.0
 
     def test_rejects_negative_hold(self):
         with pytest.raises(ValueError):
-            SerializationTable().acquire("k", 0.0, -1.0)
+            self.wait(LineTable(), "k", 0.0, -1.0)
+        lines = LineTable()
+        self.wait(lines, "k", 0.0, 1.0)
+        with pytest.raises(ValueError):
+            self.wait(lines, "k", 0.0, -1.0)
 
     def test_reset(self):
-        t = SerializationTable()
-        t.acquire("k", 0.0, 50.0)
-        t.reset()
-        assert t.acquisitions == 0
-        assert t.acquire("k", 0.0, 50.0) == 0.0
+        lines = LineTable()
+        self.wait(lines, "k", 0.0, 50.0)
+        self.wait(lines, "k", 0.0, 50.0)
+        lines.reset()
+        assert lines.accesses == 0
+        assert lines.contended == 0 and lines.total_wait_ns == 0.0
+        assert self.wait(lines, "k", 0.0, 50.0) == 0.0

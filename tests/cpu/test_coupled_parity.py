@@ -6,7 +6,7 @@ touched it last, and a migrated shard's surcharge on which service
 touches its key first, all in the scalar loop's call order.  The
 columnar driver serves them in one merged walk in that order.  Every run
 here must commit and equal the event loop in its whole ``SimResult``,
-in the engine's end state (serialization table, bounce tracker, L2
+in the engine's end state (shared line records, L2
 residency, round robin, shard generations), and, when observed, in its
 retained event stream, ``type_counts``, ``emitted`` and artifact bytes.
 """
@@ -63,9 +63,8 @@ def _engine_state(engine):
                  "_since_rebalance", "migrations"):
         if hasattr(engine, name):
             state[name] = getattr(engine, name)
-    for name in ("serialization", "bounces"):
-        if hasattr(engine, name):
-            state[name] = dict(vars(getattr(engine, name)))
+    if hasattr(engine, "lines"):
+        state["lines"] = dict(vars(engine.lines))
     if hasattr(engine, "indirection"):
         state["table"] = engine.indirection.table
     return state

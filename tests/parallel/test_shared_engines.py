@@ -122,9 +122,11 @@ def test_invalid_packets_skip_state_machinery():
 def test_reset_clears_serialization_state():
     eng = SharedAtomicEngine(make_program("ddos"), 2)
     simulate(hot_key_trace(500), 20e6, eng)
+    assert eng.lines.accesses > 0 and eng.lines.bounces > 0
     eng.reset()
-    assert eng.serialization.acquisitions == 0
-    assert eng.bounces.accesses == 0
+    assert eng.lines.accesses == 0
+    assert eng.lines.bounces == 0
+    assert vars(eng.lines) == vars(SharedAtomicEngine(make_program("ddos"), 2).lines)
 
 
 @pytest.mark.parametrize("program", program_names())

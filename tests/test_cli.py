@@ -6,6 +6,8 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import build_parser, main
 from repro.traffic import Trace, read_pcap
@@ -505,6 +507,91 @@ def test_malformed_bench_artifact_exits_2(tmp_path, shape, command):
     assert text.startswith(f"{command} error: ") and text.count("\n") == 1
     assert str(bad) in text
     assert not (tmp_path / "dash.html").exists()
+
+
+#: JSON values of every kind, to retype a field with.
+_JSON_VALUES = ("x", 7, 1.5, True, None, [], [1], {}, {"a": 1})
+
+
+def _shaped_fields(data):
+    """Every field of a bench artifact whose JSON type the loader checks:
+    ``(path, allowed kinds, required)``, where a required field cannot be
+    dropped either."""
+    number, optional = (int, float), (dict, type(None))
+    fields = [((key,), (str,), False) for key in
+              ("name", "git_sha", "created_utc", "python", "platform", "schema")]
+    fields += [((key,), (dict,), False) for key in
+               ("config", "seed_policy", "series", "table4_params")]
+    fields += [(("model_fit",), optional, False), (("profile",), optional, False)]
+    for name, series in data["series"].items():
+        at = ("series", name)
+        fields += [(at, (dict,), False), (at + ("unit",), (str,), False),
+                   (at + ("direction",), (str,), False),
+                   (at + ("noise_floor",), number, False),
+                   (at + ("points",), (list,), False)]
+        for i, point in enumerate(series["points"]):
+            pt = at + ("points", i)
+            fields += [(pt, (dict,), False), (pt + ("x",), (int, str), True),
+                       (pt + ("median",), number, True),
+                       (pt + ("mad",), number, True), (pt + ("reps",), (list,), False)]
+            fields += [(pt + ("reps", j), number, False)
+                       for j in range(len(point["reps"]))]
+    for program, row in data["table4_params"].items():
+        fields.append((("table4_params", program), (dict,), False))
+        fields += [(("table4_params", program, cost), number, True) for cost in row]
+    return fields
+
+
+_FIG6_TEXT = FIG6_BASELINE.read_text()
+_FIG6_FIELDS = _shaped_fields(json.loads(_FIG6_TEXT))
+
+
+def _dropped(path):
+    def damage(data):
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return data
+    return damage
+
+
+@st.composite
+def _damaged_fig6(draw):
+    """The fig6 baseline's text with one field retyped or dropped, or
+    the text truncated."""
+    how = draw(st.sampled_from(("retype", "drop", "truncate")))
+    if how == "truncate":
+        return _FIG6_TEXT[:draw(st.integers(0, len(_FIG6_TEXT.rstrip()) - 1))]
+    if how == "drop":
+        path = draw(st.sampled_from([p for p, _, required in _FIG6_FIELDS
+                                     if required]))
+        damage = _dropped(path)
+    else:
+        path, kinds, _ = draw(st.sampled_from(_FIG6_FIELDS))
+        damage = _set(path, draw(st.sampled_from(
+            [v for v in _JSON_VALUES
+             if isinstance(v, bool) or not isinstance(v, kinds)])))
+    return json.dumps(damage(json.loads(_FIG6_TEXT)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_damaged_fig6())
+def test_damaged_bench_artifact_exits_2(tmp_path, text):
+    """Retyped, dropped or truncated fields of a bench artifact make both
+    of its readers that measure nothing exit 2 with one error line
+    naming the file, never a traceback."""
+    bad = tmp_path / "BENCH_fig6_scaling.json"
+    bad.write_text(text)
+    for command, argv in (
+        ("compare", ["bench", "--compare", str(FIG6_BASELINE), str(bad)]),
+        ("advise", ["advise", "--program", "ddos", "--bench", str(bad)]),
+    ):
+        code, out = run_cli(argv)
+        assert code == 2, out
+        assert out.startswith(f"{command} error: ") and out.count("\n") == 1
+        assert str(bad) in out
 
 
 def test_bench_compare_missing_path(tmp_path):
