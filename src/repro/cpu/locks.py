@@ -35,9 +35,7 @@ class LineTable:
     moves the record on.
     """
 
-    def __init__(self, transfer_ns: float = 70.0) -> None:
-        #: the stall of a bounced line (one LLC round trip).
-        self.transfer_ns = transfer_ns
+    def __init__(self) -> None:
         self._lines: Dict[Hashable, List] = {}
         self.accesses = 0
         self.bounces = 0

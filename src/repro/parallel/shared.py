@@ -54,14 +54,15 @@ class _SharedBase(BaseEngine):
         self._rr = 0
         #: every key's line (its last writer and free time), the global
         #: entry's included.
-        self.lines = LineTable(transfer_ns=self.contention.line_transfer_ns)
+        self.lines = LineTable()
         #: the global entry's hold when its line stayed (False) or
         #: bounced (True): the update runs under a lock that every core
         #: contends for once the line moves.
         self._global_hold = tuple(self.contention.lock_hold_ns(
             self.costs.c1 * 0.5, contenders) for contenders in (1, self.num_cores))
-        #: a bounced line's read stall, indexed by ``bounced``.
-        self._stall = (0.0, self.lines.transfer_ns)
+        #: a bounced line's read stall (one LLC round trip), indexed by
+        #: ``bounced``.
+        self._stall = (0.0, self.contention.line_transfer_ns)
         # Bound once: the term functions run once per packet.
         self._d, self._c1 = self.costs.d, self.costs.c1
         self._advance = self.lines.advance

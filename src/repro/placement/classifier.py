@@ -48,12 +48,12 @@ class PlacementEvent:
 class CountMinSketch:
     """Seeded count-min sketch with conservative update and halving decay.
 
-    Row indexes derive from one 64-bit FNV-1a hash by double hashing
-    (``h1 + i·h2``), so the cost is a single byte-level hash per distinct
-    key no matter the depth (the sketch remembers each key's indexes).
-    Conservative update increments only the minimal counters, tightening
-    the classic over-count without breaking the "never under-counts"
-    guarantee promotions rely on.
+    Row indexes derive from one 64-bit FNV-1a hash of the key's bytes by
+    double hashing (``h1 + i·h2``), so the cost is a single byte-level
+    hash per distinct key no matter the depth (the sketch remembers each
+    key's indexes).  Conservative update increments only the minimal
+    counters, tightening the classic over-count without breaking the
+    "never under-counts" guarantee promotions rely on.
     """
 
     def __init__(self, width: int = 1024, depth: int = 4, seed: int = 0) -> None:
@@ -63,30 +63,30 @@ class CountMinSketch:
         self.depth = depth
         self._seed = seed
         self._rows: List[List[int]] = [[0] * width for _ in range(depth)]
-        #: key bytes -> one counter index per row: a pure function.
-        self._index_memo: Dict[bytes, Tuple[int, ...]] = {}
+        #: key -> one counter index per row: a pure function.
+        self._index_memo: Dict[Hashable, Tuple[int, ...]] = {}
 
-    def _indexes(self, data: bytes) -> Tuple[int, ...]:
-        idxs = self._index_memo.get(data)
+    def _indexes(self, key: Hashable) -> Tuple[int, ...]:
+        idxs = self._index_memo.get(key)
         if idxs is None:
-            h = _fnv1a(data, self._seed)
+            h = _fnv1a(_key_bytes(key), self._seed)
             h1 = h & 0xFFFFFFFF
             h2 = ((h >> 32) | 1) & 0xFFFFFFFF
-            idxs = self._index_memo[data] = tuple(
+            idxs = self._index_memo[key] = tuple(
                 (h1 + i * h2) % self.width for i in range(self.depth))
         return idxs
 
-    def add(self, data: bytes, count: int = 1) -> int:
+    def add(self, key: Hashable, count: int = 1) -> int:
         """Record ``count`` observations; returns the updated estimate."""
-        cells = tuple(zip(self._rows, self._indexes(data)))
+        cells = tuple(zip(self._rows, self._indexes(key)))
         target = min([row[idx] for row, idx in cells]) + count
         for row, idx in cells:
             if row[idx] < target:
                 row[idx] = target
         return target
 
-    def estimate(self, data: bytes) -> int:
-        return min([row[idx] for row, idx in zip(self._rows, self._indexes(data))])
+    def estimate(self, key: Hashable) -> int:
+        return min([row[idx] for row, idx in zip(self._rows, self._indexes(key))])
 
     def decay(self) -> None:
         """Halve every counter (the aging clock demotion runs on)."""
@@ -119,18 +119,10 @@ class ElephantClassifier:
         )
         #: insertion-ordered promoted set (iteration order is deterministic).
         self._promoted: Dict[Hashable, bool] = {}
-        self._key_bytes: Dict[Hashable, bytes] = {}
         self.observations = 0
         self.promotions = 0
         self.demotions = 0
         self.decays = 0
-
-    def _bytes_for(self, key: Hashable) -> bytes:
-        cached = self._key_bytes.get(key)
-        if cached is None:
-            cached = _key_bytes(key)
-            self._key_bytes[key] = cached
-        return cached
 
     def is_promoted(self, key: Hashable) -> bool:
         return key in self._promoted
@@ -147,12 +139,12 @@ class ElephantClassifier:
             # below the lower hysteresis threshold to lose SCR placement,
             # so placement cannot flap between consecutive packets.
             for promoted in list(self._promoted):
-                est = self.sketch.estimate(self._bytes_for(promoted))
+                est = self.sketch.estimate(promoted)
                 if est < spec.demote_threshold:
                     del self._promoted[promoted]
                     self.demotions += 1
                     events.append(PlacementEvent(DEMOTE, promoted))
-        estimate = self.sketch.add(self._bytes_for(key))
+        estimate = self.sketch.add(key)
         if key in self._promoted:
             return True, tuple(events)
         if (

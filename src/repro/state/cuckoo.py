@@ -11,9 +11,11 @@ The table intentionally exposes bucket geometry (``bucket_count``,
 about occupancy the way a fixed-size eBPF map forces one to.
 
 Two host-cost measures change nothing observable: a bucket's storage is
-allocated when a key first lands in it, and each table remembers its two
-bucket indexes per key until the geometry changes (equal keys hash
-alike, as the value-type keys the programs use do).
+allocated when a key first lands in it, and each table remembers the two
+bucket indexes of its resident keys until the geometry changes (equal
+keys hash alike, as the value-type keys the programs use do).  A key
+that is absent, or deleted, is hashed afresh, so the memo is no larger
+than the table.
 """
 
 from __future__ import annotations
@@ -87,10 +89,12 @@ class CuckooHashTable:
         self.allow_grow = allow_grow
         self._seed = seed
         self._bucket_count = self._geometry(capacity, slots_per_bucket)
-        #: bucket index -> its entries; a bucket no key ever landed in
-        #: has no entry.
-        self._buckets: Dict[int, List[Tuple[Hashable, Any]]] = {}
-        #: key -> its two bucket indexes under the current geometry.
+        #: each bucket's entries, in slot order; None for a bucket no key
+        #: ever landed in.
+        self._buckets: List[Optional[List[Tuple[Hashable, Any]]]] = [
+            None] * self._bucket_count
+        #: resident key -> its two bucket indexes under the current
+        #: geometry.
         self._hash_memo: Dict[Hashable, Tuple[int, int]] = {}
         self._size = 0
         # _kick_cursor makes eviction choice deterministic without an RNG.
@@ -118,12 +122,12 @@ class CuckooHashTable:
             h2 = _fnv1a(data, self._seed ^ 0x5BD1E995) & (self._bucket_count - 1)
             if h1 == h2:
                 h2 = (h2 + 1) & (self._bucket_count - 1)
-            hashes = self._hash_memo[key] = (h1, h2)
+            hashes = (h1, h2)
         return hashes
 
     def _bucket(self, h: int) -> List[Tuple[Hashable, Any]]:
         """Bucket ``h``'s entries, allocated on first use."""
-        bucket = self._buckets.get(h)
+        bucket = self._buckets[h]
         if bucket is None:
             bucket = self._buckets[h] = []
         return bucket
@@ -148,7 +152,7 @@ class CuckooHashTable:
         """Return the value for ``key`` or None — the single 'helper call'."""
         buckets = self._buckets
         for h in self._hashes(key):
-            for k, v in buckets.get(h, ()):
+            for k, v in buckets[h] or ():
                 if k == key:
                     return v
         return None
@@ -166,12 +170,13 @@ class CuckooHashTable:
         """
         h1, h2 = self._hashes(key)
         for h in (h1, h2):
-            bucket = self._buckets.get(h, ())
+            bucket = self._buckets[h] or ()
             for i, (k, _v) in enumerate(bucket):
                 if k == key:
                     bucket[i] = (key, value)
                     return
         if self._place(key, value, h1, h2):
+            self._hash_memo[key] = (h1, h2)
             self._size += 1
             return
         if not self.allow_grow:
@@ -217,7 +222,7 @@ class CuckooHashTable:
             entries.append(pending)
             self._pending = None
         self._bucket_count *= 2
-        self._buckets = {}
+        self._buckets = [None] * self._bucket_count
         self._hash_memo = {}
         self._size = 0
         for k, v in entries:
@@ -226,18 +231,20 @@ class CuckooHashTable:
     def delete(self, key: Hashable) -> bool:
         """Remove ``key``; return True when it was present."""
         for h in self._hashes(key):
-            bucket = self._buckets.get(h, ())
+            bucket = self._buckets[h] or ()
             for i, (k, _v) in enumerate(bucket):
                 if k == key:
                     bucket.pop(i)
+                    self._hash_memo.pop(key, None)
                     self._size -= 1
                     return True
         return False
 
     def items(self) -> Iterator[Tuple[Hashable, Any]]:
         """Entries in bucket order, each bucket's in slot order."""
-        for h in sorted(self._buckets):
-            yield from self._buckets[h]
+        for bucket in self._buckets:
+            if bucket:
+                yield from bucket
 
     def keys(self) -> Iterator[Hashable]:
         for k, _v in self.items():
@@ -248,5 +255,6 @@ class CuckooHashTable:
             yield v
 
     def clear(self) -> None:
-        self._buckets.clear()
+        self._buckets = [None] * self._bucket_count
+        self._hash_memo.clear()
         self._size = 0

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cpu import L2Model, LineTable
+from repro.parallel.shared import SharedAtomicEngine
+from repro.programs.registry import make_program
 
 
 class TestL2Model:
@@ -68,15 +70,30 @@ class TestBounceTracker:
         assert lines.advance(0, "k", 0.0, _holds(0.0))[0] is False
 
     def test_cross_core_bounces_with_transfer(self):
-        lines = LineTable(transfer_ns=70)
+        lines = LineTable()
         lines.advance(0, "k", 0.0, _holds(0.0))
         assert lines.advance(1, "k", 0.0, _holds(0.0))[0] is True
-        assert lines.transfer_ns == 70
+        # The shared engines charge a bounced line's stall: the atomic's
+        # read stall (and its transfer: the stall plus the exclusive
+        # hold), and the global entry's.  Far-apart starts: no waits.
+        eng = SharedAtomicEngine(make_program("ddos"), 2)
+        assert eng.contention.line_transfer_ns == 70
+        eng.packet_terms(0, "k", 0.0)
+        eng.l2.access(1, "k")  # resident on core 1: no spill
+        service, compute, wait, transfer, misses, _ = eng.packet_terms(
+            1, "k", 1e6)
+        hold = eng.contention.atomic_hold_ns()
+        assert (wait, misses) == (0.0, 1.0)
+        assert service - eng.costs.d - compute - hold == pytest.approx(70)
+        assert transfer == eng._transfer[1] == 70 + hold
+        eng.global_terms(0, 0.0)
+        stall, wait, misses, _ = eng.global_terms(1, 1e6)
+        assert (stall, wait, misses) == (70, 0.0, 1.0)
 
     def test_bounce_delays_the_update_by_its_lead(self):
         """An atomic's read stall comes before its RMW: a bounced update
         begins ``lead`` later, one whose line stayed does not."""
-        lines = LineTable(transfer_ns=70)
+        lines = LineTable()
         lines.advance(0, "k", 0.0, (10.0, 50.0))           # free at 10
         bounced, wait, hold = lines.advance(1, "k", 0.0, (10.0, 50.0),
                                             70.0)          # begins at 70

@@ -1,7 +1,7 @@
 """Rule-based stateful testing: the cuckoo table vs a model dict under
 arbitrary operation interleavings (hypothesis drives the schedule), and
 the table's per-key hash memo vs a table that recomputes every key's
-buckets on each call."""
+buckets on each call, and the memo holding resident keys only."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +28,7 @@ class RecomputingTable(CuckooHashTable):
 
     def items(self):
         for h in range(self.bucket_count):
-            yield from self._buckets.get(h, ())
+            yield from self._buckets[h] or ()
 
 
 def assert_same_table(table, reference, keys):
@@ -86,6 +86,10 @@ class CuckooMachine(RuleBasedStateMachine):
     def memo_changes_nothing(self):
         assert_same_table(self.table, self.reference, self.seen)
 
+    @invariant()
+    def memo_holds_resident_keys_only(self):
+        assert set(self.table._hash_memo) == set(self.model)
+
 
 TestCuckooStateful = CuckooMachine.TestCase
 TestCuckooStateful.settings = settings(
@@ -114,3 +118,19 @@ def test_hash_memo_matches_recomputing_across_growth(inserts, deletes, max_kicks
     assert_same_table(table, reference, seen)
     if len({k for k, _ in inserts}) >= 40:
         assert table.grow_events >= 3
+
+
+def test_memo_is_no_larger_than_a_fixed_table():
+    """Looking up or deleting keys a fixed-size table does not hold
+    leaves its memo alone: host memory follows resident entries, not
+    every key the table was asked about."""
+    table = CuckooHashTable(capacity=64, allow_grow=False)
+    for i in range(10):
+        table.insert(i, i)
+    for i in range(10, 2000):
+        assert table.lookup(i) is None
+        assert not table.delete(i)
+    for i in range(5):
+        assert table.delete(i)
+    assert sorted(table._hash_memo) == [5, 6, 7, 8, 9]
+    assert [table.lookup(i) for i in range(10)] == [None] * 5 + list(range(5, 10))
