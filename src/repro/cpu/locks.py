@@ -20,7 +20,7 @@ complex for atomics, ``__sync`` atomics [25] for the counter programs
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 __all__ = ["LineTable"]
 
@@ -48,7 +48,7 @@ class LineTable:
         core: int,
         key: Hashable,
         start_ns: float,
-        holds: Tuple[float, float],
+        holds: Sequence[float],
         lead: float = 0.0,
     ) -> Tuple[bool, float, float]:
         """``core`` updates ``key``, ready at ``start_ns``; returns

@@ -170,7 +170,9 @@ class CuckooHashTable:
         """
         h1, h2 = self._hashes(key)
         for h in (h1, h2):
-            bucket = self._buckets[h] or ()
+            bucket = self._buckets[h]
+            if bucket is None:
+                continue
             for i, (k, _v) in enumerate(bucket):
                 if k == key:
                     bucket[i] = (key, value)
@@ -189,14 +191,14 @@ class CuckooHashTable:
         if len(self._bucket(h1)) > len(self._bucket(h2)):
             h1, h2 = h2, h1
         for h in (h1, h2):
-            bucket = self._buckets[h]
+            bucket = self._bucket(h)
             if len(bucket) < self.slots_per_bucket:
                 bucket.append((key, value))
                 return True
         # Both full: displace along a kick chain.
         current_key, current_value, home = key, value, h1
         for _ in range(self.max_kicks):
-            bucket = self._buckets[home]
+            bucket = self._bucket(home)
             victim_slot = self._kick_cursor % self.slots_per_bucket
             self._kick_cursor += 1
             victim_key, victim_value = bucket[victim_slot]
@@ -231,7 +233,9 @@ class CuckooHashTable:
     def delete(self, key: Hashable) -> bool:
         """Remove ``key``; return True when it was present."""
         for h in self._hashes(key):
-            bucket = self._buckets[h] or ()
+            bucket = self._buckets[h]
+            if bucket is None:
+                continue
             for i, (k, _v) in enumerate(bucket):
                 if k == key:
                     bucket.pop(i)
