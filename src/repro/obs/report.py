@@ -27,7 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from ..hostprof.artifact import HOSTPROF_JSON, HostProfile
 from ..hostprof.clock import PATH_SEP
 from ..perf.artifact import BenchArtifact, BenchSeries
-from ..telemetry.artifact import MANIFEST_NAME
+from ..telemetry.artifact import MANIFEST_NAME, json_field, json_typed, load_json
 from ..telemetry.summary import RunSummary, fmt_ns, load_run
 from .spans import SPAN_PREFIX
 
@@ -85,10 +85,11 @@ def _load_inputs(
 
     A directory must hold a ``manifest.json`` (telemetry artifact) or a
     ``hostprof.json`` (host-profile artifact — resolved to that file); a
-    file must carry a bench or hostprof schema, and is read through
-    :meth:`BenchArtifact.load` once, so a malformed bench artifact fails
-    here rather than mid-render.  Anything else raises ValueError — a
-    misspelled path should fail loudly, not render an empty report.
+    file must carry a bench or hostprof schema, and a bench file is read
+    through :meth:`BenchArtifact.load` here, so a malformed or
+    other-version bench artifact fails here rather than mid-render.
+    Anything else raises ValueError — a misspelled path should fail
+    loudly, not render an empty report.
     """
     artifact_dirs: List[Path] = []
     benches: List[Tuple[Path, BenchArtifact]] = []
@@ -107,19 +108,24 @@ def _load_inputs(
                     "artifact)"
                 )
         elif path.is_file():
-            bench = BenchArtifact.load(path)
-            if bench.schema.startswith(_BENCH_SCHEMA_PREFIX):
-                benches.append((path, bench))
-            elif bench.schema.startswith(_HOSTPROF_SCHEMA_PREFIX):
+            schema = load_json(path, _schema_of)
+            if schema.startswith(_BENCH_SCHEMA_PREFIX):
+                benches.append((path, BenchArtifact.load(path)))
+            elif schema.startswith(_HOSTPROF_SCHEMA_PREFIX):
                 hostprof_files.append(path)
             else:
                 raise ValueError(
-                    f"{path}: unrecognized schema {bench.schema!r} "
+                    f"{path}: unrecognized schema {schema!r} "
                     "(expected a BENCH_*.json or hostprof.json artifact)"
                 )
         else:
             raise ValueError(f"{path}: no such file or directory")
     return artifact_dirs, benches, hostprof_files
+
+
+def _schema_of(data: object) -> str:
+    """A JSON artifact's ``schema`` string ("" when it has none)."""
+    return json_field(json_typed(data, (dict,)), "schema", "", (str,))
 
 
 # -- run-artifact sections ----------------------------------------------------

@@ -231,8 +231,13 @@ class BenchArtifact:
     @classmethod
     def from_dict(cls, data: dict) -> "BenchArtifact":
         """Rebuild an artifact; raises ValueError naming the first field
-        whose JSON type does not fit the bench-artifact/v1 shape."""
+        whose JSON type does not fit the bench-artifact/v1 shape, or a
+        schema other than :data:`BENCH_SCHEMA`."""
         json_typed(data, (dict,))
+        schema = json_field(data, "schema", "", (str,))
+        if schema != BENCH_SCHEMA:
+            raise ValueError(f"schema {schema!r} is not {BENCH_SCHEMA!r}, "
+                             "the one this tool reads")
         series = json_field(data, "series", {}, (dict,))
         optional = (dict, type(None))
         art = cls(
@@ -246,7 +251,7 @@ class BenchArtifact:
             table4_params=_cost_rows(json_field(data, "table4_params", {}, (dict,))),
             model_fit=json_field(data, "model_fit", None, optional),
             profile=json_field(data, "profile", None, optional),
-            schema=json_field(data, "schema", "", (str,)),
+            schema=schema,
         )
         for name, sdata in series.items():
             art.series[name] = BenchSeries.from_dict(name, sdata)

@@ -68,8 +68,9 @@ class CuckooHashTable:
     allow_grow:
         When True (default) a failed insert doubles the table and rehashes,
         mirroring a control-plane map resize.  When False, a failed insert
-        raises :class:`CuckooInsertError` — the eBPF-style fixed-size regime
-        the paper's evaluation had to work within (§4.1).
+        raises :class:`CuckooInsertError` and leaves the table as it was —
+        the eBPF-style fixed-size regime the paper's evaluation had to work
+        within (§4.1).
     """
 
     def __init__(
@@ -196,23 +197,31 @@ class CuckooHashTable:
                 bucket.append((key, value))
                 return True
         # Both full: displace along a kick chain.
-        current_key, current_value, home = key, value, h1
+        current, home = (key, value), h1
+        chain = []
         for _ in range(self.max_kicks):
             bucket = self._bucket(home)
             victim_slot = self._kick_cursor % self.slots_per_bucket
             self._kick_cursor += 1
-            victim_key, victim_value = bucket[victim_slot]
-            bucket[victim_slot] = (current_key, current_value)
-            current_key, current_value = victim_key, victim_value
-            v1, v2 = self._hashes(current_key)
+            chain.append((bucket, victim_slot))
+            bucket[victim_slot], current = current, bucket[victim_slot]
+            v1, v2 = self._hashes(current[0])
             home = v2 if home == v1 else v1
             bucket = self._bucket(home)
             if len(bucket) < self.slots_per_bucket:
-                bucket.append((current_key, current_value))
+                bucket.append(current)
                 return True
-        # Chain exhausted: undo is unnecessary because the displaced item is
-        # still held in current_*; re-inserting after growth re-places it.
-        self._pending = (current_key, current_value)
+        if self.allow_grow:
+            # The displaced entry is still held in current; re-inserting
+            # it after growth re-places it.
+            self._pending = current
+            return False
+        # A fixed-size map's failed update leaves it as it was
+        # (bpf_map_update_elem): swap each victim back, and rewind the
+        # cursor so later kicks choose as if the insert never ran.
+        for bucket, slot in reversed(chain):
+            bucket[slot], current = current, bucket[slot]
+        self._kick_cursor -= len(chain)
         return False
 
     def _grow(self) -> None:

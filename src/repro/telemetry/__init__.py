@@ -2,9 +2,10 @@
 
 The observability layer the evaluation's attribution story rests on
 (PCM/BPF profiling, Fig. 8): every subsystem emits named metrics and typed
-events here, exporters turn a run into a JSONL event log + Chrome trace +
-Prometheus text, and :class:`RunArtifact` ties them to the config and git
-SHA that produced them.  Disabled (the default everywhere), all of it is a
+events here, a run artifact stores its JSONL event log and metrics snapshot
+(the Chrome trace and Prometheus text derive from them on demand), and
+:class:`RunArtifact` ties them to the config and git SHA that produced
+them.  Disabled (the default everywhere), all of it is a
 no-op fast path.  See ``docs/TELEMETRY.md`` for the event catalog and the
 artifact schema.
 """
@@ -13,8 +14,6 @@ from .artifact import (
     EVENTS_NAME,
     MANIFEST_NAME,
     NULL_TELEMETRY,
-    PROM_NAME,
-    TRACE_NAME,
     RunArtifact,
     Telemetry,
     current_git_sha,
@@ -44,9 +43,7 @@ from .events import (
 )
 from .exporters import (
     chrome_trace_dict,
-    events_to_chrome_trace,
     events_to_jsonl,
-    read_jsonl,
 )
 from .inspect import summarize_artifact
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -61,8 +58,6 @@ __all__ = [
     "attribution_from_snapshot",
     "MANIFEST_NAME",
     "EVENTS_NAME",
-    "TRACE_NAME",
-    "PROM_NAME",
     "Event",
     "EventTracer",
     "NULL_TRACER",
@@ -80,8 +75,6 @@ __all__ = [
     "EV_MLFFR_PROBE",
     "EV_RUN_SUMMARY",
     "events_to_jsonl",
-    "read_jsonl",
-    "events_to_chrome_trace",
     "chrome_trace_dict",
     "summarize_artifact",
     "Counter",

@@ -5,10 +5,16 @@ without re-running it:
 
 * ``manifest.json`` — command, config, git SHA, creation time, metrics
   snapshot, per-event-type counts, and the names of the sibling files;
-* ``events.jsonl``  — the retained event ring, sorted by timestamp;
-* ``trace.json``    — the same events in Chrome ``trace_event`` format
-  (one track per simulated core — open in chrome://tracing or Perfetto);
-* ``metrics.prom``  — the registry in Prometheus text format.
+* ``events.jsonl``  — the retained event ring, sorted by timestamp.
+
+Each fact is stored once; other views derive from these two files on
+demand.  The Chrome ``trace_event`` document (one track per simulated
+core, for chrome://tracing or Perfetto) is
+``chrome_trace_dict(art.read_events(dir), num_cores=art.num_cores)``, and
+the Prometheus text is ``to_prometheus()`` of a fresh
+:class:`MetricsRegistry` after ``merge_snapshot(art.metrics["registry"])``
+(without ``# HELP`` lines: the snapshot keeps no help text).  Older
+artifacts that also list ``trace``/``prometheus`` files load the same.
 
 :class:`Telemetry` bundles the registry + tracer that the layers write
 into and knows how to produce the artifact.  The disabled singleton
@@ -26,14 +32,12 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, TypeVar, Union
 
 from .events import EventTracer
-from .exporters import events_to_chrome_trace, events_to_jsonl
+from .exporters import events_to_jsonl
 from .metrics import MetricsRegistry
 
 __all__ = [
     "MANIFEST_NAME",
     "EVENTS_NAME",
-    "TRACE_NAME",
-    "PROM_NAME",
     "EventLogError",
     "JSON_NUMBER",
     "RunArtifact",
@@ -47,8 +51,6 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 EVENTS_NAME = "events.jsonl"
-TRACE_NAME = "trace.json"
-PROM_NAME = "metrics.prom"
 
 
 #: ``current_git_sha`` results per working directory, for this process.
@@ -272,9 +274,6 @@ class Telemetry:
         directory.mkdir(parents=True, exist_ok=True)
         events = self.tracer.events()
         events_to_jsonl(events, directory / EVENTS_NAME)
-        events_to_chrome_trace(events, directory / TRACE_NAME,
-                               num_cores=num_cores)
-        (directory / PROM_NAME).write_text(self.registry.to_prometheus())
         metrics = {"registry": self.registry.snapshot()}
         if extra_metrics:
             metrics.update(extra_metrics)
@@ -295,11 +294,7 @@ class Telemetry:
             events_retained=len(self.tracer),
             events_emitted=self.tracer.emitted,
             num_cores=num_cores,
-            files={
-                "events": EVENTS_NAME,
-                "trace": TRACE_NAME,
-                "prometheus": PROM_NAME,
-            },
+            files={"events": EVENTS_NAME},
             slo=slo,
         )
         with (directory / MANIFEST_NAME).open("w") as fh:

@@ -1,7 +1,8 @@
 """Event-log exporters: JSONL and the Chrome ``trace_event`` format.
 
 * **JSONL** — one JSON object per line, sorted by ``ts_ns``; greppable and
-  trivially loadable (`pandas.read_json(lines=True)`).
+  trivially loadable (`pandas.read_json(lines=True)`).  A run artifact's
+  ``events.jsonl`` is the one stored copy of its events.
 * **Chrome trace** — the ``chrome://tracing`` / Perfetto JSON format with
   one track (thread) per simulated core, so a Figure 6 run opens as a
   per-core timeline: service spans as complete ("X") events, drops and
@@ -10,7 +11,8 @@
   SCR spray decisions, those move to their own "sequencer" track and
   each dispatched packet gets a flow arrow (``ph: "s"``/``"f"``) from
   the spray to the receiving core's service — cross-core causality
-  renders in Perfetto instead of being two unrelated slices.
+  renders in Perfetto instead of being two unrelated slices.  It is
+  derived on demand, from live events or from an artifact's event log.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from .events import Event
 
 __all__ = [
     "events_to_jsonl",
-    "read_jsonl",
-    "events_to_chrome_trace",
     "chrome_trace_dict",
 ]
 
@@ -39,26 +39,15 @@ SEQUENCER_TRACK = "sequencer"
 _FLOW_SOURCE_KIND = "scr.spray"
 _FLOW_SINK_KIND = "core.service"
 
-#: Records per trace encoder call and per file write.  One C-encoder call
-#: per trace batch keeps Python out of the per-record work (``json.dump``
-#: to a file always takes the pure-Python encoder), and the batch bounds
-#: the encoded text in memory.
+#: An event row's own keys (``Event.to_dict``); every other key is a field.
+_ROW_KEYS = frozenset(("ts_ns", "kind", "core", "dur_ns"))
+
+#: Lines per JSONL file write, which bounds the encoded text in memory.
 _BATCH = 4096
 
-#: The byte format of both files: ``json.dumps`` defaults, plus sorted keys
-#: for the JSONL lines.  One encoder each, built once.
+#: The JSONL byte format: ``json.dumps`` defaults plus sorted keys, from
+#: one C encoder built once.
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
-_TRACE_ENCODER = json.JSONEncoder()
-
-
-def _trace_tail() -> dict:
-    """The trace document's keys after ``traceEvents``."""
-    return {"displayTimeUnit": "ns",
-            "otherData": {"producer": "repro.telemetry"}}
-
-
-def _by_time(events: Iterable[Event]) -> List[Event]:
-    return sorted(events, key=lambda e: e.ts_ns)
 
 
 def _batches(items: Iterable, size: int = _BATCH) -> Iterator[list]:
@@ -76,54 +65,44 @@ def events_to_jsonl(events: Iterable[Event], path: Union[str, Path]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
         encode = _JSONL_ENCODER.encode
-        for batch in _batches(_by_time(events)):
+        for batch in _batches(sorted(events, key=lambda e: e.ts_ns)):
             fh.write("".join(encode(e.to_dict()) + "\n" for e in batch))
     return path
 
 
-def read_jsonl(path: Union[str, Path]) -> Iterator[dict]:
-    """Yield the event dicts back out of a JSONL file."""
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
-
-
-def _chrome_records(
-    events: Iterable[Event], num_cores: Optional[int]
-) -> Iterator[dict]:
-    """The ``traceEvents`` records in file order, built as they are consumed:
-    thread-name headers, one record per event, then the dispatch flows."""
-    ordered = _by_time(events)
-    tids = {e.core for e in ordered if isinstance(e.core, int)}
+def _chrome_records(rows: List[dict], num_cores: Optional[int]
+                    ) -> Iterator[dict]:
+    """The ``traceEvents`` records in document order: thread-name headers,
+    one record per row, then the dispatch flows."""
+    tids = {r["core"] for r in rows if isinstance(r.get("core"), int)}
     tids.update(range(num_cores or 0))
     yield _thread_name(SYSTEM_TRACK, SYSTEM_TRACK)
-    if any(e.kind == _FLOW_SOURCE_KIND for e in ordered):
+    if any(r["kind"] == _FLOW_SOURCE_KIND for r in rows):
         yield _thread_name(SEQUENCER_TRACK, SEQUENCER_TRACK)
     for tid in sorted(tids):
         yield _thread_name(tid, f"core {tid}")
     #: packet index -> spray ts / first service (ts, tid).
     sprays: dict = {}
     sinks: dict = {}
-    for e in ordered:
-        kind = e.kind
-        ts = e.ts_ns / 1e3
+    for row in rows:
+        kind = row["kind"]
+        ts = row["ts_ns"] / 1e3
         if kind == _FLOW_SOURCE_KIND:
             # Spray decisions happen at the sequencer, not on the core
             # they target; give them their own track so the flow arrow
             # visibly crosses tracks.
             tid = SEQUENCER_TRACK
         else:
-            tid = e.core if e.core is not None else SYSTEM_TRACK
+            tid = row.get("core", SYSTEM_TRACK)
         record = {"name": kind, "cat": kind.split(".", 1)[0], "ts": ts,
                   "pid": 0, "tid": tid}
-        fields = e.fields
+        fields = {k: v for k, v in row.items() if k not in _ROW_KEYS}
         if fields:
             record["args"] = fields
-        if e.dur_ns is not None:
+        dur_ns = row.get("dur_ns")
+        if dur_ns is not None:
             record["ph"] = "X"
-            record["dur"] = max(e.dur_ns, 1.0) / 1e3
+            record["dur"] = max(dur_ns, 1.0) / 1e3
         else:
             record["ph"] = "i"
             record["s"] = "t"  # thread-scoped instant
@@ -138,43 +117,22 @@ def _chrome_records(
 
 
 def chrome_trace_dict(
-    events: Iterable[Event], num_cores: Optional[int] = None
+    events: Iterable[Union[Event, dict]], num_cores: Optional[int] = None
 ) -> dict:
     """Build the Chrome ``trace_event`` JSON object for ``events``.
 
-    ``num_cores`` forces one named track per simulated core 0..n-1 even if
-    a core emitted nothing (an idle core is itself a finding).  Timestamps
-    convert to the format's microseconds; durations below 1 ns are floored
-    to keep spans visible.
+    ``events`` are :class:`Event` objects or the rows of their JSONL form
+    (what ``RunArtifact.read_events`` returns); both give the same
+    document once encoded.  ``num_cores`` forces one named track per
+    simulated core 0..n-1 even if a core emitted nothing (an idle core is
+    itself a finding).  Timestamps convert to the format's microseconds;
+    durations below 1 ns are floored to keep spans visible.
     """
-    return {"traceEvents": list(_chrome_records(events, num_cores)),
-            **_trace_tail()}
-
-
-def events_to_chrome_trace(
-    events: Iterable[Event],
-    path: Union[str, Path],
-    num_cores: Optional[int] = None,
-) -> Path:
-    """Write a ``chrome://tracing``-loadable JSON file; returns the path.
-
-    The bytes are exactly ``json.dump(chrome_trace_dict(...))``'s, but the
-    records stream through the C encoder in batches instead of being held
-    as one document.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    encode = _TRACE_ENCODER.encode
-    with path.open("w") as fh:
-        fh.write('{"traceEvents": [')
-        sep = ""
-        for batch in _batches(_chrome_records(events, num_cores)):
-            # encode(list) is "[r0, r1, ...]": strip the brackets and join
-            # batches with the encoder's own item separator.
-            fh.write(sep + encode(batch)[1:-1])
-            sep = ", "
-        fh.write("], " + encode(_trace_tail())[1:])
-    return path
+    rows = sorted((e.to_dict() if isinstance(e, Event) else e
+                   for e in events), key=lambda r: r["ts_ns"])
+    return {"traceEvents": list(_chrome_records(rows, num_cores)),
+            "displayTimeUnit": "ns",
+            "otherData": {"producer": "repro.telemetry"}}
 
 
 def _thread_name(tid, name: str) -> dict:

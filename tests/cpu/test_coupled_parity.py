@@ -27,6 +27,7 @@ from repro.obs import NULL_SPANS, SpanEmitter, SpanSampler
 from repro.parallel import make_engine
 from repro.programs import make_program
 from repro.telemetry import Telemetry
+from tests.telemetry.derived import chrome_doc
 
 from .test_hotpath_parity import (  # noqa: F401  (telemetry_trace: fixture)
     _SPAN_RATE,
@@ -73,7 +74,8 @@ def _engine_state(engine):
 def _run_pair(trace, technique, cores, rate, faults=None, l2_entries=None,
               observed=False, engine_kw=None, **sim_kw):
     """Both hot paths on one run: per mode, (SimResult, engine state,
-    events, type_counts, emitted, artifact bytes, host phases)."""
+    events, type_counts, emitted, artifact, host phases), the artifact
+    being the event-log bytes and the Chrome document derived from it."""
     program = make_program(trace.program_name)
     out = []
     for mode in ("scalar", "columnar"):
@@ -93,8 +95,9 @@ def _run_pair(trace, technique, cores, rate, faults=None, l2_entries=None,
             with tempfile.TemporaryDirectory() as tmp:
                 tele.write_artifact(Path(tmp), command="parity",
                                     num_cores=cores)
-                artifact = {name: (Path(tmp) / name).read_bytes()
-                            for name in ("events.jsonl", "trace.json")}
+                artifact = {"events.jsonl":
+                            (Path(tmp) / "events.jsonl").read_bytes(),
+                            "chrome": chrome_doc(tmp)}
         phases = {name for path in clock.snapshot()
                   for name in path.split(PATH_SEP)}
         out.append((res, _engine_state(engine),
@@ -218,6 +221,7 @@ class TestTracedSearches:
                           tele.tracer.type_counts, tele.tracer.emitted)
         assert runs["scalar"] == runs["columnar"]
         assert commits and all(commits)
-        for name in ("events.jsonl", "trace.json"):
-            assert ((tmp_path / "scalar" / name).read_bytes()
-                    == (tmp_path / "columnar" / name).read_bytes()), name
+        assert ((tmp_path / "scalar" / "events.jsonl").read_bytes()
+                == (tmp_path / "columnar" / "events.jsonl").read_bytes())
+        assert (chrome_doc(tmp_path / "scalar")
+                == chrome_doc(tmp_path / "columnar"))

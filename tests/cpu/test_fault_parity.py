@@ -22,6 +22,7 @@ from repro.obs import SpanEmitter, SpanSampler
 from repro.parallel import make_engine
 from repro.programs import make_program
 from repro.telemetry import Telemetry
+from tests.telemetry.derived import chrome_doc
 
 from .test_hotpath_parity import (  # noqa: F401  (telemetry_trace: fixture)
     _SPAN_RATE,
@@ -275,6 +276,7 @@ class TestTracedSearch:
         if technique != "rss":
             assert {"recovery.quarantine", "recovery.resync",
                     "span.quarantine", "span.resync"} <= kinds
-        for name in ("events.jsonl", "trace.json"):
-            assert ((tmp_path / "scalar" / name).read_bytes()
-                    == (tmp_path / "columnar" / name).read_bytes()), name
+        assert ((tmp_path / "scalar" / "events.jsonl").read_bytes()
+                == (tmp_path / "columnar" / "events.jsonl").read_bytes())
+        assert (chrome_doc(tmp_path / "scalar")
+                == chrome_doc(tmp_path / "columnar"))

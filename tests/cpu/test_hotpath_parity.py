@@ -34,6 +34,7 @@ from repro.programs import make_program, program_names
 from repro.scenario import Scenario, ScenarioExecutor, build_perf_trace, scenario_grid
 from repro.telemetry import EventTracer, Telemetry
 from repro.telemetry.events import NULL_TRACER, STAGED_RANK
+from tests.telemetry.derived import chrome_doc
 
 _TRACE_KW = dict(num_flows=12, max_packets=500)
 
@@ -630,9 +631,10 @@ class TestTelemetryParity:
                           tele.tracer.type_counts, tele.tracer.emitted)
         assert runs["scalar"] == runs["columnar"]
         assert any(commits), "columnar never committed under telemetry"
-        for name in ("events.jsonl", "trace.json"):
-            assert ((tmp_path / "scalar" / name).read_bytes()
-                    == (tmp_path / "columnar" / name).read_bytes()), name
+        assert ((tmp_path / "scalar" / "events.jsonl").read_bytes()
+                == (tmp_path / "columnar" / "events.jsonl").read_bytes())
+        assert (chrome_doc(tmp_path / "scalar")
+                == chrome_doc(tmp_path / "columnar"))
 
     def test_failing_probes_keep_only_summaries(self, telemetry_trace):
         """Every per-packet and span record belongs to the reported probe:

@@ -1,13 +1,15 @@
 """Rule-based stateful testing: the cuckoo table vs a model dict under
 arbitrary operation interleavings (hypothesis drives the schedule), and
 the table's per-key hash memo vs a table that recomputes every key's
-buckets on each call, and the memo holding resident keys only."""
+buckets on each call, and the memo holding resident keys only.  A
+fixed-size table's failed insert changes nothing."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.state import CuckooHashTable
+from repro.state import CuckooHashTable, CuckooInsertError
 
 keys = st.one_of(
     st.integers(min_value=-50, max_value=50),
@@ -95,6 +97,67 @@ TestCuckooStateful = CuckooMachine.TestCase
 TestCuckooStateful.settings = settings(
     max_examples=40, stateful_step_count=60, deadline=None
 )
+
+
+class FixedSizeCuckooMachine(RuleBasedStateMachine):
+    """A small table that may not grow, as an eBPF map may not: an insert
+    either succeeds or raises and leaves the table, its memo and its
+    kick cursor exactly as they were (``bpf_map_update_elem`` fails
+    without touching the map)."""
+
+    @initialize(capacity=st.integers(1, 4), slots=st.integers(1, 2),
+                max_kicks=st.integers(0, 8))
+    def build(self, capacity, slots, max_kicks):
+        self.table = CuckooHashTable(capacity=capacity, slots_per_bucket=slots,
+                                     max_kicks=max_kicks, allow_grow=False)
+        self.model = {}
+
+    @rule(key=st.integers(min_value=0, max_value=30), value=values)
+    def insert(self, key, value):
+        before = (list(self.table.items()), dict(self.table._hash_memo),
+                  self.table._kick_cursor)
+        try:
+            self.table.insert(key, value)
+        except CuckooInsertError:
+            assert key not in self.model
+            assert (list(self.table.items()), dict(self.table._hash_memo),
+                    self.table._kick_cursor) == before
+        else:
+            self.model[key] = value
+
+    @rule(key=st.integers(min_value=0, max_value=30))
+    def delete(self, key):
+        assert self.table.delete(key) == (key in self.model)
+        self.model.pop(key, None)
+
+    @invariant()
+    def contents_match(self):
+        assert dict(self.table.items()) == self.model
+        assert len(self.table) == len(self.model)
+        assert self.table.grow_events == 0
+
+    @invariant()
+    def memo_holds_resident_keys_only(self):
+        assert set(self.table._hash_memo) == set(self.model)
+
+
+TestFixedSizeCuckooStateful = FixedSizeCuckooMachine.TestCase
+TestFixedSizeCuckooStateful.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+
+
+def test_failed_fixed_size_insert_loses_nothing():
+    """The kick chain of key 4 runs out: the insert raises, and key 0,
+    which the chain had displaced, is still resident."""
+    table = CuckooHashTable(capacity=2, slots_per_bucket=1, max_kicks=4,
+                            allow_grow=False)
+    for key in range(4):
+        table.insert(key, key)
+    with pytest.raises(CuckooInsertError):
+        table.insert(4, 4)
+    assert sorted(table.keys()) == sorted(table._hash_memo) == [0, 1, 2, 3]
+    assert [table.lookup(k) for k in range(5)] == [0, 1, 2, 3, None]
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,19 +6,21 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.faults import FaultSpec
+from repro.obs import SpanEmitter, SpanSampler
 from repro.scenario import Scenario, run_scenario
 from repro.telemetry import (
     EVENTS_NAME,
     MANIFEST_NAME,
     NULL_TELEMETRY,
-    PROM_NAME,
-    TRACE_NAME,
     RunArtifact,
     Telemetry,
     attribution_from_snapshot,
+    chrome_trace_dict,
 )
 from repro.telemetry.events import EV_SPRAY
 from repro.telemetry.inspect import summarize_artifact
+from tests.telemetry.derived import as_parsed, chrome_doc, prometheus_text
 
 
 class TestTelemetryBundle:
@@ -29,9 +31,10 @@ class TestTelemetryBundle:
         art = tele.write_artifact(
             tmp_path, command="test", config={"cores": 2}, num_cores=2
         )
-        for name in (MANIFEST_NAME, EVENTS_NAME, TRACE_NAME, PROM_NAME):
-            assert (tmp_path / name).exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [MANIFEST_NAME, EVENTS_NAME])
         loaded = RunArtifact.load(tmp_path)
+        assert loaded.files == {"events": EVENTS_NAME}
         assert loaded.command == "test"
         assert loaded.config == {"cores": 2}
         assert loaded.event_type_counts == {EV_SPRAY: 1}
@@ -123,7 +126,7 @@ class TestInstrumentedSweep:
         for line in (tmp_path / EVENTS_NAME).read_text().splitlines():
             ts.append(json.loads(line)["ts_ns"])
         assert ts == sorted(ts)
-        doc = json.loads((tmp_path / TRACE_NAME).read_text())
+        doc = chrome_doc(tmp_path)
         core_tracks = {
             r["tid"]
             for r in doc["traceEvents"]
@@ -153,6 +156,33 @@ class TestInstrumentedSweep:
         assert "per-core time attribution" in text
         assert "p99" in text
         assert "mlffr_mpps" in text
+
+
+@pytest.mark.parametrize("faults", [None, FaultSpec.create(seed=3, drop_rate=0.02)],
+                         ids=["sprayed", "faulted"])
+def test_views_derive_from_what_the_artifact_stores(tmp_path, faults):
+    """The artifact stores the event log and the manifest only; the Chrome
+    trace derived from the stored rows is the one built from the live
+    events, and the Prometheus text rebuilt from the manifest's snapshot
+    is the live registry's less its ``# HELP`` lines."""
+    cores = 4
+    tele = Telemetry()
+    tele.spans = SpanEmitter(tele.tracer, SpanSampler(7, 0.05))
+    run_scenario(Scenario.create("ddos", "caida", "scr", cores,
+                                 max_packets=1200, faults=faults),
+                 telemetry=tele)
+    art = tele.write_artifact(tmp_path, command="mlffr", num_cores=cores)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [MANIFEST_NAME, EVENTS_NAME])
+    assert (art.slo is not None) == (faults is not None)
+    doc = chrome_doc(tmp_path)
+    assert doc == as_parsed(chrome_trace_dict(tele.tracer.events(),
+                                              num_cores=cores))
+    assert any(r["name"] == "scr.dispatch" for r in doc["traceEvents"])
+    live = tele.registry.to_prometheus().splitlines(keepends=True)
+    assert any(line.startswith("# HELP ") for line in live)
+    assert prometheus_text(tmp_path) == "".join(
+        line for line in live if not line.startswith("# HELP "))
 
 
 def _per_core_rows(text):

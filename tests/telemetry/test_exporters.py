@@ -1,20 +1,23 @@
 """Exporter round-trips: JSONL and the Chrome trace_event format."""
 
-import io
 import json
 
 import pytest
 
-from repro.telemetry import exporters
+from repro.telemetry import Telemetry, exporters
 from repro.telemetry.events import EV_MLFFR_PROBE, EV_RING_DROP, EV_SERVICE, EventTracer
 from repro.telemetry.exporters import (
     SEQUENCER_TRACK,
     SYSTEM_TRACK,
     chrome_trace_dict,
-    events_to_chrome_trace,
     events_to_jsonl,
-    read_jsonl,
 )
+from tests.telemetry.derived import as_parsed, chrome_doc
+
+
+def read_rows(path):
+    """The JSONL file's lines as parsed objects."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 def sample_tracer():
@@ -30,7 +33,7 @@ class TestJsonl:
     def test_roundtrip(self, tmp_path):
         tr = sample_tracer()
         path = events_to_jsonl(tr.events(), tmp_path / "ev.jsonl")
-        rows = list(read_jsonl(path))
+        rows = read_rows(path)
         assert len(rows) == 4
         assert {r["kind"] for r in rows} == {
             EV_SERVICE, EV_RING_DROP, EV_MLFFR_PROBE
@@ -47,18 +50,20 @@ class TestJsonl:
     def test_sorted_by_timestamp(self, tmp_path):
         # The ring drop was emitted second but timestamped earliest.
         path = events_to_jsonl(sample_tracer().events(), tmp_path / "ev.jsonl")
-        ts = [r["ts_ns"] for r in read_jsonl(path)]
+        ts = [r["ts_ns"] for r in read_rows(path)]
         assert ts == sorted(ts)
         assert ts[0] == 90.0
 
 
 class TestChromeTrace:
     def test_file_is_valid_json(self, tmp_path):
-        path = events_to_chrome_trace(
-            sample_tracer().events(), tmp_path / "trace.json", num_cores=2
-        )
-        doc = json.loads(path.read_text())
+        tele = Telemetry()
+        tele.tracer = sample_tracer()
+        tele.write_artifact(tmp_path, command="x", num_cores=2)
+        doc = chrome_doc(tmp_path)  # parsed back from its JSON text
         assert "traceEvents" in doc
+        assert doc == as_parsed(chrome_trace_dict(tele.tracer.events(),
+                                                  num_cores=2))
 
     def test_one_track_per_core(self):
         doc = chrome_trace_dict(sample_tracer().events(), num_cores=4)
@@ -145,14 +150,7 @@ class TestDispatchFlows:
         assert SEQUENCER_TRACK not in tids
 
 
-# -- byte identity with the one-document encodings ------------------------------
-
-
-def _reference_trace(events, num_cores):
-    """The trace bytes as one ``json.dump`` of the whole document."""
-    buf = io.StringIO()
-    json.dump(chrome_trace_dict(events, num_cores=num_cores), buf)
-    return buf.getvalue()
+# -- the stored log: byte identity, and the trace derived from it ---------------
 
 
 def _reference_jsonl(events):
@@ -227,10 +225,12 @@ EVENT_SETS = {
 @pytest.mark.parametrize("num_cores", [None, 4])
 @pytest.mark.parametrize("name", sorted(EVENT_SETS))
 def test_streamed_writers_match_one_document_encoding(tmp_path, name, num_cores):
+    """The streamed log holds exactly the one-document encoding, and the
+    Chrome trace derived from its rows is the one built from the live
+    events."""
     events = EVENT_SETS[name]()
-    trace = events_to_chrome_trace(events, tmp_path / "trace.json",
-                                   num_cores=num_cores)
     jsonl = events_to_jsonl(events, tmp_path / "events.jsonl")
-    assert trace.read_bytes() == _reference_trace(events, num_cores).encode()
     assert jsonl.read_bytes() == _reference_jsonl(events).encode()
+    assert (as_parsed(chrome_trace_dict(read_rows(jsonl), num_cores=num_cores))
+            == as_parsed(chrome_trace_dict(events, num_cores=num_cores)))
 

@@ -6,7 +6,7 @@ import shutil
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import build_parser, main
@@ -228,12 +228,15 @@ def test_run_with_telemetry_writes_artifact(tmp_path):
     ])
     assert code == 0
     assert "telemetry artifact" in text
-    for name in ("manifest.json", "events.jsonl", "trace.json", "metrics.prom"):
-        assert (tdir / name).exists()
+    assert sorted(p.name for p in tdir.iterdir()) == ["events.jsonl",
+                                                     "manifest.json"]
 
     from repro.telemetry import RunArtifact
+    from tests.telemetry.derived import chrome_doc, prometheus_text
 
     art = RunArtifact.load(tdir)
+    assert chrome_doc(tdir)["traceEvents"]
+    assert "packets_offered 300" in prometheus_text(tdir).splitlines()
     assert art.command == "run"
     assert art.config["program"] == "port_knocking"
     assert art.num_cores == 2
@@ -578,10 +581,13 @@ def _damaged_fig6(draw):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_damaged_fig6())
+@example(text=json.dumps({**json.loads(_FIG6_TEXT),
+                          "schema": "scr-repro/bench-artifact/v999"}))
 def test_damaged_bench_artifact_exits_2(tmp_path, text):
-    """Retyped, dropped or truncated fields of a bench artifact make both
-    of its readers that measure nothing exit 2 with one error line
-    naming the file, never a traceback."""
+    """Retyped, dropped or truncated fields of a bench artifact, or a
+    schema of another version, make both of its readers that measure
+    nothing exit 2 with one error line naming the file, never a
+    traceback."""
     bad = tmp_path / "BENCH_fig6_scaling.json"
     bad.write_text(text)
     for command, argv in (
